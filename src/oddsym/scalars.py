@@ -2,12 +2,25 @@
 
 A Scalar is a quotient of multivariate integer polynomials in the even
 symbols of its table, kept in lowest terms with the denominator's leading
-coefficient positive under graded-lex order.  That canonical form is
-maintained by the sparse field arithmetic this module wraps.
+coefficient positive under graded-lex order.  Every operation returns that
+canonical form, so equal Scalars have equal numerators and denominators.
+
+The arithmetic takes one of two paths, chosen by the operands alone:
+
+* polynomial-first: when every denominator involved is an integer (almost
+  all coefficients are polynomials), the numerators are combined as
+  polynomials over the common integer denominator and only the integer
+  content is cancelled, with ``math.gcd``;
+* field: otherwise sympy's ``FracField`` does the work, cancelling by a
+  polynomial gcd.
+
+Both paths give the same canonical element; the property tests compare
+them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -16,6 +29,10 @@ from sympy.polys.domains import ZZ
 
 class ScalarError(ArithmeticError):
     pass
+
+
+# Scalar.from_int keeps the constants in this range, per symbol table.
+_CACHED_INTS = range(-16, 17)
 
 
 class Scalar:
@@ -29,13 +46,23 @@ class Scalar:
 
     @classmethod
     def from_int(cls, table, value):
-        return cls(table, table.field.ground_new(ZZ(int(value))))
+        value = int(value)
+        cached = table.int_scalars.get(value)
+        if cached is not None:
+            return cached
+        field = table.field
+        out = cls(table, field.raw_new(field.ring.ground_new(value)))
+        if value in _CACHED_INTS:
+            table.int_scalars[value] = out
+        return out
 
     @classmethod
     def from_fraction(cls, table, value):
         value = Fraction(value)
-        one = table.field.ground_new(ZZ(1))
-        return cls(table, one * int(value.numerator) / int(value.denominator))
+        field = table.field
+        return cls(table, field.raw_new(
+            field.ring.ground_new(value.numerator),
+            field.ring.ground_new(value.denominator)))
 
     @classmethod
     def symbol(cls, table, name):
@@ -58,7 +85,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.table, self.f + other.f)
+        return Scalar(self.table, _add(self.f, other.f))
 
     __radd__ = __add__
 
@@ -66,19 +93,19 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.table, self.f - other.f)
+        return Scalar(self.table, _add(self.f, other.f, subtract=True))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.table, other.f - self.f)
+        return Scalar(self.table, _add(other.f, self.f, subtract=True))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.table, self.f * other.f)
+        return Scalar(self.table, _mul(self.f, other.f))
 
     __rmul__ = __mul__
 
@@ -88,7 +115,7 @@ class Scalar:
             return NotImplemented
         if not other.f:
             raise ScalarError("division by zero scalar")
-        return Scalar(self.table, self.f / other.f)
+        return Scalar(self.table, _div(self.f, other.f))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -99,9 +126,13 @@ class Scalar:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0 and not self.f:
-            raise ScalarError("division by zero scalar")
-        return Scalar(self.table, self.f ** exponent)
+        f = self.f
+        if exponent < 0:
+            if not f:
+                raise ScalarError("division by zero scalar")
+            # FracElement's negative power can leave a negative denominator.
+            f, exponent = _div(f.field.one, f), -exponent
+        return Scalar(self.table, f ** exponent)
 
     def __neg__(self):
         return Scalar(self.table, -self.f)
@@ -155,8 +186,12 @@ class Scalar:
     # -- calculus ------------------------------------------------------------
 
     def diff(self, name):
-        gen = self.table.field.gens[self.table.even_index(name)]
-        return Scalar(self.table, self.f.diff(gen))
+        idx = self.table.even_index(name)
+        f = self.f
+        den = _ground(f.denom)
+        if den is None:
+            return Scalar(self.table, f.diff(f.field.gens[idx]))
+        return Scalar(self.table, _reduce(f.field, f.numer.diff(idx), den))
 
     def subs_even(self, images):
         """Simultaneous substitution of even symbols by Scalars.
@@ -190,9 +225,9 @@ class Scalar:
         for mono, coeff in self.f.numer.terms():
             lifted = list(mono)
             lifted[idx] += 1
-            term = field(field.ring.from_dict({tuple(lifted): ZZ(int(coeff))}))
-            out += term / lifted[idx]
-        return Scalar(table, out / field(self.f.denom))
+            term = field.ring.from_dict({tuple(lifted): coeff})
+            out = _add(out, _reduce(field, term, lifted[idx]))
+        return Scalar(table, _div(out, field.raw_new(self.f.denom)))
 
     def sqrt(self):
         """The root with positive leading numerator coefficient.
@@ -219,16 +254,83 @@ class Scalar:
         return f"Scalar({self.f})"
 
 
+# -- the kernel on FracElements ---------------------------------------------
+
+def _ground(poly):
+    """The integer value of a nonzero constant PolyElement, else None."""
+    if len(poly) == 1:
+        return poly.get(poly.ring.zero_monom)
+    return None
+
+
+def _reduce(field, num, den):
+    """The canonical element num/den for an integer den > 0.
+
+    A polynomial and an integer share only integer content, so cancelling
+    gcd(den, coefficients) gives lowest terms without a polynomial gcd.
+    """
+    if den == 1:
+        return field.raw_new(num)
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = num.quo_ground(g)
+        den //= g
+    return field.raw_new(num, field.ring.ground_new(den))
+
+
+def _mul(f, g):
+    da = _ground(f.denom)
+    db = _ground(g.denom)
+    if da is None or db is None:
+        return f * g
+    if not f or not g:
+        return f.field.zero
+    return _reduce(f.field, f.numer * g.numer, da * db)
+
+
+def _add(f, g, subtract=False):
+    """f + g, or f - g when ``subtract``."""
+    da = _ground(f.denom)
+    db = _ground(g.denom)
+    if da is None or db is None:
+        return f - g if subtract else f + g
+    if not g:
+        return f
+    if not f:
+        return -g if subtract else g
+    a, b = f.numer, g.numer
+    if da != db:
+        lcm = da // math.gcd(da, db) * db
+        a = a.mul_ground(lcm // da)
+        b = b.mul_ground(lcm // db)
+        da = lcm
+    return _reduce(f.field, a - b if subtract else a + b, da)
+
+
+def _div(f, g):
+    """f / g for nonzero g; polynomial-first when g is a rational constant."""
+    da = _ground(f.denom)
+    p = _ground(g.numer)
+    q = _ground(g.denom)
+    if da is None or p is None or q is None:
+        return f / g
+    num = f.numer.mul_ground(q)
+    den = da * p
+    if den < 0:
+        num, den = -num, -den
+    return _reduce(f.field, num, den)
+
+
 def _eval_poly(table, poly, args):
     """Evaluate a PolyElement at Scalar-field arguments."""
     field = table.field
     total = field.zero
     for mono, coeff in poly.terms():
-        term = field.ground_new(ZZ(int(coeff)))
+        term = field.raw_new(field.ring.ground_new(coeff))
         for idx, power in enumerate(mono):
             if power:
-                term = term * args[idx] ** power
-        total += term
+                term = _mul(term, args[idx] ** power)
+        total = _add(total, term)
     return Scalar(table, total)
 
 

@@ -276,10 +276,17 @@ class SuperExpr:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = SuperExpr.one(self.table)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        if exponent == 0:
+            return SuperExpr.one(self.table)
+        out = None
+        base = self
+        while True:
+            if exponent & 1:
+                out = base if out is None else out * base
+            exponent >>= 1
+            if not exponent:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -401,10 +408,9 @@ class SuperExpr:
     def _substitute_coefficient(self, c, even_images, inverse_cache,
                                 power_cache):
         table = self.table
-        touched = [idx for idx in even_images
-                   if any(m[idx] for m, _ in c.numer_terms)
-                   or any(m[idx] for m, _ in c.denom_terms)]
-        if not touched:
+        occurring = {idx for poly in (c.f.numer, c.f.denom)
+                     for mono in poly for idx, e in enumerate(mono) if e}
+        if occurring.isdisjoint(even_images):
             return SuperExpr.from_scalar(c)
         num = _eval_poly_super(table, c.f.numer, even_images, power_cache)
         if c.f.denom.is_ground:

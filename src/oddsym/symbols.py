@@ -45,7 +45,8 @@ class SymbolTable:
     """
 
     __slots__ = ("even_symbols", "coordinate_odds", "frame_odds", "aux_odds",
-                 "field", "_even_index", "_odd_index", "odd_names")
+                 "field", "_even_index", "_odd_index", "odd_names",
+                 "int_scalars")
 
     def __init__(self, even_symbols, coordinate_odds=(), frame_odds=(),
                  aux_odds=()):
@@ -74,6 +75,8 @@ class SymbolTable:
         object.__setattr__(self, "odd_names", odd_names)
         object.__setattr__(self, "_odd_index",
                            {n: i for i, n in enumerate(odd_names)})
+        # Scalar.from_int's cache of small constants, freed with the table.
+        object.__setattr__(self, "int_scalars", {})
 
     def __setattr__(self, *a):
         raise AttributeError("SymbolTable is immutable")

@@ -109,6 +109,17 @@ def test_verify_failure_exit_one(monkeypatch, capsys):
     assert out.endswith("verify: fail\n")
 
 
+def test_solve_r_failure_reported(monkeypatch, capsys):
+    def failing_solve_r(E, F, table):
+        raise verify.CanonicityError("series solution failed the residual")
+
+    monkeypatch.setattr(verify, "solve_R", failing_solve_r)
+    code, out, _ = run_cli(["verify", "--suite", "darboux"], capsys)
+    assert code == 1
+    assert "darboux.solve-R-residual[10 samples]: FAIL\n" in out
+    assert out.endswith("verify: fail\n")
+
+
 def test_bad_manifest_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
