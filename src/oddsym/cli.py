@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .bv import delta0, delta_sharp, delta_vol
 from .darboux import darboux_pipeline
@@ -25,7 +26,7 @@ from .scalars import ScalarError
 from .superexpr import ParityError
 from .surfaces import densities_P, dual_density, pullback_K
 from .symplectic import CanonicityError, is_canonical, map_berezinian
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 _INPUT_ERRORS = (ManifestError, ParseError, ParityError, ScalarError,
                  CanonicityError, ValueError, KeyError)
@@ -188,7 +189,15 @@ def cmd_verify(manifest, args):
     lines = []
     all_ok = True
     for name in names:
-        checks = run_suite(name)
+        suite = SUITES[name]  # argparse restricts --suite to these names
+        try:
+            checks = suite()
+        except Exception as exc:  # a crashing suite is a failure, not input
+            traceback.print_exc()
+            lines.append((f"{name}.error",
+                          f"FAIL {type(exc).__name__}: {exc}"))
+            all_ok = False
+            continue
         for check in checks:
             status = "ok" if check.ok else "FAIL"
             text = status if not check.detail else f"{status} {check.detail}"

@@ -23,8 +23,9 @@ from .scalars import Scalar, binomial_half
 from .superexpr import SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, OddSymplecticStructure,
-                         ResidualReport, SuperMap, bracket, is_canonical,
-                         mat_inv_even)
+                         ResidualReport, SuperMap, graded_fixed_point,
+                         is_canonical, mat_det, mat_inv, mat_mul,
+                         pushforward_matrix, theta_linear, theta_shift)
 
 
 @dataclass
@@ -65,8 +66,7 @@ def structure_matrices(omega: OddSymplecticStructure, chart: Chart):
               for j in range(n)] for i in range(n)]
     P = [[A[i][j] - delta[i][j] for j in range(n)] for i in range(n)]
     body = [[A[i][j].body() for j in range(n)] for i in range(n)]
-    from .symplectic import scalar_mat_det
-    if scalar_mat_det(body).is_zero:
+    if mat_det(body).is_zero:
         raise CanonicityError("structure body is degenerate")
     cap = table.n_theta + 1
     return StructureMatrices(E, F, A, P, _matrix_order(E, cap),
@@ -86,8 +86,6 @@ def solve_R(E, F, table):
             for entry in row:
                 if entry and not entry.is_odd():
                     raise ValueError("structure matrices must be odd-valued")
-    from .symplectic import mat_mul
-
     bound = max(n * (n - 1) // 2, table.total_odds // 2 + 1)
     R = [[SuperExpr.zero(table) for _ in range(n)] for _ in range(n)]
     term = E
@@ -114,8 +112,6 @@ def solve_R(E, F, table):
 
 
 def _solve_r_residual(R, E, F, table):
-    from .symplectic import mat_mul
-
     n = len(E)
     RFR = mat_mul(mat_mul(R, F), R)
     return [[R[i][j] * 2 + RFR[i][j] - E[i][j] for j in range(n)]
@@ -135,29 +131,18 @@ def _theta_rescale_integral(entry, weight, table):
 
 
 def _new_structure(omega, chart, fmap):
-    binds = dict(zip(fmap.source.coordinate_names, fmap.inverse_targets))
-    size = 2 * chart.n
-    rows = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            entry = bracket(fmap.targets[a], fmap.targets[b], chart, omega)
-            row.append(entry.substitute(binds))
-        rows.append(row)
-    return OddSymplecticStructure(chart, rows, check=False)
+    return OddSymplecticStructure(
+        chart, pushforward_matrix(fmap, fmap.inverse_targets, omega),
+        check=False)
 
 
-def _iterate_inverse(chart, fmap_targets, update, bound):
+def _iterate_inverse(chart, fmap_targets, update):
     table = chart.table
     names = chart.coordinate_names
-    current = [SuperExpr.symbol(table, name) for name in names]
-    for _ in range(bound):
-        new = update(dict(zip(names, current)))
-        if new == current:
-            break
-        current = new
-    else:
-        raise CanonicityError("step inversion did not stabilize")
+    current = graded_fixed_point(
+        lambda guess: update(dict(zip(names, guess))),
+        [SuperExpr.symbol(table, name) for name in names], table,
+        "step inversion")
     forward = dict(zip(names, fmap_targets))
     for z, name in zip(current, names):
         # G o F = id, checked coordinate by coordinate
@@ -173,30 +158,28 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
     sm = structure_matrices(omega, chart)
     xs = [SuperExpr.symbol(table, x) for x in chart.xs]
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
-    bound = table.total_odds + 2
 
     if kind == "F1":
-        ainv = mat_inv_even(sm.A)
-        targets = list(xs) + [
-            _row_times_matrix(ths, ainv, j, table) for j in range(n)]
+        ainv, _ = mat_inv(sm.A, SuperExpr.invert_even)
+        targets = list(xs) + [theta_linear(ths, ainv, j) for j in range(n)]
 
         def update(binds):
             a_eval = [[sm.A[i][j].substitute(binds) for j in range(n)]
                       for i in range(n)]
-            return list(xs) + [
-                _row_times_matrix(ths, a_eval, j, table) for j in range(n)]
+            return list(xs) + [theta_linear(ths, a_eval, j)
+                               for j in range(n)]
 
     elif kind == "F2":
         if sm.q_class < 1:
             raise CanonicityError("F2 needs A = id + O(theta)")
         R = solve_R(sm.E, sm.F, table)
-        targets = [xs[i] - _theta_contraction(ths, R, i, table)
+        targets = [xs[i] - theta_linear(ths, R, i)
                    for i in range(n)] + list(ths)
 
         def update(binds):
             r_eval = [[R[m][i].substitute(binds) for i in range(n)]
                       for m in range(n)]
-            return [xs[i] + _theta_contraction(ths, r_eval, i, table)
+            return [xs[i] + theta_linear(ths, r_eval, i)
                     for i in range(n)] + list(ths)
 
     elif kind == "F3":
@@ -204,13 +187,13 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
             raise CanonicityError("F3 needs class at least (1,1)")
         W = [[_theta_rescale_integral(sm.E[m][i], 1, table)
               for i in range(n)] for m in range(n)]
-        targets = [xs[i] - _theta_contraction(ths, W, i, table)
+        targets = [xs[i] - theta_linear(ths, W, i)
                    for i in range(n)] + list(ths)
 
         def update(binds):
             w_eval = [[W[m][i].substitute(binds) for i in range(n)]
                       for m in range(n)]
-            return [xs[i] + _theta_contraction(ths, w_eval, i, table)
+            return [xs[i] + theta_linear(ths, w_eval, i)
                     for i in range(n)] + list(ths)
 
     elif kind == "F4":
@@ -220,7 +203,7 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
             raise CanonicityError("F4 needs P = O(theta)")
         V = [[_theta_rescale_integral(sm.P[m][j], 0, table)
               for j in range(n)] for m in range(n)]
-        targets = list(xs) + [ths[j] - _theta_contraction(ths, V, j, table)
+        targets = list(xs) + [ths[j] - theta_linear(ths, V, j)
                               for j in range(n)]
 
         def update(binds):
@@ -228,7 +211,7 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
                       for m in range(n)]
             thetas_g = [binds[name] for name in chart.thetas]
             return list(xs) + [
-                ths[j] + _theta_contraction(thetas_g, v_eval, j, table)
+                ths[j] + theta_linear(thetas_g, v_eval, j)
                 for j in range(n)]
 
     else:
@@ -238,26 +221,12 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
     if targets == ident:
         fmap = SuperMap.identity(chart)
         return fmap, omega
-    inverse = _iterate_inverse(chart, targets, update, bound)
+    inverse = _iterate_inverse(chart, targets, update)
     fmap = SuperMap(chart, chart, targets, kind=f"darboux-{kind}",
                     inverse_targets=inverse, check=False)
     new_omega = _new_structure(omega, chart, fmap)
     _check_transition(kind, sm, structure_matrices(new_omega, chart), chart)
     return fmap, new_omega
-
-
-def _row_times_matrix(ths, matrix, j, table):
-    total = SuperExpr.zero(table)
-    for m in range(len(ths)):
-        total = total + ths[m] * matrix[m][j]
-    return total
-
-
-def _theta_contraction(ths, matrix, i, table):
-    total = SuperExpr.zero(table)
-    for m in range(len(ths)):
-        total = total + ths[m] * matrix[m][i]
-    return total
 
 
 def _check_transition(kind, before, after, chart):
@@ -326,20 +295,6 @@ def two_form_potential(fmat, chart):
     return potential
 
 
-def _theta_translation(chart, shifts):
-    """theta_j -> theta_j + A_j(x); unlike a special canonical map the
-    shift one-form is not closed here (dA is the two-form being killed)."""
-    table = chart.table
-    targets = [SuperExpr.symbol(table, x) for x in chart.xs]
-    targets += [SuperExpr.symbol(table, th) + a
-                for th, a in zip(chart.thetas, shifts)]
-    inverse = [SuperExpr.symbol(table, x) for x in chart.xs]
-    inverse += [SuperExpr.symbol(table, th) - a
-                for th, a in zip(chart.thetas, shifts)]
-    return SuperMap(chart, chart, targets, kind="darboux-shift",
-                    inverse_targets=inverse, check=False)
-
-
 @dataclass
 class PipelineResult:
     steps: list
@@ -401,7 +356,8 @@ def darboux_pipeline(omega: OddSymplecticStructure, chart: Chart):
 
     if any(entry for row in sm.F for entry in row):
         potential = two_form_potential(sm.F, chart)
-        shift = _theta_translation(chart, potential)
+        # not a special map: dA is the two-form being killed, not zero
+        shift = theta_shift(chart, potential, "darboux-shift")
         fmap, state = shift, _new_structure(state, chart, shift)
         steps.append(("shift", fmap))
         composite = fmap.compose(composite)

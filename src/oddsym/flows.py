@@ -19,7 +19,8 @@ from .scalars import Scalar, ScalarError
 from .superexpr import ParityError, SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, Semidensity, SuperMap,
-                         hamiltonian_field, pullback_semidensity)
+                         graded_fixed_point, hamiltonian_field,
+                         pullback_semidensity)
 
 
 class FlowHamiltonian:
@@ -71,19 +72,13 @@ def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
     names = chart.coordinate_names
     coords = [SuperExpr.symbol(table, name) for name in names]
     ham = hamiltonian_field(q, chart)
-    current = list(coords)
-    bound = table.n_theta + len(table.frame_odds) + 2 * len(table.aux_odds) + 3
-    for _ in range(bound):
+
+    def update(current):
         binds = dict(zip(names, current))
-        new = []
-        for z, component in zip(coords, ham):
-            evolved = component.substitute(binds)
-            new.append(z + _integrate_time(evolved, time_name))
-        if new == current:
-            break
-        current = new
-    else:
-        raise CanonicityError("flow integration did not stabilize")
+        return [z + _integrate_time(component.substitute(binds), time_name)
+                for z, component in zip(coords, ham)]
+
+    current = graded_fixed_point(update, coords, table, "flow integration")
 
     time_dependent = any(c.depends_on(time_name)
                          for comp in ham for c in comp.scalars())

@@ -23,6 +23,10 @@ class ParseError(ValueError):
 
 _OPERATORS = "+-*/^()"
 
+# Nested parentheses and unary minus signs recurse; deeper input would hit
+# Python's recursion limit instead of a ParseError.
+_MAX_DEPTH = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -69,6 +73,7 @@ class _Parser:
         self.tokens = tokens
         self.table = table
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -85,6 +90,15 @@ class _Parser:
             _, line, col = self.tokens[-1]
             return line, col + 1
         return 1, 1
+
+    def _nested(self, tok, parse):
+        if self.depth >= _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH}",
+                             tok[1], tok[2])
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self):
         expr = self.expression()
@@ -126,7 +140,7 @@ class _Parser:
         tok = self._peek()
         if tok and tok[0] == "-":
             self.pos += 1
-            return -self.factor()
+            return -self._nested(tok, self.factor)
         return self.power()
 
     def power(self):
@@ -145,7 +159,7 @@ class _Parser:
         tok = self._next()
         value, line, col = tok
         if value == "(":
-            inner = self.expression()
+            inner = self._nested(tok, self.expression)
             closing = self._next()
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[1], closing[2])

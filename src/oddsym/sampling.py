@@ -169,7 +169,8 @@ def random_canonical_map(rng, chart, classes=("special", "point", "flow")):
 
 def random_messy_map(rng, chart):
     """Invertible but generally non-canonical coordinate change."""
-    from .symplectic import SuperMap, invert_map
+    from .symplectic import (SuperMap, invert_map, mat_inv, scalar_reciprocal,
+                             theta_linear)
 
     table = chart.table
     n = chart.n
@@ -184,27 +185,17 @@ def random_messy_map(rng, chart):
             if rng.random() < 0.5:
                 mat[i][j] = random_scalar(rng, table, coeff_degree=1,
                                           names=chart.xs)
-    targets = [SuperExpr.symbol(table, x) for x in chart.xs]
-    inv_mat, _ = _scalar_inv(mat, table)
-    for j in range(n):
-        acc = SuperExpr.zero(table)
-        for i in range(n):
-            acc = acc + SuperExpr.from_scalar(mat[i][j]) * \
-                SuperExpr.symbol(table, chart.thetas[i])
-        targets.append(acc)
-    inverse_targets = [SuperExpr.symbol(table, x) for x in chart.xs]
-    for j in range(n):
-        acc = SuperExpr.zero(table)
-        for i in range(n):
-            acc = acc + SuperExpr.from_scalar(inv_mat[i][j]) * \
-                SuperExpr.symbol(table, chart.thetas[i])
-        inverse_targets.append(acc)
+    xs = [SuperExpr.symbol(table, x) for x in chart.xs]
+    ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
+    inv_mat, _ = mat_inv(mat, scalar_reciprocal)
+    targets = xs + [theta_linear(ths, mat, j) for j in range(n)]
+    inverse_targets = xs + [theta_linear(ths, inv_mat, j) for j in range(n)]
     ident_body = [Scalar.symbol(table, x) for x in chart.xs]
     atoms.append(SuperMap(chart, chart, targets, body_inverse=ident_body,
                           kind="generic", inverse_targets=inverse_targets,
                           check=False))
     # nilpotent shear of the even coordinates
-    shear = [SuperExpr.symbol(table, x) for x in chart.xs]
+    shear = list(xs)
     for i in range(n):
         if rng.random() < 0.8 and n >= 2:
             pair = rng.sample(list(chart.thetas), 2)
@@ -213,7 +204,7 @@ def random_messy_map(rng, chart):
             shear[i] = shear[i] + SuperExpr.from_scalar(c) * \
                 SuperExpr.symbol(table, pair[0]) * \
                 SuperExpr.symbol(table, pair[1])
-    shear += [SuperExpr.symbol(table, th) for th in chart.thetas]
+    shear += ths
     shear_map = SuperMap(chart, chart, shear, body_inverse=ident_body,
                          kind="generic", check=False)
     shear_map = SuperMap(chart, chart, shear, body_inverse=ident_body,
@@ -230,32 +221,17 @@ def random_messy_map(rng, chart):
     return out
 
 
-def _scalar_inv(mat, table):
-    from .symplectic import scalar_mat_inv
-
-    return scalar_mat_inv(mat)
-
-
 def pushforward_structure(rng, chart, fmap=None):
     """Push the canonical bracket through an invertible map.
 
     Returns the structure matrix expressed in the new coordinates; used to
     manufacture non-Darboux inputs whose normalization target is known.
     """
-    from .symplectic import (OddSymplecticStructure, SuperMap, bracket,
-                             invert_map)
+    from .symplectic import (OddSymplecticStructure, invert_map,
+                             pushforward_matrix)
 
     if fmap is None:
         fmap = random_messy_map(rng, chart)
-    inv = invert_map(fmap)
-    binds = inv.bindings()
-    size = 2 * chart.n
-    rows = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            entry = bracket(fmap.targets[a], fmap.targets[b], chart)
-            row.append(entry.substitute(binds))
-        rows.append(row)
+    rows = pushforward_matrix(fmap, invert_map(fmap).targets)
     return OddSymplecticStructure(chart, rows), fmap
 

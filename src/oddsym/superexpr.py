@@ -517,37 +517,3 @@ def _eval_poly_super(table, poly, even_images, power_cache):
             piece = piece * img_pow
         total = total + piece
     return total
-
-
-# -- module-level operation names matching the public surface -----------------
-
-def normalize(table, raw_terms):
-    return SuperExpr.from_raw_terms(table, raw_terms)
-
-
-def multiply(a, b):
-    return a * b
-
-
-def partial_derivative(f, name):
-    return f.diff(name)
-
-
-def berezin_integral(f, odds):
-    return f.berezin_integral(odds)
-
-
-def substitute(f, bindings):
-    return f.substitute(bindings)
-
-
-def homogeneous_part(f, p):
-    return f.homogeneous_part(p)
-
-
-def invert_even(f):
-    return f.invert_even()
-
-
-def sqrt_even(f, body_root=None):
-    return f.sqrt_even(body_root)

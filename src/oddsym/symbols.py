@@ -89,9 +89,6 @@ class SymbolTable:
     def is_odd(self, name: str) -> bool:
         return name in self._odd_index
 
-    def has(self, name: str) -> bool:
-        return self.is_even(name) or self.is_odd(name)
-
     def parity_of(self, name: str) -> Parity:
         if self.is_even(name):
             return Parity.EVEN
@@ -121,9 +118,6 @@ class SymbolTable:
     @property
     def total_odds(self) -> int:
         return len(self.odd_names)
-
-    def is_theta_index(self, index: int) -> bool:
-        return index < len(self.coordinate_odds)
 
     def is_aux_index(self, index: int) -> bool:
         return index >= len(self.coordinate_odds) + len(self.frame_odds)

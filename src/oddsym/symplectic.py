@@ -72,13 +72,17 @@ def _perm_sign(perm):
     return sign
 
 
-def mat_inv_even(a):
-    """Inverse of a matrix of even SuperExprs with invertible-body det."""
+def mat_inv(a, reciprocal):
+    """Adjugate inverse of a square matrix of commuting entries.
+
+    ``reciprocal`` inverts the determinant: ``SuperExpr.invert_even`` for
+    even SuperExpr entries, ``scalar_reciprocal`` for Scalar entries.
+    Returns the inverse and 1/det.
+    """
     size = len(a)
-    det = mat_det(a)
-    det_inv = det.invert_even()
+    det_inv = reciprocal(mat_det(a))
     if size == 1:
-        return [[det_inv]]
+        return [[det_inv]], det_inv
     adj = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
@@ -88,39 +92,22 @@ def mat_inv_even(a):
             if (i + j) % 2:
                 cof = -cof
             adj[j][i] = cof * det_inv
-    return adj
+    return adj, det_inv
 
 
-def scalar_mat_det(a):
-    size = len(a)
-    total = None
-    for perm in itertools.permutations(range(size)):
-        term = a[0][perm[0]]
-        for i in range(1, size):
-            term = term * a[i][perm[i]]
-        if _perm_sign(perm) < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def scalar_mat_inv(a):
-    size = len(a)
-    det = scalar_mat_det(a)
+def scalar_reciprocal(det):
     if det.is_zero:
         raise ScalarError("singular matrix")
-    if size == 1:
-        return [[1 / det]], det
-    adj = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [[a[r][c] for c in range(size) if c != j]
-                     for r in range(size) if r != i]
-            cof = scalar_mat_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof / det
-    return adj, det
+    return 1 / det
+
+
+def theta_linear(thetas, matrix, j):
+    """sum_m thetas[m] * matrix[m][j]: odd generators times column j of a
+    matrix of even entries (SuperExpr or Scalar)."""
+    total = SuperExpr.zero(thetas[0].table)
+    for m, th in enumerate(thetas):
+        total = total + th * matrix[m][j]
+    return total
 
 
 # -- structures ------------------------------------------------------------------
@@ -189,7 +176,7 @@ class OddSymplecticStructure:
                         f"graded antisymmetry fails at ({a},{b})")
         body = [[self.matrix[a][b].body() for b in range(2 * n)]
                 for a in range(2 * n)]
-        if scalar_mat_det(body).is_zero:
+        if mat_det(body).is_zero:
             raise ValueError("structure body is degenerate")
 
     def entry(self, a, b):
@@ -399,13 +386,16 @@ def berezinian(matrix, n):
     i01 = [row[n:] for row in matrix[:n]]
     i10 = [row[:n] for row in matrix[n:]]
     i11 = [row[n:] for row in matrix[n:]]
-    det11 = mat_det(i11)
-    if det11.body().is_zero:
-        raise ScalarError("odd-odd block has singular body")
-    inv11 = mat_inv_even(i11)
+    inv11, det11_inv = mat_inv(i11, _block_reciprocal)
     corr = mat_mul(mat_mul(i01, inv11), i10)
     top = [[i00[i][j] - corr[i][j] for j in range(n)] for i in range(n)]
-    return mat_det(top) * det11.invert_even()
+    return mat_det(top) * det11_inv
+
+
+def _block_reciprocal(det11):
+    if det11.body().is_zero:
+        raise ScalarError("odd-odd block has singular body")
+    return det11.invert_even()
 
 
 def map_berezinian(fmap: SuperMap):
@@ -422,7 +412,7 @@ def ber_sqrt(fmap: SuperMap):
     ber = map_berezinian(fmap)
     body_jac = [[b.diff(x) for x in fmap.source.xs]
                 for b in fmap.body_map()]
-    detb = scalar_mat_det(body_jac)
+    detb = mat_det(body_jac)
     if ber.body() != detb * detb:
         raise CanonicityError(
             "Berezinian body is not the square of the even Jacobian "
@@ -453,16 +443,21 @@ def special_map(chart: Chart, psis):
             closed = psis[j].diff(chart.xs[i]) - psis[i].diff(chart.xs[j])
             if not closed.is_zero:
                 raise CanonicityError("shift one-form is not closed")
-    targets = [SuperExpr.symbol(table, x) for x in chart.xs]
-    targets += [SuperExpr.symbol(table, th) + psi
-                for th, psi in zip(chart.thetas, psis)]
-    inverse = [SuperExpr.symbol(table, x) for x in chart.xs]
-    inverse += [SuperExpr.symbol(table, th) - psi
-                for th, psi in zip(chart.thetas, psis)]
     identity_body = [Scalar.symbol(table, x) for x in chart.xs]
-    return SuperMap(chart, chart, targets, body_inverse=identity_body,
-                    kind="special", params={"psis": tuple(psis)},
-                    inverse_targets=inverse, check=False)
+    return theta_shift(chart, psis, "special", body_inverse=identity_body,
+                       params={"psis": tuple(psis)})
+
+
+def theta_shift(chart: Chart, shifts, kind, **attrs):
+    """theta_j -> theta_j + A_j, with its inverse theta_j -> theta_j - A_j;
+    no closedness check (``special_map`` makes the canonical one)."""
+    table = chart.table
+    xs = [SuperExpr.symbol(table, x) for x in chart.xs]
+    ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
+    targets = xs + [th + a for th, a in zip(ths, shifts)]
+    inverse = xs + [th - a for th, a in zip(ths, shifts)]
+    return SuperMap(chart, chart, targets, kind=kind, inverse_targets=inverse,
+                    check=False, **attrs)
 
 
 def point_map(chart: Chart, body, body_inverse):
@@ -481,24 +476,16 @@ def point_map(chart: Chart, body, body_inverse):
         if g.subs_even(forward) != Scalar.symbol(table, x) or \
                 f.subs_even(backward) != Scalar.symbol(table, x):
             raise CanonicityError("body inverse does not invert the body")
-    jac = [[b.diff(x) for x in chart.xs] for b in body]
-    inv_jac, _ = scalar_mat_inv(jac)
-    targets = [SuperExpr.from_scalar(b) for b in body]
-    for i in range(chart.n):
-        acc = SuperExpr.zero(table)
-        for m in range(chart.n):
-            acc = acc + SuperExpr.from_scalar(inv_jac[m][i]) * \
-                SuperExpr.symbol(table, chart.thetas[m])
-        targets.append(acc)
-    inv_jac_b = [[b.diff(x) for x in chart.xs] for b in body_inverse]
-    inv_inv, _ = scalar_mat_inv(inv_jac_b)
-    inverse_targets = [SuperExpr.from_scalar(b) for b in body_inverse]
-    for i in range(chart.n):
-        acc = SuperExpr.zero(table)
-        for m in range(chart.n):
-            acc = acc + SuperExpr.from_scalar(inv_inv[m][i]) * \
-                SuperExpr.symbol(table, chart.thetas[m])
-        inverse_targets.append(acc)
+    ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
+
+    def lift(b_map):
+        jac = [[b.diff(x) for x in chart.xs] for b in b_map]
+        inv_jac, _ = mat_inv(jac, scalar_reciprocal)
+        return [SuperExpr.from_scalar(b) for b in b_map] + \
+            [theta_linear(ths, inv_jac, i) for i in range(chart.n)]
+
+    targets = lift(body)
+    inverse_targets = lift(body_inverse)
     return SuperMap(chart, chart, targets, body_inverse=tuple(body_inverse),
                     kind="point", params={"body": tuple(body),
                                           "inverse": tuple(body_inverse)},
@@ -544,6 +531,14 @@ class ResidualReport:
         return {k: v for k, v in self.residuals.items() if not v.is_zero}
 
 
+def pushforward_matrix(fmap: SuperMap, inverse_targets, omega=None):
+    """Bracket matrix {F^A, F^B} of the new coordinates F, written in them
+    by substituting the inverse map."""
+    binds = dict(zip(fmap.source.coordinate_names, inverse_targets))
+    return [[bracket(fa, fb, fmap.source, omega).substitute(binds)
+             for fb in fmap.targets] for fa in fmap.targets]
+
+
 def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
     """Check {F^A, F^B} = Omega_target^{AB} o F entry by entry."""
     source, target = fmap.source, fmap.target
@@ -569,6 +564,25 @@ def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
 
 def _odd_weight(table, key):
     return sum(2 if table.is_aux_index(i) else 1 for i in key)
+
+
+def graded_fixed_point(update, start, table, what):
+    """Iterate ``update`` from ``start`` until it returns its argument.
+
+    Every pass of the nilpotent iterations that use this settles at least
+    one more unit of odd weight (``_odd_weight``), so a converging one
+    repeats itself within the table's largest odd weight plus a few
+    passes; the bound allows three.
+    """
+    bound = table.n_theta + len(table.frame_odds) + \
+        2 * len(table.aux_odds) + 3
+    current = start
+    for _ in range(bound):
+        new = update(current)
+        if new == current:
+            return current
+        current = new
+    raise CanonicityError(f"{what} did not stabilize")
 
 
 def invert_map(fmap: SuperMap):
@@ -608,18 +622,14 @@ def invert_map(fmap: SuperMap):
             if _odd_weight(table, key) < 2:
                 raise CanonicityError(
                     "graded inversion needs corrections of odd weight >= 2")
-    guesses = list(coords)
     names = fmap.source.coordinate_names
-    for _ in range(table.n_theta + len(table.frame_odds)
-                   + 2 * len(table.aux_odds) + 2):
+
+    def update(guesses):
         binds = dict(zip(names, guesses))
-        new = [z - corr.substitute(binds)
-               for z, corr in zip(coords, corrections)]
-        if new == guesses:
-            break
-        guesses = new
-    else:
-        raise CanonicityError("graded inversion did not stabilize")
+        return [z - corr.substitute(binds)
+                for z, corr in zip(coords, corrections)]
+
+    guesses = graded_fixed_point(update, coords, table, "graded inversion")
     out = SuperMap(fmap.target, fmap.source, guesses, check=False)
     _check_inverse(fmap, out)
     return out

@@ -658,10 +658,3 @@ def run_suite(name):
         raise ValueError(f"unknown suite {name!r}; available: "
                          + ", ".join(sorted(SUITES))) from None
     return fn()
-
-
-def run_all():
-    out = {}
-    for name in SUITES:
-        out[name] = run_suite(name)
-    return out

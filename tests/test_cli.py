@@ -109,6 +109,23 @@ def test_verify_failure_exit_one(monkeypatch, capsys):
     assert out.endswith("verify: fail\n")
 
 
+def test_crashing_suite_reported_as_failure(monkeypatch, capsys):
+    def crashing():
+        raise KeyError("missing fixture")
+
+    monkeypatch.setattr(cli, "SUITES", {
+        "crash": crashing, "tau-table": verify.SUITES["tau-table"]})
+    code, out, err = run_cli(["verify"], capsys)
+    assert code == 1
+    assert "crash.error: FAIL KeyError: 'missing fixture'\n" in out
+    assert "tau-table." in out  # the suite after the crash still ran
+    assert out.endswith("verify: fail\n")
+    assert "Traceback" in err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--suite", "nope"])
+    assert info.value.code == 2
+
+
 def test_solve_r_failure_reported(monkeypatch, capsys):
     def failing_solve_r(E, F, table):
         raise verify.CanonicityError("series solution failed the residual")
@@ -129,16 +146,27 @@ def test_bad_manifest_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_bad_expression_exit_two(tmp_path, capsys):
+def _bracket_of(tmp_path, capsys, text):
     doc = {
         "charts": {"c": {"n": 1, "even": ["x1"], "odd": ["th1"]}},
-        "bracket": {"chart": "c", "f": "x1 +* 2", "g": "th1"},
+        "bracket": {"chart": "c", "f": text, "g": "th1"},
     }
     bad = tmp_path / "expr.json"
     bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(["bracket", "--manifest", str(bad)], capsys)
+    return run_cli(["bracket", "--manifest", str(bad)], capsys)
+
+
+def test_bad_expression_exit_two(tmp_path, capsys):
+    code, out, err = _bracket_of(tmp_path, capsys, "x1 +* 2")
     assert code == 2
     assert "error:" in err
+
+
+def test_deep_nesting_exit_two(tmp_path, capsys):
+    text = "(" * 3000 + "x1" + ")" * 3000
+    code, out, err = _bracket_of(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error:") and "nesting deeper than 100" in err
 
 
 def test_unknown_reference_exit_two(tmp_path, capsys):

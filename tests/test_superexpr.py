@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from oddsym.grammar import parse_expr, render_expr
+from oddsym.grammar import ParseError, parse_expr, render_expr
 from oddsym.scalars import Scalar, ScalarError
-from oddsym.superexpr import SuperExpr, normalize
+from oddsym.superexpr import SuperExpr
 from oddsym.symbols import Parity, SymbolError, standard_table
 
 from oddsym.sampling import random_expr
@@ -21,30 +21,32 @@ def e(tab, text):
 
 
 def test_normalize_anticommutation_sign(tab):
-    assert normalize(tab, [(1, ["th2", "th1"])]) == e(tab, "-th1*th2")
+    assert SuperExpr.from_raw_terms(tab, [(1, ["th2", "th1"])]) == \
+        e(tab, "-th1*th2")
 
 
 def test_normalize_nilpotency(tab):
-    assert normalize(tab, [(1, ["th1", "th1"])]).is_zero
+    assert SuperExpr.from_raw_terms(tab, [(1, ["th1", "th1"])]).is_zero
 
 
 def test_normalize_cancellation(tab):
     raw = [(1, ["th1", "th2"]), (-1, ["th1", "th2"])]
-    assert normalize(tab, raw).is_zero
+    assert SuperExpr.from_raw_terms(tab, raw).is_zero
 
 
 def test_normalize_order_insensitive(tab):
     rng = random.Random(7)
     raw = [(2, ["th1", "th3"]), (1, ["th2"]), (-1, ["th1", "th3"]),
            (3, ["b1", "th1", "th2"]), (1, ["th2", "b1", "th1"])]
-    reference = normalize(tab, raw)
+    reference = SuperExpr.from_raw_terms(tab, raw)
     for _ in range(10):
         shuffled = raw[:]
         rng.shuffle(shuffled)
-        assert normalize(tab, shuffled) == reference
+        assert SuperExpr.from_raw_terms(tab, shuffled) == reference
     # idempotence: feeding the canonical terms back in changes nothing
-    again = normalize(tab, [(c, [tab.odd_name(i) for i in k])
-                            for k, c in reference.terms.items()])
+    canonical = [(c, [tab.odd_name(i) for i in k])
+                 for k, c in reference.terms.items()]
+    again = SuperExpr.from_raw_terms(tab, canonical)
     assert again == reference
 
 
@@ -213,6 +215,14 @@ def test_unknown_symbol_rejected(tab):
         parse_expr("q7", tab)
     with pytest.raises(SymbolError):
         SuperExpr.symbol(tab, "nope")
+
+
+def test_parse_nesting_is_capped(tab):
+    assert e(tab, "(" * 100 + "x1" + ")" * 100) == e(tab, "x1")
+    assert e(tab, "-" * 100 + "x1") == e(tab, "x1")
+    for text in ("(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_expr(text, tab)
 
 
 def test_scalar_canonical_form(tab):

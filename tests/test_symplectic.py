@@ -5,16 +5,18 @@ import pytest
 from oddsym.grammar import parse_expr
 from oddsym.sampling import (pushforward_structure, random_canonical_map,
                              random_expr, random_messy_map, random_point_map,
-                             random_special_map)
+                             random_scalar, random_special_map)
 from oddsym.scalars import Scalar
 from oddsym.superexpr import SuperExpr
-from oddsym.symbols import Chart, standard_table
+from oddsym.scalars import ScalarError
+from oddsym.symbols import Chart, Parity, standard_table
 from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
                                Semidensity, SuperMap, ber_sqrt, bracket,
                                construct_map, decompose_canonical_map,
-                               hamiltonian_field, invert_map, is_canonical,
-                               jacobi_residual, map_berezinian,
-                               pullback_semidensity)
+                               graded_fixed_point, hamiltonian_field,
+                               invert_map, is_canonical, jacobi_residual,
+                               map_berezinian, mat_det, mat_inv, mat_mul,
+                               pullback_semidensity, scalar_reciprocal)
 
 
 def make_chart(n, aux=2):
@@ -367,3 +369,40 @@ def test_invert_map_body_peel_path(c2):
     coords = [SuperExpr.symbol(c2.table, n) for n in c2.coordinate_names]
     assert list(stripped.compose(inv).targets) == coords
     assert list(inv.compose(stripped).targets) == coords
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_mat_inv_scalar_and_even_entries(c2, size):
+    rng = random.Random(size)
+    table = c2.table
+    unit = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for _ in range(3):
+        body = [[random_scalar(rng, table, coeff_degree=1, names=c2.xs,
+                               rational=True) for _ in range(size)]
+                for _ in range(size)]
+        if mat_det(body).is_zero:
+            continue
+        inv, det_inv = mat_inv(body, scalar_reciprocal)
+        assert det_inv * mat_det(body) == Scalar.from_int(table, 1)
+        assert mat_mul(body, inv) == [
+            [Scalar.from_int(table, u) for u in row] for row in unit]
+        even = [[SuperExpr.from_scalar(c) + random_expr(
+            rng, table, min_theta=2, aux=True, parity=Parity.EVEN)
+            for c in row] for row in body]
+        inv, det_inv = mat_inv(even, SuperExpr.invert_even)
+        assert det_inv * mat_det(even) == SuperExpr.one(table)
+        assert mat_mul(even, inv) == [
+            [SuperExpr.constant(table, u) for u in row] for row in unit]
+
+
+def test_mat_inv_singular_scalar_matrix(c2):
+    x1, x2 = (Scalar.symbol(c2.table, x) for x in c2.xs)
+    with pytest.raises(ScalarError, match="singular matrix"):
+        mat_inv([[x1, x2], [x1 * 2, x2 * 2]], scalar_reciprocal)
+
+
+def test_graded_fixed_point(c2):
+    assert graded_fixed_point(lambda k: min(k + 1, 3), 0, c2.table,
+                              "counter") == 3
+    with pytest.raises(CanonicityError, match="counter did not stabilize"):
+        graded_fixed_point(lambda k: k + 1, 0, c2.table, "counter")
