@@ -55,13 +55,9 @@ def _integrate_time(expr, time_name):
                                   if not v.is_zero})
 
 
-def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
-    """Exact flow map of an odd generator, polynomial in time.
-
-    ``t_value`` may be a rational number or the string "formal", in which
-    case the map keeps the symbolic time variable.  Time-dependent
-    generators are supported as polynomials in that same symbol.
-    """
+def _formal_flow(q, chart, time_name):
+    """The generator, its Hamiltonian field and the flow targets, still in
+    the formal time symbol."""
     if isinstance(q, FlowHamiltonian):
         q = q.expr
     else:
@@ -79,21 +75,45 @@ def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
                 for z, component in zip(coords, ham)]
 
     current = graded_fixed_point(update, coords, table, "flow integration")
+    return q, ham, current
 
-    time_dependent = any(c.depends_on(time_name)
-                         for comp in ham for c in comp.scalars())
-    minus_t = {time_name: -SuperExpr.symbol(table, time_name)}
+
+def _at_time(targets, t_value, time_name, sign=1):
+    """The targets at time sign * t_value (t_value may be "formal")."""
+    table = targets[0].table
+    if t_value == "formal":
+        if sign > 0:
+            return list(targets)
+        image = -SuperExpr.symbol(table, time_name)
+    else:
+        image = SuperExpr.constant(table, sign * Fraction(t_value))
+    return [tgt.substitute({time_name: image}) for tgt in targets]
+
+
+def flow_targets(q, chart, t_value=1, time_name="t"):
+    """The targets of ``exp_flow(q, chart, t_value, time_name)`` alone,
+    without the inverse map that ``exp_flow`` also builds."""
+    return _at_time(_formal_flow(q, chart, time_name)[2], t_value, time_name)
+
+
+def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
+    """Exact flow map of an odd generator, polynomial in time.
+
+    ``t_value`` may be a rational number or the string "formal", in which
+    case the map keeps the symbolic time variable.  Time-dependent
+    generators are supported as polynomials in that same symbol; for the
+    others the inverse map is the flow at time -t_value.
+    """
+    q, ham, current = _formal_flow(q, chart, time_name)
+    table = chart.table
     inverse = None
-    if not time_dependent:
-        inverse = [tgt.substitute(minus_t) for tgt in current]
-    if t_value != "formal":
-        at = {time_name: SuperExpr.constant(table, Fraction(t_value))}
-        current = [tgt.substitute(at) for tgt in current]
-        if inverse is not None:
-            inverse = [tgt.substitute(at) for tgt in inverse]
+    if not any(c.depends_on(time_name) for comp in ham
+               for c in comp.scalars()):
+        inverse = _at_time(current, t_value, time_name, sign=-1)
     identity_body = [Scalar.symbol(table, x) for x in chart.xs]
-    return SuperMap(chart, chart, current, body_inverse=identity_body,
-                    kind="flow", params={"generator": q, "t": t_value},
+    return SuperMap(chart, chart, _at_time(current, t_value, time_name),
+                    body_inverse=identity_body, kind="flow",
+                    params={"generator": q, "t": t_value},
                     inverse_targets=inverse, check=False)
 
 
@@ -136,10 +156,10 @@ def hamiltonian_from_adjusted(fmap: SuperMap, time_name="t"):
                     for i in range(n)]
     q = _delta_map(chart, displacement)
     for _ in range(table.n_theta + 2):
-        flow = exp_flow(q, chart, 1, time_name)
-        if list(flow.targets) == list(fmap.targets):
+        targets = flow_targets(q, chart, 1, time_name)
+        if targets == list(fmap.targets):
             return q
-        error = [fmap.targets[i] - flow.targets[i] for i in range(n)]
+        error = [fmap.targets[i] - targets[i] for i in range(n)]
         correction = _delta_map(chart, error)
         if correction.is_zero:
             raise CanonicityError(

@@ -27,6 +27,9 @@ _OPERATORS = "+-*/^()"
 # Python's recursion limit instead of a ParseError.
 _MAX_DEPTH = 100
 
+# ``^`` multiplies out its exponent; a larger literal is rejected, not run.
+_MAX_EXPONENT = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -151,6 +154,9 @@ class _Parser:
             exp_tok = self._next()
             if not isinstance(exp_tok[0], int):
                 raise ParseError("exponent must be an integer literal",
+                                 exp_tok[1], exp_tok[2])
+            if exp_tok[0] > _MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {_MAX_EXPONENT}",
                                  exp_tok[1], exp_tok[2])
             return base ** exp_tok[0]
         return base

@@ -53,6 +53,17 @@ def _build_chart(entry):
         raise ManifestError(str(exc)) from None
 
 
+class _Section(dict):
+    """A command's manifest section; a missing key is a ManifestError."""
+
+    def __init__(self, name, entry):
+        super().__init__(entry)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ManifestError(f"{self.name!r} section has no {key!r} entry")
+
+
 class Manifest:
     """Resolved named objects plus the raw document."""
 
@@ -167,7 +178,7 @@ class Manifest:
         _expect(name in self.raw, f"manifest has no {name!r} section")
         entry = self.raw[name]
         _expect(isinstance(entry, dict), f"{name!r} section must be an object")
-        return entry
+        return _Section(name, entry)
 
 
 def load_manifest(path):

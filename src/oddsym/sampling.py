@@ -217,7 +217,6 @@ def random_messy_map(rng, chart):
     out = atoms[0]
     for atom in atoms[1:]:
         out = atom.compose(out)
-    invert_map(out)  # ensure invertibility up front
     return out
 
 

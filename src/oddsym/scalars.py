@@ -65,6 +65,12 @@ class Scalar:
             field.ring.ground_new(value.denominator)))
 
     @classmethod
+    def from_poly(cls, table, poly, den=1):
+        """poly / den for a PolyElement of the table's ring and an int
+        den > 0."""
+        return cls(table, _reduce(table.field, poly, den))
+
+    @classmethod
     def symbol(cls, table, name):
         return cls(table, table.field.gens[table.even_index(name)])
 
@@ -138,10 +144,10 @@ class Scalar:
         return Scalar(self.table, -self.f)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self._coerce(other)
         return self.table is other.table and self.f == other.f
 
     def __hash__(self):
@@ -200,15 +206,17 @@ class Scalar:
         unmentioned symbols stay put.
         """
         table = self.table
-        args = list(table.field.gens)
-        for name, value in images.items():
-            value = self._coerce(value)
-            args[table.even_index(name)] = value.f
+        args = {table.even_index(name): self._coerce(value).f
+                for name, value in images.items()}
         num = _eval_poly(table, self.f.numer, args)
         den = _eval_poly(table, self.f.denom, args)
-        if not den.f:
+        if not den:
             raise ScalarError("substitution makes the denominator vanish")
-        return num / den
+        return Scalar(table, _div(num, den))
+
+    def integer_denominator(self):
+        """The denominator as an int when it is constant, else None."""
+        return _ground(self.f.denom)
 
     def integrate_monomial(self, name):
         """Antiderivative in ``name`` vanishing at 0.
@@ -321,17 +329,36 @@ def _div(f, g):
     return _reduce(f.field, num, den)
 
 
-def _eval_poly(table, poly, args):
-    """Evaluate a PolyElement at Scalar-field arguments."""
+def _eval_poly(table, poly, images):
+    """The FracElement of a PolyElement with the generators in ``images``
+    (index -> FracElement) replaced; the other generators stay.
+
+    Monomials are grouped by their exponents in the replaced generators,
+    so each group costs one product of image powers.
+    """
     field = table.field
+    bound = tuple(images)
+    groups = {}
+    for mono, coeff in poly.items():
+        exps = tuple(mono[idx] for idx in bound)
+        if any(exps):
+            rest = list(mono)
+            for idx in bound:
+                rest[idx] = 0
+            mono = tuple(rest)
+        groups.setdefault(exps, {})[mono] = coeff
+    powers = {}
     total = field.zero
-    for mono, coeff in poly.terms():
-        term = field.raw_new(field.ring.ground_new(coeff))
-        for idx, power in enumerate(mono):
-            if power:
-                term = _mul(term, args[idx] ** power)
+    for exps, rest in groups.items():
+        term = field.raw_new(poly.new(rest))
+        for idx, e in zip(bound, exps):
+            if e:
+                power = powers.get((idx, e))
+                if power is None:
+                    power = powers[(idx, e)] = images[idx] ** e
+                term = _mul(term, power)
         total = _add(total, term)
-    return Scalar(table, total)
+    return total
 
 
 def _poly_sqrt(table, poly):

@@ -8,6 +8,7 @@ identical term dictionaries.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .scalars import Scalar, ScalarError, binomial_half
@@ -44,6 +45,25 @@ def _merge_keys(a, b):
     merged.extend(a[i:])
     merged.extend(b[j:])
     return (-1 if swaps % 2 else 1), tuple(merged)
+
+
+def _accumulate(terms, key, value):
+    """Add value to terms[key], dropping the key when the sum vanishes."""
+    prev = terms.get(key)
+    total = value if prev is None else prev + value
+    if total.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = total
+
+
+def _involves(poly, indices):
+    """True when some monomial of a PolyElement uses one of the generators."""
+    for mono in poly.itermonoms():
+        for i in indices:
+            if mono[i]:
+                return True
+    return False
 
 
 def _sort_indices(seq):
@@ -289,10 +309,10 @@ class SuperExpr:
             base = base * base
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self._coerce(other)
         if not isinstance(other, SuperExpr):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Scalar)):
+                return NotImplemented
+            other = self._coerce(other)
         return self.table is other.table and self.terms == other.terms
 
     def __hash__(self):
@@ -367,11 +387,27 @@ class SuperExpr:
         """Simultaneous parity-matched substitution.
 
         ``bindings`` maps symbol names to SuperExprs (or Scalars / numbers
-        for even symbols).  Coefficients compose through the rational
-        field; denominators whose image has zero body raise.
+        for even symbols); a symbol bound to itself is skipped.  Odd
+        symbols are replaced factor by factor.  An even image splits into
+        its body and a nilpotent part, b + n, and every numerator and
+        denominator polynomial p of a coefficient is expanded by the
+        Taylor formula
+
+            p(b + n) = sum over alpha of (d^alpha p / alpha!)(b) * n^alpha
+
+        where alpha runs over exponent vectors of the bound even symbols.
+        Each n_i is even with no body, so each of its terms carries at
+        least two odd factors and n^alpha vanishes once |alpha| exceeds
+        total_odds // 2: the sum is finite.  The divided derivatives
+        d^alpha p / alpha! keep integer coefficients, and the products
+        n^alpha are built once per call.  A rational coefficient maps to
+        the image of its numerator times the inverse of the image of its
+        denominator, whose body must not vanish.
         """
         table = self.table
-        even_images = {}
+        field = table.field
+        bodies = {}  # even name -> image body, when it is not the symbol
+        nils = {}  # even index -> nonzero nilpotent part of the image
         odd_images = {}
         for name, value in bindings.items():
             if isinstance(value, Scalar):
@@ -379,54 +415,132 @@ class SuperExpr:
             elif isinstance(value, (int, Fraction)):
                 value = SuperExpr.constant(table, value)
             self._check_table(value)
+            terms = value.terms
             if table.is_even(name):
+                idx = table.even_index(name)
+                body = terms.get(())
+                moved = body is None or body.f != field.gens[idx]
+                if not moved and len(terms) == 1:
+                    continue
                 if not value.is_even():
                     raise ParityError(f"even symbol {name!r} bound to odd value")
-                even_images[table.even_index(name)] = value
+                if moved:
+                    bodies[name] = body or Scalar(table, field.zero)
+                if len(terms) > (body is not None):
+                    nils[idx] = SuperExpr(table, {k: v for k, v in terms.items()
+                                                  if k})
             elif table.is_odd(name):
+                idx = table.odd_index(name)
+                coeff = terms.get((idx,))
+                if coeff is not None and len(terms) == 1 and \
+                        coeff.f == field.one:
+                    continue
                 if not value.is_odd():
                     raise ParityError(f"odd symbol {name!r} bound to even value")
-                odd_images[table.odd_index(name)] = value
+                odd_images[idx] = value
             else:
                 raise SymbolError(f"unknown symbol {name!r}")
+        if not bodies and not nils and not odd_images:
+            return self
 
+        bound = tuple({table.even_index(name) for name in bodies} |
+                      nils.keys())
+        active = tuple(nils)
+        nil_powers = {}  # exponent prefix over ``active`` -> n^alpha
+
+        def shifted(poly, den):
+            """poly(b + n) / den for an integer den, as a term dict."""
+            out = {}
+
+            # alpha grows one ``active`` position at a time: p is
+            # d^alpha poly / alpha! so far, product is n^alpha (None for 1)
+            def walk(pos, p, prefix, product):
+                if pos == len(active):
+                    value = Scalar.from_poly(table, p, den)
+                    if bodies:
+                        value = value.subs_even(bodies)
+                    if value.is_zero:
+                        return
+                    if product is None:
+                        _accumulate(out, (), value)
+                    else:
+                        for key, c in product.terms.items():
+                            _accumulate(out, key, value * c)
+                    return
+                walk(pos + 1, p, prefix + (0,), product)
+                idx = active[pos]
+                for k in itertools.count(1):
+                    key = prefix + (k,)
+                    power = nil_powers.get(key)
+                    if power is None:
+                        power = nils[idx] if product is None \
+                            else product * nils[idx]
+                        nil_powers[key] = power
+                    if power.is_zero:
+                        return
+                    p = p.diff(idx).quo_ground(k)
+                    if not p:
+                        return
+                    product = power
+                    walk(pos + 1, p, key, product)
+
+            walk(0, poly, (), None)
+            return out
+
+        odd_products = {}  # bound odd indices -> product of their images
         inverse_cache = {}
-        power_cache = {}
-        result = SuperExpr.zero(table)
+        result = {}
         for key, c in self.terms.items():
-            piece = self._substitute_coefficient(c, even_images,
-                                                 inverse_cache, power_cache)
-            for idx in key:
-                image = odd_images.get(idx)
-                if image is None:
-                    image = SuperExpr(table, {(idx,):
-                                              Scalar.from_int(table, 1)})
-                piece = piece * image
-            result = result + piece
-        return result
-
-    def _substitute_coefficient(self, c, even_images, inverse_cache,
-                                power_cache):
-        table = self.table
-        occurring = {idx for poly in (c.f.numer, c.f.denom)
-                     for mono in poly for idx, e in enumerate(mono) if e}
-        if occurring.isdisjoint(even_images):
-            return SuperExpr.from_scalar(c)
-        num = _eval_poly_super(table, c.f.numer, even_images, power_cache)
-        if c.f.denom.is_ground:
-            den_scalar = Scalar(table, table.field(c.f.denom))
-            return num * SuperExpr.from_scalar(
-                Scalar.from_int(table, 1) / den_scalar)
-        den_key = c.f.denom
-        inv = inverse_cache.get(den_key)
-        if inv is None:
-            den = _eval_poly_super(table, c.f.denom, even_images, power_cache)
-            if den.body().is_zero:
-                raise ScalarError("substitution makes a denominator "
-                                  "body vanish")
-            inv = den.invert_even()
-            inverse_cache[den_key] = inv
-        return num * inv
+            f = c.f
+            if bound and (_involves(f.numer, bound) or
+                          _involves(f.denom, bound)):
+                den = c.integer_denominator()
+                if den is not None:
+                    piece = SuperExpr(table, shifted(f.numer, den))
+                else:
+                    inv = inverse_cache.get(f.denom)
+                    if inv is None:
+                        image = SuperExpr(table, shifted(f.denom, 1))
+                        if () not in image.terms:
+                            raise ScalarError("substitution makes a "
+                                              "denominator body vanish")
+                        inv = image.invert_even()
+                        inverse_cache[f.denom] = inv
+                    piece = SuperExpr(table, shifted(f.numer, 1)) * inv
+            elif odd_images and not odd_images.keys().isdisjoint(key):
+                piece = SuperExpr(table, {(): c})
+            else:
+                _accumulate(result, key, c)
+                continue
+            rest = key
+            if odd_images:
+                # the images of the bound odd factors go first, the
+                # monomial of the others last; count the transpositions
+                mapped, kept, swaps = [], [], 0
+                for i in key:
+                    if i in odd_images:
+                        mapped.append(i)
+                        swaps += len(kept)
+                    else:
+                        kept.append(i)
+                if mapped:
+                    mapped = tuple(mapped)
+                    factor = odd_products.get(mapped)
+                    if factor is None:
+                        factor = odd_images[mapped[0]]
+                        for i in mapped[1:]:
+                            factor = factor * odd_images[i]
+                        odd_products[mapped] = factor
+                    piece = piece * factor
+                    if swaps % 2:
+                        piece = -piece
+                    rest = tuple(kept)
+            for k, v in piece.terms.items():
+                merged = _merge_keys(k, rest)
+                if merged is not None:
+                    sign, new_key = merged
+                    _accumulate(result, new_key, v if sign > 0 else -v)
+        return SuperExpr(table, result)
 
     # -- inverses and square roots ----------------------------------------------
 
@@ -491,29 +605,3 @@ class SuperExpr:
         from .grammar import render_expr
         return f"<{render_expr(self)}>"
 
-
-def _eval_poly_super(table, poly, even_images, power_cache):
-    """Evaluate a PolyElement with some generators bound to SuperExprs."""
-    from sympy.polys.domains import ZZ
-
-    total = SuperExpr.zero(table)
-    ring = table.field.ring
-    for mono, coeff in poly.terms():
-        residual = list(mono)
-        factors = []
-        for idx, power in enumerate(mono):
-            if power and idx in even_images:
-                residual[idx] = 0
-                factors.append((idx, power))
-        scal = Scalar(table, table.field(
-            ring.from_dict({tuple(residual): ZZ(int(coeff))})))
-        piece = SuperExpr.from_scalar(scal)
-        for idx, power in factors:
-            key = (idx, power)
-            img_pow = power_cache.get(key)
-            if img_pow is None:
-                img_pow = even_images[idx] ** power
-                power_cache[key] = img_pow
-            piece = piece * img_pow
-        total = total + piece
-    return total

@@ -188,56 +188,78 @@ def _coordinate_exprs(chart):
     return [SuperExpr.symbol(table, name) for name in chart.coordinate_names]
 
 
-def _canonical_bracket_homogeneous(f, g, chart, f_odd):
-    table = chart.table
-    total = SuperExpr.zero(table)
-    for x, th in zip(chart.xs, chart.thetas):
-        term = f.diff(x) * g.diff(th)
-        second = f.diff(th) * g.diff(x)
-        term = term - second if f_odd else term + second
-        total = total + term
-    return total
+def _structure_entries(chart, omega):
+    """The chart of the structure and its nonzero Omega^{AB} as
+    (A, B, entry), where an int entry stands for +-1.
+
+    The canonical structure is the sparse Omega^{x_i th_i} = 1,
+    Omega^{th_i x_i} = -1 on ``chart``; any other one is read from its
+    matrix on its own chart.
+    """
+    if omega is None or omega.is_canonical_matrix:
+        n = chart.n
+        return chart, [(i, n + i, 1) for i in range(n)] + \
+            [(n + i, i, -1) for i in range(n)]
+    size = 2 * omega.chart.n
+    return omega.chart, [(a, b, omega.matrix[a][b]) for a in range(size)
+                         for b in range(size) if omega.matrix[a][b]]
 
 
-def _general_bracket_homogeneous(f, g, omega, f_odd):
-    chart = omega.chart
-    table = chart.table
-    names = chart.coordinate_names
-    n = chart.n
+def _derivatives(f, chart):
+    return [f.diff(name) for name in chart.coordinate_names]
+
+
+def _left_signed(derivatives, n):
+    """Apply the sign (-1)^((p(f) + 1) p(z^A)) to df/dz^A term by term.
+
+    Only odd z^A (the last n slots) carry a sign, and there the derivative
+    of the even part of f flips: its terms have odd length.  So mixed
+    parity f needs no split.
+    """
+    return derivatives[:n] + [
+        SuperExpr(d.table, {k: -v if len(k) % 2 else v
+                            for k, v in d.terms.items()})
+        for d in derivatives[n:]]
+
+
+def _bracket_entry(left, right, entries, table):
+    """sum over Omega^{AB} != 0 of left[A] * Omega^{AB} * right[B]."""
     total = SuperExpr.zero(table)
-    for a, name_a in enumerate(names):
-        da = f.diff(name_a)
-        if da.is_zero:
+    for a, b, entry in entries:
+        da, db = left[a], right[b]
+        if da.is_zero or db.is_zero:
             continue
-        pa = 0 if a < n else 1
-        # sign (-1)^(p(f)p(zA) + p(zA))
-        negate = (((1 if f_odd else 0) * pa) + pa) % 2 == 1
-        for b, name_b in enumerate(names):
-            entry = omega.matrix[a][b]
-            if not entry:
-                continue
-            db = g.diff(name_b)
-            if db.is_zero:
-                continue
-            piece = da * entry * db
-            total = total - piece if negate else total + piece
+        if isinstance(entry, int):
+            piece = da * db
+            total = total + piece if entry > 0 else total - piece
+        else:
+            total = total + da * entry * db
     return total
 
 
 def bracket(f, g, chart, omega=None):
-    """Odd Poisson bracket {f,g}; mixed-parity f is split term-wise."""
-    if omega is not None and not omega.is_canonical_matrix:
-        fn = lambda ff, odd: _general_bracket_homogeneous(ff, g, omega, odd)
-    else:
-        fn = lambda ff, odd: _canonical_bracket_homogeneous(ff, g, chart, odd)
-    feven = f.even_part()
-    fodd = f.odd_part()
-    total = SuperExpr.zero(chart.table)
-    if feven:
-        total = total + fn(feven, False)
-    if fodd:
-        total = total + fn(fodd, True)
-    return total
+    """Odd Poisson bracket {f,g}; f may have mixed parity.
+
+    {f,g} = sum_AB (-1)^((p(f) + 1) p(z^A)) df/dz^A Omega^{AB} dg/dz^B with
+    left derivatives.
+    """
+    chart, entries = _structure_entries(chart, omega)
+    left = _left_signed(_derivatives(f, chart), chart.n)
+    return _bracket_entry(left, _derivatives(g, chart), entries, chart.table)
+
+
+def bracket_matrix(exprs, chart, omega=None):
+    """The matrix {e_A, e_B} over every pair of the expressions.
+
+    Each expression is differentiated once.  Every entry is computed by
+    the rule of ``bracket``, none is filled in by antisymmetry, so the
+    symmetry checks on a structure built from the matrix still test it.
+    """
+    chart, entries = _structure_entries(chart, omega)
+    right = [_derivatives(e, chart) for e in exprs]
+    left = [_left_signed(d, chart.n) for d in right]
+    return [[_bracket_entry(la, rb, entries, chart.table) for rb in right]
+            for la in left]
 
 
 def hamiltonian_field(f, chart, omega=None):
@@ -535,8 +557,8 @@ def pushforward_matrix(fmap: SuperMap, inverse_targets, omega=None):
     """Bracket matrix {F^A, F^B} of the new coordinates F, written in them
     by substituting the inverse map."""
     binds = dict(zip(fmap.source.coordinate_names, inverse_targets))
-    return [[bracket(fa, fb, fmap.source, omega).substitute(binds)
-             for fb in fmap.targets] for fa in fmap.targets]
+    return [[entry.substitute(binds) for entry in row]
+            for row in bracket_matrix(fmap.targets, fmap.source, omega)]
 
 
 def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
@@ -548,9 +570,10 @@ def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
     n = target.n
     residuals = {}
     names = target.coordinate_names
+    brackets = bracket_matrix(fmap.targets, source, omega)
     for a in range(2 * n):
         for b in range(a, 2 * n):
-            lhs = bracket(fmap.targets[a], fmap.targets[b], source, omega)
+            lhs = brackets[a][b]
             rhs = omega_target.matrix[a][b]
             if not rhs.is_zero:
                 rhs = rhs.substitute(binds)

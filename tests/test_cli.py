@@ -169,6 +169,35 @@ def test_deep_nesting_exit_two(tmp_path, capsys):
     assert err.startswith("error:") and "nesting deeper than 100" in err
 
 
+def test_exponent_cap_exit_two(tmp_path, capsys):
+    code, out, _ = _bracket_of(tmp_path, capsys, "x1^100")
+    assert code == 0 and out == "bracket: 100*x1^99\n"
+    code, out, err = _bracket_of(tmp_path, capsys, "x1^101")
+    assert code == 2
+    assert err.startswith("error:") and "exponent larger than 100" in err
+
+
+def test_missing_section_key_exit_two(tmp_path, capsys):
+    doc = {
+        "charts": {"c": {"n": 1, "even": ["x1"], "odd": ["th1"]}},
+        "bracket": {"chart": "c", "f": "x1"},
+    }
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["bracket", "--manifest", str(path)], capsys)
+    assert code == 2
+    assert err == "error: 'bracket' section has no 'g' entry\n"
+
+
+def test_internal_key_error_is_not_input_error(monkeypatch):
+    def broken(f, chart):
+        raise KeyError("internal bug")
+
+    monkeypatch.setattr(cli, "delta0", broken)
+    with pytest.raises(KeyError, match="internal bug"):
+        cli.main(["delta0", "--manifest", os.path.join(DATA, "bracket.json")])
+
+
 def test_unknown_reference_exit_two(tmp_path, capsys):
     doc = {"darboux": {"structure": "nope"}}
     bad = tmp_path / "ref.json"

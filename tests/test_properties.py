@@ -1,36 +1,41 @@
 """Property-based checks of the core algebra laws."""
 
+import itertools
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddsym.grammar import parse_expr, render_expr
-from oddsym.scalars import Scalar
+from oddsym.sampling import pushforward_structure
+from oddsym.scalars import Scalar, ScalarError
 from oddsym.superexpr import SuperExpr
 from oddsym.symbols import Chart, standard_table
+from oddsym.symplectic import OddSymplecticStructure, bracket, bracket_matrix
 
 TABLE = standard_table(2, aux=1)
 CHART = Chart(TABLE, TABLE.even_symbols[:2], TABLE.coordinate_odds)
 
 coefficients = st.integers(min_value=-5, max_value=5)
-odd_monomials = st.lists(
-    st.sampled_from(["th1", "th2", "b1"]), max_size=3)
 even_powers = st.tuples(st.integers(min_value=0, max_value=2),
                         st.integers(min_value=0, max_value=2))
 
 
 @st.composite
-def exprs(draw):
-    total = SuperExpr.zero(TABLE)
+def exprs(draw, table=TABLE):
+    """Up to three terms over x1, x2 and up to three odd symbols."""
+    odd_monomials = st.lists(st.sampled_from(table.odd_names), max_size=3)
+    total = SuperExpr.zero(table)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         coeff = draw(coefficients)
         powers = draw(even_powers)
-        term = SuperExpr.constant(TABLE, coeff)
+        term = SuperExpr.constant(table, coeff)
         for name, power in zip(("x1", "x2"), powers):
-            term = term * SuperExpr.symbol(TABLE, name) ** power
+            term = term * SuperExpr.symbol(table, name) ** power
         for odd in draw(odd_monomials):
-            term = term * SuperExpr.symbol(TABLE, odd)
+            term = term * SuperExpr.symbol(table, odd)
         total = total + term
     return total
 
@@ -97,18 +102,24 @@ def test_invert_even_round_trip(a):
 FIELD = TABLE.field
 RING = FIELD.ring
 
-polys = st.dictionaries(even_powers, st.integers(min_value=-6, max_value=6),
-                        max_size=4).map(
-    lambda d: RING.from_dict({m: c for m, c in d.items() if c}))
+def ring_polys(ring):
+    return st.dictionaries(
+        even_powers, st.integers(min_value=-6, max_value=6),
+        max_size=4).map(
+        lambda d: ring.from_dict({m: c for m, c in d.items() if c}))
+
+
+polys = ring_polys(RING)
 nonzero_ints = st.integers(min_value=-12, max_value=12).filter(bool)
-denominators = st.one_of(nonzero_ints.map(RING.ground_new),
-                         polys.filter(bool))
 
 
 @st.composite
-def fracs(draw):
+def fracs(draw, field=FIELD):
     """A FracElement in canonical form, built by FracField itself."""
-    return FIELD.new(draw(polys), draw(denominators))
+    numer = ring_polys(field.ring)
+    denominators = st.one_of(nonzero_ints.map(field.ring.ground_new),
+                             numer.filter(bool))
+    return field.new(draw(numer), draw(denominators))
 
 
 def same(got, want):
@@ -164,3 +175,212 @@ def test_subs_even_matches_frac_field(f, g, h):
     den = evaluate(f.denom)
     if den:
         same(Scalar(TABLE, f).subs_even(images), evaluate(f.numer) / den)
+
+
+# -- substitution and bracket matrices against the term-by-term oracles ------
+
+# Four odd symbols, so that squares and cross products of nilpotent even
+# images survive and the Taylor expansion reaches second order.
+SUB_TABLE = standard_table(2, aux=2)
+SUB_FIELD = SUB_TABLE.field
+
+
+def _reference_eval_poly(table, poly, even_images, power_cache):
+    ring = table.field.ring
+    total = SuperExpr.zero(table)
+    for mono, coeff in poly.terms():
+        residual = list(mono)
+        factors = []
+        for idx, power in enumerate(mono):
+            if power and idx in even_images:
+                residual[idx] = 0
+                factors.append((idx, power))
+        piece = SuperExpr.from_scalar(Scalar(
+            table, table.field(ring.from_dict({tuple(residual): coeff}))))
+        for idx, power in factors:
+            if (idx, power) not in power_cache:
+                power_cache[(idx, power)] = even_images[idx] ** power
+            piece = piece * power_cache[(idx, power)]
+        total = total + piece
+    return total
+
+
+def reference_substitute(expr, bindings):
+    """Substitution monomial by monomial, image powers multiplied out."""
+    table = expr.table
+    even_images, odd_images = {}, {}
+    for name, value in bindings.items():
+        if table.is_even(name):
+            even_images[table.even_index(name)] = value
+        else:
+            odd_images[table.odd_index(name)] = value
+    power_cache = {}
+    result = SuperExpr.zero(table)
+    for key, c in expr.terms.items():
+        occurring = {idx for poly in (c.f.numer, c.f.denom) for mono in poly
+                     for idx, e in enumerate(mono) if e}
+        if occurring.isdisjoint(even_images):
+            piece = SuperExpr.from_scalar(c)
+        else:
+            num = _reference_eval_poly(table, c.f.numer, even_images,
+                                       power_cache)
+            den = _reference_eval_poly(table, c.f.denom, even_images,
+                                       power_cache)
+            if den.body().is_zero:
+                raise ScalarError("denominator body vanishes")
+            piece = num * den.invert_even()
+        for idx in key:
+            one = SuperExpr(table, {(idx,): Scalar.from_int(table, 1)})
+            piece = piece * odd_images.get(idx, one)
+        result = result + piece
+    return result
+
+
+def sub_exprs():
+    return exprs(SUB_TABLE)
+
+
+@st.composite
+def nilpotents(draw):
+    """Even and bodiless: polynomial multiples of products of two odd
+    symbols, so that squares and cross products often survive."""
+    pairs = st.sampled_from(list(itertools.combinations(
+        SUB_TABLE.odd_names, 2)))
+    total = SuperExpr.zero(SUB_TABLE)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        coeff = Scalar(SUB_TABLE, SUB_FIELD(draw(ring_polys(SUB_FIELD.ring))))
+        total = total + SuperExpr.from_raw_terms(
+            SUB_TABLE, [(coeff, draw(pairs))])
+    return total
+
+
+@st.composite
+def bindings(draw):
+    """Identity, pure-body (polynomial or rational), body + nilpotent and
+    nilpotent-shifted images of the even symbols; identity or general odd
+    images of the odd ones; any symbol may be left out."""
+    out = {}
+    for name in ("x1", "x2"):
+        kind = draw(st.sampled_from(
+            ["absent", "identity", "body", "shift", "body+shift"]))
+        if kind == "absent":
+            continue
+        image = SuperExpr.symbol(SUB_TABLE, name)
+        if kind.startswith("body"):
+            image = SuperExpr.from_scalar(
+                Scalar(SUB_TABLE, draw(fracs(SUB_FIELD))))
+        if kind.endswith("shift"):
+            image = image + draw(nilpotents())
+        out[name] = image
+    for name in SUB_TABLE.odd_names:
+        kind = draw(st.sampled_from(["absent", "identity", "image"]))
+        if kind == "identity":
+            out[name] = SuperExpr.symbol(SUB_TABLE, name)
+        elif kind == "image":
+            out[name] = draw(sub_exprs()).odd_part()
+    return out
+
+
+@st.composite
+def rational_exprs(draw):
+    """An expression with rational-function coefficients, and the
+    denominator it was divided by."""
+    den = draw(ring_polys(SUB_FIELD.ring).filter(bool))
+    one_over = Scalar(SUB_TABLE, SUB_FIELD.one / SUB_FIELD(den))
+    return draw(sub_exprs()) * one_over, den
+
+
+def substituted(expr, binds):
+    """expr.substitute(binds), or None when a denominator body vanishes;
+    the term-by-term oracle must agree either way."""
+    try:
+        want = reference_substitute(expr, binds)
+    except ScalarError:
+        with pytest.raises(ScalarError):
+            expr.substitute(binds)
+        return None
+    got = expr.substitute(binds)
+    assert got == want
+    return got
+
+
+@given(sub_exprs(), rational_exprs(), bindings())
+@settings(max_examples=100, deadline=None)
+def test_substitute_matches_term_by_term_oracle(a, rational, binds):
+    substituted(a, binds)
+    substituted(rational[0], binds)
+
+
+def test_substitute_second_order_taylor_terms():
+    parse = lambda text: parse_expr(text, SUB_TABLE)  # noqa: E731
+    binds = {"x1": parse("x1 + th1*th2 + x2*b1*b2"),
+             "x2": parse("2 + th1*b1")}
+    expr = parse("x1^2*x2^2*th1 + x1^2/(1 + x2^2) + 3*x1*x2*b2")
+    got = expr.substitute(binds)
+    assert got == reference_substitute(expr, binds)
+    # only (th1*th2 + x2*b1*b2)^2 / 5 reaches all four odd symbols
+    assert got.coefficient(["th1", "th2", "b1", "b2"]) == \
+        parse("2*x2/5").body()
+
+
+@given(sub_exprs(), sub_exprs(), bindings())
+@settings(max_examples=80, deadline=None)
+def test_substitute_is_a_ring_homomorphism(a, b, binds):
+    sa, sb = a.substitute(binds), b.substitute(binds)
+    assert (a + b).substitute(binds) == sa + sb
+    assert (a * b).substitute(binds) == sa * sb
+
+
+@given(rational_exprs(), bindings())
+@settings(max_examples=60, deadline=None)
+def test_substitute_respects_denominators(rational, binds):
+    expr, den = rational
+    image = substituted(expr, binds)
+    if image is None:
+        return
+    den_image = SuperExpr.from_scalar(Scalar(SUB_TABLE, SUB_FIELD(den)))
+    assert image * den_image.substitute(binds) == \
+        (expr * den_image).substitute(binds)
+
+
+def reference_bracket(f, g, chart, omega=None):
+    """{f,g} from the full structure matrix, f split by parity: the
+    summand of an odd z^A flips sign for the even part of f."""
+    matrix = (omega or OddSymplecticStructure.canonical(chart)).matrix
+    names = chart.coordinate_names
+    total = SuperExpr.zero(chart.table)
+    for part, part_even in ((f.even_part(), True), (f.odd_part(), False)):
+        for a, name_a in enumerate(names):
+            da = part.diff(name_a)
+            flip = a >= chart.n and part_even
+            for b, name_b in enumerate(names):
+                piece = da * matrix[a][b] * g.diff(name_b)
+                total = total - piece if flip else total + piece
+    return total
+
+
+def _check_bracket_matrix(es, omega):
+    matrix = bracket_matrix(es, CHART, omega)
+    assert len(matrix) == len(es)
+    for f, row in zip(es, matrix):
+        assert len(row) == len(es)
+        for g, entry in zip(es, row):
+            assert entry == bracket(f, g, CHART, omega)
+            assert entry == reference_bracket(f, g, CHART, omega)
+
+
+@given(st.lists(exprs(), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_bracket_matrix_canonical(es):
+    _check_bracket_matrix(es, None)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.lists(exprs(), min_size=1, max_size=3))
+@settings(max_examples=8, deadline=None)
+def test_bracket_matrix_pushforward_structure(seed, es):
+    omega, _ = pushforward_structure(random.Random(seed), CHART)
+    _check_bracket_matrix(es, omega)
+    coords = [SuperExpr.symbol(TABLE, name) for name in CHART.coordinate_names]
+    assert bracket_matrix(coords, CHART, omega) == \
+        [list(row) for row in omega.matrix]
