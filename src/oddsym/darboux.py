@@ -23,9 +23,9 @@ from .scalars import Scalar, binomial_half
 from .superexpr import SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, OddSymplecticStructure,
-                         ResidualReport, SuperMap, graded_fixed_point,
-                         is_canonical, mat_det, mat_inv, mat_mul,
-                         pushforward_matrix, theta_linear, theta_shift)
+                         ResidualReport, SuperMap, invert_map, is_canonical,
+                         mat_det, mat_inv, mat_mul, pushforward_matrix,
+                         theta_linear, theta_rescale_integral, theta_shift)
 
 
 @dataclass
@@ -36,9 +36,6 @@ class StructureMatrices:
     P: list
     p_class: int
     q_class: int
-
-    def in_class(self, p, q):
-        return self.p_class >= p and self.q_class >= q
 
 
 def _matrix_order(entries, cap):
@@ -118,41 +115,13 @@ def _solve_r_residual(R, E, F, table):
             for i in range(n)]
 
 
-def _theta_rescale_integral(entry, weight, table):
-    """int_0^1 tau^weight entry(x, tau theta) dtau, exact on components."""
-    total = SuperExpr.zero(table)
-    for p in range(table.n_theta + 1):
-        part = entry.homogeneous_part(p)
-        if part.is_zero:
-            continue
-        total = total + Scalar.from_fraction(
-            table, Fraction(1, p + weight + 1)) * part
-    return total
-
-
-def _new_structure(omega, chart, fmap):
+def _new_structure(omega, chart, fmap, inverse_targets):
     return OddSymplecticStructure(
-        chart, pushforward_matrix(fmap, fmap.inverse_targets, omega),
-        check=False)
-
-
-def _iterate_inverse(chart, fmap_targets, update):
-    table = chart.table
-    names = chart.coordinate_names
-    current = graded_fixed_point(
-        lambda guess: update(dict(zip(names, guess))),
-        [SuperExpr.symbol(table, name) for name in names], table,
-        "step inversion")
-    forward = dict(zip(names, fmap_targets))
-    for z, name in zip(current, names):
-        # G o F = id, checked coordinate by coordinate
-        if z.substitute(forward) != SuperExpr.symbol(table, name):
-            raise CanonicityError("step inverse failed verification")
-    return current
+        chart, pushforward_matrix(fmap, inverse_targets, omega), check=False)
 
 
 def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
-    """One normalization map; returns (map with inverse, new structure)."""
+    """One normalization map; returns (map, new structure)."""
     table = chart.table
     n = chart.n
     sm = structure_matrices(omega, chart)
@@ -161,70 +130,36 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
 
     if kind == "F1":
         ainv, _ = mat_inv(sm.A, SuperExpr.invert_even)
-        targets = list(xs) + [theta_linear(ths, ainv, j) for j in range(n)]
-
-        def update(binds):
-            a_eval = [[sm.A[i][j].substitute(binds) for j in range(n)]
-                      for i in range(n)]
-            return list(xs) + [theta_linear(ths, a_eval, j)
-                               for j in range(n)]
-
+        targets = xs + [theta_linear(ths, ainv, j) for j in range(n)]
     elif kind == "F2":
         if sm.q_class < 1:
             raise CanonicityError("F2 needs A = id + O(theta)")
         R = solve_R(sm.E, sm.F, table)
         targets = [xs[i] - theta_linear(ths, R, i)
-                   for i in range(n)] + list(ths)
-
-        def update(binds):
-            r_eval = [[R[m][i].substitute(binds) for i in range(n)]
-                      for m in range(n)]
-            return [xs[i] + theta_linear(ths, r_eval, i)
-                    for i in range(n)] + list(ths)
-
+                   for i in range(n)] + ths
     elif kind == "F3":
         if sm.p_class < 1 or sm.q_class < 1:
             raise CanonicityError("F3 needs class at least (1,1)")
-        W = [[_theta_rescale_integral(sm.E[m][i], 1, table)
+        W = [[theta_rescale_integral(sm.E[m][i], 1, table)
               for i in range(n)] for m in range(n)]
         targets = [xs[i] - theta_linear(ths, W, i)
-                   for i in range(n)] + list(ths)
-
-        def update(binds):
-            w_eval = [[W[m][i].substitute(binds) for i in range(n)]
-                      for m in range(n)]
-            return [xs[i] + theta_linear(ths, w_eval, i)
-                    for i in range(n)] + list(ths)
-
+                   for i in range(n)] + ths
     elif kind == "F4":
         if sm.p_class < table.n_theta + 1:
             raise CanonicityError("F4 needs E = 0")
         if sm.q_class < 1:
             raise CanonicityError("F4 needs P = O(theta)")
-        V = [[_theta_rescale_integral(sm.P[m][j], 0, table)
+        V = [[theta_rescale_integral(sm.P[m][j], 0, table)
               for j in range(n)] for m in range(n)]
-        targets = list(xs) + [ths[j] - theta_linear(ths, V, j)
-                              for j in range(n)]
-
-        def update(binds):
-            v_eval = [[V[m][j].substitute(binds) for j in range(n)]
-                      for m in range(n)]
-            thetas_g = [binds[name] for name in chart.thetas]
-            return list(xs) + [
-                ths[j] + theta_linear(thetas_g, v_eval, j)
-                for j in range(n)]
-
+        targets = xs + [ths[j] - theta_linear(ths, V, j) for j in range(n)]
     else:
         raise ValueError(f"unknown step kind {kind!r}")
 
-    ident = [SuperExpr.symbol(table, name) for name in chart.coordinate_names]
-    if targets == ident:
-        fmap = SuperMap.identity(chart)
-        return fmap, omega
-    inverse = _iterate_inverse(chart, targets, update)
+    if targets == xs + ths:
+        return SuperMap.identity(chart), omega
     fmap = SuperMap(chart, chart, targets, kind=f"darboux-{kind}",
-                    inverse_targets=inverse, check=False)
-    new_omega = _new_structure(omega, chart, fmap)
+                    check=False)
+    new_omega = _new_structure(omega, chart, fmap, invert_map(fmap).targets)
     _check_transition(kind, sm, structure_matrices(new_omega, chart), chart)
     return fmap, new_omega
 
@@ -358,9 +293,9 @@ def darboux_pipeline(omega: OddSymplecticStructure, chart: Chart):
         potential = two_form_potential(sm.F, chart)
         # not a special map: dA is the two-form being killed, not zero
         shift = theta_shift(chart, potential, "darboux-shift")
-        fmap, state = shift, _new_structure(state, chart, shift)
-        steps.append(("shift", fmap))
-        composite = fmap.compose(composite)
+        state = _new_structure(state, chart, shift, shift.inverse_targets)
+        steps.append(("shift", shift))
+        composite = shift.compose(composite)
 
     final = structure_matrices(state, chart)
     if final.p_class < cap or final.q_class < cap or \

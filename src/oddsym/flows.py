@@ -20,7 +20,7 @@ from .superexpr import ParityError, SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, Semidensity, SuperMap,
                          graded_fixed_point, hamiltonian_field,
-                         pullback_semidensity)
+                         pullback_semidensity, theta_rescale_integral)
 
 
 class FlowHamiltonian:
@@ -113,21 +113,21 @@ def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
     identity_body = [Scalar.symbol(table, x) for x in chart.xs]
     return SuperMap(chart, chart, _at_time(current, t_value, time_name),
                     body_inverse=identity_body, kind="flow",
-                    params={"generator": q, "t": t_value},
                     inverse_targets=inverse, check=False)
 
 
 def _delta_map(chart, components):
-    """-sum_i th_i int_0^1 f^i(x, tau th) dtau on theta-degree parts."""
+    """-sum_i th_i int_0^1 f^i(x, tau th) dtau.
+
+    Every caller's components have no theta-free part (an adjusted map's
+    displacement, or its difference from a flow of an O(theta^2)
+    generator), so the degree-0 term of the integral is zero.
+    """
     table = chart.table
     total = SuperExpr.zero(table)
     for th, comp in zip(chart.thetas, components):
-        for p in range(1, table.n_theta + 1):
-            part = comp.homogeneous_part(p)
-            if part.is_zero:
-                continue
-            total = total - SuperExpr.symbol(table, th) * part * \
-                Scalar.from_fraction(table, Fraction(1, p + 1))
+        total = total - SuperExpr.symbol(table, th) * \
+            theta_rescale_integral(comp, 0, table)
     return total
 
 

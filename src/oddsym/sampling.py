@@ -168,9 +168,9 @@ def random_canonical_map(rng, chart, classes=("special", "point", "flow")):
 
 
 def random_messy_map(rng, chart):
-    """Invertible but generally non-canonical coordinate change."""
-    from .symplectic import (SuperMap, invert_map, mat_inv, scalar_reciprocal,
-                             theta_linear)
+    """Invertible but generally non-canonical coordinate change; it stores
+    no inverse, ``invert_map`` finds it."""
+    from .symplectic import SuperMap, theta_linear
 
     table = chart.table
     n = chart.n
@@ -187,12 +187,9 @@ def random_messy_map(rng, chart):
                                           names=chart.xs)
     xs = [SuperExpr.symbol(table, x) for x in chart.xs]
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
-    inv_mat, _ = mat_inv(mat, scalar_reciprocal)
     targets = xs + [theta_linear(ths, mat, j) for j in range(n)]
-    inverse_targets = xs + [theta_linear(ths, inv_mat, j) for j in range(n)]
     ident_body = [Scalar.symbol(table, x) for x in chart.xs]
     atoms.append(SuperMap(chart, chart, targets, body_inverse=ident_body,
-                          kind="generic", inverse_targets=inverse_targets,
                           check=False))
     # nilpotent shear of the even coordinates
     shear = list(xs)
@@ -204,14 +201,8 @@ def random_messy_map(rng, chart):
             shear[i] = shear[i] + SuperExpr.from_scalar(c) * \
                 SuperExpr.symbol(table, pair[0]) * \
                 SuperExpr.symbol(table, pair[1])
-    shear += ths
-    shear_map = SuperMap(chart, chart, shear, body_inverse=ident_body,
-                         kind="generic", check=False)
-    shear_map = SuperMap(chart, chart, shear, body_inverse=ident_body,
-                         kind="generic",
-                         inverse_targets=invert_map(shear_map).targets,
-                         check=False)
-    atoms.append(shear_map)
+    atoms.append(SuperMap(chart, chart, shear + ths, body_inverse=ident_body,
+                          check=False))
     if rng.random() < 0.6:
         atoms.append(random_point_map(rng, chart))
     out = atoms[0]

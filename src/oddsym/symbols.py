@@ -22,13 +22,6 @@ class Parity(enum.Enum):
     ODD = 1
     MIXED = 2
 
-    def __invert__(self):
-        if self is Parity.EVEN:
-            return Parity.ODD
-        if self is Parity.ODD:
-            return Parity.EVEN
-        return Parity.MIXED
-
 
 class SymbolError(ValueError):
     pass
@@ -88,13 +81,6 @@ class SymbolTable:
 
     def is_odd(self, name: str) -> bool:
         return name in self._odd_index
-
-    def parity_of(self, name: str) -> Parity:
-        if self.is_even(name):
-            return Parity.EVEN
-        if self.is_odd(name):
-            return Parity.ODD
-        raise SymbolError(f"unknown symbol {name!r}")
 
     def even_index(self, name: str) -> int:
         try:
@@ -162,9 +148,6 @@ class Chart:
     @property
     def coordinate_names(self) -> tuple:
         return self.xs + self.thetas
-
-    def pair(self, k: int):
-        return self.xs[k], self.thetas[k]
 
 
 def standard_table(n, aux=0, frame=False, extra_even=()):

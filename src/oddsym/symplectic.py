@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .scalars import Scalar, ScalarError
 from .superexpr import ParityError, SuperExpr
@@ -110,6 +111,19 @@ def theta_linear(thetas, matrix, j):
     return total
 
 
+def theta_rescale_integral(entry, weight, table):
+    """int_0^1 tau^weight entry(x, tau theta) dtau, exact on components:
+    the theta-degree p part is divided by p + weight + 1."""
+    total = SuperExpr.zero(table)
+    for p in range(table.n_theta + 1):
+        part = entry.homogeneous_part(p)
+        if part.is_zero:
+            continue
+        total = total + Scalar.from_fraction(
+            table, Fraction(1, p + weight + 1)) * part
+    return total
+
+
 # -- structures ------------------------------------------------------------------
 
 
@@ -174,13 +188,13 @@ class OddSymplecticStructure:
                 if entry != factor * self.matrix[b][a]:
                     raise ValueError(
                         f"graded antisymmetry fails at ({a},{b})")
-        body = [[self.matrix[a][b].body() for b in range(2 * n)]
-                for a in range(2 * n)]
+        # the {x,x} and {th,th} entries are odd, so their body is zero and
+        # the body of the whole matrix is degenerate exactly when the
+        # body of the {x,th} block is
+        body = [[self.matrix[a][n + b].body() for b in range(n)]
+                for a in range(n)]
         if mat_det(body).is_zero:
             raise ValueError("structure body is degenerate")
-
-    def entry(self, a, b):
-        return self.matrix[a][b]
 
 
 def _coordinate_exprs(chart):
@@ -248,6 +262,15 @@ def bracket(f, g, chart, omega=None):
     return _bracket_entry(left, _derivatives(g, chart), entries, chart.table)
 
 
+def _bracket_factors(exprs, chart, omega):
+    """The table, the structure entries and the signed left and plain
+    right derivatives of each expression, for ``_bracket_entry``."""
+    chart, entries = _structure_entries(chart, omega)
+    right = [_derivatives(e, chart) for e in exprs]
+    left = [_left_signed(d, chart.n) for d in right]
+    return chart.table, entries, left, right
+
+
 def bracket_matrix(exprs, chart, omega=None):
     """The matrix {e_A, e_B} over every pair of the expressions.
 
@@ -255,10 +278,8 @@ def bracket_matrix(exprs, chart, omega=None):
     the rule of ``bracket``, none is filled in by antisymmetry, so the
     symmetry checks on a structure built from the matrix still test it.
     """
-    chart, entries = _structure_entries(chart, omega)
-    right = [_derivatives(e, chart) for e in exprs]
-    left = [_left_signed(d, chart.n) for d in right]
-    return [[_bracket_entry(la, rb, entries, chart.table) for rb in right]
+    table, entries, left, right = _bracket_factors(exprs, chart, omega)
+    return [[_bracket_entry(la, rb, entries, table) for rb in right]
             for la in left]
 
 
@@ -319,14 +340,13 @@ class SuperMap:
     """
 
     def __init__(self, source: Chart, target: Chart, targets,
-                 body_inverse=None, kind="generic", params=None,
-                 inverse_targets=None, check=True):
+                 body_inverse=None, kind="generic", inverse_targets=None,
+                 check=True):
         self.source = source
         self.target = target
         self.targets = tuple(targets)
         self.body_inverse = tuple(body_inverse) if body_inverse else None
         self.kind = kind
-        self.params = params or {}
         self.inverse_targets = tuple(inverse_targets) if inverse_targets \
             else None
         if check:
@@ -466,8 +486,7 @@ def special_map(chart: Chart, psis):
             if not closed.is_zero:
                 raise CanonicityError("shift one-form is not closed")
     identity_body = [Scalar.symbol(table, x) for x in chart.xs]
-    return theta_shift(chart, psis, "special", body_inverse=identity_body,
-                       params={"psis": tuple(psis)})
+    return theta_shift(chart, psis, "special", body_inverse=identity_body)
 
 
 def theta_shift(chart: Chart, shifts, kind, **attrs):
@@ -492,12 +511,7 @@ def point_map(chart: Chart, body, body_inverse):
                     else Scalar.from_fraction(table, b) for b in body_inverse]
     if len(body) != chart.n or len(body_inverse) != chart.n:
         raise ValueError("need n body components and n inverse components")
-    forward = {x: b for x, b in zip(chart.xs, body)}
-    backward = {x: b for x, b in zip(chart.xs, body_inverse)}
-    for x, g, f in zip(chart.xs, body_inverse, body):
-        if g.subs_even(forward) != Scalar.symbol(table, x) or \
-                f.subs_even(backward) != Scalar.symbol(table, x):
-            raise CanonicityError("body inverse does not invert the body")
+    _check_body_inverse(chart, body, body_inverse)
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
 
     def lift(b_map):
@@ -509,9 +523,20 @@ def point_map(chart: Chart, body, body_inverse):
     targets = lift(body)
     inverse_targets = lift(body_inverse)
     return SuperMap(chart, chart, targets, body_inverse=tuple(body_inverse),
-                    kind="point", params={"body": tuple(body),
-                                          "inverse": tuple(body_inverse)},
-                    inverse_targets=inverse_targets, check=False)
+                    kind="point", inverse_targets=inverse_targets,
+                    check=False)
+
+
+def _check_body_inverse(chart, body, body_inverse):
+    """Both compositions of the body map and its inverse are the identity."""
+    table = chart.table
+    forward = dict(zip(chart.xs, body))
+    backward = dict(zip(chart.xs, body_inverse))
+    if len(body_inverse) != chart.n or any(
+            g.subs_even(forward) != Scalar.symbol(table, x) or
+            f.subs_even(backward) != Scalar.symbol(table, x)
+            for x, g, f in zip(chart.xs, body_inverse, body)):
+        raise CanonicityError("body inverse does not invert the body")
 
 
 def adjusted_map(chart: Chart, targets):
@@ -570,10 +595,11 @@ def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
     n = target.n
     residuals = {}
     names = target.coordinate_names
-    brackets = bracket_matrix(fmap.targets, source, omega)
+    table, entries, left, right = _bracket_factors(fmap.targets, source,
+                                                   omega)
     for a in range(2 * n):
         for b in range(a, 2 * n):
-            lhs = brackets[a][b]
+            lhs = _bracket_entry(left[a], right[b], entries, table)
             rhs = omega_target.matrix[a][b]
             if not rhs.is_zero:
                 rhs = rhs.substitute(binds)
@@ -585,17 +611,15 @@ def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
 # -- inversion -------------------------------------------------------------------
 
 
-def _odd_weight(table, key):
-    return sum(2 if table.is_aux_index(i) else 1 for i in key)
-
-
 def graded_fixed_point(update, start, table, what):
     """Iterate ``update`` from ``start`` until it returns its argument.
 
-    Every pass of the nilpotent iterations that use this settles at least
-    one more unit of odd weight (``_odd_weight``), so a converging one
-    repeats itself within the table's largest odd weight plus a few
-    passes; the bound allows three.
+    Its users are the Picard integration of ``flows.exp_flow`` and the
+    inversion of the unipotent rest in ``invert_map``.  Every pass of
+    either settles at least one more unit of odd weight (a theta or frame
+    odd weighs 1, an aux odd 2), so a converging one repeats itself within
+    the table's largest odd weight plus a few passes; the bound allows
+    three.
     """
     bound = table.n_theta + len(table.frame_odds) + \
         2 * len(table.aux_odds) + 3
@@ -609,60 +633,69 @@ def graded_fixed_point(update, start, table, what):
 
 
 def invert_map(fmap: SuperMap):
-    """Inverse map, verified by substitution on both sides.
+    """Inverse map, verified once by composing it with the map both ways.
 
-    Closed forms cover the tagged classes; otherwise the even body must be
-    the identity (or carry rational inverse substitutions) and the graded
-    fixed-point iteration finishes by nilpotency.
+    A stored ``inverse_targets`` is taken as it stands.  Otherwise the map
+    is split as F = U o L, where L is its linear part: the body map
+    x -> b(x) and theta_j -> sum_m theta_m M[m][j](x), with M[m][j] the
+    coefficient of theta_m in the j-th theta target.  L^-1 is closed form,
+    x -> b^-1(x) from ``body_inverse`` (not needed when b is the identity)
+    and theta_j -> sum_m theta_m M^-1[m][j](b^-1(x)).  The rest
+    U = F o L^-1 is the identity plus terms of odd weight at least 2, so
+    ``graded_fixed_point`` inverts it by nilpotency, and F^-1 = L^-1 o U^-1.
     """
     if fmap.inverse_targets is not None:
         out = SuperMap(fmap.target, fmap.source, fmap.inverse_targets,
                        kind=fmap.kind, check=False)
-        _check_inverse(fmap, out)
-        return out
-    table = fmap.source.table
-    coords = _coordinate_exprs(fmap.source)
-    body = fmap.body_map()
-    body_is_id = all(b == Scalar.symbol(table, x)
-                     for b, x in zip(body, fmap.source.xs))
-    if not body_is_id:
-        if not fmap.body_inverse:
-            raise CanonicityError("body inverse unavailable")
-        pmap = point_map(fmap.source, body, list(fmap.body_inverse))
-        p_inv = invert_map(pmap)
-        unipotent = SuperMap(fmap.source, fmap.target,
-                             [t.substitute(p_inv.bindings())
-                              for t in fmap.targets], check=False)
-        u_inv = invert_map(unipotent)
-        composed = p_inv.compose(u_inv)
-        out = SuperMap(fmap.target, fmap.source, composed.targets,
+    else:
+        out = SuperMap(fmap.target, fmap.source, _peeled_inverse(fmap),
                        check=False)
-        _check_inverse(fmap, out)
-        return out
-    corrections = [t - z for t, z in zip(fmap.targets, coords)]
-    for k, corr in enumerate(corrections):
-        for key in corr.terms:
-            if _odd_weight(table, key) < 2:
-                raise CanonicityError(
-                    "graded inversion needs corrections of odd weight >= 2")
-    names = fmap.source.coordinate_names
-
-    def update(guesses):
-        binds = dict(zip(names, guesses))
-        return [z - corr.substitute(binds)
-                for z, corr in zip(coords, corrections)]
-
-    guesses = graded_fixed_point(update, coords, table, "graded inversion")
-    out = SuperMap(fmap.target, fmap.source, guesses, check=False)
-    _check_inverse(fmap, out)
+    coords = _coordinate_exprs(fmap.source)
+    if list(fmap.compose(out).targets) != coords or \
+            list(out.compose(fmap).targets) != coords:
+        raise CanonicityError("inverse check by substitution failed")
     return out
 
 
-def _check_inverse(fmap, inverse):
-    coords = _coordinate_exprs(fmap.source)
-    if list(fmap.compose(inverse).targets) != coords or \
-            list(inverse.compose(fmap).targets) != coords:
-        raise CanonicityError("inverse check by substitution failed")
+def _peeled_inverse(fmap):
+    """Targets of L^-1 o U^-1 for ``invert_map``."""
+    chart = fmap.source
+    table = chart.table
+    n = chart.n
+    names = chart.coordinate_names
+    coords = _coordinate_exprs(chart)
+    linear = [[fmap.targets[n + j].coefficient([th]) for j in range(n)]
+              for th in chart.thetas]
+    linear_inv, _ = mat_inv(linear, _linear_reciprocal)
+    body = fmap.body_map()
+    body_inverse = [Scalar.symbol(table, x) for x in chart.xs]
+    if body != body_inverse:
+        if not fmap.body_inverse:
+            raise CanonicityError("body inverse unavailable")
+        body_inverse = list(fmap.body_inverse)
+        _check_body_inverse(chart, body, body_inverse)
+        back = dict(zip(chart.xs, body_inverse))
+        linear_inv = [[c.subs_even(back) for c in row] for row in linear_inv]
+    l_inv = [SuperExpr.from_scalar(b) for b in body_inverse] + \
+        [theta_linear(coords[n:], linear_inv, j) for j in range(n)]
+    l_binds = dict(zip(names, l_inv))
+    rest = [t.substitute(l_binds) - z for t, z in zip(fmap.targets, coords)]
+
+    def update(guesses):
+        binds = dict(zip(names, guesses))
+        return [z - r.substitute(binds) for z, r in zip(coords, rest)]
+
+    u_inv = graded_fixed_point(update, coords, table, "graded inversion")
+    if l_inv == coords:
+        return u_inv
+    u_binds = dict(zip(names, u_inv))
+    return [t.substitute(u_binds) for t in l_inv]
+
+
+def _linear_reciprocal(det):
+    if det.is_zero:
+        raise CanonicityError("theta-linear part is singular")
+    return 1 / det
 
 
 # -- the decomposition into special, point, adjusted ------------------------------

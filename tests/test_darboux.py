@@ -251,3 +251,12 @@ def test_pipeline_n3_pushforward():
     assert result.ok
     final = structure_matrices(result.final_omega, chart)
     assert final.p_class == 4 and final.q_class == 4
+
+
+def test_darboux_step_f1_inverse_n1():
+    from oddsym.symplectic import invert_map
+    chart, omega = n1_structure()
+    fmap, _ = darboux_step("F1", omega, chart)
+    inv = invert_map(fmap)
+    assert inv.targets[0] == e(chart, "x1")
+    assert inv.targets[1] == e(chart, "th1*(1 + x1)")

@@ -406,3 +406,91 @@ def test_graded_fixed_point(c2):
                               "counter") == 3
     with pytest.raises(CanonicityError, match="counter did not stabilize"):
         graded_fixed_point(lambda k: k + 1, 0, c2.table, "counter")
+
+
+def test_invert_map_peels_body_and_theta_linear_part(c2):
+    # no stored inverse, a body that is not the identity and a theta-linear
+    # part that is not either and depends on the moved x1: both are peeled
+    # off in closed form
+    rng = random.Random(76)
+    messy = random_messy_map(rng, c2)
+    point = random_point_map(rng, c2)
+    composite = point.compose(messy)
+    stripped = SuperMap(c2, c2, composite.targets,
+                        body_inverse=composite.body_inverse, check=False)
+    assert stripped.inverse_targets is None
+    table = c2.table
+    assert stripped.body_map() != [Scalar.symbol(table, x) for x in c2.xs]
+    theta_linear_part = [[t.coefficient([th]) for t in stripped.targets[2:]]
+                         for th in c2.thetas]
+    assert theta_linear_part != [[Scalar.from_int(table, int(i == j))
+                                  for j in range(2)] for i in range(2)]
+    assert any(c.depends_on("x1") for row in theta_linear_part for c in row)
+    inv = invert_map(stripped)
+    coords = [SuperExpr.symbol(table, n) for n in c2.coordinate_names]
+    assert list(stripped.compose(inv).targets) == coords
+    assert list(inv.compose(stripped).targets) == coords
+    # the inverse is unique: F^-1 = messy^-1 o point^-1
+    want = invert_map(messy).compose(invert_map(point))
+    assert list(inv.targets) == list(want.targets)
+
+
+def test_invert_map_error_paths(c2):
+    def inverse_of(texts, body_inverse=None):
+        fmap = SuperMap(c2, c2, [e(c2, t) for t in texts],
+                        body_inverse=body_inverse, check=False)
+        return invert_map(fmap)
+
+    scaled = ["2*x1", "x2", "(1 + x1)*th1", "th2"]
+    with pytest.raises(CanonicityError, match="body inverse unavailable"):
+        inverse_of(scaled)
+    wrong = [Scalar.symbol(c2.table, x) for x in c2.xs]
+    with pytest.raises(CanonicityError,
+                       match="body inverse does not invert the body"):
+        inverse_of(scaled, body_inverse=wrong)
+    with pytest.raises(CanonicityError,
+                       match="theta-linear part is singular"):
+        inverse_of(["x1", "x2", "th1 + th2 + b1", "x1*th1 + x1*th2"])
+    right = [e(c2, "1/2*x1").body(), Scalar.symbol(c2.table, "x2")]
+    # theta_1 -> theta_1 / (1 + x1) taken at the inverse body x1 / 2
+    assert inverse_of(scaled, body_inverse=right).targets[2] == \
+        e(c2, "2*th1/(2 + x1)")
+
+
+def _structure(chart, texts):
+    return OddSymplecticStructure(
+        chart, [[e(chart, t) for t in row] for row in texts])
+
+
+def test_structure_rejects_wrong_parity():
+    chart = make_chart(1)
+    with pytest.raises(ValueError, match=r"entry \(0,0\) has wrong parity"):
+        _structure(chart, [["x1", "1"], ["-1", "0"]])
+    with pytest.raises(ValueError, match=r"entry \(0,1\) has wrong parity"):
+        _structure(chart, [["0", "th1"], ["th1", "0"]])
+
+
+def test_structure_rejects_broken_antisymmetry():
+    chart = make_chart(1)
+    with pytest.raises(ValueError,
+                       match=r"graded antisymmetry fails at \(0,1\)"):
+        _structure(chart, [["0", "1 + x1"], ["-1", "0"]])
+    with pytest.raises(ValueError,
+                       match=r"graded antisymmetry fails at \(1,1\)"):
+        # {th,th} is antisymmetric, so its diagonal vanishes
+        _structure(chart, [["0", "1"], ["-1", "b1"]])
+
+
+def test_structure_rejects_degenerate_body(c2):
+    degenerate = [["0", "0", "1", "1"], ["0", "0", "1", "1"],
+                  ["-1", "-1", "0", "0"], ["-1", "-1", "0", "0"]]
+    with pytest.raises(ValueError, match="structure body is degenerate"):
+        _structure(c2, degenerate)
+    # a nilpotent {x,th} entry has no body either
+    nilpotent = [["0", "b1*x1", "b1*b2", "0"], ["b1*x1", "0", "0", "1"],
+                 ["-b1*b2", "0", "0", "0"], ["0", "-1", "0", "0"]]
+    with pytest.raises(ValueError, match="structure body is degenerate"):
+        _structure(c2, nilpotent)
+    # the same odd {x,x} entries with an invertible block are accepted
+    nilpotent[0][2], nilpotent[2][0] = "1 + b1*b2", "-1 - b1*b2"
+    _structure(c2, nilpotent)
