@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bv import delta0
+from .bv import delta0, delta_sharp, moser_hamiltonian
 from .scalars import Scalar, ScalarError
 from .superexpr import ParityError, SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, Semidensity, SuperMap,
-                         graded_fixed_point, hamiltonian_field,
+                         graded_fixed_point, hamiltonian_field, is_canonical,
                          pullback_semidensity, theta_rescale_integral)
 
 
@@ -147,7 +147,6 @@ def hamiltonian_from_adjusted(fmap: SuperMap, time_name="t"):
             raise CanonicityError("map is not adjusted")
         if not fmap.targets[n + i].homogeneous_part(0).is_zero:
             raise CanonicityError("map is not adjusted")
-    from .symplectic import is_canonical
     ok, _ = is_canonical(fmap)
     if not ok:
         raise CanonicityError("map is not canonical")
@@ -175,8 +174,6 @@ def moser_flow(s: Semidensity, r: Semidensity, time_name="t"):
     pull-back (substitute targets, multiply by the Berezinian root) of
     s + delta r along the unit-time flow returns s on the nose.
     """
-    from .bv import delta_sharp, moser_hamiltonian
-
     chart = s.chart
     closed = delta_sharp(s)
     if not closed.coefficient.is_zero:

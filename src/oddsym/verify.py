@@ -26,6 +26,7 @@ from .sampling import (pushforward_structure, random_canonical_map,
                        random_point_map, random_scalar, random_special_map)
 from .scalars import Scalar, binomial_half
 from .superexpr import SuperExpr
+from .surfaces import AdjustedSurface, densities_P, dual_density, pullback_K
 from .symbols import Chart, SymbolTable, standard_table
 from .symplectic import (CanonicityError, OddSymplecticStructure,
                          Semidensity, ber_sqrt, is_canonical,
@@ -39,9 +40,25 @@ class Check:
     detail: str = ""
 
 
-def _residual(label, expr):
-    return Check(label, expr.is_zero,
-                 "" if expr.is_zero else render_expr(expr))
+def _sampled(label, seed, count, sample):
+    """Call ``sample()`` ``count`` times and summarize its residuals.
+
+    Each call draws a fixture and returns a residual or a list of them; a
+    residual passes when it is falsy (the zero expression or an empty
+    message).  Every sample runs, even after a failure, so the checks that
+    follow draw the same fixtures from the suite's generator.
+    """
+    failing = []
+    for index in range(count):
+        got = sample()
+        failing += [(index, r) for r in
+                    (got if isinstance(got, list) else [got]) if r]
+    if not failing:
+        return Check(label, True)
+    index, first = failing[0]
+    text = render_expr(first) if isinstance(first, SuperExpr) else str(first)
+    return Check(label, False, f"{len(failing)} failing residuals; "
+                               f"seed {seed}, sample {index}: {text}")
 
 
 def _equal(label, got, want, render=render_expr):
@@ -56,171 +73,149 @@ def _chart(n, aux=2, frame=False, extra=()):
     return Chart(table, table.even_symbols[:n], table.coordinate_odds)
 
 
+def _xs_expr(rng, chart):
+    return random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
+                       aux=True, even_names=chart.xs)
+
+
+def _volume(rng, chart):
+    base = SuperExpr.one(chart.table) + random_expr(
+        rng, chart.table, theta_degree=2, coeff_degree=1, min_theta=1,
+        even_names=chart.xs).even_part()
+    return VolumeForm(base * base, chart)
+
+
 def suite_superalgebra(seed=0):
     rng = random.Random(seed)
-    chart = _chart(3)
-    table = chart.table
-    out = []
-    for k in range(200):
+    table = _chart(3).table
+    one = SuperExpr.one(table)
+
+    def laws():
         a = random_expr(rng, table, theta_degree=3, coeff_degree=2, aux=True)
         b = random_expr(rng, table, theta_degree=3, coeff_degree=2, aux=True)
         c = random_expr(rng, table, theta_degree=2, coeff_degree=1)
-        assoc = (a * b) * c - a * (b * c)
-        if not assoc.is_zero:
-            out.append(_residual(f"associativity[{k}]", assoc))
+        out = [(a * b) * c - a * (b * c)]
         for ah in (a.even_part(), a.odd_part()):
             for bh in (b.even_part(), b.odd_part()):
                 sign = -1 if (ah.is_odd() and bh.is_odd()) else 1
-                comm = ah * bh - sign * (bh * ah)
-                if not comm.is_zero:
-                    out.append(_residual(f"supercommutativity[{k}]", comm))
-    out.append(Check("associativity+supercommutativity[200 samples]", not out))
-    count = 0
-    for k in range(50):
-        f = SuperExpr.one(table) + random_expr(
-            rng, table, theta_degree=3, coeff_degree=1, aux=True,
-            min_theta=1).even_part()
-        count += 1 if (f * f.invert_even() == SuperExpr.one(table)) else 0
+                out.append(ah * bh - sign * (bh * ah))
+        return out
+
+    def round_trips():
+        f = one + random_expr(rng, table, theta_degree=3, coeff_degree=1,
+                              aux=True, min_theta=1).even_part()
         square = f * f
         root = square.sqrt_even()
-        count += 1 if root * root == square else 0
-    out.append(Check("inverse+sqrt round trips[50 samples]", count == 100))
-    return out
+        return [f * f.invert_even() - one, root * root - square]
+
+    return [_sampled("associativity+supercommutativity[200 samples]", seed,
+                     200, laws),
+            _sampled("inverse+sqrt round trips[50 samples]", seed, 50,
+                     round_trips)]
 
 
 def suite_jacobi(seed=1):
     rng = random.Random(seed)
     chart = _chart(3)
-    table = chart.table
-    bad = []
-    for k in range(200):
-        f = random_expr(rng, table, theta_degree=2, coeff_degree=2, aux=True)
-        g = random_expr(rng, table, theta_degree=2, coeff_degree=2, aux=True)
-        h = random_expr(rng, table, theta_degree=2, coeff_degree=2, aux=True)
-        res = jacobi_residual(f.even_part(), g.odd_part(), h.even_part(),
-                              chart)
-        res2 = jacobi_residual(f.odd_part(), g.even_part(), h.odd_part(),
-                               chart)
-        if not res.is_zero:
-            bad.append(_residual(f"jacobi[{k}]", res))
-        if not res2.is_zero:
-            bad.append(_residual(f"jacobi-odd[{k}]", res2))
-    bad.append(Check("jacobi-identity[200 samples]", len(bad) == 0))
-    return bad
+
+    def sample():
+        f, g, h = (random_expr(rng, chart.table, theta_degree=2,
+                               coeff_degree=2, aux=True) for _ in range(3))
+        return [jacobi_residual(f.even_part(), g.odd_part(), h.even_part(),
+                                chart),
+                jacobi_residual(f.odd_part(), g.even_part(), h.odd_part(),
+                                chart)]
+
+    return [_sampled("jacobi-identity[200 samples]", seed, 200, sample)]
 
 
 def suite_delta_squared(seed=2):
     rng = random.Random(seed)
     chart = _chart(3)
-    bad = []
-    for k in range(200):
+
+    def sample():
         f = random_expr(rng, chart.table, theta_degree=3, coeff_degree=2,
                         aux=True, rational=True)
-        res = delta0(delta0(f, chart), chart)
-        if not res.is_zero:
-            bad.append(_residual(f"delta-squared[{k}]", res))
-    bad.append(Check("delta-squared[200 samples]", len(bad) == 0))
-    return bad
+        return delta0(delta0(f, chart), chart)
 
-
-def _volume_samples(rng, chart, count):
-    for _ in range(count):
-        base = SuperExpr.one(chart.table) + random_expr(
-            rng, chart.table, theta_degree=2, coeff_degree=1, min_theta=1,
-            even_names=chart.xs).even_part()
-        yield VolumeForm(base * base, chart)
+    return [_sampled("delta-squared[200 samples]", seed, 200, sample)]
 
 
 def suite_leibniz(seed=3):
     rng = random.Random(seed)
     chart = _chart(2)
-    bad = []
-    done = 0
-    for dv in _volume_samples(rng, chart, 50):
-        f = random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
-                        aux=True, even_names=chart.xs)
-        g = random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
-                        aux=True, even_names=chart.xs)
+
+    def sample():
+        dv = _volume(rng, chart)
+        f, g = _xs_expr(rng, chart), _xs_expr(rng, chart)
+        out = []
         for fh in (f.even_part(), f.odd_part()):
             for gh in (g.even_part(), g.odd_part()):
                 res = bv_identity_residuals(fh, gh, dv)
-                done += 1
-                for key in ("bracket_leibniz", "product_leibniz"):
-                    if not res[key].is_zero:
-                        bad.append(_residual(f"{key}[{done}]", res[key]))
-    bad.append(Check(f"leibniz-pair[{done} samples]", len(bad) == 0))
-    return bad
+                out += [res["bracket_leibniz"], res["product_leibniz"]]
+        return out
+
+    return [_sampled("leibniz-pair[200 samples]", seed, 50, sample)]
 
 
 def suite_chart_change(seed=4):
     rng = random.Random(seed)
     chart = _chart(2)
+    zero = SuperExpr.zero(chart.table)
     dv = VolumeForm(SuperExpr.one(chart.table), chart)
-    bad = []
-    done = 0
-    for _ in range(40):
+
+    def sample():
         fmap = random_canonical_map(rng, chart)
+        out = []
         for _ in range(5):
-            f = random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
-                            aux=True, even_names=chart.xs)
-            for fh in (f.even_part(), f.odd_part()):
-                res = bv_identity_residuals(
-                    fh, SuperExpr.zero(chart.table), dv, fmap)
-                done += 1
-                if not res["chart_change"].is_zero:
-                    bad.append(_residual(f"chart-change[{done}]",
-                                         res["chart_change"]))
-    bad.append(Check(f"chart-change[{done} samples]", len(bad) == 0))
-    return bad
+            f = _xs_expr(rng, chart)
+            out += [bv_identity_residuals(fh, zero, dv, fmap)["chart_change"]
+                    for fh in (f.even_part(), f.odd_part())]
+        return out
+
+    return [_sampled("chart-change[400 samples]", seed, 40, sample)]
 
 
 def suite_module_rule(seed=5):
     rng = random.Random(seed)
     chart = _chart(2)
-    bad = []
-    done = 0
-    for dv in _volume_samples(rng, chart, 60):
-        f = random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
-                        aux=True, even_names=chart.xs)
+    zero = SuperExpr.zero(chart.table)
+
+    def sample():
+        dv = _volume(rng, chart)
+        f = _xs_expr(rng, chart)
+        out = []
         for fh in (f.even_part(), f.odd_part()):
-            res = bv_identity_residuals(fh, SuperExpr.zero(chart.table), dv)
-            done += 2
-            for key in ("module_rule", "delta0_squared"):
-                if not res[key].is_zero:
-                    bad.append(_residual(f"{key}[{done}]", res[key]))
-    bad.append(Check(f"module-rule[{done} samples]", len(bad) == 0))
-    return bad
+            res = bv_identity_residuals(fh, zero, dv)
+            out += [res["module_rule"], res["delta0_squared"]]
+        return out
+
+    return [_sampled("module-rule[240 samples]", seed, 60, sample)]
 
 
 def suite_square_formula(seed=6):
     rng = random.Random(seed)
     chart = _chart(2)
-    bad = []
-    done = 0
-    for dv in _volume_samples(rng, chart, 100):
-        f = random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
-                        aux=True, even_names=chart.xs)
-        for fh in (f.even_part(), f.odd_part()):
-            res = bv_identity_residuals(fh, SuperExpr.zero(chart.table), dv)
-            done += 1
-            if not res["square_formula"].is_zero:
-                bad.append(_residual(f"square-formula[{done}]",
-                                     res["square_formula"]))
-    bad.append(Check(f"square-formula[{done} samples]", len(bad) == 0))
-    return bad
+    zero = SuperExpr.zero(chart.table)
+
+    def sample():
+        dv = _volume(rng, chart)
+        f = _xs_expr(rng, chart)
+        return [bv_identity_residuals(fh, zero, dv)["square_formula"]
+                for fh in (f.even_part(), f.odd_part())]
+
+    return [_sampled("square-formula[200 samples]", seed, 100, sample)]
 
 
 def suite_ber_root(seed=7):
     rng = random.Random(seed)
     chart = _chart(2)
-    bad = []
-    for k in range(200):
-        fmap = random_canonical_map(rng, chart)
-        res = delta0(ber_sqrt(fmap), chart)
-        if not res.is_zero:
-            bad.append(_residual(f"ber-root[{k}]", res))
-    bad.append(Check("berezinian-root-closed[200 samples]", len(bad) == 0))
-    return bad
+
+    def sample():
+        return delta0(ber_sqrt(random_canonical_map(rng, chart)), chart)
+
+    return [_sampled("berezinian-root-closed[200 samples]", seed, 200,
+                     sample)]
 
 
 def suite_covariance(seed=8):
@@ -232,20 +227,16 @@ def suite_covariance(seed=8):
         ("adjusted-flow",
          lambda r, ch: exp_flow(random_flow_hamiltonian(r, ch), ch, 1)),
     ]
-    out = []
-    for name, maker in makers:
-        bad = 0
-        for _ in range(20):
-            fmap = maker(rng, chart)
-            s = Semidensity(random_expr(rng, chart.table, theta_degree=2,
-                                        coeff_degree=1, aux=True,
-                                        even_names=chart.xs), chart)
-            lhs = delta_sharp(pullback_semidensity(fmap, s)).coefficient
-            rhs = pullback_semidensity(fmap, delta_sharp(s)).coefficient
-            if lhs != rhs:
-                bad += 1
-        out.append(Check(f"covariance-{name}[20 maps]", bad == 0))
-    return out
+
+    def residual(maker):
+        fmap = maker(rng, chart)
+        s = Semidensity(_xs_expr(rng, chart), chart)
+        return (delta_sharp(pullback_semidensity(fmap, s)).coefficient
+                - pullback_semidensity(fmap, delta_sharp(s)).coefficient)
+
+    return [_sampled(f"covariance-{name}[20 maps]", seed, 20,
+                     lambda: residual(maker))
+            for name, maker in makers]
 
 
 def _random_form(rng, chart, coeff_degree=2, aux=False):
@@ -267,18 +258,18 @@ def _random_form(rng, chart, coeff_degree=2, aux=False):
 
 def suite_intertwining(seed=9):
     rng = random.Random(seed)
+
+    def residual(chart):
+        w = _random_form(rng, chart, aux=True)
+        return (delta_sharp(tau_sharp(w)).coefficient
+                - tau_sharp(exterior_d(w)).coefficient)
+
     out = []
     for n in (2, 3, 4):
         chart = _chart(n, aux=1, frame=True)
-        bad = 0
         rounds = 40 if n < 4 else 10
-        for _ in range(rounds):
-            w = _random_form(rng, chart, aux=True)
-            lhs = delta_sharp(tau_sharp(w)).coefficient
-            rhs = tau_sharp(exterior_d(w)).coefficient
-            if lhs != rhs:
-                bad += 1
-        out.append(Check(f"intertwine-n{n}[{rounds} forms]", bad == 0))
+        out.append(_sampled(f"intertwine-n{n}[{rounds} forms]", seed, rounds,
+                            lambda: residual(chart)))
     return out
 
 
@@ -286,8 +277,8 @@ def suite_divergence(seed=10):
     rng = random.Random(seed)
     chart = _chart(2, frame=True)
     table = chart.table
-    bad = 0
-    for _ in range(40):
+
+    def transform():
         comps = [random_scalar(rng, table, 2, names=chart.xs)
                  for _ in range(chart.n)]
         rho = Scalar.from_int(table, 1) + \
@@ -303,25 +294,24 @@ def suite_divergence(seed=10):
         div = divergence(MultivectorField(fexpr, chart), top)
         s = tau_sharp(top)
         dv = VolumeForm(s.coefficient * s.coefficient, chart)
-        if delta_vol(fexpr, dv) != div:
-            bad += 1
-    out = [Check("divergence-transform[40 fields]", bad == 0)]
-    bad = 0
-    for dv in _volume_samples(rng, chart, 40):
-        f = random_expr(rng, table, theta_degree=2, coeff_degree=1,
-                        aux=True, even_names=chart.xs)
-        if divergence_delta(f, dv) != delta_vol(f, dv):
-            bad += 1
-    out.append(Check("divergence-vs-derivation[40 samples]", bad == 0))
-    return out
+        return delta_vol(fexpr, dv) - div
+
+    def derivation():
+        dv = _volume(rng, chart)
+        f = _xs_expr(rng, chart)
+        return divergence_delta(f, dv) - delta_vol(f, dv)
+
+    return [_sampled("divergence-transform[40 fields]", seed, 40, transform),
+            _sampled("divergence-vs-derivation[40 samples]", seed, 40,
+                     derivation)]
 
 
 def suite_shift_routes(seed=11):
     rng = random.Random(seed)
     chart = _chart(2, frame=True)
     table = chart.table
-    bad = 0
-    for _ in range(30):
+
+    def routes():
         comps = []
         for _ in range(chart.n):
             aux = SuperExpr.symbol(table, rng.choice(list(table.aux_odds)))
@@ -332,25 +322,23 @@ def suite_shift_routes(seed=11):
             a_expr = a_expr + comp * SuperExpr.symbol(table, xi)
         a = DifferentialForm(a_expr, chart)
         w = _random_form(rng, chart)
-        if one_form_shift_form(a, w).expr != one_form_shift_series(a, w).expr:
-            bad += 1
-    out = [Check("shift-route-equivalence[30 samples]", bad == 0)]
-    bad = 0
-    for _ in range(30):
+        return (one_form_shift_form(a, w).expr
+                - one_form_shift_series(a, w).expr)
+
+    def homotopy():
         w = _random_form(rng, chart, aux=True)
         w = DifferentialForm(w.expr - w.degree_part(0).expr, chart)
-        res = exterior_d(poincare_homotopy(w)).expr + \
+        return exterior_d(poincare_homotopy(w)).expr + \
             poincare_homotopy(exterior_d(w)).expr - w.expr
-        if not res.is_zero:
-            bad += 1
-    out.append(Check("poincare-homotopy[30 samples]", bad == 0))
-    bad = 0
-    for _ in range(30):
+
+    def round_trip():
         w = _random_form(rng, chart, aux=True)
-        if tau_sharp_inverse(tau_sharp(w)).expr != w.expr:
-            bad += 1
-    out.append(Check("transform-round-trip[30 samples]", bad == 0))
-    return out
+        return tau_sharp_inverse(tau_sharp(w)).expr - w.expr
+
+    return [_sampled("shift-route-equivalence[30 samples]", seed, 30, routes),
+            _sampled("poincare-homotopy[30 samples]", seed, 30, homotopy),
+            _sampled("transform-round-trip[30 samples]", seed, 30,
+                     round_trip)]
 
 
 def suite_darboux(seed=12):
@@ -372,82 +360,75 @@ def suite_darboux(seed=12):
                       parse_expr("th1/(1 + x1)", table1)))
     out.append(Check("pipeline-n1-residuals", result1.ok))
 
-    ok_count = 0
-    for k in range(10):
+    def pushforward():
         omega_k, _ = pushforward_structure(rng, chart)
-        res = darboux_pipeline(omega_k, chart)
-        if res.ok:
-            ok_count += 1
-    out.append(Check("pipeline-pushforward[10 structures]", ok_count == 10))
+        report = darboux_pipeline(omega_k, chart).report
+        return list(report.residuals.values())
+
+    out.append(_sampled("pipeline-pushforward[10 structures]", seed, 10,
+                        pushforward))
 
     out.append(Check("series-c0", binomial_half(1) == Fraction(1, 2)))
     out.append(Check("series-c1", binomial_half(2) == Fraction(-1, 8)))
-    bad = 0
-    for _ in range(10):
-        e01 = random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
-                          aux=True, even_names=chart.xs).odd_part()
-        f01 = random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
-                          aux=True, even_names=chart.xs).odd_part()
-        E = [[SuperExpr.zero(chart.table), e01],
-             [e01, SuperExpr.zero(chart.table)]]
-        F = [[SuperExpr.zero(chart.table), f01],
-             [-f01, SuperExpr.zero(chart.table)]]
-        try:
-            solve_R(E, F, chart.table)  # raises unless the residual vanishes
-        except CanonicityError:
-            bad += 1
-    out.append(Check("solve-R-residual[10 samples]", bad == 0))
+
+    def solve():
+        zero = SuperExpr.zero(chart.table)
+        e01 = _xs_expr(rng, chart).odd_part()
+        f01 = _xs_expr(rng, chart).odd_part()
+        try:  # raises unless the residual vanishes
+            solve_R([[zero, e01], [e01, zero]], [[zero, f01], [-f01, zero]],
+                    chart.table)
+        except CanonicityError as exc:
+            return str(exc)
+        return ""
+
+    out.append(_sampled("solve-R-residual[10 samples]", seed, 10, solve))
     return out
 
 
 def suite_flows(seed=13):
     rng = random.Random(seed)
     chart = _chart(3)
-    out = []
-    bad = []
-    for k in range(20):
+
+    def round_trip():
         q = random_flow_hamiltonian(rng, chart)
-        fmap = exp_flow(q, chart, 1)
-        if hamiltonian_from_adjusted(fmap) != q:
-            bad.append(str(k))
-    out.append(Check("flow-round-trip[20 generators]", not bad,
-                     ",".join(bad)))
-    bad = []
-    for k in range(8):
+        return hamiltonian_from_adjusted(exp_flow(q, chart, 1)) - q
+
+    def canonical():
         q = random_flow_hamiltonian(rng, chart)
+        out = []
         for t in (Fraction(1, 2), 1, 2):
-            ok, report = is_canonical(exp_flow(q, chart, t))
-            if not ok:
-                bad.append(f"{k}@{t}")
-    out.append(Check("flow-canonical[t in 1/2,1,2]", not bad, ",".join(bad)))
-    bad = []
-    for k in range(6):
+            _, report = is_canonical(exp_flow(q, chart, t))
+            out += report.residuals.values()
+        return out
+
+    def group_law():
         q = random_flow_hamiltonian(rng, chart)
         f1 = exp_flow(q, chart, Fraction(1, 2))
         f2 = exp_flow(q, chart, Fraction(5, 2))
-        if f1.compose(f2).targets != exp_flow(q, chart, 3).targets:
-            bad.append(str(k))
-    out.append(Check("flow-group-law[6 generators]", not bad, ",".join(bad)))
-    return out
+        return [a - b for a, b in zip(f1.compose(f2).targets,
+                                      exp_flow(q, chart, 3).targets)]
+
+    return [_sampled("flow-round-trip[20 generators]", seed, 20, round_trip),
+            _sampled("flow-canonical[t in 1/2,1,2]", seed, 8, canonical),
+            _sampled("flow-group-law[6 generators]", seed, 6, group_law)]
 
 
 def suite_moser(seed=14):
     rng = random.Random(seed)
     chart = _chart(3)
     table = chart.table
-    out = []
-    bad = []
-    for k in range(10):
+
+    def sample():
         r = random_expr(rng, table, theta_degree=3, coeff_degree=1,
                         aux=True, min_theta=2, even_names=chart.xs).odd_part()
         r = SuperExpr(table, {key: v for key, v in r.terms.items()
                               if r.theta_degree_of_key(key) >= 2})
-        fmap, residual = moser_flow(Semidensity(SuperExpr.one(table), chart),
-                                    Semidensity(r, chart))
-        if not residual.is_zero:
-            bad.append(str(k))
-    out.append(Check("moser-transport[10 samples]", not bad, ",".join(bad)))
-    return out
+        _, residual = moser_flow(Semidensity(SuperExpr.one(table), chart),
+                                 Semidensity(r, chart))
+        return residual
+
+    return [_sampled("moser-transport[10 samples]", seed, 10, sample)]
 
 
 def _surface_chart(aux=2):
@@ -456,30 +437,22 @@ def _surface_chart(aux=2):
     table = SymbolTable(names_x + ("t",), names_th, (),
                         tuple(f"b{i}" for i in range(1, aux + 1)))
     chart = Chart(table, names_x, names_th)
-    from .surfaces import AdjustedSurface
     return chart, AdjustedSurface(chart, "x0", "th0")
 
 
 def suite_surface(seed=15):
-    from .surfaces import dual_density, pullback_K
-
     rng = random.Random(seed)
     chart, surf = _surface_chart()
     table = chart.table
-    out = []
-    bad = []
-    for k in range(20):
+
+    def anticommutation():
         coeff = random_expr(rng, table, theta_degree=3, coeff_degree=2,
                             aux=True, even_names=chart.xs)
         s = Semidensity(coeff, chart)
-        lhs = pullback_K(delta_sharp(s), surf).coefficient
-        rhs = delta_sharp(pullback_K(s, surf)).coefficient
-        if lhs + rhs:
-            bad.append(str(k))
-    out.append(Check("surface-anticommutation[20 samples]", not bad,
-                     ",".join(bad)))
-    bad = []
-    for k in range(10):
+        return pullback_K(delta_sharp(s), surf).coefficient + \
+            delta_sharp(pullback_K(s, surf)).coefficient
+
+    def dual_vs_pullback():
         base = SuperExpr.one(table) + random_expr(
             rng, table, theta_degree=3, coeff_degree=1, min_theta=1,
             even_names=chart.xs).even_part()
@@ -487,26 +460,26 @@ def suite_surface(seed=15):
         dual = dual_density(parse_expr("x0", table), parse_expr("th0", table),
                             dv, surf)
         k_coeff = pullback_K(Semidensity(base, chart), surf).coefficient
-        if dual.coefficient * surf.restrict(base) != k_coeff:
-            bad.append(str(k))
-    out.append(Check("dual-vs-pullback[10 volumes]", not bad, ",".join(bad)))
-    return out
+        return dual.coefficient * surf.restrict(base) - k_coeff
+
+    return [_sampled("surface-anticommutation[20 samples]", seed, 20,
+                     anticommutation),
+            _sampled("dual-vs-pullback[10 volumes]", seed, 10,
+                     dual_vs_pullback)]
 
 
 def suite_invariant_constant(seed=16):
     rng = random.Random(seed)
     chart = _chart(2)
     table = chart.table
-    out = []
     s = Semidensity(parse_expr("1 + 5*th1*th2", table), chart)
-    bad = []
-    for k in range(20):
-        fmap = random_canonical_map(rng, chart)
-        pulled = pullback_semidensity(fmap, s)
-        if c_invariant(pulled).as_fraction() != Fraction(5):
-            bad.append(str(k))
-    out.append(Check("constant-under-canonical[20 maps]", not bad,
-                     ",".join(bad)))
+
+    def sample():
+        pulled = pullback_semidensity(random_canonical_map(rng, chart), s)
+        c = c_invariant(pulled).as_fraction()
+        return "" if c == 5 else f"c = {c}"
+
+    out = [_sampled("constant-under-canonical[20 maps]", seed, 20, sample)]
 
     table1 = standard_table(1, aux=2, extra_even=("t",))
     chart1 = Chart(table1, table1.even_symbols[:1], table1.coordinate_odds)
@@ -579,8 +552,6 @@ def worked_example_chart():
 def worked_example_values(chart, bs):
     """tau_sharp image, both pull-backs and both densities for
     w = -dx0^dx1^dx2 + b0 dx0 + b1 dx1 + b2 dx2."""
-    from .surfaces import AdjustedSurface, densities_P, pullback_K
-
     table = chart.table
     xi = [SuperExpr.symbol(table, f"xi{i}") for i in range(3)]
     w_expr = -(xi[0] * xi[1] * xi[2])

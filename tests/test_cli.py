@@ -63,6 +63,20 @@ def test_flow_command(capsys):
         "canonical: yes\n")
 
 
+def test_flow_with_time_in_denominator_exit_two(tmp_path, capsys):
+    doc = {
+        "charts": {"plane": {"n": 2, "even": ["x1", "x2", "t"],
+                             "odd": ["th1", "th2"], "aux": ["b1"]}},
+        "flow": {"chart": "plane", "Q": "th1*th2*b1/(1 + t)"},
+    }
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["flow", "--manifest", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: denominator depends on t\n"
+
+
 def test_reports_are_deterministic(capsys):
     path = os.path.join(DATA, "worked_example.json")
     first = run_cli(["tau-sharp", "--manifest", path], capsys)
@@ -133,8 +147,29 @@ def test_solve_r_failure_reported(monkeypatch, capsys):
     monkeypatch.setattr(verify, "solve_R", failing_solve_r)
     code, out, _ = run_cli(["verify", "--suite", "darboux"], capsys)
     assert code == 1
-    assert "darboux.solve-R-residual[10 samples]: FAIL\n" in out
+    assert ("darboux.solve-R-residual[10 samples]: FAIL 10 failing "
+            "residuals; seed 12, sample 0: series solution failed the "
+            "residual\n") in out
     assert out.endswith("verify: fail\n")
+
+
+def test_failing_sample_named_in_verify_line(monkeypatch, capsys):
+    real = verify.jacobi_residual
+    calls = []
+
+    def jacobi_with_defect(f, g, h, chart):
+        calls.append(None)
+        res = real(f, g, h, chart)
+        if len(calls) == 7:  # sample 3, its first residual
+            res = res + verify.SuperExpr.symbol(chart.table, "th1")
+        return res
+
+    monkeypatch.setattr(verify, "jacobi_residual", jacobi_with_defect)
+    code, out, _ = run_cli(["verify", "--suite", "jacobi"], capsys)
+    assert code == 1
+    assert out == ("jacobi.jacobi-identity[200 samples]: FAIL 1 failing "
+                   "residuals; seed 1, sample 3: th1\n"
+                   "verify: fail\n")
 
 
 def test_bad_manifest_exit_two(tmp_path, capsys):
