@@ -25,7 +25,8 @@ from .manifests import Manifest, ManifestError, load_manifest, parse_time
 from .scalars import ScalarError
 from .superexpr import ParityError
 from .surfaces import densities_P, dual_density, pullback_K
-from .symplectic import CanonicityError, is_canonical, map_berezinian
+from .symplectic import (CanonicityError, bracket, is_canonical,
+                         map_berezinian)
 from .verify import SUITES
 
 _INPUT_ERRORS = (ManifestError, ParseError, ParityError, ScalarError,
@@ -52,8 +53,7 @@ def cmd_bracket(manifest, args):
     f = manifest.parse(chart, entry["f"])
     g = manifest.parse(chart, entry["g"])
     omega = _structure_arg(manifest, chart, entry)
-    from .symplectic import bracket as _bracket
-    out = _bracket(f, g, chart, omega)
+    out = bracket(f, g, chart, omega)
     return [("bracket", render_expr(out))], None
 
 

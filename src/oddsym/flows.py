@@ -1,13 +1,17 @@
-"""Graded integration of odd Hamiltonian flows and its inverse problem.
+"""Odd Hamiltonian flows and their inverse problem, as finite Lie series.
 
-The flow equations
+An odd generator Q with no theta-linear part has the even field
+X = {Q, -}, which raises odd weight.  The flow of
 
     dy^i/dt = {Q, y^i} = -dQ/dth_i,      deta_j/dt = {Q, eta_j} = dQ/dx^j
 
-are solved by Picard iteration in the nilpotent filtration: every pass
-gains at least one unit of odd weight, so the iteration reaches a fixed
-point after finitely many rounds and the result is an exact polynomial in
-the formal time symbol.
+is therefore the finite Lie series
+
+    z^A(t) = sum_k t^k/k! (Y^k z^A)|_{t=0},     Y = X + d/dt,
+
+where d/dt enters only when Q depends on the time symbol.  Its inverse
+problem is the finite logarithm X = log F* = sum_k (-1)^(k+1)/k (F* - id)^k
+of the unit-time pull-back F*.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .scalars import Scalar, ScalarError
 from .superexpr import ParityError, SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, Semidensity, SuperMap,
-                         graded_fixed_point, hamiltonian_field, is_canonical,
+                         adjusted_map, hamiltonian_field, is_canonical,
                          pullback_semidensity, theta_rescale_integral)
 
 
@@ -47,71 +51,89 @@ class FlowHamiltonian:
                         for k in self.expr.terms)})
 
 
-def _integrate_time(expr, time_name):
-    out = {}
-    for key, coeff in expr.terms.items():
-        out[key] = coeff.integrate_monomial(time_name)
-    return SuperExpr(expr.table, {k: v for k, v in out.items()
-                                  if not v.is_zero})
+def _time_degree(q, time_name):
+    """The degree of ``q`` in the time symbol, which may not divide."""
+    idx = q.table.even_index(time_name)
+    degree = 0
+    for c in q.scalars():
+        if any(m[idx] for m, _ in c.denom_terms):
+            raise ScalarError(f"denominator depends on {time_name}")
+        degree = max([degree] + [m[idx] for m, _ in c.numer_terms])
+    return degree
 
 
-def _formal_flow(q, chart, time_name):
-    """The generator, its Hamiltonian field and the flow targets, still in
-    the formal time symbol."""
-    if isinstance(q, FlowHamiltonian):
-        q = q.expr
-    else:
-        q = FlowHamiltonian(q, chart, time_name).expr
+def _series(q, chart, t_value, time_name):
+    """The Lie series table [(Y^k z^A)|_{t=0} for A] by k, the time to sum
+    it at, and whether the field depends on time.
+
+    X raises odd weight by at least one and d/dt lowers the time degree,
+    which X raises by at most that of Q, so Y^k z^A vanishes once k
+    exceeds the table's odd weight times (time degree of Q + 1).
+    """
+    if not isinstance(q, FlowHamiltonian):
+        q = FlowHamiltonian(q, chart, time_name)
+    q = q.expr
     table = chart.table
     if not table.is_even(time_name):
         raise ScalarError(f"table has no even time symbol {time_name!r}")
+    time = SuperExpr.symbol(table, time_name) if t_value == "formal" \
+        else Fraction(t_value)
+    bound = table.odd_weight * (_time_degree(q, time_name) + 1)
     names = chart.coordinate_names
-    coords = [SuperExpr.symbol(table, name) for name in names]
     ham = hamiltonian_field(q, chart)
+    timed = any(c.depends_on(time_name) for comp in ham
+                for c in comp.scalars())
+    at_zero = {time_name: Scalar.from_int(table, 0)}
 
-    def update(current):
-        binds = dict(zip(names, current))
-        return [z + _integrate_time(component.substitute(binds), time_name)
-                for z, component in zip(coords, ham)]
+    def step(f):
+        out = f.diff(time_name) if timed else SuperExpr.zero(table)
+        for h, name in zip(ham, names):
+            out = out + h * f.diff(name)
+        return out
 
-    current = graded_fixed_point(update, coords, table, "flow integration")
-    return q, ham, current
+    def at_start(f):
+        return SuperExpr(table, {k: v for k, c in f.terms.items()
+                                 if (v := c.subs_even(at_zero))})
+
+    current = [SuperExpr.symbol(table, name) for name in names]
+    series = []
+    for _ in range(bound + 1):
+        series.append([at_start(f) for f in current] if timed else current)
+        current = [step(f) for f in current]
+        if not any(current):
+            return series, time, timed
+    raise CanonicityError("flow series did not terminate")
 
 
-def _at_time(targets, t_value, time_name, sign=1):
-    """The targets at time sign * t_value (t_value may be "formal")."""
-    table = targets[0].table
-    if t_value == "formal":
-        if sign > 0:
-            return list(targets)
-        image = -SuperExpr.symbol(table, time_name)
-    else:
-        image = SuperExpr.constant(table, sign * Fraction(t_value))
-    return [tgt.substitute({time_name: image}) for tgt in targets]
+def _summed(series, time):
+    """sum_k time^k/k! series[k], for a rational or SuperExpr time."""
+    out = list(series[0])
+    power = 1
+    for k, terms in enumerate(series[1:], start=1):
+        power = power * time / k
+        out = [acc + power * term for acc, term in zip(out, terms)]
+    return out
 
 
 def flow_targets(q, chart, t_value=1, time_name="t"):
     """The targets of ``exp_flow(q, chart, t_value, time_name)`` alone,
     without the inverse map that ``exp_flow`` also builds."""
-    return _at_time(_formal_flow(q, chart, time_name)[2], t_value, time_name)
+    series, time, _ = _series(q, chart, t_value, time_name)
+    return _summed(series, time)
 
 
 def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
-    """Exact flow map of an odd generator, polynomial in time.
+    """Exact flow map of an odd generator, summed as its Lie series.
 
     ``t_value`` may be a rational number or the string "formal", in which
     case the map keeps the symbolic time variable.  Time-dependent
     generators are supported as polynomials in that same symbol; for the
-    others the inverse map is the flow at time -t_value.
+    others the inverse map is the same series summed at -t_value.
     """
-    q, ham, current = _formal_flow(q, chart, time_name)
-    table = chart.table
-    inverse = None
-    if not any(c.depends_on(time_name) for comp in ham
-               for c in comp.scalars()):
-        inverse = _at_time(current, t_value, time_name, sign=-1)
-    identity_body = [Scalar.symbol(table, x) for x in chart.xs]
-    return SuperMap(chart, chart, _at_time(current, t_value, time_name),
+    series, time, timed = _series(q, chart, t_value, time_name)
+    inverse = None if timed else _summed(series, -time)
+    identity_body = [Scalar.symbol(chart.table, x) for x in chart.xs]
+    return SuperMap(chart, chart, _summed(series, time),
                     body_inverse=identity_body, kind="flow",
                     inverse_targets=inverse, check=False)
 
@@ -119,9 +141,9 @@ def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
 def _delta_map(chart, components):
     """-sum_i th_i int_0^1 f^i(x, tau th) dtau.
 
-    Every caller's components have no theta-free part (an adjusted map's
-    displacement, or its difference from a flow of an O(theta^2)
-    generator), so the degree-0 term of the integral is zero.
+    The components, the x-part of the field of an adjusted map's
+    generator, have no theta-free part, so the degree-0 term of the
+    integral is zero.
     """
     table = chart.table
     total = SuperExpr.zero(table)
@@ -134,37 +156,34 @@ def _delta_map(chart, components):
 def hamiltonian_from_adjusted(fmap: SuperMap, time_name="t"):
     """The unique O(theta^2) generator whose unit-time flow is the map.
 
-    Built by graded correction: seed with the delta map of the even
-    displacement components, re-flow, and repeat; each round fixes one
-    more theta-degree, and uniqueness makes the fixed point the answer.
+    The x-components of its field are the finite logarithm
+    X(x_i) = sum_k (-1)^(k+1)/k (F* - id)^k(x_i), where F* substitutes the
+    map's bindings and raises odd weight on an adjusted canonical map;
+    ``_delta_map`` reads the generator off them, and one unit-time flow
+    checks that it reproduces the map.
     """
     chart = fmap.source
     table = chart.table
-    n = chart.n
-    for i in range(n):
-        if fmap.targets[i].homogeneous_part(0) != \
-                SuperExpr.symbol(table, chart.xs[i]):
-            raise CanonicityError("map is not adjusted")
-        if not fmap.targets[n + i].homogeneous_part(0).is_zero:
-            raise CanonicityError("map is not adjusted")
+    adjusted_map(chart, fmap.targets)  # raises unless the map is adjusted
     ok, _ = is_canonical(fmap)
     if not ok:
         raise CanonicityError("map is not canonical")
 
-    displacement = [fmap.targets[i] - SuperExpr.symbol(table, chart.xs[i])
-                    for i in range(n)]
-    q = _delta_map(chart, displacement)
-    for _ in range(table.n_theta + 2):
-        targets = flow_targets(q, chart, 1, time_name)
-        if targets == list(fmap.targets):
-            return q
-        error = [fmap.targets[i] - targets[i] for i in range(n)]
-        correction = _delta_map(chart, error)
-        if correction.is_zero:
-            raise CanonicityError(
-                "no O(theta^2) generator reproduces the map")
-        q = q + correction
-    raise CanonicityError("generator recursion did not converge")
+    binds = fmap.bindings()
+    field = []
+    for x in chart.xs:
+        power = SuperExpr.symbol(table, x)
+        total = SuperExpr.zero(table)
+        for k in range(1, table.odd_weight + 1):
+            power = power.substitute(binds) - power
+            if not power:
+                break
+            total = total + Fraction((-1) ** (k + 1), k) * power
+        field.append(total)
+    q = _delta_map(chart, field)
+    if flow_targets(q, chart, 1, time_name) != list(fmap.targets):
+        raise CanonicityError("no O(theta^2) generator reproduces the map")
+    return q
 
 
 def moser_flow(s: Semidensity, r: Semidensity, time_name="t"):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .grammar import render_expr
 from .scalars import Scalar, ScalarError
 from .superexpr import ParityError, SuperExpr
 from .symbols import Chart
@@ -323,8 +324,6 @@ def lagrangian_top_form(s: Semidensity) -> DifferentialForm:
 
 def render_form(w: DifferentialForm) -> str:
     """dx-wedge notation with ascending indices."""
-    from .grammar import render_expr
-
     chart = w.chart
     table = chart.table
     frames = chart_frames(chart)

@@ -8,8 +8,13 @@ from __future__ import annotations
 
 import random
 
+from .flows import exp_flow
 from .scalars import Scalar
 from .superexpr import SuperExpr
+from .symbols import Parity
+from .symplectic import (OddSymplecticStructure, SuperMap, invert_map,
+                         point_map, pushforward_matrix, special_map,
+                         theta_linear)
 
 
 def random_scalar(rng, table, coeff_degree=2, names=None, rational=False,
@@ -54,7 +59,6 @@ def random_expr(rng, table, theta_degree=2, coeff_degree=2, aux=False,
             term = term * SuperExpr.symbol(table, name)
         total = total + term
     if parity is not None:
-        from .symbols import Parity
         total = total.even_part() if parity is Parity.EVEN else total.odd_part()
     return total
 
@@ -70,8 +74,6 @@ def random_homogeneous(rng, table, parity, **kw):
 
 def random_special_map(rng, chart):
     """Gradient shift theta -> theta + dPhi with odd-constant coefficients."""
-    from .symplectic import special_map
-
     table = chart.table
     if not table.aux_odds:
         raise ValueError("special maps need aux odd constants")
@@ -87,8 +89,6 @@ def random_special_map(rng, chart):
 
 def random_point_map(rng, chart):
     """Unipotent triangular polynomial base change (polynomial inverse)."""
-    from .symplectic import point_map
-
     table = chart.table
     n = chart.n
     body = []
@@ -144,16 +144,12 @@ def random_flow_hamiltonian(rng, chart, time_name=None):
 
 
 def random_flow_map(rng, chart, t_values=(1,)):
-    from .flows import exp_flow
-
     q = random_flow_hamiltonian(rng, chart)
     return exp_flow(q, chart, rng.choice(list(t_values)))
 
 
 def random_canonical_map(rng, chart, classes=("special", "point", "flow")):
     """Composition of invertible canonical atoms, inverses included."""
-    from .symplectic import SuperMap
-
     out = SuperMap.identity(chart)
     picks = rng.sample(list(classes), rng.randint(1, len(classes)))
     for kind in picks:
@@ -170,8 +166,6 @@ def random_canonical_map(rng, chart, classes=("special", "point", "flow")):
 def random_messy_map(rng, chart):
     """Invertible but generally non-canonical coordinate change; it stores
     no inverse, ``invert_map`` finds it."""
-    from .symplectic import SuperMap, theta_linear
-
     table = chart.table
     n = chart.n
     atoms = []
@@ -217,9 +211,6 @@ def pushforward_structure(rng, chart, fmap=None):
     Returns the structure matrix expressed in the new coordinates; used to
     manufacture non-Darboux inputs whose normalization target is known.
     """
-    from .symplectic import (OddSymplecticStructure, invert_map,
-                             pushforward_matrix)
-
     if fmap is None:
         fmap = random_messy_map(rng, chart)
     rows = pushforward_matrix(fmap, invert_map(fmap).targets)

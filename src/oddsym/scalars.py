@@ -218,25 +218,6 @@ class Scalar:
         """The denominator as an int when it is constant, else None."""
         return _ground(self.f.denom)
 
-    def integrate_monomial(self, name):
-        """Antiderivative in ``name`` vanishing at 0.
-
-        The numerator must be polynomial in ``name`` and the denominator
-        free of it; used for closed-form time integration of flows.
-        """
-        table = self.table
-        idx = table.even_index(name)
-        if any(m[idx] for m, _ in self.f.denom.terms()):
-            raise ScalarError(f"denominator depends on {name}")
-        field = table.field
-        out = field.zero
-        for mono, coeff in self.f.numer.terms():
-            lifted = list(mono)
-            lifted[idx] += 1
-            term = field.ring.from_dict({tuple(lifted): coeff})
-            out = _add(out, _reduce(field, term, lifted[idx]))
-        return Scalar(table, _div(out, field.raw_new(self.f.denom)))
-
     def sqrt(self):
         """The root with positive leading numerator coefficient.
 

@@ -102,6 +102,13 @@ class SymbolTable:
         return len(self.coordinate_odds)
 
     @property
+    def odd_weight(self) -> int:
+        """The largest odd weight of a monomial: a theta or frame odd
+        weighs 1, an aux odd 2.  It bounds the nilpotent series."""
+        return len(self.coordinate_odds) + len(self.frame_odds) + \
+            2 * len(self.aux_odds)
+
+    @property
     def total_odds(self) -> int:
         return len(self.odd_names)
 

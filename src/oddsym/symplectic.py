@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .grammar import render_expr
 from .scalars import Scalar, ScalarError
 from .superexpr import ParityError, SuperExpr
 from .symbols import Chart, Parity
@@ -417,7 +418,6 @@ class SuperMap:
             and list(self.targets) == list(other.targets)
 
     def __repr__(self):
-        from .grammar import render_expr
         body = ", ".join(render_expr(t) for t in self.targets)
         return f"SuperMap[{self.kind}]({body})"
 
@@ -611,27 +611,6 @@ def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
 # -- inversion -------------------------------------------------------------------
 
 
-def graded_fixed_point(update, start, table, what):
-    """Iterate ``update`` from ``start`` until it returns its argument.
-
-    Its users are the Picard integration of ``flows.exp_flow`` and the
-    inversion of the unipotent rest in ``invert_map``.  Every pass of
-    either settles at least one more unit of odd weight (a theta or frame
-    odd weighs 1, an aux odd 2), so a converging one repeats itself within
-    the table's largest odd weight plus a few passes; the bound allows
-    three.
-    """
-    bound = table.n_theta + len(table.frame_odds) + \
-        2 * len(table.aux_odds) + 3
-    current = start
-    for _ in range(bound):
-        new = update(current)
-        if new == current:
-            return current
-        current = new
-    raise CanonicityError(f"{what} did not stabilize")
-
-
 def invert_map(fmap: SuperMap):
     """Inverse map, verified once by composing it with the map both ways.
 
@@ -642,7 +621,8 @@ def invert_map(fmap: SuperMap):
     x -> b^-1(x) from ``body_inverse`` (not needed when b is the identity)
     and theta_j -> sum_m theta_m M^-1[m][j](b^-1(x)).  The rest
     U = F o L^-1 is the identity plus terms of odd weight at least 2, so
-    ``graded_fixed_point`` inverts it by nilpotency, and F^-1 = L^-1 o U^-1.
+    U^-1 is the fixed point of V -> z - (U - id)(V), reached by nilpotency,
+    and F^-1 = L^-1 o U^-1.
     """
     if fmap.inverse_targets is not None:
         out = SuperMap(fmap.target, fmap.source, fmap.inverse_targets,
@@ -681,11 +661,18 @@ def _peeled_inverse(fmap):
     l_binds = dict(zip(names, l_inv))
     rest = [t.substitute(l_binds) - z for t, z in zip(fmap.targets, coords)]
 
-    def update(guesses):
-        binds = dict(zip(names, guesses))
-        return [z - r.substitute(binds) for z, r in zip(coords, rest)]
-
-    u_inv = graded_fixed_point(update, coords, table, "graded inversion")
+    # every pass settles at least one more unit of odd weight, so a
+    # converging iteration repeats itself within the table's odd weight
+    # plus a few passes; the bound allows three
+    u_inv = coords
+    for _ in range(table.odd_weight + 3):
+        binds = dict(zip(names, u_inv))
+        guess = [z - r.substitute(binds) for z, r in zip(coords, rest)]
+        if guess == u_inv:
+            break
+        u_inv = guess
+    else:
+        raise CanonicityError("graded inversion did not stabilize")
     if l_inv == coords:
         return u_inv
     u_binds = dict(zip(names, u_inv))
@@ -762,7 +749,6 @@ class Semidensity:
             self.coefficient == other.coefficient
 
     def __repr__(self):
-        from .grammar import render_expr
         return f"Semidensity({render_expr(self.coefficient)})"
 
 

@@ -5,18 +5,34 @@ named verification suites so the command line `oddsym verify` exercises
 the identical checks.
 """
 
+import argparse
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from oddsym.verify import (SUITES, run_suite, worked_example_chart,
-                           worked_example_values)
+from oddsym.cli import cmd_verify
+from oddsym.verify import SUITES, worked_example_chart, worked_example_values
+
+# sha256 of each suite's lines in the seed-0 `oddsym verify` report
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+SUITE_SHA256 = json.loads(EXPECTED.read_text(encoding="utf-8"))[
+    "verify_seed0"]["suites"]
 
 
 def _run(names, criterion):
     failures = []
     for name in names:
-        for check in run_suite(name):
-            if not check.ok:
-                failures.append(f"{name}.{check.label}: {check.detail}")
+        lines, _ = cmd_verify(None, argparse.Namespace(suite=name))
+        lines = lines[:-1]  # the closing "verify: pass" line
+        failures += [f"{label}: {value}" for label, value in lines
+                     if value != "ok"]
+        text = "\n".join(f"{label}: {value}" for label, value in lines)
+        if hashlib.sha256(text.encode("utf-8")).hexdigest() != \
+                SUITE_SHA256[name]:
+            failures.append(f"{name}: report lines differ from the "
+                            f"seed-0 report")
     status = "PASS" if not failures else "FAIL"
     print(f"{status} {criterion}")
     assert not failures, "\n".join(failures)

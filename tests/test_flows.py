@@ -11,8 +11,9 @@ from oddsym.sampling import random_expr, random_flow_hamiltonian
 from oddsym.superexpr import SuperExpr
 from oddsym.symbols import Chart, standard_table
 from oddsym.symplectic import (CanonicityError, Semidensity, SuperMap,
-                               invert_map, is_canonical,
-                               pullback_semidensity)
+                               adjusted_map, hamiltonian_field, invert_map,
+                               is_canonical, pullback_semidensity,
+                               special_map)
 
 
 def make_chart(n, aux=2):
@@ -236,3 +237,31 @@ def test_time_dependent_flow_reduces_to_rescaled_time():
     lhs = exp_flow(tq, c, 1)
     rhs = exp_flow(q0, c, Fraction(1, 2))
     assert list(lhs.targets) == list(rhs.targets)
+
+
+def test_time_dependent_flow_solves_its_equation():
+    # Q(t) = t x1 th1 th2 th3 + b1 th1 th2: the directions at different
+    # times do not commute, yet the formal-time targets z(t) satisfy
+    # dz^A/dt = {Q(t), z^A} evaluated at z(t)
+    c = make_chart(3)
+    q = e(c, "t*x1*th1*th2*th3 + b1*th1*th2")
+    fmap = exp_flow(q, c, "formal")
+    binds = fmap.bindings()
+    for target, component in zip(fmap.targets, hamiltonian_field(q, c)):
+        assert target.diff("t") == component.substitute(binds)
+    assert fmap.inverse_targets is None
+
+
+def test_hamiltonian_from_map_that_is_not_adjusted():
+    c = make_chart(2)
+    fmap = special_map(c, [e(c, "b1*x2"), e(c, "b1*x1")])
+    with pytest.raises(CanonicityError, match="theta targets must vanish"):
+        hamiltonian_from_adjusted(fmap)
+
+
+def test_hamiltonian_from_map_that_is_not_canonical():
+    c = make_chart(2)
+    fmap = adjusted_map(c, [e(c, "x1 + th1*th2"), e(c, "x2"),
+                            e(c, "th1"), e(c, "th2")])
+    with pytest.raises(CanonicityError, match="map is not canonical"):
+        hamiltonian_from_adjusted(fmap)

@@ -13,10 +13,10 @@ from oddsym.symbols import Chart, Parity, standard_table
 from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
                                Semidensity, SuperMap, ber_sqrt, bracket,
                                construct_map, decompose_canonical_map,
-                               graded_fixed_point, hamiltonian_field,
-                               invert_map, is_canonical, jacobi_residual,
-                               map_berezinian, mat_det, mat_inv, mat_mul,
-                               pullback_semidensity, scalar_reciprocal)
+                               hamiltonian_field, invert_map, is_canonical,
+                               jacobi_residual, map_berezinian, mat_det,
+                               mat_inv, mat_mul, pullback_semidensity,
+                               scalar_reciprocal)
 
 
 def make_chart(n, aux=2):
@@ -399,13 +399,6 @@ def test_mat_inv_singular_scalar_matrix(c2):
     x1, x2 = (Scalar.symbol(c2.table, x) for x in c2.xs)
     with pytest.raises(ScalarError, match="singular matrix"):
         mat_inv([[x1, x2], [x1 * 2, x2 * 2]], scalar_reciprocal)
-
-
-def test_graded_fixed_point(c2):
-    assert graded_fixed_point(lambda k: min(k + 1, 3), 0, c2.table,
-                              "counter") == 3
-    with pytest.raises(CanonicityError, match="counter did not stabilize"):
-        graded_fixed_point(lambda k: k + 1, 0, c2.table, "counter")
 
 
 def test_invert_map_peels_body_and_theta_linear_part(c2):

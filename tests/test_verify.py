@@ -55,6 +55,27 @@ def test_failing_flow_check_leaves_later_checks_alone(monkeypatch):
     assert checks["flow-group-law[6 generators]"].ok
 
 
+def test_tau_table_grid_failure_names_the_mask(monkeypatch):
+    real = verify.tau_sharp
+
+    def wrong(w):
+        s = real(w)
+        chart = w.chart
+        if chart.n != 3:
+            return s
+        xi2 = SuperExpr.symbol(chart.table, verify.chart_frames(chart)[1])
+        if w.expr != xi2:  # mask 0b010 of n = 3
+            return s
+        return verify.Semidensity(s.coefficient + 1, chart)
+
+    monkeypatch.setattr(verify, "tau_sharp", wrong)
+    checks = {c.label: c for c in verify.suite_tau_table()}
+    assert checks["table-grid-n3"] == verify.Check(
+        "table-grid-n3", False, "1 failing residuals; seed 17, sample 2: 1")
+    assert all(c.ok for label, c in checks.items()
+               if label != "table-grid-n3")
+
+
 def test_every_suite_takes_an_int_seed_keyword():
     keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD,
                inspect.Parameter.KEYWORD_ONLY)
