@@ -13,6 +13,7 @@ odd operator is delta0 on the coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .scalars import Scalar
@@ -35,6 +36,11 @@ class VolumeForm:
         if self.density.body().is_zero:
             raise ValueError("volume density has vanishing body")
 
+    @cached_property
+    def inverse(self):
+        """rho^-1, taken once per volume form."""
+        return self.density.invert_even()
+
 
 def delta0(f, chart: Chart):
     """sum_i d/dx^i of the left derivative d/dth_i of f."""
@@ -51,8 +57,7 @@ def _half(table):
 def delta_vol(f, dv: VolumeForm):
     """delta0 f + (1/2) rho^{-1} {rho, f}."""
     chart = dv.chart
-    rho_inv = dv.density.invert_even()
-    corr = rho_inv * bracket(dv.density, f, chart)
+    corr = dv.inverse * bracket(dv.density, f, chart)
     return delta0(f, chart) + _half(chart.table) * corr
 
 
@@ -68,7 +73,6 @@ def divergence_delta(f, dv: VolumeForm):
     table = chart.table
     feven, fodd = f.even_part(), f.odd_part()
     total = SuperExpr.zero(table)
-    rho_inv = dv.density.invert_even()
     for part, p_odd in ((feven, False), (fodd, True)):
         if part.is_zero:
             continue
@@ -79,7 +83,7 @@ def divergence_delta(f, dv: VolumeForm):
             piece = comp.diff(name)
             if p_odd and a >= chart.n:
                 piece = -piece
-            div = div + piece + comp * rho_inv * dv.density.diff(name)
+            div = div + piece + comp * dv.inverse * dv.density.diff(name)
         div = _half(table) * div
         total = total + (-div if p_odd else div)
     return total
@@ -101,58 +105,90 @@ def infinitesimal_action(q, s: Semidensity):
                        + delta0(q * s.coefficient, chart), chart)
 
 
-def bv_identity_residuals(f, g, dv: VolumeForm, fmap: SuperMap = None):
-    """Residual expressions for the operator identities; all must be zero.
+def _is_odd(name, f):
+    """Whether f is odd and nonzero; f must be homogeneous."""
+    if f.parity() is Parity.MIXED:
+        raise ParityError(f"{name} must be homogeneous")
+    return f.is_odd() and not f.is_zero
 
-    bracket_leibniz and product_leibniz are the two derivation laws of
-    delta_vol; chart_change compares the flat operators of two Darboux
-    charts through the Berezinian correction; module_rule and
-    square_formula tie delta_vol to the semidensity operator via
-    sqrt(rho); ber_root_closed states the Berezinian root of a canonical
-    map is annihilated by delta0.
-    """
+
+def bracket_leibniz(f, g, dv: VolumeForm):
+    """delta{f,g} - {delta f, g} + (-1)^p(f) {f, delta g}."""
+    odd = _is_odd("f", f)
+    _is_odd("g", g)
     chart = dv.chart
-    table = chart.table
-    for name, val in (("f", f), ("g", g)):
-        if val.parity() is Parity.MIXED:
-            raise ParityError(f"{name} must be homogeneous")
-    pf = 1 if f.is_odd() and not f.is_zero else 0
-    out = {}
-
     lhs = delta_vol(bracket(f, g, chart), dv)
     rhs = bracket(delta_vol(f, dv), g, chart)
     second = bracket(f, delta_vol(g, dv), chart)
-    rhs = rhs - second if pf == 0 else rhs + second
-    out["bracket_leibniz"] = lhs - rhs
+    return lhs - (rhs + second if odd else rhs - second)
 
+
+def product_leibniz(f, g, dv: VolumeForm):
+    """delta(fg) - (delta f) g - (-1)^p(f) (f delta g + {f,g})."""
+    odd = _is_odd("f", f)
+    _is_odd("g", g)
     lhs = delta_vol(f * g, dv)
     rhs = delta_vol(f, dv) * g
-    tail = f * delta_vol(g, dv) + bracket(f, g, chart)
-    rhs = rhs + tail if pf == 0 else rhs - tail
-    out["product_leibniz"] = lhs - rhs
+    tail = f * delta_vol(g, dv) + bracket(f, g, dv.chart)
+    return lhs - (rhs - tail if odd else rhs + tail)
 
-    rho = dv.density
-    s = rho.sqrt_even()
+
+def module_rule(f, dv: VolumeForm):
+    """delta0(f s) - (delta f) s - (-1)^p(f) f delta0 s, s = sqrt(rho)."""
+    odd = _is_odd("f", f)
+    chart = dv.chart
+    s = dv.density.sqrt_even()
     lhs = delta0(f * s, chart)
     rhs = delta_vol(f, dv) * s
     tail = f * delta0(s, chart)
-    rhs = rhs + tail if pf == 0 else rhs - tail
-    out["module_rule"] = lhs - rhs
+    return lhs - (rhs - tail if odd else rhs + tail)
 
+
+def square_formula(f, dv: VolumeForm):
+    """delta^2 f - {s^-1 delta0 s, f}, s = sqrt(rho)."""
+    _is_odd("f", f)
+    chart = dv.chart
+    s = dv.density.sqrt_even()
     nu_fn = s.invert_even() * delta0(s, chart)
-    out["square_formula"] = delta_vol(delta_vol(f, dv), dv) \
-        - bracket(nu_fn, f, chart)
+    return delta_vol(delta_vol(f, dv), dv) - bracket(nu_fn, f, chart)
 
-    out["delta0_squared"] = delta0(delta0(f, chart), chart)
 
-    if fmap is not None:
-        binds = fmap.bindings()
-        ber = map_berezinian(fmap)
-        ber_inv = ber.invert_even()
+def chart_change(fmap: SuperMap, fs):
+    """For each f in fs, the flat operators of the two Darboux charts of
+    fmap compared through the Berezinian correction:
+
+        delta0(F*f) - F*(delta0 f) + (1/2) Ber^-1 {Ber, F*f}.
+
+    The Berezinian and its inverse are taken once for all of fs.
+    """
+    for f in fs:
+        _is_odd("f", f)
+    source = fmap.source
+    binds = fmap.bindings()
+    ber = map_berezinian(fmap)
+    half_ber_inv = _half(source.table) * ber.invert_even()
+    out = []
+    for f in fs:
         pulled = f.substitute(binds)
-        out["chart_change"] = delta0(pulled, fmap.source) \
-            - delta0(f, fmap.target).substitute(binds) \
-            + _half(table) * ber_inv * bracket(ber, pulled, fmap.source)
+        out.append(delta0(pulled, source)
+                   - delta0(f, fmap.target).substitute(binds)
+                   + half_ber_inv * bracket(ber, pulled, source))
+    return out
+
+
+def bv_identity_residuals(f, g, dv: VolumeForm, fmap: SuperMap = None):
+    """Every identity residual above for one f, g (and map) by name, with
+    delta0_squared and ber_root_closed, the statement that the
+    Berezinian root of a canonical map is annihilated by delta0.
+    """
+    chart = dv.chart
+    out = {"bracket_leibniz": bracket_leibniz(f, g, dv),
+           "product_leibniz": product_leibniz(f, g, dv),
+           "module_rule": module_rule(f, dv),
+           "square_formula": square_formula(f, dv),
+           "delta0_squared": delta0(delta0(f, chart), chart)}
+    if fmap is not None:
+        [out["chart_change"]] = chart_change(fmap, [f])
         out["ber_root_closed"] = delta0(ber_sqrt(fmap), fmap.source)
     return out
 

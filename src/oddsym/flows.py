@@ -35,20 +35,13 @@ class FlowHamiltonian:
     transformations are built directly as point maps instead.
     """
 
-    def __init__(self, expr: SuperExpr, chart: Chart, time_name=None):
+    def __init__(self, expr: SuperExpr):
         if not expr.is_odd():
             raise ParityError("flow generator must be odd")
         if not expr.homogeneous_part(1).is_zero:
             raise CanonicityError(
                 "theta-linear generators are outside the integrable class")
         self.expr = expr
-        self.chart = chart
-        self.time_name = time_name
-
-    def theta_profile(self):
-        return sorted({expr_degree for expr_degree in
-                       (self.expr.theta_degree_of_key(k)
-                        for k in self.expr.terms)})
 
 
 def _time_degree(q, time_name):
@@ -71,7 +64,7 @@ def _series(q, chart, t_value, time_name):
     exceeds the table's odd weight times (time degree of Q + 1).
     """
     if not isinstance(q, FlowHamiltonian):
-        q = FlowHamiltonian(q, chart, time_name)
+        q = FlowHamiltonian(q)
     q = q.expr
     table = chart.table
     if not table.is_even(time_name):

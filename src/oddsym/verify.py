@@ -11,9 +11,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bv import (VolumeForm, bv_identity_residuals, c_invariant,
+from .bv import (VolumeForm, bracket_leibniz, c_invariant, chart_change,
                  classify_nu, delta0, delta_sharp, delta_vol,
-                 divergence_delta)
+                 divergence_delta, module_rule, product_leibniz,
+                 square_formula)
 from .darboux import darboux_pipeline, solve_R
 from .flows import exp_flow, hamiltonian_from_adjusted, moser_flow
 from .forms import (DifferentialForm, MultivectorField, chart_frames,
@@ -151,8 +152,8 @@ def suite_leibniz(seed=3):
         out = []
         for fh in (f.even_part(), f.odd_part()):
             for gh in (g.even_part(), g.odd_part()):
-                res = bv_identity_residuals(fh, gh, dv)
-                out += [res["bracket_leibniz"], res["product_leibniz"]]
+                out += [bracket_leibniz(fh, gh, dv),
+                        product_leibniz(fh, gh, dv)]
         return out
 
     return [_sampled("leibniz-pair[200 samples]", seed, 50, sample)]
@@ -161,17 +162,14 @@ def suite_leibniz(seed=3):
 def suite_chart_change(seed=4):
     rng = random.Random(seed)
     chart = _chart(2)
-    zero = SuperExpr.zero(chart.table)
-    dv = VolumeForm(SuperExpr.one(chart.table), chart)
 
     def sample():
         fmap = random_canonical_map(rng, chart)
-        out = []
+        fs = []
         for _ in range(5):
             f = _xs_expr(rng, chart)
-            out += [bv_identity_residuals(fh, zero, dv, fmap)["chart_change"]
-                    for fh in (f.even_part(), f.odd_part())]
-        return out
+            fs += [f.even_part(), f.odd_part()]
+        return chart_change(fmap, fs)
 
     return [_sampled("chart-change[400 samples]", seed, 40, sample)]
 
@@ -179,15 +177,13 @@ def suite_chart_change(seed=4):
 def suite_module_rule(seed=5):
     rng = random.Random(seed)
     chart = _chart(2)
-    zero = SuperExpr.zero(chart.table)
 
     def sample():
         dv = _volume(rng, chart)
         f = _xs_expr(rng, chart)
         out = []
         for fh in (f.even_part(), f.odd_part()):
-            res = bv_identity_residuals(fh, zero, dv)
-            out += [res["module_rule"], res["delta0_squared"]]
+            out += [module_rule(fh, dv), delta0(delta0(fh, chart), chart)]
         return out
 
     return [_sampled("module-rule[240 samples]", seed, 60, sample)]
@@ -196,13 +192,11 @@ def suite_module_rule(seed=5):
 def suite_square_formula(seed=6):
     rng = random.Random(seed)
     chart = _chart(2)
-    zero = SuperExpr.zero(chart.table)
 
     def sample():
         dv = _volume(rng, chart)
         f = _xs_expr(rng, chart)
-        return [bv_identity_residuals(fh, zero, dv)["square_formula"]
-                for fh in (f.even_part(), f.odd_part())]
+        return [square_formula(fh, dv) for fh in (f.even_part(), f.odd_part())]
 
     return [_sampled("square-formula[200 samples]", seed, 100, sample)]
 

@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from oddsym.bv import (VolumeForm, bv_identity_residuals, c_invariant,
-                       canonical_objects, classify_nu, delta0, delta_sharp,
-                       delta_vol, divergence_delta, infinitesimal_action,
-                       top_coefficient)
+from oddsym.bv import (VolumeForm, bracket_leibniz, bv_identity_residuals,
+                       c_invariant, canonical_objects, chart_change,
+                       classify_nu, delta0, delta_sharp, delta_vol,
+                       divergence_delta, infinitesimal_action, module_rule,
+                       product_leibniz, square_formula, top_coefficient)
 from oddsym.grammar import parse_expr
 from oddsym.sampling import (random_canonical_map, random_expr,
                              random_flow_hamiltonian, random_point_map,
                              random_special_map)
 from oddsym.scalars import Scalar
-from oddsym.superexpr import SuperExpr
+from oddsym.superexpr import ParityError, SuperExpr
 from oddsym.symbols import Chart, standard_table
-from oddsym.symplectic import Semidensity, bracket, pullback_semidensity
+from oddsym.symplectic import (Semidensity, ber_sqrt, bracket,
+                               pullback_semidensity)
 
 
 def make_chart(n, aux=2):
@@ -61,6 +63,7 @@ def test_delta_vol_hand_example():
     c = make_chart(2)
     dv = VolumeForm(e(c, "1 + 2*x1*th1*th2"), c)
     assert delta_vol(e(c, "th1"), dv) == e(c, "th1*th2")
+    assert dv.inverse == e(c, "1 - 2*x1*th1*th2")
 
 
 def test_divergence_route_matches():
@@ -115,10 +118,36 @@ def test_delta_sharp_is_odd_operator():
             assert image.is_odd() == part.is_even()
 
 
+def _identity_residuals(f, g, dv, fmap=None):
+    """Every identity residual for one f, g, volume form and map."""
+    chart = dv.chart
+    out = {"bracket_leibniz": bracket_leibniz(f, g, dv),
+           "product_leibniz": product_leibniz(f, g, dv),
+           "module_rule": module_rule(f, dv),
+           "square_formula": square_formula(f, dv),
+           "delta0_squared": delta0(delta0(f, chart), chart)}
+    if fmap is not None:
+        [out["chart_change"]] = chart_change(fmap, [f])
+        out["ber_root_closed"] = delta0(ber_sqrt(fmap), chart)
+    return out
+
+
 def test_bv_identities_hand_case():
     c = make_chart(2)
     dv = unit_volume(c)
-    out = bv_identity_residuals(e(c, "x1*th1"), e(c, "th1"), dv)
+    out = _identity_residuals(e(c, "x1*th1"), e(c, "th1"), dv)
+    assert all(v.is_zero for v in out.values())
+
+
+def test_bv_identity_residuals_wrapper():
+    c = make_chart(2)
+    dv = VolumeForm(e(c, "1 + 2*x1*th1*th2"), c)
+    fmap = random_canonical_map(random.Random(3), c)
+    out = bv_identity_residuals(e(c, "x1*th1"), e(c, "th1"), dv, fmap)
+    assert sorted(out) == sorted([
+        "bracket_leibniz", "product_leibniz", "module_rule",
+        "square_formula", "delta0_squared", "chart_change",
+        "ber_root_closed"])
     assert all(v.is_zero for v in out.values())
 
 
@@ -137,7 +166,7 @@ def test_bv_identities_random():
         fmap = random_canonical_map(rng, c)
         for fh in (f.even_part(), f.odd_part()):
             for gh in (g.even_part(), g.odd_part()):
-                out = bv_identity_residuals(fh, gh, dv, fmap)
+                out = _identity_residuals(fh, gh, dv, fmap)
                 bad = {k: v for k, v in out.items() if not v.is_zero}
                 assert not bad, bad
 
@@ -268,3 +297,34 @@ def test_delta_sharp_requires_darboux_chart():
     s = Semidensity(SuperExpr.one(table), crooked)
     with pytest.raises(ValueError):
         delta_sharp(s)
+
+
+def test_identity_functions_reject_mixed_parity():
+    c = make_chart(2)
+    dv = unit_volume(c)
+    mixed, odd = e(c, "x1 + th1"), e(c, "th1")
+    fmap = random_canonical_map(random.Random(5), c)
+    for call in (lambda: bracket_leibniz(mixed, odd, dv),
+                 lambda: product_leibniz(mixed, odd, dv),
+                 lambda: module_rule(mixed, dv),
+                 lambda: square_formula(mixed, dv),
+                 lambda: chart_change(fmap, [odd, mixed])):
+        with pytest.raises(ParityError, match="f must be homogeneous"):
+            call()
+    for call in (lambda: bracket_leibniz(odd, mixed, dv),
+                 lambda: product_leibniz(odd, mixed, dv)):
+        with pytest.raises(ParityError, match="g must be homogeneous"):
+            call()
+
+
+def test_chart_change_list_matches_single_calls():
+    c = make_chart(2)
+    rng = random.Random(31)
+    for _ in range(4):
+        fmap = random_canonical_map(rng, c)
+        f1 = random_expr(rng, c.table, theta_degree=2, coeff_degree=1,
+                         aux=True, even_names=c.xs).odd_part()
+        f2 = random_expr(rng, c.table, theta_degree=2, coeff_degree=1,
+                         aux=True, even_names=c.xs).even_part()
+        assert chart_change(fmap, [f1, f2]) == \
+            chart_change(fmap, [f1]) + chart_change(fmap, [f2])

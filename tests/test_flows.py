@@ -8,7 +8,7 @@ from oddsym.flows import (FlowHamiltonian, exp_flow, hamiltonian_from_adjusted,
                           moser_flow)
 from oddsym.grammar import parse_expr
 from oddsym.sampling import random_expr, random_flow_hamiltonian
-from oddsym.superexpr import SuperExpr
+from oddsym.superexpr import ParityError, SuperExpr
 from oddsym.symbols import Chart, standard_table
 from oddsym.symplectic import (CanonicityError, Semidensity, SuperMap,
                                adjusted_map, hamiltonian_field, invert_map,
@@ -222,10 +222,16 @@ def test_moser_flow_random_samples():
         assert residual.is_zero
 
 
-def test_flow_hamiltonian_profile():
+def test_flow_hamiltonian_validation():
     c = make_chart(3)
-    fh = FlowHamiltonian(e(c, "b1*th1*th2 + x1*th1*th2*th3"), c)
-    assert fh.theta_profile() == [2, 3]
+    q = e(c, "b1*th1*th2 + x1*th1*th2*th3")
+    assert FlowHamiltonian(q).expr == q
+    with pytest.raises(ParityError, match="flow generator must be odd"):
+        FlowHamiltonian(e(c, "x1*th1*th2"))
+    with pytest.raises(ParityError, match="flow generator must be odd"):
+        FlowHamiltonian(e(c, "b1*th1*th2 + th1*th2"))
+    with pytest.raises(CanonicityError, match="theta-linear"):
+        FlowHamiltonian(e(c, "x1*th1 + b1*th1*th2"))
 
 
 def test_time_dependent_flow_reduces_to_rescaled_time():
