@@ -41,6 +41,11 @@ class VolumeForm:
         """rho^-1, taken once per volume form."""
         return self.density.invert_even()
 
+    @cached_property
+    def root(self):
+        """sqrt(rho), taken once per volume form."""
+        return self.density.sqrt_even()
+
 
 def delta0(f, chart: Chart):
     """sum_i d/dx^i of the left derivative d/dth_i of f."""
@@ -137,7 +142,7 @@ def module_rule(f, dv: VolumeForm):
     """delta0(f s) - (delta f) s - (-1)^p(f) f delta0 s, s = sqrt(rho)."""
     odd = _is_odd("f", f)
     chart = dv.chart
-    s = dv.density.sqrt_even()
+    s = dv.root
     lhs = delta0(f * s, chart)
     rhs = delta_vol(f, dv) * s
     tail = f * delta0(s, chart)
@@ -148,7 +153,7 @@ def square_formula(f, dv: VolumeForm):
     """delta^2 f - {s^-1 delta0 s, f}, s = sqrt(rho)."""
     _is_odd("f", f)
     chart = dv.chart
-    s = dv.density.sqrt_even()
+    s = dv.root
     nu_fn = s.invert_even() * delta0(s, chart)
     return delta_vol(delta_vol(f, dv), dv) - bracket(nu_fn, f, chart)
 
@@ -196,7 +201,7 @@ def bv_identity_residuals(f, g, dv: VolumeForm, fmap: SuperMap = None):
 def canonical_objects(dv: VolumeForm):
     """(sqrt dv, delta sqrt dv, their product, their ratio)."""
     chart = dv.chart
-    s = dv.density.sqrt_even()
+    s = dv.root
     ds = delta0(s, chart)
     return (Semidensity(s, chart), Semidensity(ds, chart), s * ds,
             s.invert_even() * ds)

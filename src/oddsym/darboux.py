@@ -9,23 +9,29 @@ The structure in the current coordinates is summarized by three matrices
 and coordinates are graded by the class (p, q): E = O(theta^p),
 P = O(theta^q).  Four normalization maps walk the class lattice up to
 (n+1, n+1), after which F depends on x alone and is closed, and a final
-gradient shift of theta kills it.  Every step recomputes the bracket in
-the new coordinates through the step's exact inverse, and every class
-transition is re-verified from scratch.
+gradient shift of theta kills it.
+
+Three checks run, one per fact.  Each step must make its class
+transition, recomputed from the bracket in the new coordinates; the last
+structure must be the canonical matrix; and the brackets of the
+composite's targets, taken under the input structure, must equal the
+canonical ones (``is_canonical``).  Step inverses are not re-verified:
+they only serve to write each intermediate structure in its new
+coordinates, and the last check reads no inverse, so a wrong inverse can
+stop the walk but cannot pass a wrong composite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import Scalar, binomial_half
 from .superexpr import SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, OddSymplecticStructure,
-                         ResidualReport, SuperMap, invert_map, is_canonical,
-                         mat_det, mat_inv, mat_mul, pushforward_matrix,
-                         theta_linear, theta_rescale_integral, theta_shift)
+                         ResidualReport, SuperMap, is_canonical, mat_det,
+                         mat_inv, mat_mul, pushforward_matrix, theta_linear,
+                         theta_rescale_integral, theta_shift)
 
 
 @dataclass
@@ -115,13 +121,13 @@ def _solve_r_residual(R, E, F, table):
             for i in range(n)]
 
 
-def _new_structure(omega, chart, fmap, inverse_targets):
-    return OddSymplecticStructure(
-        chart, pushforward_matrix(fmap, inverse_targets, omega), check=False)
-
-
 def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
-    """One normalization map; returns (map, new structure)."""
+    """One normalization map; returns (map, new structure).
+
+    The new structure must show the class transition of ``kind``.  A step
+    that comes out as the identity returns ``omega`` itself and is held to
+    the same transition, so it fails wherever the step was needed.
+    """
     table = chart.table
     n = chart.n
     sm = structure_matrices(omega, chart)
@@ -156,10 +162,11 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
         raise ValueError(f"unknown step kind {kind!r}")
 
     if targets == xs + ths:
-        return SuperMap.identity(chart), omega
-    fmap = SuperMap(chart, chart, targets, kind=f"darboux-{kind}",
-                    check=False)
-    new_omega = _new_structure(omega, chart, fmap, invert_map(fmap).targets)
+        fmap, new_omega = SuperMap.identity(chart), omega
+    else:
+        fmap = SuperMap(chart, chart, targets, check=False)
+        new_omega = OddSymplecticStructure(
+            chart, pushforward_matrix(fmap, omega), check=False)
     _check_transition(kind, sm, structure_matrices(new_omega, chart), chart)
     return fmap, new_omega
 
@@ -188,14 +195,11 @@ def two_form_potential(fmat, chart):
     """A_j with dA = F for a closed x-dependent two-form matrix.
 
     The degree-2 radial homotopy in closed form:
-    A_j = sum_i int_0^1 x^i F_ij(t x) t dt, evaluated monomial by
-    monomial as division by (x-degree + 2).
+    A_j = sum_i x^i int_0^1 F_ij(t x) t dt, one ``Scalar.radial`` per
+    coefficient.
     """
-    from sympy.polys.domains import ZZ
-
     table = chart.table
     n = chart.n
-    x_index = {table.even_index(x) for x in chart.xs}
     for i in range(n):
         for j in range(n):
             entry = fmat[i][j]
@@ -207,26 +211,15 @@ def two_form_potential(fmat, chart):
                     + fmat[k][i].diff(chart.xs[j])
                 if not closed.is_zero:
                     raise CanonicityError("two-form is not closed")
+    xs = [SuperExpr.symbol(table, x) for x in chart.xs]
     potential = [SuperExpr.zero(table) for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            entry = fmat[i][j]
-            if entry.is_zero:
-                continue
-            for key, c in entry.terms.items():
+            for key, c in fmat[i][j].terms.items():
                 if not c.is_polynomial():
                     raise CanonicityError("pipeline needs polynomial data")
-                den = int(c.f.denom.coeff(1))
-                for mono, icoeff in c.numer_terms:
-                    m = sum(p for idx, p in enumerate(mono)
-                            if idx in x_index)
-                    scal = Scalar(table, table.field(
-                        table.field.ring.from_dict({tuple(mono): ZZ(1)})))
-                    scal = scal * Scalar.from_fraction(
-                        table, Fraction(icoeff, den * (m + 2)))
-                    piece = SuperExpr(table, {key: scal}) * \
-                        SuperExpr.symbol(table, chart.xs[i])
-                    potential[j] = potential[j] + piece
+                radial = SuperExpr(table, {key: c.radial(chart.xs, 2)})
+                potential[j] = potential[j] + radial * xs[i]
     return potential
 
 
@@ -242,64 +235,43 @@ class PipelineResult:
         return self.report.ok
 
 
+# The walk up the class lattice: each kind runs while its class
+# coordinate is below its bound, where None stands for the cap n_theta + 1.
+# A step that misses its transition raises, so no loop can spin.
+_SCHEDULE = (("F1", "q_class", 1), ("F2", "p_class", 1), ("F1", "q_class", 1),
+             ("F3", "p_class", None), ("F4", "q_class", None))
+
+
 def darboux_pipeline(omega: OddSymplecticStructure, chart: Chart):
     """Full normalization; the composite map sends the given structure to
-    the canonical one, verified through the bracket residuals."""
-    table = chart.table
-    cap = table.n_theta + 1
+    the canonical one.
+
+    Checked: the class transition of every step, the canonical matrix at
+    the end, and the composite's bracket residuals against ``omega``,
+    which are the report.  Step inverses are not re-verified (see the
+    module docstring).
+    """
+    cap = chart.table.n_theta + 1
     state = omega
     composite = SuperMap.identity(chart)
     steps = []
-
-    def run(kind):
-        nonlocal state, composite
-        fmap, state = darboux_step(kind, state, chart)
-        if not fmap.is_identity():
+    for kind, coordinate, bound in _SCHEDULE:
+        while getattr(structure_matrices(state, chart), coordinate) < \
+                (bound or cap):
+            fmap, state = darboux_step(kind, state, chart)
             steps.append((kind, fmap))
             composite = fmap.compose(composite)
 
-    sm = structure_matrices(state, chart)
-    if sm.q_class == 0:
-        run("F1")
-        sm = structure_matrices(state, chart)
-    if sm.p_class == 0:
-        run("F2")
-        sm = structure_matrices(state, chart)
-        if sm.q_class == 0:
-            run("F1")
-            sm = structure_matrices(state, chart)
-    guard = 0
-    while sm.p_class < cap:
-        run("F3")
-        new_sm = structure_matrices(state, chart)
-        if new_sm.p_class <= sm.p_class:
-            raise CanonicityError("normalization stalled on E")
-        sm = new_sm
-        guard += 1
-        if guard > cap:
-            raise CanonicityError("too many E-normalization steps")
-    guard = 0
-    while sm.q_class < cap:
-        run("F4")
-        new_sm = structure_matrices(state, chart)
-        if new_sm.q_class <= sm.q_class:
-            raise CanonicityError("normalization stalled on P")
-        sm = new_sm
-        guard += 1
-        if guard > cap:
-            raise CanonicityError("too many P-normalization steps")
-
-    if any(entry for row in sm.F for entry in row):
-        potential = two_form_potential(sm.F, chart)
+    fmat = structure_matrices(state, chart).F
+    if any(entry for row in fmat for entry in row):
         # not a special map: dA is the two-form being killed, not zero
-        shift = theta_shift(chart, potential, "darboux-shift")
-        state = _new_structure(state, chart, shift, shift.inverse_targets)
+        shift = theta_shift(chart, two_form_potential(fmat, chart))
+        state = OddSymplecticStructure(
+            chart, pushforward_matrix(shift, state), check=False)
         steps.append(("shift", shift))
         composite = shift.compose(composite)
 
-    final = structure_matrices(state, chart)
-    if final.p_class < cap or final.q_class < cap or \
-            any(entry for row in final.F for entry in row):
+    if not state.is_canonical_matrix:
         raise CanonicityError("pipeline did not reach canonical form")
     ok, report = is_canonical(composite, omega)
     if not ok:

@@ -127,8 +127,8 @@ def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
     inverse = None if timed else _summed(series, -time)
     identity_body = [Scalar.symbol(chart.table, x) for x in chart.xs]
     return SuperMap(chart, chart, _summed(series, time),
-                    body_inverse=identity_body, kind="flow",
-                    inverse_targets=inverse, check=False)
+                    body_inverse=identity_body, inverse_targets=inverse,
+                    check=False)
 
 
 def _delta_map(chart, components):

@@ -188,13 +188,10 @@ def poincare_homotopy(w: DifferentialForm) -> DifferentialForm:
     Polynomial coefficients only: on a term of x-degree m and form degree
     k the operator contracts with the Euler field and divides by m + k.
     """
-    from sympy.polys.domains import ZZ
-
     chart = w.chart
     table = chart.table
     nt = table.n_theta
     nf = nt + len(table.frame_odds)
-    x_index = {table.even_index(x) for x in chart.xs}
     slot_by_index = {table.odd_index(xi): k
                      for k, xi in enumerate(chart_frames(chart))}
     out = SuperExpr.zero(table)
@@ -205,20 +202,13 @@ def poincare_homotopy(w: DifferentialForm) -> DifferentialForm:
             continue
         if not c.is_polynomial():
             raise ScalarError("homotopy needs polynomial coefficients")
-        den = int(c.f.denom.coeff(1))
-        for mono, icoeff in c.numer_terms:
-            m = sum(power for idx, power in enumerate(mono)
-                    if idx in x_index)
-            factor = Fraction(icoeff, den) / (m + k)
-            base = Scalar(table, table.field(table.field.ring.from_dict(
-                {tuple(mono): ZZ(1)})))
-            base = base * Scalar.from_fraction(table, factor)
-            for pos in frame_positions:
-                slot = slot_by_index[key[pos]]
-                new_key = key[:pos] + key[pos + 1:]
-                coeff = base * Scalar.symbol(table, chart.xs[slot])
-                piece = {new_key: coeff if pos % 2 == 0 else -coeff}
-                out = out + SuperExpr(table, piece)
+        base = c.radial(chart.xs, k)
+        for pos in frame_positions:
+            slot = slot_by_index[key[pos]]
+            new_key = key[:pos] + key[pos + 1:]
+            coeff = base * Scalar.symbol(table, chart.xs[slot])
+            piece = {new_key: coeff if pos % 2 == 0 else -coeff}
+            out = out + SuperExpr(table, piece)
     return DifferentialForm(out, chart)
 
 

@@ -12,9 +12,8 @@ from .flows import exp_flow
 from .scalars import Scalar
 from .superexpr import SuperExpr
 from .symbols import Parity
-from .symplectic import (OddSymplecticStructure, SuperMap, invert_map,
-                         point_map, pushforward_matrix, special_map,
-                         theta_linear)
+from .symplectic import (OddSymplecticStructure, SuperMap, point_map,
+                         pushforward_matrix, special_map, theta_linear)
 
 
 def random_scalar(rng, table, coeff_degree=2, names=None, rational=False,
@@ -213,6 +212,6 @@ def pushforward_structure(rng, chart, fmap=None):
     """
     if fmap is None:
         fmap = random_messy_map(rng, chart)
-    rows = pushforward_matrix(fmap, invert_map(fmap).targets)
+    rows = pushforward_matrix(fmap)
     return OddSymplecticStructure(chart, rows), fmap
 

@@ -199,6 +199,24 @@ class Scalar:
             return Scalar(self.table, f.diff(f.field.gens[idx]))
         return Scalar(self.table, _reduce(f.field, f.numer.diff(idx), den))
 
+    def radial(self, names, k):
+        """int_0^1 s^(k-1) c(s x) ds for a polynomial c, with x the even
+        symbols ``names`` and k >= 1.
+
+        A monomial of degree m in those symbols is divided by m + k; the
+        quotients share one integer denominator.
+        """
+        den = _ground(self.f.denom)
+        if den is None:
+            raise ScalarError("radial integral needs a polynomial")
+        indices = [self.table.even_index(name) for name in names]
+        numer = self.f.numer
+        weights = {mono: sum(mono[i] for i in indices) + k for mono in numer}
+        lcm = math.lcm(*weights.values())
+        scaled = numer.new({mono: c * (lcm // weights[mono])
+                            for mono, c in numer.items()})
+        return Scalar(self.table, _reduce(self.f.field, scaled, den * lcm))
+
     def subs_even(self, images):
         """Simultaneous substitution of even symbols by Scalars.
 
@@ -371,7 +389,6 @@ def _poly_sqrt(table, poly):
 
 
 def _isqrt(value):
-    import math
     root = math.isqrt(value)
     return root if root * root == value else None
 

@@ -98,7 +98,7 @@ def densities_P(dv: VolumeForm, surface: AdjustedSurface):
     sqrt dv) is odd-valued; both vanish when sqrt(dv) is closed.
     """
     chart = dv.chart
-    s = Semidensity(dv.density.sqrt_even(), chart)
+    s = Semidensity(dv.root, chart)
     ks = pullback_K(s, surface)
     kd = pullback_K(delta_sharp(s), surface)
     p0 = kd.coefficient * kd.coefficient

@@ -341,13 +341,11 @@ class SuperMap:
     """
 
     def __init__(self, source: Chart, target: Chart, targets,
-                 body_inverse=None, kind="generic", inverse_targets=None,
-                 check=True):
+                 body_inverse=None, inverse_targets=None, check=True):
         self.source = source
         self.target = target
         self.targets = tuple(targets)
         self.body_inverse = tuple(body_inverse) if body_inverse else None
-        self.kind = kind
         self.inverse_targets = tuple(inverse_targets) if inverse_targets \
             else None
         if check:
@@ -371,8 +369,7 @@ class SuperMap:
     @classmethod
     def identity(cls, chart: Chart):
         exprs = _coordinate_exprs(chart)
-        return cls(chart, chart, exprs, kind="identity",
-                   inverse_targets=exprs, check=False)
+        return cls(chart, chart, exprs, inverse_targets=exprs, check=False)
 
     def is_identity(self):
         return list(self.targets) == _coordinate_exprs(self.source)
@@ -399,8 +396,8 @@ class SuperMap:
                       zip(self.source.xs, self.body_inverse)}
             body_inv = [t.subs_even(images) for t in other.body_inverse]
         return SuperMap(other.source, self.target, targets,
-                        body_inverse=body_inv, kind="generic",
-                        inverse_targets=inverse, check=False)
+                        body_inverse=body_inv, inverse_targets=inverse,
+                        check=False)
 
     def body_map(self):
         """Scalar parts of the even targets."""
@@ -419,7 +416,7 @@ class SuperMap:
 
     def __repr__(self):
         body = ", ".join(render_expr(t) for t in self.targets)
-        return f"SuperMap[{self.kind}]({body})"
+        return f"SuperMap({body})"
 
 
 def berezinian(matrix, n):
@@ -486,10 +483,10 @@ def special_map(chart: Chart, psis):
             if not closed.is_zero:
                 raise CanonicityError("shift one-form is not closed")
     identity_body = [Scalar.symbol(table, x) for x in chart.xs]
-    return theta_shift(chart, psis, "special", body_inverse=identity_body)
+    return theta_shift(chart, psis, body_inverse=identity_body)
 
 
-def theta_shift(chart: Chart, shifts, kind, **attrs):
+def theta_shift(chart: Chart, shifts, **attrs):
     """theta_j -> theta_j + A_j, with its inverse theta_j -> theta_j - A_j;
     no closedness check (``special_map`` makes the canonical one)."""
     table = chart.table
@@ -497,7 +494,7 @@ def theta_shift(chart: Chart, shifts, kind, **attrs):
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
     targets = xs + [th + a for th, a in zip(ths, shifts)]
     inverse = xs + [th - a for th, a in zip(ths, shifts)]
-    return SuperMap(chart, chart, targets, kind=kind, inverse_targets=inverse,
+    return SuperMap(chart, chart, targets, inverse_targets=inverse,
                     check=False, **attrs)
 
 
@@ -523,8 +520,7 @@ def point_map(chart: Chart, body, body_inverse):
     targets = lift(body)
     inverse_targets = lift(body_inverse)
     return SuperMap(chart, chart, targets, body_inverse=tuple(body_inverse),
-                    kind="point", inverse_targets=inverse_targets,
-                    check=False)
+                    inverse_targets=inverse_targets, check=False)
 
 
 def _check_body_inverse(chart, body, body_inverse):
@@ -550,7 +546,7 @@ def adjusted_map(chart: Chart, targets):
             raise CanonicityError("x targets must reduce to x at theta=0")
         if not targets[n + i].homogeneous_part(0).is_zero:
             raise CanonicityError("theta targets must vanish at theta=0")
-    return SuperMap(chart, chart, targets, kind="adjusted")
+    return SuperMap(chart, chart, targets)
 
 
 def construct_map(kind, chart, data):
@@ -578,10 +574,15 @@ class ResidualReport:
         return {k: v for k, v in self.residuals.items() if not v.is_zero}
 
 
-def pushforward_matrix(fmap: SuperMap, inverse_targets, omega=None):
+def pushforward_matrix(fmap: SuperMap, omega=None):
     """Bracket matrix {F^A, F^B} of the new coordinates F, written in them
-    by substituting the inverse map."""
-    binds = dict(zip(fmap.source.coordinate_names, inverse_targets))
+    by substituting the inverse map: the stored ``inverse_targets``, else
+    the one ``_peeled_inverse`` builds, taken unchecked (``invert_map`` is
+    the checked route)."""
+    inverse = fmap.inverse_targets
+    if inverse is None:
+        inverse = _peeled_inverse(fmap)
+    binds = dict(zip(fmap.source.coordinate_names, inverse))
     return [[entry.substitute(binds) for entry in row]
             for row in bracket_matrix(fmap.targets, fmap.source, omega)]
 
@@ -626,7 +627,7 @@ def invert_map(fmap: SuperMap):
     """
     if fmap.inverse_targets is not None:
         out = SuperMap(fmap.target, fmap.source, fmap.inverse_targets,
-                       kind=fmap.kind, check=False)
+                       check=False)
     else:
         out = SuperMap(fmap.target, fmap.source, _peeled_inverse(fmap),
                        check=False)

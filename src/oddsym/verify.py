@@ -344,8 +344,8 @@ def suite_darboux(seed=12):
     out.append(Check("pipeline-identity-on-canonical",
                      result.composite.is_identity() and not result.steps))
 
-    table1 = standard_table(1, aux=2, extra_even=("t",))
-    chart1 = Chart(table1, table1.even_symbols[:1], table1.coordinate_odds)
+    chart1 = _chart(1)
+    table1 = chart1.table
     zero = SuperExpr.zero(table1)
     a = parse_expr("1 + x1", table1)
     omega1 = OddSymplecticStructure(chart1, [[zero, a], [-a, zero]])
@@ -475,8 +475,8 @@ def suite_invariant_constant(seed=16):
 
     out = [_sampled("constant-under-canonical[20 maps]", seed, 20, sample)]
 
-    table1 = standard_table(1, aux=2, extra_even=("t",))
-    chart1 = Chart(table1, table1.even_symbols[:1], table1.coordinate_odds)
+    chart1 = _chart(1)
+    table1 = chart1.table
     flat = Semidensity(SuperExpr.one(table1), chart1)
     nu0 = classify_nu(flat)
     eigen = Semidensity(parse_expr("1 - b1*x1*th1", table1), chart1)

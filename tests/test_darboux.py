@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,13 +6,14 @@ import pytest
 
 from oddsym.darboux import (darboux_pipeline, darboux_step, solve_R,
                             structure_matrices, two_form_potential)
-from oddsym.grammar import parse_expr
-from oddsym.sampling import pushforward_structure, random_expr
-from oddsym.scalars import binomial_half
+from oddsym.grammar import parse_expr, render_expr
+from oddsym.sampling import (pushforward_structure, random_expr,
+                             random_messy_map)
+from oddsym.scalars import Scalar, binomial_half
 from oddsym.superexpr import SuperExpr
 from oddsym.symbols import Chart, standard_table
 from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
-                               bracket)
+                               SuperMap, bracket)
 
 
 def make_chart(n, aux=2):
@@ -260,3 +262,64 @@ def test_darboux_step_f1_inverse_n1():
     inv = invert_map(fmap)
     assert inv.targets[0] == e(chart, "x1")
     assert inv.targets[1] == e(chart, "th1*(1 + x1)")
+
+
+def test_pipeline_identity_step_fails_its_transition():
+    # F3 on E = b1*b2*th1 is x1 -> x1 - th1*(b1*b2*th1/3) = x1, the
+    # identity; the class stays (1,2) and the pipeline must raise, not spin
+    chart = make_chart(1)
+    one = SuperExpr.one(chart.table)
+    rows = [[e(chart, "b1*b2*th1"), one], [-one, SuperExpr.zero(chart.table)]]
+    omega = OddSymplecticStructure(chart, rows)
+    missed = r"F3 missed its class transition \(1,2\) -> \(1,2\)"
+    with pytest.raises(CanonicityError, match=missed):
+        darboux_pipeline(omega, chart)
+
+
+def aux_shear(chart):
+    """x_i -> x_i + b1 th_(n+1-i): gives {x, x} a theta-free part, so the
+    pushed-forward structure starts at p = 0 and needs F2."""
+    table = chart.table
+    b1 = SuperExpr.symbol(table, "b1")
+    ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
+    xs = [SuperExpr.symbol(table, x) + b1 * th
+          for x, th in zip(chart.xs, reversed(ths))]
+    return SuperMap(chart, chart, xs + ths, check=False,
+                    body_inverse=[Scalar.symbol(table, x) for x in chart.xs])
+
+
+# (n, seed, aux shear, step kinds, rendered composite or its sha256)
+PINNED = [
+    (1, 3, True, ["F1", "F2"], "x1 + th1*b1, 1/3*th1"),
+    (2, 2, False, ["F3"], "x1 + (2*x2 + 1)*th1*th2, x2, th1, th2"),
+    (2, 3, True, ["F1", "F2", "F3", "F4"],
+     "x1 + (4*x2^2 + 8*x2 + 6)*th1*th2 + (x2^2 - x1 + 5/3*x2 + 1)*th1*b1"
+     " + 2*th2*b1, x2 + (2*x2 + 4)*th1*th2 + 2/3*th1*b1, 1/3*th1,"
+     " (x2^2 - x1 + 5/3*x2 + 1)*th1 + th2 - th1*th2*b1"),
+    (3, 5, True, ["F1", "F2", "F3"],
+     "x1 + 3*th1*th2 + 2*th3*b1, x2 - 2*th2*th3 + th2*b1,"
+     " x3 + 3*th1*th3 + 2/3*th1*b1, 1/3*th1, th2, th3"),
+    (3, 7, False, ["F3", "F4"],
+     "x1 + (16*x3^5 + 32*x2*x3^3 + 16*x2^2*x3 + 8*x1*x3)*th1*th2"
+     " + (-8*x3^4 - 16*x2*x3^2 - 8*x2^2 - 4*x1)*th1*th3,"
+     " x2 - 20*x3^2*th1*th2 + 10*x3*th1*th3, x3 + 10*x3*th1*th2 - 5*th1*th3,"
+     " th1, th2, th3 + 10*th1*th2*th3"),
+    (3, 1, True, ["F1", "F2", "F3", "F3", "F4"],
+     "sha256:ca63ef66af027048a2a3879c0df570dd"
+     "467a2a36d270c38d7a723f141e9c67ed"),
+]
+
+
+@pytest.mark.parametrize("n, seed, shear, kinds, composite", PINNED)
+def test_pipeline_pinned_schedule(n, seed, shear, kinds, composite):
+    chart = make_chart(n)
+    rng = random.Random(seed)
+    fmap = aux_shear(chart).compose(random_messy_map(rng, chart)) \
+        if shear else None
+    omega, _ = pushforward_structure(rng, chart, fmap)
+    result = darboux_pipeline(omega, chart)
+    assert [kind for kind, _ in result.steps] == kinds
+    text = ", ".join(render_expr(t) for t in result.composite.targets)
+    if composite.startswith("sha256:"):
+        text = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    assert text == composite

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddsym.grammar import parse_expr, render_expr
-from oddsym.sampling import pushforward_structure
+from oddsym.sampling import pushforward_structure, random_scalar
 from oddsym.scalars import Scalar, ScalarError
 from oddsym.superexpr import SuperExpr
 from oddsym.symbols import Chart, standard_table
@@ -150,6 +150,23 @@ def test_scalar_kernel_matches_frac_field(f, g, k):
     same(a ** 3, f * f * f)
     if f:
         same(a ** -1, FIELD.one / f)
+
+
+def test_radial_inverts_euler_plus_k():
+    # r = int_0^1 s^(k-1) c(s x) ds solves sum_i x^i dr/dx^i + k r = c;
+    # the extra symbol t is not scaled
+    table = standard_table(2, extra_even=("t",))
+    xs = ("x1", "x2")
+    rng = random.Random(23)
+    for _ in range(20):
+        c = random_scalar(rng, table, coeff_degree=4) / rng.choice([1, 2, 6])
+        for k in range(1, 5):
+            r = c.radial(xs, k)
+            euler = sum((Scalar.symbol(table, x) * r.diff(x) for x in xs),
+                        k * r)
+            assert euler == c
+    with pytest.raises(ScalarError):
+        (1 / (Scalar.symbol(table, "x1") + 1)).radial(xs, 1)
 
 
 @given(fracs(), fracs(), fracs())
