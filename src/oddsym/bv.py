@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .scalars import Scalar
-from .superexpr import ParityError, SuperExpr
+from .superexpr import ParityError, Pullback, SuperExpr
 from .symbols import Chart, Parity
 from .symplectic import (Semidensity, SuperMap, bracket, ber_sqrt,
                          map_berezinian)
@@ -164,19 +164,20 @@ def chart_change(fmap: SuperMap, fs):
 
         delta0(F*f) - F*(delta0 f) + (1/2) Ber^-1 {Ber, F*f}.
 
-    The Berezinian and its inverse are taken once for all of fs.
+    The pull-back is set up, and the Berezinian and its inverse are
+    taken, once for all of fs.
     """
     for f in fs:
         _is_odd("f", f)
     source = fmap.source
-    binds = fmap.bindings()
+    pull = Pullback(source.table, fmap.bindings())
     ber = map_berezinian(fmap)
     half_ber_inv = _half(source.table) * ber.invert_even()
     out = []
     for f in fs:
-        pulled = f.substitute(binds)
+        pulled = pull(f)
         out.append(delta0(pulled, source)
-                   - delta0(f, fmap.target).substitute(binds)
+                   - pull(delta0(f, fmap.target))
                    + half_ber_inv * bracket(ber, pulled, source))
     return out
 

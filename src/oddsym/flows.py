@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bv import delta0, delta_sharp, moser_hamiltonian
 from .scalars import Scalar, ScalarError
-from .superexpr import ParityError, SuperExpr
+from .superexpr import ParityError, Pullback, SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, Semidensity, SuperMap,
                          adjusted_map, hamiltonian_field, is_canonical,
@@ -162,13 +162,13 @@ def hamiltonian_from_adjusted(fmap: SuperMap, time_name="t"):
     if not ok:
         raise CanonicityError("map is not canonical")
 
-    binds = fmap.bindings()
+    pull = Pullback(table, fmap.bindings())
     field = []
     for x in chart.xs:
         power = SuperExpr.symbol(table, x)
         total = SuperExpr.zero(table)
         for k in range(1, table.odd_weight + 1):
-            power = power.substitute(binds) - power
+            power = pull(power) - power
             if not power:
                 break
             total = total + Fraction((-1) ** (k + 1), k) * power

@@ -6,8 +6,6 @@ through an explicit random.Random so reports stay byte-reproducible.
 
 from __future__ import annotations
 
-import random
-
 from .flows import exp_flow
 from .scalars import Scalar
 from .superexpr import SuperExpr

@@ -217,17 +217,20 @@ class Scalar:
                             for mono, c in numer.items()})
         return Scalar(self.table, _reduce(self.f.field, scaled, den * lcm))
 
-    def subs_even(self, images):
+    def subs_even(self, images, powers=None):
         """Simultaneous substitution of even symbols by Scalars.
 
         ``images`` maps even-symbol names to Scalars of the same table;
-        unmentioned symbols stay put.
+        unmentioned symbols stay put.  ``powers`` may be a dict that keeps
+        the powers of the images between calls with the same ``images``.
         """
         table = self.table
         args = {table.even_index(name): self._coerce(value).f
                 for name, value in images.items()}
-        num = _eval_poly(table, self.f.numer, args)
-        den = _eval_poly(table, self.f.denom, args)
+        if powers is None:
+            powers = {}
+        num = _eval_poly(table, self.f.numer, args, powers)
+        den = _eval_poly(table, self.f.denom, args, powers)
         if not den:
             raise ScalarError("substitution makes the denominator vanish")
         return Scalar(table, _div(num, den))
@@ -328,12 +331,13 @@ def _div(f, g):
     return _reduce(f.field, num, den)
 
 
-def _eval_poly(table, poly, images):
+def _eval_poly(table, poly, images, powers):
     """The FracElement of a PolyElement with the generators in ``images``
     (index -> FracElement) replaced; the other generators stay.
 
     Monomials are grouped by their exponents in the replaced generators,
-    so each group costs one product of image powers.
+    so each group costs one product of image powers; ``powers`` holds
+    those powers by (index, exponent) and is filled as they are needed.
     """
     field = table.field
     bound = tuple(images)
@@ -346,7 +350,6 @@ def _eval_poly(table, poly, images):
                 rest[idx] = 0
             mono = tuple(rest)
         groups.setdefault(exps, {})[mono] = coeff
-    powers = {}
     total = field.zero
     for exps, rest in groups.items():
         term = field.raw_new(poly.new(rest))

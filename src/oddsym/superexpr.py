@@ -384,163 +384,8 @@ class SuperExpr:
     # -- substitution ----------------------------------------------------------
 
     def substitute(self, bindings):
-        """Simultaneous parity-matched substitution.
-
-        ``bindings`` maps symbol names to SuperExprs (or Scalars / numbers
-        for even symbols); a symbol bound to itself is skipped.  Odd
-        symbols are replaced factor by factor.  An even image splits into
-        its body and a nilpotent part, b + n, and every numerator and
-        denominator polynomial p of a coefficient is expanded by the
-        Taylor formula
-
-            p(b + n) = sum over alpha of (d^alpha p / alpha!)(b) * n^alpha
-
-        where alpha runs over exponent vectors of the bound even symbols.
-        Each n_i is even with no body, so each of its terms carries at
-        least two odd factors and n^alpha vanishes once |alpha| exceeds
-        total_odds // 2: the sum is finite.  The divided derivatives
-        d^alpha p / alpha! keep integer coefficients, and the products
-        n^alpha are built once per call.  A rational coefficient maps to
-        the image of its numerator times the inverse of the image of its
-        denominator, whose body must not vanish.
-        """
-        table = self.table
-        field = table.field
-        bodies = {}  # even name -> image body, when it is not the symbol
-        nils = {}  # even index -> nonzero nilpotent part of the image
-        odd_images = {}
-        for name, value in bindings.items():
-            if isinstance(value, Scalar):
-                value = SuperExpr.from_scalar(value)
-            elif isinstance(value, (int, Fraction)):
-                value = SuperExpr.constant(table, value)
-            self._check_table(value)
-            terms = value.terms
-            if table.is_even(name):
-                idx = table.even_index(name)
-                body = terms.get(())
-                moved = body is None or body.f != field.gens[idx]
-                if not moved and len(terms) == 1:
-                    continue
-                if not value.is_even():
-                    raise ParityError(f"even symbol {name!r} bound to odd value")
-                if moved:
-                    bodies[name] = body or Scalar(table, field.zero)
-                if len(terms) > (body is not None):
-                    nils[idx] = SuperExpr(table, {k: v for k, v in terms.items()
-                                                  if k})
-            elif table.is_odd(name):
-                idx = table.odd_index(name)
-                coeff = terms.get((idx,))
-                if coeff is not None and len(terms) == 1 and \
-                        coeff.f == field.one:
-                    continue
-                if not value.is_odd():
-                    raise ParityError(f"odd symbol {name!r} bound to even value")
-                odd_images[idx] = value
-            else:
-                raise SymbolError(f"unknown symbol {name!r}")
-        if not bodies and not nils and not odd_images:
-            return self
-
-        bound = tuple({table.even_index(name) for name in bodies} |
-                      nils.keys())
-        active = tuple(nils)
-        nil_powers = {}  # exponent prefix over ``active`` -> n^alpha
-
-        def shifted(poly, den):
-            """poly(b + n) / den for an integer den, as a term dict."""
-            out = {}
-
-            # alpha grows one ``active`` position at a time: p is
-            # d^alpha poly / alpha! so far, product is n^alpha (None for 1)
-            def walk(pos, p, prefix, product):
-                if pos == len(active):
-                    value = Scalar.from_poly(table, p, den)
-                    if bodies:
-                        value = value.subs_even(bodies)
-                    if value.is_zero:
-                        return
-                    if product is None:
-                        _accumulate(out, (), value)
-                    else:
-                        for key, c in product.terms.items():
-                            _accumulate(out, key, value * c)
-                    return
-                walk(pos + 1, p, prefix + (0,), product)
-                idx = active[pos]
-                for k in itertools.count(1):
-                    key = prefix + (k,)
-                    power = nil_powers.get(key)
-                    if power is None:
-                        power = nils[idx] if product is None \
-                            else product * nils[idx]
-                        nil_powers[key] = power
-                    if power.is_zero:
-                        return
-                    p = p.diff(idx).quo_ground(k)
-                    if not p:
-                        return
-                    product = power
-                    walk(pos + 1, p, key, product)
-
-            walk(0, poly, (), None)
-            return out
-
-        odd_products = {}  # bound odd indices -> product of their images
-        inverse_cache = {}
-        result = {}
-        for key, c in self.terms.items():
-            f = c.f
-            if bound and (_involves(f.numer, bound) or
-                          _involves(f.denom, bound)):
-                den = c.integer_denominator()
-                if den is not None:
-                    piece = SuperExpr(table, shifted(f.numer, den))
-                else:
-                    inv = inverse_cache.get(f.denom)
-                    if inv is None:
-                        image = SuperExpr(table, shifted(f.denom, 1))
-                        if () not in image.terms:
-                            raise ScalarError("substitution makes a "
-                                              "denominator body vanish")
-                        inv = image.invert_even()
-                        inverse_cache[f.denom] = inv
-                    piece = SuperExpr(table, shifted(f.numer, 1)) * inv
-            elif odd_images and not odd_images.keys().isdisjoint(key):
-                piece = SuperExpr(table, {(): c})
-            else:
-                _accumulate(result, key, c)
-                continue
-            rest = key
-            if odd_images:
-                # the images of the bound odd factors go first, the
-                # monomial of the others last; count the transpositions
-                mapped, kept, swaps = [], [], 0
-                for i in key:
-                    if i in odd_images:
-                        mapped.append(i)
-                        swaps += len(kept)
-                    else:
-                        kept.append(i)
-                if mapped:
-                    mapped = tuple(mapped)
-                    factor = odd_products.get(mapped)
-                    if factor is None:
-                        factor = odd_images[mapped[0]]
-                        for i in mapped[1:]:
-                            factor = factor * odd_images[i]
-                        odd_products[mapped] = factor
-                    piece = piece * factor
-                    if swaps % 2:
-                        piece = -piece
-                    rest = tuple(kept)
-            for k, v in piece.terms.items():
-                merged = _merge_keys(k, rest)
-                if merged is not None:
-                    sign, new_key = merged
-                    _accumulate(result, new_key, v if sign > 0 else -v)
-        return SuperExpr(table, result)
+        """Simultaneous parity-matched substitution; see ``Pullback``."""
+        return Pullback(self.table, bindings)(self)
 
     # -- inverses and square roots ----------------------------------------------
 
@@ -605,3 +450,185 @@ class SuperExpr:
         from .grammar import render_expr
         return f"<{render_expr(self)}>"
 
+
+class Pullback:
+    """Simultaneous parity-matched substitution of one binding set, set up
+    once and applied to many expressions: ``Pullback(table, bindings)(e)``.
+
+    ``bindings`` maps symbol names to SuperExprs (or Scalars / numbers
+    for even symbols); a symbol bound to itself is skipped.  Odd symbols
+    are replaced factor by factor.  An even image splits into its body
+    and a nilpotent part, b + n, and every numerator and denominator
+    polynomial p of a coefficient is expanded by the Taylor formula
+
+        p(b + n) = sum over alpha of (d^alpha p / alpha!)(b) * n^alpha
+
+    where alpha runs over exponent vectors of the bound even symbols.
+    Each n_i is even with no body, so each of its terms carries at least
+    two odd factors and n^alpha vanishes once |alpha| exceeds
+    total_odds // 2: the sum is finite.  The divided derivatives
+    d^alpha p / alpha! keep integer coefficients.  A rational coefficient
+    maps to the image of its numerator times the inverse of the image of
+    its denominator, whose body must not vanish.
+
+    The bindings are read and split into bodies and nilpotent parts
+    once, here; a bad parity is a ``ParityError`` at construction.  What
+    the expansion builds depends on the bindings alone, so it is kept
+    from one call to the next:
+
+    * ``nil_powers``: the products n^alpha, by exponent prefix;
+    * ``odd_products``: the product of the images of a run of bound odd
+      symbols, by their indices;
+    * ``inverse_cache``: the inverse of the image of a denominator
+      polynomial;
+    * ``body_powers``: the powers of the body images that
+      ``Scalar.subs_even`` evaluates coefficients with.
+    """
+
+    def __init__(self, table, bindings):
+        self.table = table
+        field = table.field
+        self.bodies = {}  # even name -> image body, when it is not the symbol
+        self.nils = {}  # even index -> nonzero nilpotent part of the image
+        self.odd_images = {}
+        for name, value in bindings.items():
+            if isinstance(value, Scalar):
+                value = SuperExpr.from_scalar(value)
+            elif isinstance(value, (int, Fraction)):
+                value = SuperExpr.constant(table, value)
+            if value.table is not table:
+                raise SymbolError("mixed symbol tables")
+            terms = value.terms
+            if table.is_even(name):
+                idx = table.even_index(name)
+                body = terms.get(())
+                moved = body is None or body.f != field.gens[idx]
+                if not moved and len(terms) == 1:
+                    continue
+                if not value.is_even():
+                    raise ParityError(f"even symbol {name!r} bound to odd value")
+                if moved:
+                    self.bodies[name] = body or Scalar(table, field.zero)
+                if len(terms) > (body is not None):
+                    self.nils[idx] = SuperExpr(table, {k: v for k, v
+                                                       in terms.items() if k})
+            elif table.is_odd(name):
+                idx = table.odd_index(name)
+                coeff = terms.get((idx,))
+                if coeff is not None and len(terms) == 1 and \
+                        coeff.f == field.one:
+                    continue
+                if not value.is_odd():
+                    raise ParityError(f"odd symbol {name!r} bound to even value")
+                self.odd_images[idx] = value
+            else:
+                raise SymbolError(f"unknown symbol {name!r}")
+        self.bound = tuple({table.even_index(name) for name in self.bodies} |
+                           self.nils.keys())
+        self.active = tuple(self.nils)
+        self.nil_powers = {}  # exponent prefix over ``active`` -> n^alpha
+        self.odd_products = {}  # bound odd indices -> product of images
+        self.inverse_cache = {}  # denominator polynomial -> inverse image
+        self.body_powers = {}  # (even index, exponent) -> body image power
+
+    def _shifted(self, poly, den):
+        """poly(b + n) / den for an integer den, as a term dict."""
+        table = self.table
+        bodies, nils, active = self.bodies, self.nils, self.active
+        nil_powers, body_powers = self.nil_powers, self.body_powers
+        out = {}
+
+        # alpha grows one ``active`` position at a time: p is
+        # d^alpha poly / alpha! so far, product is n^alpha (None for 1)
+        def walk(pos, p, prefix, product):
+            if pos == len(active):
+                value = Scalar.from_poly(table, p, den)
+                if bodies:
+                    value = value.subs_even(bodies, body_powers)
+                if value.is_zero:
+                    return
+                if product is None:
+                    _accumulate(out, (), value)
+                else:
+                    for key, c in product.terms.items():
+                        _accumulate(out, key, value * c)
+                return
+            walk(pos + 1, p, prefix + (0,), product)
+            idx = active[pos]
+            for k in itertools.count(1):
+                key = prefix + (k,)
+                power = nil_powers.get(key)
+                if power is None:
+                    power = nils[idx] if product is None \
+                        else product * nils[idx]
+                    nil_powers[key] = power
+                if power.is_zero:
+                    return
+                p = p.diff(idx).quo_ground(k)
+                if not p:
+                    return
+                product = power
+                walk(pos + 1, p, key, product)
+
+        walk(0, poly, (), None)
+        return out
+
+    def __call__(self, expr):
+        table = self.table
+        if expr.table is not table:
+            raise SymbolError("mixed symbol tables")
+        bound, odd_images = self.bound, self.odd_images
+        if not bound and not odd_images:
+            return expr
+        result = {}
+        for key, c in expr.terms.items():
+            f = c.f
+            if bound and (_involves(f.numer, bound) or
+                          _involves(f.denom, bound)):
+                den = c.integer_denominator()
+                if den is not None:
+                    piece = SuperExpr(table, self._shifted(f.numer, den))
+                else:
+                    inv = self.inverse_cache.get(f.denom)
+                    if inv is None:
+                        image = SuperExpr(table, self._shifted(f.denom, 1))
+                        if () not in image.terms:
+                            raise ScalarError("substitution makes a "
+                                              "denominator body vanish")
+                        inv = image.invert_even()
+                        self.inverse_cache[f.denom] = inv
+                    piece = SuperExpr(table, self._shifted(f.numer, 1)) * inv
+            elif odd_images and not odd_images.keys().isdisjoint(key):
+                piece = SuperExpr(table, {(): c})
+            else:
+                _accumulate(result, key, c)
+                continue
+            rest = key
+            if odd_images:
+                # the images of the bound odd factors go first, the
+                # monomial of the others last; count the transpositions
+                mapped, kept, swaps = [], [], 0
+                for i in key:
+                    if i in odd_images:
+                        mapped.append(i)
+                        swaps += len(kept)
+                    else:
+                        kept.append(i)
+                if mapped:
+                    mapped = tuple(mapped)
+                    factor = self.odd_products.get(mapped)
+                    if factor is None:
+                        factor = odd_images[mapped[0]]
+                        for i in mapped[1:]:
+                            factor = factor * odd_images[i]
+                        self.odd_products[mapped] = factor
+                    piece = piece * factor
+                    if swaps % 2:
+                        piece = -piece
+                    rest = tuple(kept)
+            for k, v in piece.terms.items():
+                merged = _merge_keys(k, rest)
+                if merged is not None:
+                    sign, new_key = merged
+                    _accumulate(result, new_key, v if sign > 0 else -v)
+        return SuperExpr(table, result)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .grammar import render_expr
 from .scalars import Scalar, ScalarError
-from .superexpr import ParityError, SuperExpr
+from .superexpr import ParityError, Pullback, SuperExpr
 from .symbols import Chart, Parity
 
 
@@ -204,20 +204,33 @@ def _coordinate_exprs(chart):
 
 
 def _structure_entries(chart, omega):
-    """The chart of the structure and its nonzero Omega^{AB} as
-    (A, B, entry), where an int entry stands for +-1.
+    """The chart of the structure, the pairs (A, B, +-1) that a bracket
+    sums +-left[A] * right[B] over, and the map from an expression's
+    derivatives dF/dz^B to its right factors.
 
     The canonical structure is the sparse Omega^{x_i th_i} = 1,
-    Omega^{th_i x_i} = -1 on ``chart``; any other one is read from its
-    matrix on its own chart.
+    Omega^{th_i x_i} = -1 on ``chart``, and its right factors are the
+    derivatives.  Any other one is read from its matrix on its own chart
+    and contracted into the right factors once per expression,
+    r_A = sum_B Omega^{AB} dF/dz^B, so its pairs are (A, A, 1).
     """
     if omega is None or omega.is_canonical_matrix:
         n = chart.n
         return chart, [(i, n + i, 1) for i in range(n)] + \
-            [(n + i, i, -1) for i in range(n)]
-    size = 2 * omega.chart.n
-    return omega.chart, [(a, b, omega.matrix[a][b]) for a in range(size)
-                         for b in range(size) if omega.matrix[a][b]]
+            [(n + i, i, -1) for i in range(n)], list
+    chart = omega.chart
+    size = 2 * chart.n
+    entries = [(a, b, omega.matrix[a][b]) for a in range(size)
+               for b in range(size) if omega.matrix[a][b]]
+
+    def contract(derivatives):
+        out = [SuperExpr.zero(chart.table)] * size
+        for a, b, entry in entries:
+            if derivatives[b]:
+                out[a] = out[a] + entry * derivatives[b]
+        return out
+
+    return chart, [(a, a, 1) for a in range(size)], contract
 
 
 def _derivatives(f, chart):
@@ -237,18 +250,15 @@ def _left_signed(derivatives, n):
         for d in derivatives[n:]]
 
 
-def _bracket_entry(left, right, entries, table):
-    """sum over Omega^{AB} != 0 of left[A] * Omega^{AB} * right[B]."""
+def _bracket_entry(left, right, pairs, table):
+    """sum over the pairs (A, B, sign) of sign * left[A] * right[B]."""
     total = SuperExpr.zero(table)
-    for a, b, entry in entries:
+    for a, b, sign in pairs:
         da, db = left[a], right[b]
         if da.is_zero or db.is_zero:
             continue
-        if isinstance(entry, int):
-            piece = da * db
-            total = total + piece if entry > 0 else total - piece
-        else:
-            total = total + da * entry * db
+        piece = da * db
+        total = total + piece if sign > 0 else total - piece
     return total
 
 
@@ -258,29 +268,33 @@ def bracket(f, g, chart, omega=None):
     {f,g} = sum_AB (-1)^((p(f) + 1) p(z^A)) df/dz^A Omega^{AB} dg/dz^B with
     left derivatives.
     """
-    chart, entries = _structure_entries(chart, omega)
+    chart, pairs, contract = _structure_entries(chart, omega)
     left = _left_signed(_derivatives(f, chart), chart.n)
-    return _bracket_entry(left, _derivatives(g, chart), entries, chart.table)
+    right = contract(_derivatives(g, chart))
+    return _bracket_entry(left, right, pairs, chart.table)
 
 
 def _bracket_factors(exprs, chart, omega):
-    """The table, the structure entries and the signed left and plain
-    right derivatives of each expression, for ``_bracket_entry``."""
-    chart, entries = _structure_entries(chart, omega)
-    right = [_derivatives(e, chart) for e in exprs]
-    left = [_left_signed(d, chart.n) for d in right]
-    return chart.table, entries, left, right
+    """The table, the structure pairs and the signed left and the right
+    factors of each expression, for ``_bracket_entry``; a general Omega
+    is contracted into the right factors once per expression."""
+    chart, pairs, contract = _structure_entries(chart, omega)
+    derivatives = [_derivatives(e, chart) for e in exprs]
+    left = [_left_signed(d, chart.n) for d in derivatives]
+    right = [contract(d) for d in derivatives]
+    return chart.table, pairs, left, right
 
 
 def bracket_matrix(exprs, chart, omega=None):
     """The matrix {e_A, e_B} over every pair of the expressions.
 
-    Each expression is differentiated once.  Every entry is computed by
-    the rule of ``bracket``, none is filled in by antisymmetry, so the
+    Each expression is differentiated once, and a general Omega is
+    contracted with its derivatives once.  Every entry is computed by the
+    rule of ``bracket``, none is filled in by antisymmetry, so the
     symmetry checks on a structure built from the matrix still test it.
     """
-    table, entries, left, right = _bracket_factors(exprs, chart, omega)
-    return [[_bracket_entry(la, rb, entries, table) for rb in right]
+    table, pairs, left, right = _bracket_factors(exprs, chart, omega)
+    return [[_bracket_entry(la, rb, pairs, table) for rb in right]
             for la in left]
 
 
@@ -383,13 +397,14 @@ class SuperMap:
 
     def compose(self, other: "SuperMap"):
         """self after other: z -> self(other(z))."""
-        binds = other.bindings()
-        targets = [t.substitute(binds) for t in self.targets]
+        pull = Pullback(self.source.table, other.bindings())
+        targets = [pull(t) for t in self.targets]
         inverse = None
         if self.inverse_targets and other.inverse_targets:
-            self_inv = dict(zip(self.source.coordinate_names,
-                                self.inverse_targets))
-            inverse = [t.substitute(self_inv) for t in other.inverse_targets]
+            pull_inv = Pullback(self.source.table,
+                                dict(zip(self.source.coordinate_names,
+                                         self.inverse_targets)))
+            inverse = [pull_inv(t) for t in other.inverse_targets]
         body_inv = None
         if self.body_inverse and other.body_inverse:
             images = {name: value for name, value in
@@ -582,8 +597,9 @@ def pushforward_matrix(fmap: SuperMap, omega=None):
     inverse = fmap.inverse_targets
     if inverse is None:
         inverse = _peeled_inverse(fmap)
-    binds = dict(zip(fmap.source.coordinate_names, inverse))
-    return [[entry.substitute(binds) for entry in row]
+    pull = Pullback(fmap.source.table,
+                    dict(zip(fmap.source.coordinate_names, inverse)))
+    return [[pull(entry) for entry in row]
             for row in bracket_matrix(fmap.targets, fmap.source, omega)]
 
 
@@ -592,18 +608,18 @@ def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
     source, target = fmap.source, fmap.target
     if omega_target is None:
         omega_target = OddSymplecticStructure.canonical(target)
-    binds = fmap.bindings()
+    pull = Pullback(source.table, fmap.bindings())
     n = target.n
     residuals = {}
     names = target.coordinate_names
-    table, entries, left, right = _bracket_factors(fmap.targets, source,
-                                                   omega)
+    table, pairs, left, right = _bracket_factors(fmap.targets, source,
+                                                 omega)
     for a in range(2 * n):
         for b in range(a, 2 * n):
-            lhs = _bracket_entry(left[a], right[b], entries, table)
+            lhs = _bracket_entry(left[a], right[b], pairs, table)
             rhs = omega_target.matrix[a][b]
             if not rhs.is_zero:
-                rhs = rhs.substitute(binds)
+                rhs = pull(rhs)
             residuals[(names[a], names[b])] = lhs - rhs
     report = ResidualReport(residuals)
     return report.ok, report
@@ -659,16 +675,16 @@ def _peeled_inverse(fmap):
         linear_inv = [[c.subs_even(back) for c in row] for row in linear_inv]
     l_inv = [SuperExpr.from_scalar(b) for b in body_inverse] + \
         [theta_linear(coords[n:], linear_inv, j) for j in range(n)]
-    l_binds = dict(zip(names, l_inv))
-    rest = [t.substitute(l_binds) - z for t, z in zip(fmap.targets, coords)]
+    l_pull = Pullback(table, dict(zip(names, l_inv)))
+    rest = [l_pull(t) - z for t, z in zip(fmap.targets, coords)]
 
     # every pass settles at least one more unit of odd weight, so a
     # converging iteration repeats itself within the table's odd weight
     # plus a few passes; the bound allows three
     u_inv = coords
     for _ in range(table.odd_weight + 3):
-        binds = dict(zip(names, u_inv))
-        guess = [z - r.substitute(binds) for z, r in zip(coords, rest)]
+        pull = Pullback(table, dict(zip(names, u_inv)))
+        guess = [z - pull(r) for z, r in zip(coords, rest)]
         if guess == u_inv:
             break
         u_inv = guess
@@ -676,8 +692,8 @@ def _peeled_inverse(fmap):
         raise CanonicityError("graded inversion did not stabilize")
     if l_inv == coords:
         return u_inv
-    u_binds = dict(zip(names, u_inv))
-    return [t.substitute(u_binds) for t in l_inv]
+    u_pull = Pullback(table, dict(zip(names, u_inv)))
+    return [u_pull(t) for t in l_inv]
 
 
 def _linear_reciprocal(det):
@@ -716,7 +732,8 @@ def decompose_canonical_map(fmap: SuperMap):
             raise CanonicityError("body inverse unavailable")
         f_point = point_map(chart, body, list(fmap.body_inverse))
         inverse_body = dict(zip(chart.xs, fmap.body_inverse))
-    psis = [psi.substitute(inverse_body) for psi in psis_raw]
+    pull = Pullback(table, inverse_body)
+    psis = [pull(psi) for psi in psis_raw]
     if all(psi.is_zero for psi in psis):
         f_special = SuperMap.identity(chart)
     else:

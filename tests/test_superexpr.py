@@ -5,7 +5,7 @@ import pytest
 
 from oddsym.grammar import ParseError, parse_expr, render_expr
 from oddsym.scalars import Scalar, ScalarError
-from oddsym.superexpr import SuperExpr
+from oddsym.superexpr import ParityError, Pullback, SuperExpr
 from oddsym.symbols import Parity, SymbolError, standard_table
 
 from oddsym.sampling import random_expr
@@ -252,3 +252,38 @@ def test_sqrt_even_with_content(tab):
     assert e(tab, "4*x1^2").sqrt_even() == e(tab, "2*x1")
     assert e(tab, "9*x1^2*x2^2 + 9*x1^2*x2^2*th1*th2").sqrt_even() == \
         e(tab, "3*x1*x2 + 3/2*x1*x2*th1*th2")
+
+
+def test_pullback_reuse_matches_fresh_substitute(tab):
+    binds = {"x1": e(tab, "x1 + x2 + th1*th2"),
+             "x2": e(tab, "2*x2 + b1*th3"),
+             "x3": e(tab, "x3 + th2*th3"),
+             "th1": e(tab, "th2 + x1*b2"),
+             "th2": e(tab, "th1 - x3*th2 + x2*th1*th2*th3")}
+    exprs = [e(tab, text) for text in [
+        "x1/(x2^2 + 1)",
+        "(x1*x3 + th1*th2)/(x2^2 + 1)",
+        "th3/(x2^2 + 1) + x2/(x1 + 2)",
+        "x1^3*x3^2 + x1*x2",
+        "x1*x2*x3 + th1*th3",
+        "th1*th2*th3",
+        "x1*th2 + th1",
+        "1 + th1 + x2*th2*th3 + b1*th1*th2 + x3/(x1 + 2)",
+    ]]
+    pull = Pullback(tab, binds)
+    for _ in range(2):  # the second pass runs on filled caches
+        for f in exprs:
+            assert pull(f) == f.substitute(binds)
+    assert pull.inverse_cache and pull.odd_products and pull.nil_powers
+    assert pull.body_powers
+
+
+def test_pullback_errors(tab):
+    with pytest.raises(ParityError):
+        Pullback(tab, {"x1": e(tab, "th1")})
+    with pytest.raises(ParityError):
+        Pullback(tab, {"th1": e(tab, "x1")})
+    pull = Pullback(tab, {"x1": e(tab, "th1*th2")})
+    assert pull(e(tab, "x2*x1")) == e(tab, "x2*th1*th2")
+    with pytest.raises(ScalarError):
+        pull(e(tab, "1/x1"))

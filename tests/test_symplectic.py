@@ -12,7 +12,8 @@ from oddsym.scalars import ScalarError
 from oddsym.symbols import Chart, Parity, standard_table
 from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
                                Semidensity, SuperMap, ber_sqrt, bracket,
-                               construct_map, decompose_canonical_map,
+                               bracket_matrix, construct_map,
+                               decompose_canonical_map,
                                hamiltonian_field, invert_map, is_canonical,
                                jacobi_residual, map_berezinian, mat_det,
                                mat_inv, mat_mul, pullback_semidensity,
@@ -487,3 +488,54 @@ def test_structure_rejects_degenerate_body(c2):
     # the same odd {x,x} entries with an invertible block are accepted
     nilpotent[0][2], nilpotent[2][0] = "1 + b1*b2", "-1 - b1*b2"
     _structure(c2, nilpotent)
+
+
+def _reference_bracket(f, g, omega):
+    """sum_{A,B} left[A] * Omega^{AB} * right[B] as a plain triple sum."""
+    chart = omega.chart
+    n = chart.n
+    names = chart.coordinate_names
+    p_f = 1 if f.parity() is Parity.ODD else 0
+    total = SuperExpr.zero(chart.table)
+    for a in range(2 * n):
+        left = f.diff(names[a])
+        if ((p_f + 1) * (a >= n)) % 2:
+            left = -left
+        for b in range(2 * n):
+            total = total + left * omega.matrix[a][b] * g.diff(names[b])
+    return total
+
+
+# at n = 2 and 3 the pushed structures carry odd {x,x} entries, off the
+# x-theta blocks
+@pytest.mark.parametrize("n, seed, off_block", [(1, 3, False), (2, 11, True),
+                                                (3, 17, True)])
+def test_general_structure_brackets_match_triple_sum(n, seed, off_block):
+    chart = make_chart(n)
+    rng = random.Random(seed)
+    omega, fmap = pushforward_structure(rng, chart)
+    assert not omega.is_canonical_matrix
+    assert off_block is any(omega.matrix[a][b] for a in range(2 * n)
+                            for b in range(2 * n) if (a < n) == (b < n))
+    exprs = [random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
+                         aux=True, parity=rng.choice([Parity.EVEN,
+                                                      Parity.ODD]))
+             for _ in range(3)] + list(fmap.targets)
+    matrix = bracket_matrix(exprs, chart, omega)
+    for i, f in enumerate(exprs):
+        for j, g in enumerate(exprs):
+            want = _reference_bracket(f, g, omega)
+            assert matrix[i][j] == want
+            assert bracket(f, g, chart, omega) == want
+    # the inverse of the pushing map is canonical from omega; the map
+    # itself is not, and its residuals are the brackets minus the target
+    names = chart.coordinate_names
+    for g in (invert_map(fmap), fmap):
+        ok, report = is_canonical(g, omega)
+        for a in range(2 * n):
+            for b in range(a, 2 * n):
+                want = _reference_bracket(g.targets[a], g.targets[b], omega)
+                if a < n and b == n + a:
+                    want = want - SuperExpr.one(chart.table)
+                assert report.residuals[(names[a], names[b])] == want
+        assert ok is (g is not fmap)
