@@ -117,24 +117,30 @@ def _is_odd(name, f):
     return f.is_odd() and not f.is_zero
 
 
-def bracket_leibniz(f, g, dv: VolumeForm):
-    """delta{f,g} - {delta f, g} + (-1)^p(f) {f, delta g}."""
+def bracket_leibniz(f, g, dv: VolumeForm, df=None, dg=None):
+    """delta{f,g} - {delta f, g} + (-1)^p(f) {f, delta g}; df and dg, when
+    given, are delta f and delta g."""
     odd = _is_odd("f", f)
     _is_odd("g", g)
     chart = dv.chart
+    df = delta_vol(f, dv) if df is None else df
+    dg = delta_vol(g, dv) if dg is None else dg
     lhs = delta_vol(bracket(f, g, chart), dv)
-    rhs = bracket(delta_vol(f, dv), g, chart)
-    second = bracket(f, delta_vol(g, dv), chart)
+    rhs = bracket(df, g, chart)
+    second = bracket(f, dg, chart)
     return lhs - (rhs + second if odd else rhs - second)
 
 
-def product_leibniz(f, g, dv: VolumeForm):
-    """delta(fg) - (delta f) g - (-1)^p(f) (f delta g + {f,g})."""
+def product_leibniz(f, g, dv: VolumeForm, df=None, dg=None):
+    """delta(fg) - (delta f) g - (-1)^p(f) (f delta g + {f,g}); df and dg
+    as in bracket_leibniz."""
     odd = _is_odd("f", f)
     _is_odd("g", g)
+    df = delta_vol(f, dv) if df is None else df
+    dg = delta_vol(g, dv) if dg is None else dg
     lhs = delta_vol(f * g, dv)
-    rhs = delta_vol(f, dv) * g
-    tail = f * delta_vol(g, dv) + bracket(f, g, dv.chart)
+    rhs = df * g
+    tail = f * dg + bracket(f, g, dv.chart)
     return lhs - (rhs - tail if odd else rhs + tail)
 
 

@@ -17,17 +17,18 @@ from .symplectic import (OddSymplecticStructure, SuperMap, point_map,
 def random_scalar(rng, table, coeff_degree=2, names=None, rational=False,
                   allow_zero=True):
     names = list(names if names is not None else table.even_symbols)
-    total = SuperExpr.zero(table)
+    ring = table.field.ring
+    total = ring.zero
     for _ in range(rng.randint(0 if allow_zero else 1, 3)):
         coeff = rng.randint(-4, 4)
         if coeff == 0:
             continue
-        term = SuperExpr.constant(table, coeff)
+        term = ring.ground_new(coeff)
         for _ in range(rng.randint(0, coeff_degree)):
             if names:
-                term = term * SuperExpr.symbol(table, rng.choice(names))
+                term = term * ring.gens[table.even_index(rng.choice(names))]
         total = total + term
-    out = total.body()
+    out = Scalar.from_poly(table, total)
     if rational and names and rng.random() < 0.4:
         den = Scalar.from_int(table, rng.choice([2, 3])) + \
             Scalar.symbol(table, rng.choice(names)) ** 2

@@ -82,11 +82,17 @@ def _sort_indices(seq):
 
 
 class SuperExpr:
-    __slots__ = ("table", "terms")
+    """Immutable; ``diff`` fills a cache of derivatives by symbol name on
+    demand.  Its contents depend on the terms alone, which nothing changes
+    after construction, so threads sharing an expression can only repeat
+    work."""
+
+    __slots__ = ("table", "terms", "_derivs")
 
     def __init__(self, table, terms):
         self.table = table
         self.terms = terms
+        self._derivs = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -322,6 +328,12 @@ class SuperExpr:
 
     def diff(self, name):
         """Left partial derivative (ordinary one for even symbols)."""
+        out = self._derivs.get(name)
+        if out is None:
+            out = self._derivs[name] = self._diff(name)
+        return out
+
+    def _diff(self, name):
         table = self.table
         if table.is_even(name):
             out = {}

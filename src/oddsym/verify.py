@@ -149,11 +149,13 @@ def suite_leibniz(seed=3):
     def sample():
         dv = _volume(rng, chart)
         f, g = _xs_expr(rng, chart), _xs_expr(rng, chart)
+        fs = [(h, delta_vol(h, dv)) for h in (f.even_part(), f.odd_part())]
+        gs = [(h, delta_vol(h, dv)) for h in (g.even_part(), g.odd_part())]
         out = []
-        for fh in (f.even_part(), f.odd_part()):
-            for gh in (g.even_part(), g.odd_part()):
-                out += [bracket_leibniz(fh, gh, dv),
-                        product_leibniz(fh, gh, dv)]
+        for fh, df in fs:
+            for gh, dg in gs:
+                out += [bracket_leibniz(fh, gh, dv, df, dg),
+                        product_leibniz(fh, gh, dv, df, dg)]
         return out
 
     return [_sampled("leibniz-pair[200 samples]", seed, 50, sample)]

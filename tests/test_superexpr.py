@@ -1,7 +1,11 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddsym.grammar import ParseError, parse_expr, render_expr
 from oddsym.scalars import Scalar, ScalarError
@@ -84,6 +88,66 @@ def test_odd_derivatives_anticommute(tab):
             for b in ("th1", "th2", "b1"):
                 lhs = f.diff(a).diff(b) + f.diff(b).diff(a)
                 assert lhs.is_zero
+
+
+DIFF_TABLE = standard_table(2, aux=2, frame=True, extra_even=("t",))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_cached_diff_matches_a_cold_copy(seed, rational):
+    """diff answers from the expression's cache: for every symbol of the
+    table it equals diff on a fresh copy, before and after the cache is
+    warm, and a second call returns the same object."""
+    f = random_expr(random.Random(seed), DIFF_TABLE, theta_degree=2,
+                    aux=True, rational=rational)
+    names = DIFF_TABLE.even_symbols + DIFF_TABLE.odd_names
+    for _ in range(2):
+        for name in names:
+            got = f.diff(name)
+            assert got == SuperExpr(f.table, dict(f.terms)).diff(name)
+            assert f.diff(name) is got
+
+
+def test_threads_sharing_an_expression_agree_on_its_derivatives(tab):
+    """Threads that fill one expression's cache at once may repeat work
+    but all read the derivatives a cold copy gives."""
+    f = random_expr(random.Random(5), tab, theta_degree=3, coeff_degree=2,
+                    aux=True)
+    names = tab.even_symbols + tab.odd_names
+    want = {n: SuperExpr(tab, dict(f.terms)).diff(n) for n in names}
+    got = []
+
+    def work():
+        got.append({(n, m): f.diff(n).diff(m) for n in names for m in names})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6
+    for seen in got:
+        for (n, m), d in seen.items():
+            assert d == want[n].diff(m)
+
+
+def test_diff_unknown_symbol_caches_nothing(tab):
+    f = e(tab, "x1*th1 + b1")
+    for g in (f, SuperExpr.zero(tab)):
+        with pytest.raises(SymbolError):
+            g.diff("y")
+        assert g._derivs == {}
+    f.diff("x1")
+    with pytest.raises(SymbolError):
+        f.diff("y")
+    assert list(f._derivs) == ["x1"]
 
 
 def test_berezin_integral_convention(tab):

@@ -7,6 +7,7 @@ must keep an ``int`` ``seed`` keyword.
 
 import inspect
 
+import oddsym.bv as bv
 import oddsym.verify as verify
 from oddsym.grammar import parse_expr
 from oddsym.superexpr import SuperExpr
@@ -53,6 +54,25 @@ def test_failing_flow_check_leaves_later_checks_alone(monkeypatch):
         "20 failing residuals; seed 13, sample 0: th1"
     assert checks["flow-canonical[t in 1/2,1,2]"].ok
     assert checks["flow-group-law[6 generators]"].ok
+
+
+def test_leibniz_sample_takes_one_delta_vol_per_part(monkeypatch):
+    """One leibniz sample takes delta_vol of the even and odd parts of f
+    and of g once each (4) and of each pair's bracket and product (8)."""
+    real = bv.delta_vol
+    calls = []
+
+    def counted(f, dv):
+        calls.append(f)
+        return real(f, dv)
+
+    monkeypatch.setattr(bv, "delta_vol", counted)
+    monkeypatch.setattr(verify, "delta_vol", counted)
+    monkeypatch.setattr(verify, "_sampled",
+                        lambda label, seed, count, sample: sample())
+    [residuals] = verify.suite_leibniz()
+    assert len(residuals) == 8 and not any(residuals)
+    assert len(calls) == 12
 
 
 def test_tau_table_grid_failure_names_the_mask(monkeypatch):
