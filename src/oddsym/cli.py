@@ -11,6 +11,7 @@ Reports are rendered deterministically so golden files stay stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -35,7 +36,7 @@ _INPUT_ERRORS = (ManifestError, ParseError, ParityError, ScalarError,
 
 def _named(manifest, pool_name, key):
     pool = getattr(manifest, pool_name)
-    if key not in pool:
+    if not isinstance(key, str) or key not in pool:
         raise ManifestError(f"unknown {pool_name[:-1]} {key!r}")
     return pool[key]
 
@@ -225,7 +226,13 @@ COMMANDS = {
 }
 
 
-def build_parser():
+@functools.lru_cache(maxsize=1)
+def build_parser(suite_names):
+    """The parser for ``--suite`` choices ``suite_names`` (a sorted tuple).
+
+    Parsing leaves a parser unchanged, so one per process serves every
+    request; a new set of suite names builds a new one.
+    """
     parser = argparse.ArgumentParser(
         prog="oddsym",
         description="exact calculus on odd symplectic superspace")
@@ -235,7 +242,7 @@ def build_parser():
         cmd.add_argument("--manifest", required=needs_manifest,
                          help="path to the JSON manifest")
         cmd.add_argument("--suite", default=None,
-                         choices=sorted(SUITES) if name == "verify" else None,
+                         choices=suite_names if name == "verify" else None,
                          help="verification suite name"
                          if name == "verify" else argparse.SUPPRESS)
         cmd.add_argument("--out", default=None,
@@ -259,8 +266,7 @@ def _render_report(command, lines, ok, as_json):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(tuple(sorted(SUITES))).parse_args(argv)
     handler, needs_manifest = COMMANDS[args.command]
     try:
         manifest = load_manifest(args.manifest) if args.manifest \
@@ -271,8 +277,12 @@ def main(argv=None):
         return 2
     report = _render_report(args.command, lines, ok, args.json)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(report)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report)
     return 0 if ok is None or ok else 1

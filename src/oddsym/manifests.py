@@ -30,13 +30,21 @@ def _expect(cond, message):
         raise ManifestError(message)
 
 
+def _names(entry, key, default):
+    names = entry.get(key, default)
+    _expect(isinstance(names, list) and
+            all(isinstance(name, str) for name in names),
+            f"chart {key!r} must be a list of names")
+    return list(names)
+
+
 def _build_chart(entry):
-    _expect(isinstance(entry, dict), "chart manifest must be an object")
     _expect("n" in entry, "chart manifest needs 'n'")
     n = entry["n"]
-    even = list(entry.get("even", [f"x{i}" for i in range(1, n + 1)]))
-    odd = list(entry.get("odd", [f"th{i}" for i in range(1, n + 1)]))
-    aux = list(entry.get("aux", []))
+    _expect(type(n) is int and n > 0, "chart 'n' must be a positive integer")
+    even = _names(entry, "even", [f"x{i}" for i in range(1, n + 1)])
+    odd = _names(entry, "odd", [f"th{i}" for i in range(1, n + 1)])
+    aux = _names(entry, "aux", [])
     _expect(len(even) >= n, "chart needs at least n even symbols")
     _expect(len(odd) == n, "chart needs exactly n odd symbols")
     if TIME_SYMBOL not in even:
@@ -70,35 +78,35 @@ class Manifest:
     def __init__(self, document):
         _expect(isinstance(document, dict), "manifest must be a JSON object")
         self.raw = document
-        self.charts = {}
-        self.structures = {}
-        self.maps = {}
-        self.volume_forms = {}
-        self.semidensities = {}
-        self.forms = {}
-        self.surfaces = {}
-        for name, entry in document.get("charts", {}).items():
-            self.charts[name] = _build_chart(entry)
-        for name, entry in document.get("structures", {}).items():
-            self.structures[name] = self._build_structure(entry)
-        for name, entry in document.get("maps", {}).items():
-            self.maps[name] = self._build_map(entry)
-        for name, entry in document.get("volume_forms", {}).items():
-            self.volume_forms[name] = self._build_volume(entry)
-        for name, entry in document.get("semidensities", {}).items():
-            self.semidensities[name] = self._build_semidensity(entry)
-        for name, entry in document.get("forms", {}).items():
-            self.forms[name] = self._build_form(entry)
-        for name, entry in document.get("surfaces", {}).items():
-            self.surfaces[name] = self._build_surface(entry)
+        self.charts = self._pool("charts", _build_chart)
+        self.structures = self._pool("structures", self._build_structure)
+        self.maps = self._pool("maps", self._build_map)
+        self.volume_forms = self._pool("volume_forms", self._build_volume)
+        self.semidensities = self._pool("semidensities",
+                                        self._build_semidensity)
+        self.forms = self._pool("forms", self._build_form)
+        self.surfaces = self._pool("surfaces", self._build_surface)
+
+    def _pool(self, pool, build):
+        """The named objects of one pool, in document order."""
+        entries = self.raw.get(pool, {})
+        _expect(isinstance(entries, dict), f"{pool!r} must be an object")
+        built = {}
+        for name, entry in entries.items():
+            _expect(isinstance(entry, dict),
+                    f"{pool[:-1]} {name!r} must be an object")
+            built[name] = build(entry)
+        return built
 
     # -- resolution helpers -------------------------------------------------
 
     def chart(self, name):
-        _expect(name in self.charts, f"unknown chart {name!r}")
+        _expect(isinstance(name, str) and name in self.charts,
+                f"unknown chart {name!r}")
         return self.charts[name]
 
     def parse(self, chart, text):
+        _expect(isinstance(text, str), f"expression {text!r} is not a string")
         try:
             return parse_expr(text, chart.table)
         except ValueError as exc:
@@ -129,6 +137,8 @@ class Manifest:
         exprs = [self.parse(source, text) for text in targets]
         body_inverse = None
         if entry.get("body_inverse"):
+            _expect(isinstance(entry["body_inverse"], list),
+                    "body_inverse must be a list of expressions")
             parsed = [self.parse(source, text)
                       for text in entry["body_inverse"]]
             body_inverse = []

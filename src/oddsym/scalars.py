@@ -11,11 +11,17 @@ The arithmetic takes one of two paths, chosen by the operands alone:
   all coefficients are polynomials), the numerators are combined as
   polynomials over the common integer denominator and only the integer
   content is cancelled, with ``math.gcd``;
-* field: otherwise sympy's ``FracField`` does the work, cancelling by a
-  polynomial gcd.
+* field: otherwise the operands are combined as quotients of
+  ``FracField`` elements, cancelling across before multiplying out
+  (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  Both operands are already
+  in lowest terms, so no factor can cancel except between a numerator and
+  the other operand's denominator (a product), or between the sum and the
+  gcd of the two denominators (a sum).  Those gcds are of the smaller
+  factors, not of the whole product, and a gcd with a constant side takes
+  only integers.
 
-Both paths give the same canonical element; the property tests compare
-them.
+Both paths give the canonical element that ``FracField`` itself would
+give; the property tests compare them.
 """
 
 from __future__ import annotations
@@ -196,7 +202,7 @@ class Scalar:
         f = self.f
         den = _ground(f.denom)
         if den is None:
-            return Scalar(self.table, f.diff(f.field.gens[idx]))
+            return Scalar(self.table, _diff_quotient(f, idx))
         return Scalar(self.table, _reduce(f.field, f.numer.diff(idx), den))
 
     def radial(self, names, k):
@@ -292,7 +298,12 @@ def _mul(f, g):
     da = _ground(f.denom)
     db = _ground(g.denom)
     if da is None or db is None:
-        return f * g
+        if not f or not g:
+            return f.field.zero
+        # a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)), gi the cross gcds
+        _, a, d = _gcd(f.numer, g.denom)
+        _, c, b = _gcd(g.numer, f.denom)
+        return _canonical(f.field, a * c, b * d)
     if not f or not g:
         return f.field.zero
     return _reduce(f.field, f.numer * g.numer, da * db)
@@ -303,7 +314,7 @@ def _add(f, g, subtract=False):
     da = _ground(f.denom)
     db = _ground(g.denom)
     if da is None or db is None:
-        return f - g if subtract else f + g
+        return _add_quotients(f, g, subtract)
     if not g:
         return f
     if not f:
@@ -318,17 +329,89 @@ def _add(f, g, subtract=False):
 
 
 def _div(f, g):
-    """f / g for nonzero g; polynomial-first when g is a rational constant."""
+    """f / g for nonzero g; polynomial-first when g is a rational constant,
+    else f times the reciprocal of g."""
     da = _ground(f.denom)
     p = _ground(g.numer)
     q = _ground(g.denom)
     if da is None or p is None or q is None:
-        return f / g
+        return _mul(f, _canonical(f.field, g.denom, g.numer))
     num = f.numer.mul_ground(q)
     den = da * p
     if den < 0:
         num, den = -num, -den
     return _reduce(f.field, num, den)
+
+
+def _gcd(p, q):
+    """(h, p/h, q/h) for h a gcd of the nonzero PolyElements p and q.
+
+    When either side is a constant, h is the integer gcd of its value and
+    the other side's coefficients; equal sides need no gcd at all.
+    """
+    c = _ground(p)
+    if c is None:
+        c = _ground(q)
+        if c is None:
+            if p == q:
+                return p, p.ring.one, p.ring.one
+            return p.cofactors(q)
+        h = math.gcd(c, *p.values())
+    else:
+        h = math.gcd(c, *q.values())
+    if h == 1:
+        return p.ring.one, p, q
+    return p.ring.ground_new(h), p.quo_ground(h), q.quo_ground(h)
+
+
+def _canonical(field, num, den):
+    """The element num/den for coprime num and den, with the sign moved
+    so that den.LC > 0."""
+    if den.LC < 0:
+        num, den = -num, -den
+    if _ground(den) == 1:
+        return field.raw_new(num)
+    return field.raw_new(num, den)
+
+
+def _add_quotients(f, g, subtract):
+    """a/b + c/d, or a/b - c/d, for lowest-terms operands.
+
+    With h = gcd(b, d), t = a (d/h) + c (b/h) shares no factor with b/h
+    or d/h, so the one gcd left to take is gcd(t, h).
+    """
+    if not g:
+        return f
+    if not f:
+        return -g if subtract else g
+    h, b, d = _gcd(f.denom, g.denom)
+    a, c = f.numer * d, g.numer * b
+    t = a - c if subtract else a + c
+    if not t:
+        return f.field.zero
+    _, t, h = _gcd(t, h)
+    return _canonical(f.field, t, h * b * d)
+
+
+def _diff_quotient(f, idx):
+    """d(a/b)/dx_idx for a lowest-terms a/b with b not constant.
+
+    With h = gcd(b, b'), u = b/h and v = b'/h, the derivative is
+    (a'u - a v) / (b u), and its numerator shares no factor with u.
+    """
+    a, b = f.numer, f.denom
+    da, db = a.diff(idx), b.diff(idx)
+    if not db:
+        if not da:
+            return f.field.zero
+        _, da, b = _gcd(da, b)
+        return _canonical(f.field, da, b)
+    h, u, v = _gcd(b, db)
+    t = da * u - a * v
+    if not t:
+        return f.field.zero
+    _, t, h = _gcd(t, h)
+    return _canonical(f.field, t, h * u * u)
 
 
 def _eval_poly(table, poly, images, powers):

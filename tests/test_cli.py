@@ -293,3 +293,91 @@ def test_verify_json_deterministic(capsys):
     second = run_cli(["verify", "--suite", "darboux", "--json"], capsys)
     assert first == second
     assert first[0] == 0
+
+
+def test_unwritable_out_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(
+        ["bracket", "--manifest", os.path.join(DATA, "bracket.json"),
+         "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write report: ")
+    assert str(target) in err
+
+
+def _bracket_manifest(tmp_path, capsys, **changes):
+    doc = {
+        "charts": {"c": {"n": 1, "even": ["x1"], "odd": ["th1"]}},
+        "bracket": {"chart": "c", "f": "x1", "g": "th1"},
+    }
+    doc.update(changes)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(["bracket", "--manifest", str(path)], capsys)
+
+
+def test_pool_that_is_not_an_object_exit_two(tmp_path, capsys):
+    code, out, err = _bracket_manifest(tmp_path, capsys, charts=[])
+    assert (code, out) == (2, "")
+    assert err == "error: 'charts' must be an object\n"
+
+
+def test_chart_n_not_a_positive_int_exit_two(tmp_path, capsys):
+    for n in ("2", 0, True, 1.0):
+        code, out, err = _bracket_manifest(
+            tmp_path, capsys, charts={"c": {"n": n}})
+        assert (code, out) == (2, ""), n
+        assert err == "error: chart 'n' must be a positive integer\n"
+
+
+def test_expression_not_a_string_exit_two(tmp_path, capsys):
+    code, out, err = _bracket_manifest(
+        tmp_path, capsys, bracket={"chart": "c", "f": 5, "g": "th1"})
+    assert (code, out) == (2, "")
+    assert err == "error: expression 5 is not a string\n"
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = os.path.join(DATA, "bracket.json")
+    target = tmp_path / "report.txt"
+    code, out, _ = run_cli(["bracket", "--manifest", path, "--json"], capsys)
+    assert code == 0 and json.loads(out)["command"] == "bracket"
+    code, out, _ = run_cli(["bracket", "--manifest", path], capsys)
+    assert (code, out) == (0, "bracket: th2\n")
+    code, out, _ = run_cli(
+        ["bracket", "--manifest", path, "--out", str(target)], capsys)
+    assert (code, out) == (0, "")
+    target.unlink()
+    code, out, _ = run_cli(["delta0", "--manifest", path], capsys)
+    assert (code, out) == (0, "delta0: -x1*th1 + x2*th2\n")
+    assert not target.exists()
+
+
+def test_suite_choices_follow_patched_suites(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SUITES", {
+        "crash": lambda: [verify.Check("forced", True, "")]})
+    code, out, _ = run_cli(["verify", "--suite", "crash"], capsys)
+    assert (code, out) == (0, "crash.forced: ok\nverify: pass\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--suite", "nope"])
+    assert info.value.code == 2
+    assert "invalid choice: 'nope' (choose from 'crash')" in \
+        capsys.readouterr().err
+    monkeypatch.undo()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--suite", "crash"])
+    assert info.value.code == 2
+
+
+def test_names_of_the_wrong_type_exit_two(tmp_path, capsys):
+    code, _, err = _bracket_manifest(
+        tmp_path, capsys, charts={"c": {"n": 1, "even": 5}})
+    assert (code, err) == (2, "error: chart 'even' must be a list of names\n")
+    code, _, err = _bracket_manifest(
+        tmp_path, capsys, bracket={"chart": ["c"], "f": "x1", "g": "th1"})
+    assert (code, err) == (2, "error: unknown chart ['c']\n")
+    path = tmp_path / "darboux.json"
+    path.write_text(json.dumps({"darboux": {"structure": []}}))
+    code, _, err = run_cli(["darboux", "--manifest", str(path)], capsys)
+    assert (code, err) == (2, "error: unknown structure []\n")

@@ -3,10 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.rings import PolyElement
 
 from oddsym.grammar import parse_expr, render_expr
 from oddsym.sampling import pushforward_structure, random_scalar
@@ -150,6 +152,70 @@ def test_scalar_kernel_matches_frac_field(f, g, k):
     same(a ** 3, f * f * f)
     if f:
         same(a ** -1, FIELD.one / f)
+
+
+nonconstant_polys = polys.filter(lambda p: not p.is_ground)
+nonzero_polys = polys.filter(bool)
+
+
+@st.composite
+def factor_sharing_fracs(draw):
+    """(f, g) in canonical form with a nonconstant factor h forced where
+    the field path cancels it: across a product (f = h p/q against
+    g = r/(h s)), between denominators (b and d sharing h), or squared
+    in a denominator (b = h^2 q, for diff)."""
+    h = draw(nonconstant_polys)
+    p, r = draw(polys), draw(polys)
+    q, s = draw(nonzero_polys), draw(nonzero_polys)
+    shape = draw(st.sampled_from(["across", "shared", "squared"]))
+    if shape == "across":
+        f = FIELD.new(h * p, q)
+    elif shape == "shared":
+        f = FIELD.new(p, h * q)
+    else:
+        f = FIELD.new(p, h * h * q)
+    g = FIELD.new(r, h * s)
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+def _scalar_ops(f, g):
+    """a * b, a + b, a - b, a / b, a ** -1, da/dx1 and da/dx2 for the
+    Scalars a and b of f and g; None where an operand is zero."""
+    a, b = Scalar(TABLE, f), Scalar(TABLE, g)
+    out = [a * b, a + b, a - b, a / b if g else None, a ** -1 if f else None]
+    return out + [a.diff(name) for name in ("x1", "x2")]
+
+
+def _frac_ops(f, g):
+    """The same operations in plain FracField arithmetic."""
+    out = [f * g, f + g, f - g, f / g if g else None,
+           FIELD.one / f if f else None]
+    return out + [f.diff(gen) for gen in FIELD.gens]
+
+
+def _compare(gots, wants):
+    for got, want in zip(gots, wants, strict=True):
+        if want is not None:
+            same(got, want)
+
+
+@given(factor_sharing_fracs())
+@settings(max_examples=200, deadline=None)
+def test_cross_cancellation_matches_frac_field(pair):
+    _compare(_scalar_ops(*pair), _frac_ops(*pair))
+
+
+@given(factor_sharing_fracs())
+@settings(max_examples=30, deadline=None)
+def test_field_path_takes_no_whole_product_gcd(pair):
+    # FracField reaches lowest terms through PolyElement.cancel on the
+    # whole product; the Scalar kernel cancels factor by factor instead
+    def refuse(self, other):
+        raise AssertionError("PolyElement.cancel called")
+
+    with mock.patch.object(PolyElement, "cancel", refuse):
+        gots = _scalar_ops(*pair)
+    _compare(gots, _frac_ops(*pair))
 
 
 def test_radial_inverts_euler_plus_k():
