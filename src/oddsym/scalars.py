@@ -20,6 +20,17 @@ The arithmetic takes one of two paths, chosen by the operands alone:
   factors, not of the whole product, and a gcd with a constant side takes
   only integers.
 
+A gcd of two nonconstant polynomials p and q is routed by V, the set of
+generators that occur in both.  Any common divisor lies in Z[V], and a
+polynomial in Z[V] divides p exactly when it divides every coefficient of
+p read as a polynomial in the other generators (coefficients in Z[V]).
+So when V is empty the gcd is the integer gcd of all coefficients of p and
+q; when V = {x_i} it is the gcd of those coefficients in Z[x_i], one
+chain of dense univariate gcds (``dup_gcd``) that falls back to the
+integer gcd as soon as it reaches degree 0; only when V has two or more
+generators does it take sympy's multivariate ``PolyElement.cofactors``
+(heuristic gcd; Char, Geddes and Gonnet 1989).
+
 Both paths give the canonical element that ``FracField`` itself would
 give; the property tests compare them.
 """
@@ -31,6 +42,7 @@ from fractions import Fraction
 
 import sympy
 from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd
 
 
 class ScalarError(ArithmeticError):
@@ -57,7 +69,7 @@ class Scalar:
         if cached is not None:
             return cached
         field = table.field
-        out = cls(table, field.raw_new(field.ring.ground_new(value)))
+        out = cls(table, _reduce(field, field.ring.ground_new(value), 1))
         if value in _CACHED_INTS:
             table.int_scalars[value] = out
         return out
@@ -66,9 +78,8 @@ class Scalar:
     def from_fraction(cls, table, value):
         value = Fraction(value)
         field = table.field
-        return cls(table, field.raw_new(
-            field.ring.ground_new(value.numerator),
-            field.ring.ground_new(value.denominator)))
+        num = field.ring.ground_new(value.numerator)
+        return cls(table, _reduce(field, num, value.denominator))
 
     @classmethod
     def from_poly(cls, table, poly, den=1):
@@ -255,7 +266,7 @@ class Scalar:
         den = _poly_sqrt(self.table, self.f.denom)
         if num is None or den is None:
             raise ScalarError("scalar is not a perfect square")
-        root = Scalar(self.table, self.table.field(num) / self.table.field(den))
+        root = Scalar(self.table, _canonical(self.table.field, num, den))
         if root.leading_sign() < 0:
             root = -root
         return root
@@ -284,9 +295,11 @@ def _reduce(field, num, den):
 
     A polynomial and an integer share only integer content, so cancelling
     gcd(den, coefficients) gives lowest terms without a polynomial gcd.
+    A polynomial takes the field's one unit denominator, ``field.one.denom``,
+    rather than a fresh ``ring.one`` per element.
     """
     if den == 1:
-        return field.raw_new(num)
+        return field.raw_new(num, field.one.denom)
     g = math.gcd(den, *num.values())
     if g != 1:
         num = num.quo_ground(g)
@@ -348,6 +361,9 @@ def _gcd(p, q):
 
     When either side is a constant, h is the integer gcd of its value and
     the other side's coefficients; equal sides need no gcd at all.
+    Otherwise the generators that occur in both sides choose the route
+    (see the module docstring): none, an integer content; one, a dense
+    univariate gcd chain; two or more, ``PolyElement.cofactors``.
     """
     c = _ground(p)
     if c is None:
@@ -355,13 +371,61 @@ def _gcd(p, q):
         if c is None:
             if p == q:
                 return p, p.ring.one, p.ring.one
-            return p.cofactors(q)
-        h = math.gcd(c, *p.values())
+            shared = _support(p) & _support(q)
+            if len(shared) > 1:
+                return p.cofactors(q)
+            if shared:
+                h = _univariate_gcd(p, q, shared.pop())
+                if h is not None:
+                    return h, p.exquo(h), q.exquo(h)
+            h = math.gcd(*p.values(), *q.values())
+        else:
+            h = math.gcd(c, *p.values())
     else:
         h = math.gcd(c, *q.values())
     if h == 1:
         return p.ring.one, p, q
     return p.ring.ground_new(h), p.quo_ground(h), q.quo_ground(h)
+
+
+def _support(poly):
+    """The indices of the generators that occur in poly."""
+    return {i for i, exps in enumerate(zip(*poly)) if any(exps)}
+
+
+def _univariate_gcd(p, q, i):
+    """gcd(p, q) when x_i is the only generator that occurs in both: a
+    PolyElement in x_i of positive degree, or None when the gcd is an
+    integer.
+
+    Read p and q as polynomials in the other generators; their
+    coefficients lie in Z[x_i], and h is the gcd of all of them, folded
+    from the lowest degree up.  Once the running gcd is a constant, h is
+    the integer gcd of all the coefficients of p and q, which the caller
+    takes.
+    """
+    chain = sorted(_coefficients_in(p, i) + _coefficients_in(q, i), key=len)
+    g = chain[0]
+    for f in chain[1:]:
+        if len(g) == 1:
+            break
+        g = dup_gcd(g, f, ZZ)
+    if len(g) == 1:
+        return None
+    zero = p.ring.zero_monom
+    top = len(g) - 1
+    return p.new({zero[:i] + (top - k,) + zero[i + 1:]: c
+                  for k, c in enumerate(g) if c})
+
+
+def _coefficients_in(poly, i):
+    """The coefficients of poly read as a polynomial in the generators
+    other than x_i: dense univariate lists in x_i, leading term first."""
+    groups = {}
+    for mono, coeff in poly.items():
+        groups.setdefault(mono[:i] + mono[i + 1:], {})[mono[i]] = coeff
+    return [[terms.get(e, ZZ.zero) for e in range(max(terms), -1, -1)]
+            for terms in groups.values()]
 
 
 def _canonical(field, num, den):
@@ -370,7 +434,7 @@ def _canonical(field, num, den):
     if den.LC < 0:
         num, den = -num, -den
     if _ground(den) == 1:
-        return field.raw_new(num)
+        return field.raw_new(num, field.one.denom)
     return field.raw_new(num, den)
 
 
@@ -435,7 +499,7 @@ def _eval_poly(table, poly, images, powers):
         groups.setdefault(exps, {})[mono] = coeff
     total = field.zero
     for exps, rest in groups.items():
-        term = field.raw_new(poly.new(rest))
+        term = _reduce(field, poly.new(rest), 1)
         for idx, e in zip(bound, exps):
             if e:
                 power = powers.get((idx, e))

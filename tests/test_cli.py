@@ -275,11 +275,18 @@ def test_console_entry_point():
     assert proc.stdout == "delta0: -x1*th1 + x2*th2\n"
 
 
+# rational.json has rational-function coefficients throughout, in the
+# shape of the benchmark's generated manifests; one golden per command
+RATIONAL_COMMANDS = ("bracket", "delta0", "delta-vol", "flow", "berezinian",
+                     "darboux")
+
+
 @pytest.mark.parametrize("command,manifest,golden", [
     ("darboux", "n1_rescale.json", "n1_rescale.golden"),
     ("tau-sharp", "worked_example.json", "worked_example_tau_sharp.golden"),
     ("densities-p", "operators.json", "operators_densities_p.golden"),
-])
+] + [(command, "rational.json", f"rational_{command}.golden")
+     for command in RATIONAL_COMMANDS])
 def test_golden_files(command, manifest, golden, capsys):
     code, out, _ = run_cli(
         [command, "--manifest", os.path.join(DATA, manifest)], capsys)

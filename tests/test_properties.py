@@ -6,13 +6,13 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.rings import PolyElement
 
 from oddsym.grammar import parse_expr, render_expr
 from oddsym.sampling import pushforward_structure, random_scalar
-from oddsym.scalars import Scalar, ScalarError
+from oddsym.scalars import Scalar, ScalarError, _gcd
 from oddsym.superexpr import SuperExpr
 from oddsym.symbols import Chart, standard_table
 from oddsym.symplectic import OddSymplecticStructure, bracket, bracket_matrix
@@ -205,17 +205,122 @@ def test_cross_cancellation_matches_frac_field(pair):
     _compare(_scalar_ops(*pair), _frac_ops(*pair))
 
 
+def _support(poly):
+    return {i for mono in poly for i, e in enumerate(mono) if e}
+
+
 @given(factor_sharing_fracs())
 @settings(max_examples=30, deadline=None)
 def test_field_path_takes_no_whole_product_gcd(pair):
     # FracField reaches lowest terms through PolyElement.cancel on the
-    # whole product; the Scalar kernel cancels factor by factor instead
+    # whole product; the Scalar kernel cancels factor by factor instead,
+    # and only operands sharing two or more generators reach cofactors
     def refuse(self, other):
         raise AssertionError("PolyElement.cancel called")
 
-    with mock.patch.object(PolyElement, "cancel", refuse):
+    shared = []
+    cofactors = PolyElement.cofactors
+
+    def count(self, other):
+        shared.append(_support(self) & _support(other))
+        return cofactors(self, other)
+
+    f = pair[0]
+    with mock.patch.object(PolyElement, "cancel", refuse), \
+            mock.patch.object(PolyElement, "cofactors", count):
         gots = _scalar_ops(*pair)
+        root = (Scalar(TABLE, f) * Scalar(TABLE, f)).sqrt() if f else None
     _compare(gots, _frac_ops(*pair))
+    if f:
+        same(root, f if Scalar(TABLE, f).leading_sign() > 0 else -f)
+    assert all(len(generators) >= 2 for generators in shared)
+
+
+@given(fracs(), fracs())
+@settings(max_examples=40, deadline=None)
+def test_polynomial_scalars_share_one_unit_denominator(f, g):
+    unit = FIELD.one.denom
+    x1, x2 = Scalar.symbol(TABLE, "x1"), Scalar.symbol(TABLE, "x2")
+    polys = [x1 * x2 + 1, x1 - x2 * 3, (x1 * x1).diff("x1"),
+             Scalar.from_int(TABLE, 20), Scalar.from_fraction(TABLE, 7),
+             (x1 / (x2 + 1)) * (x2 + 1), (x1 * x1).subs_even({"x1": x2}),
+             ((x1 + 1) * (x1 + 1)).sqrt()]
+    assert all(p.f.denom is unit for p in polys)
+    _scalar_ops(f, g)
+    for a in polys:
+        _scalar_ops(a.f, f)
+    assert dict(unit) == {RING.zero_monom: 1}
+
+
+# -- the gcd routes against PolyElement.cofactors ----------------------------
+
+GCD_RING = standard_table(2, aux=1, extra_even=("t",)).field.ring  # x1, x2, t
+
+
+def polys_in(gens, max_degree=2):
+    """Nonzero polynomials of GCD_RING in the generators of index gens."""
+    def monomial(exps):
+        mono = [0, 0, 0]
+        for i, e in zip(gens, exps):
+            mono[i] = e
+        return tuple(mono)
+    exponents = st.lists(st.integers(min_value=0, max_value=max_degree),
+                         min_size=len(gens), max_size=len(gens))
+    return st.dictionaries(exponents.map(monomial), nonzero_ints,
+                           min_size=1, max_size=4).map(GCD_RING.from_dict)
+
+
+contents = st.integers(min_value=1, max_value=12)
+GCD_ROUTES = {"disjoint": 0, "factor": 1, "contents": 1, "many": 2}
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Nonconstant, unequal (p, q), shaped to reach one route of _gcd:
+    no shared generator with a common integer content; one shared
+    generator with a forced common factor in it; one shared generator
+    with only integer contents, so that a constant step may be reduced
+    by later coefficients; or two or more shared generators."""
+    s, u, w = draw(st.permutations(range(3)))
+    shape = draw(st.sampled_from(sorted(GCD_ROUTES)))
+
+    def having(*gens):
+        return lambda poly: set(gens) <= _support(poly)
+    if shape == "disjoint":
+        k = draw(contents)
+        p = draw(polys_in([s])) * k
+        q = draw(polys_in(draw(st.sampled_from([[u], [w], [u, w]])))) * k
+    elif shape == "factor":
+        h = draw(polys_in([s]).filter(having(s)))
+        p = h * draw(polys_in([s, u])) * draw(contents)
+        q = h * draw(polys_in([s, w])) * draw(contents)
+    elif shape == "contents":
+        p = draw(polys_in([s, u]).filter(having(s))) * draw(contents)
+        q = draw(polys_in([s, w]).filter(having(s))) * draw(contents)
+    else:
+        h = draw(st.one_of(st.just(GCD_RING.one), polys_in([s, u])))
+        full = polys_in([s, u, w]).filter(having(s, u))
+        p = h * draw(full) * draw(contents)
+        q = h * draw(full) * draw(contents)
+    assume(not p.is_ground and not q.is_ground and p != q)
+    shared = len(_support(p) & _support(q))
+    assert min(shared, 2) == GCD_ROUTES[shape]
+    return p, q
+
+
+_x1, _x2, _t = GCD_RING.gens
+
+
+@given(gcd_pairs())
+@example((3 * _x1 * _x2 + 6, 9 * _x1 ** 2 + 3))
+@example((6 * _x1 * _t + 4, 2 * _x1 ** 2 * _x2 + 2 * _x1 + 3))
+@example((_x1 * _x2 + 1, _x1 ** 2 - _t))
+@example((4 * _x2 ** 2 + 2, 6 * _x1 * _t - 6))
+@settings(max_examples=300, deadline=None)
+def test_gcd_routes_match_cofactors(pair):
+    p, q = pair
+    assert _gcd(p, q) == p.cofactors(q)
+    assert _gcd(q, p) == q.cofactors(p)
 
 
 def test_radial_inverts_euler_plus_k():
