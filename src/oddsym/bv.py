@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .superexpr import ParityError, Pullback, SuperExpr
-from .symbols import Chart, Parity
+from .symbols import TIME_SYMBOL, Chart, Parity
 from .symplectic import (Semidensity, SuperMap, bracket, ber_sqrt,
                          map_berezinian)
 
@@ -205,15 +205,6 @@ def bv_identity_residuals(f, g, dv: VolumeForm, fmap: SuperMap = None):
     return out
 
 
-def canonical_objects(dv: VolumeForm):
-    """(sqrt dv, delta sqrt dv, their product, their ratio)."""
-    chart = dv.chart
-    s = dv.root
-    ds = delta0(s, chart)
-    return (Semidensity(s, chart), Semidensity(ds, chart), s * ds,
-            s.invert_even() * ds)
-
-
 def top_coefficient(s: Semidensity):
     """Signed coefficient of th_1...th_n, no constancy requirement."""
     return s.coefficient.coefficient(s.chart.thetas)
@@ -257,7 +248,7 @@ def classify_nu(s: Semidensity):
     return ratio
 
 
-def moser_hamiltonian(s: Semidensity, r: Semidensity, time_name="t"):
+def moser_hamiltonian(s: Semidensity, r: Semidensity):
     """-r / (s + t delta r) as a polynomial in the formal time symbol.
 
     The denominator body is theta-free, so the nilpotent inversion is a
@@ -271,6 +262,6 @@ def moser_hamiltonian(s: Semidensity, r: Semidensity, time_name="t"):
         raise ValueError("degenerate semidensity")
     if not r.coefficient.is_odd():
         raise ParityError("the deformation direction must be odd")
-    t = SuperExpr.symbol(table, time_name)
+    t = SuperExpr.symbol(table, TIME_SYMBOL)
     denom = s.coefficient + t * delta0(r.coefficient, chart)
     return -(r.coefficient * denom.invert_even())

@@ -15,10 +15,11 @@ Three checks run, one per fact.  Each step must make its class
 transition, recomputed from the bracket in the new coordinates; the last
 structure must be the canonical matrix; and the brackets of the
 composite's targets, taken under the input structure, must equal the
-canonical ones (``is_canonical``).  Step inverses are not re-verified:
-they only serve to write each intermediate structure in its new
-coordinates, and the last check reads no inverse, so a wrong inverse can
-stop the walk but cannot pass a wrong composite.
+canonical ones (``is_canonical``).  The first two raise; the third is
+the pipeline's report, whose nonzero residuals the caller shows.  Step
+inverses are not re-verified: they only serve to write each intermediate
+structure in its new coordinates, and the last check reads no inverse,
+so a wrong inverse can stop the walk but cannot pass a wrong composite.
 """
 
 from __future__ import annotations
@@ -89,10 +90,11 @@ def solve_R(E, F, table):
             for entry in row:
                 if entry and not entry.is_odd():
                     raise ValueError("structure matrices must be odd-valued")
-    bound = max(n * (n - 1) // 2, table.total_odds // 2 + 1)
     R = [[SuperExpr.zero(table) for _ in range(n)] for _ in range(n)]
     term = E
-    for k in range(bound + 1):
+    # (EF)^k E has at least 2k + 1 odd factors, so it vanishes once 2k + 1
+    # exceeds the number of odd symbols, before k reaches the odd weight
+    for k in range(table.odd_weight + 1):
         coeff = Scalar.from_fraction(table, binomial_half(k + 1))
         nonzero = False
         for i in range(n):
@@ -246,10 +248,11 @@ def darboux_pipeline(omega: OddSymplecticStructure, chart: Chart):
     """Full normalization; the composite map sends the given structure to
     the canonical one.
 
-    Checked: the class transition of every step, the canonical matrix at
-    the end, and the composite's bracket residuals against ``omega``,
-    which are the report.  Step inverses are not re-verified (see the
-    module docstring).
+    Checked: the class transition of every step and the canonical matrix
+    at the end.  The composite's bracket residuals against ``omega`` are
+    the report, which the caller reads: a nonzero one is a failed check,
+    not an error.  Step inverses are not re-verified (see the module
+    docstring).
     """
     cap = chart.table.n_theta + 1
     state = omega
@@ -273,7 +276,5 @@ def darboux_pipeline(omega: OddSymplecticStructure, chart: Chart):
 
     if not state.is_canonical_matrix:
         raise CanonicityError("pipeline did not reach canonical form")
-    ok, report = is_canonical(composite, omega)
-    if not ok:
-        raise CanonicityError("composite map failed the bracket check")
+    _, report = is_canonical(composite, omega)
     return PipelineResult(steps, composite, state, report)

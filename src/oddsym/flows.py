@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .bv import delta0, delta_sharp, moser_hamiltonian
 from .scalars import Scalar, ScalarError
-from .superexpr import ParityError, Pullback, SuperExpr
-from .symbols import Chart
+from .superexpr import ParityError, Pullback, SuperExpr, nilpotent_series
+from .symbols import TIME_SYMBOL, Chart
 from .symplectic import (CanonicityError, Semidensity, SuperMap,
                          adjusted_map, hamiltonian_field, is_canonical,
                          pullback_semidensity, theta_rescale_integral)
@@ -44,18 +44,18 @@ class FlowHamiltonian:
         self.expr = expr
 
 
-def _time_degree(q, time_name):
+def _time_degree(q):
     """The degree of ``q`` in the time symbol, which may not divide."""
-    idx = q.table.even_index(time_name)
+    idx = q.table.even_index(TIME_SYMBOL)
     degree = 0
     for c in q.scalars():
         if any(m[idx] for m, _ in c.denom_terms):
-            raise ScalarError(f"denominator depends on {time_name}")
+            raise ScalarError(f"denominator depends on {TIME_SYMBOL}")
         degree = max([degree] + [m[idx] for m, _ in c.numer_terms])
     return degree
 
 
-def _series(q, chart, t_value, time_name):
+def _series(q, chart, t_value):
     """The Lie series table [(Y^k z^A)|_{t=0} for A] by k, the time to sum
     it at, and whether the field depends on time.
 
@@ -67,19 +67,19 @@ def _series(q, chart, t_value, time_name):
         q = FlowHamiltonian(q)
     q = q.expr
     table = chart.table
-    if not table.is_even(time_name):
-        raise ScalarError(f"table has no even time symbol {time_name!r}")
-    time = SuperExpr.symbol(table, time_name) if t_value == "formal" \
+    if not table.is_even(TIME_SYMBOL):
+        raise ScalarError(f"table has no even time symbol {TIME_SYMBOL!r}")
+    time = SuperExpr.symbol(table, TIME_SYMBOL) if t_value == "formal" \
         else Fraction(t_value)
-    bound = table.odd_weight * (_time_degree(q, time_name) + 1)
+    bound = table.odd_weight * (_time_degree(q) + 1)
     names = chart.coordinate_names
     ham = hamiltonian_field(q, chart)
-    timed = any(c.depends_on(time_name) for comp in ham
+    timed = any(c.depends_on(TIME_SYMBOL) for comp in ham
                 for c in comp.scalars())
-    at_zero = {time_name: Scalar.from_int(table, 0)}
+    at_zero = {TIME_SYMBOL: Scalar.from_int(table, 0)}
 
     def step(f):
-        out = f.diff(time_name) if timed else SuperExpr.zero(table)
+        out = f.diff(TIME_SYMBOL) if timed else SuperExpr.zero(table)
         for h, name in zip(ham, names):
             out = out + h * f.diff(name)
         return out
@@ -108,22 +108,23 @@ def _summed(series, time):
     return out
 
 
-def flow_targets(q, chart, t_value=1, time_name="t"):
-    """The targets of ``exp_flow(q, chart, t_value, time_name)`` alone,
-    without the inverse map that ``exp_flow`` also builds."""
-    series, time, _ = _series(q, chart, t_value, time_name)
+def flow_targets(q, chart, t_value=1):
+    """The targets of ``exp_flow(q, chart, t_value)`` alone, without the
+    inverse map that ``exp_flow`` also builds."""
+    series, time, _ = _series(q, chart, t_value)
     return _summed(series, time)
 
 
-def exp_flow(q, chart: Chart, t_value=1, time_name="t"):
+def exp_flow(q, chart: Chart, t_value=1):
     """Exact flow map of an odd generator, summed as its Lie series.
 
     ``t_value`` may be a rational number or the string "formal", in which
-    case the map keeps the symbolic time variable.  Time-dependent
-    generators are supported as polynomials in that same symbol; for the
-    others the inverse map is the same series summed at -t_value.
+    case the map keeps the symbolic time variable ``TIME_SYMBOL``.
+    Time-dependent generators are supported as polynomials in that same
+    symbol; for the others the inverse map is the same series summed at
+    -t_value.
     """
-    series, time, timed = _series(q, chart, t_value, time_name)
+    series, time, timed = _series(q, chart, t_value)
     inverse = None if timed else _summed(series, -time)
     identity_body = [Scalar.symbol(chart.table, x) for x in chart.xs]
     return SuperMap(chart, chart, _summed(series, time),
@@ -146,7 +147,7 @@ def _delta_map(chart, components):
     return total
 
 
-def hamiltonian_from_adjusted(fmap: SuperMap, time_name="t"):
+def hamiltonian_from_adjusted(fmap: SuperMap):
     """The unique O(theta^2) generator whose unit-time flow is the map.
 
     The x-components of its field are the finite logarithm
@@ -163,23 +164,16 @@ def hamiltonian_from_adjusted(fmap: SuperMap, time_name="t"):
         raise CanonicityError("map is not canonical")
 
     pull = Pullback(table, fmap.bindings())
-    field = []
-    for x in chart.xs:
-        power = SuperExpr.symbol(table, x)
-        total = SuperExpr.zero(table)
-        for k in range(1, table.odd_weight + 1):
-            power = pull(power) - power
-            if not power:
-                break
-            total = total + Fraction((-1) ** (k + 1), k) * power
-        field.append(total)
+    field = [nilpotent_series(
+        SuperExpr.symbol(table, x), lambda f: pull(f) - f,
+        lambda k: Fraction((-1) ** (k + 1), k) if k else 0) for x in chart.xs]
     q = _delta_map(chart, field)
-    if flow_targets(q, chart, 1, time_name) != list(fmap.targets):
+    if flow_targets(q, chart, 1) != list(fmap.targets):
         raise CanonicityError("no O(theta^2) generator reproduces the map")
     return q
 
 
-def moser_flow(s: Semidensity, r: Semidensity, time_name="t"):
+def moser_flow(s: Semidensity, r: Semidensity):
     """Flow transporting s + delta r back to s, with its exact residual.
 
     The generator is r/(s + t delta r); with this sign the operational
@@ -192,8 +186,8 @@ def moser_flow(s: Semidensity, r: Semidensity, time_name="t"):
         raise CanonicityError("transported semidensity must be closed")
     if r.coefficient.theta_order() < 2:
         raise CanonicityError("deformation direction must be O(theta^2)")
-    q = -moser_hamiltonian(s, r, time_name)
-    flow = exp_flow(q, chart, 1, time_name)
+    q = -moser_hamiltonian(s, r)
+    flow = exp_flow(q, chart, 1)
     target = Semidensity(s.coefficient + delta0(r.coefficient, chart), chart)
     residual = pullback_semidensity(flow, target).coefficient - s.coefficient
     return flow, residual

@@ -18,12 +18,13 @@ table comes out exactly: for n = 2,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .grammar import render_expr
 from .scalars import Scalar, ScalarError
-from .superexpr import ParityError, SuperExpr
+from .superexpr import ParityError, SuperExpr, nilpotent_series
 from .symbols import Chart
 from .symplectic import Semidensity, bracket
 
@@ -84,10 +85,6 @@ def tau(field: MultivectorField) -> SuperExpr:
     return field.expr
 
 
-def tau_inverse(expr: SuperExpr, chart: Chart) -> MultivectorField:
-    return MultivectorField(expr, chart)
-
-
 def schouten(t1: MultivectorField, t2: MultivectorField) -> MultivectorField:
     """Bracket of multivectors, defined as the transported odd bracket."""
     out = bracket(t1.expr, t2.expr, t1.chart)
@@ -117,29 +114,11 @@ def tau_sharp(w: DifferentialForm) -> Semidensity:
     return Semidensity(coeff, chart)
 
 
-def _basis_signs(chart):
-    """sign sigma_T with tau_sharp(xi_T) = sigma_T theta_{T complement}."""
-    table = chart.table
-    frames = chart_frames(chart)
-    n = chart.n
-    out = {}
-    for mask in range(1 << n):
-        slots = tuple(i for i in range(n) if mask & (1 << i))
-        xi_term = SuperExpr.one(table)
-        for i in slots:
-            xi_term = xi_term * SuperExpr.symbol(table, frames[i])
-        image = tau_sharp(DifferentialForm(xi_term, chart)).coefficient
-        complement = tuple(i for i in range(n) if i not in slots)
-        expected = SuperExpr.one(table)
-        for i in complement:
-            expected = expected * SuperExpr.symbol(table, chart.thetas[i])
-        if image == expected:
-            out[complement] = (1, slots)
-        elif image == -expected:
-            out[complement] = (-1, slots)
-        else:
-            raise AssertionError("transform is not monomial on the basis")
-    return out
+def basis_sign(slots):
+    """The sign s with tau_sharp(xi_T) = s theta_{T complement}, for the
+    increasing frame slots T counted from 0: (-1)^(sum(i + 1) + |T|),
+    which is (-1)^(sum of the slots)."""
+    return -1 if sum(slots) % 2 else 1
 
 
 def tau_sharp_inverse(s: Semidensity) -> DifferentialForm:
@@ -147,7 +126,6 @@ def tau_sharp_inverse(s: Semidensity) -> DifferentialForm:
     chart = s.chart
     table = chart.table
     frames = chart_frames(chart)
-    lookup = _basis_signs(chart)
     slot_of = {table.odd_index(th): k for k, th in enumerate(chart.thetas)}
     raw = []
     for key, c in s.coefficient.terms.items():
@@ -156,11 +134,12 @@ def tau_sharp_inverse(s: Semidensity) -> DifferentialForm:
         if len(theta_part) + len(aux_part) != len(key):
             raise ValueError("semidensity coefficient carries frame odds")
         try:
-            slots = tuple(sorted(slot_of[i] for i in theta_part))
+            slots = {slot_of[i] for i in theta_part}
         except KeyError:
             raise ValueError("coefficient uses odds outside the chart") \
                 from None
-        sign, xi_slots = lookup[slots]
+        xi_slots = [i for i in range(chart.n) if i not in slots]
+        sign = basis_sign(xi_slots)
         if (len(slots) * len(aux_part)) % 2:
             sign = -sign
         names = [table.odd_name(i) for i in aux_part] + \
@@ -254,20 +233,9 @@ def one_form_shift_form(a: DifferentialForm,
 def one_form_shift_series(a: DifferentialForm,
                           w: DifferentialForm) -> DifferentialForm:
     """Independent wedge-series route: sum_p a^p / p! wedge w."""
-    chart = w.chart
-    table = chart.table
-    total = SuperExpr.zero(table)
-    power = SuperExpr.one(table)
-    factorial = 1
-    for p in range(chart.n + 1):
-        if p:
-            power = power * a.expr
-            factorial *= p
-            if power.is_zero:
-                break
-        total = total + Scalar.from_fraction(
-            table, Fraction(1, factorial)) * power * w.expr
-    return DifferentialForm(total, chart)
+    series = nilpotent_series(w.expr, lambda t: a.expr * t,
+                              lambda p: Fraction(1, math.factorial(p)))
+    return DifferentialForm(series, w.chart)
 
 
 def star(w1: DifferentialForm, w2: DifferentialForm) -> DifferentialForm:

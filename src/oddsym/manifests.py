@@ -15,10 +15,8 @@ from .bv import VolumeForm
 from .forms import DifferentialForm
 from .grammar import parse_expr
 from .surfaces import AdjustedSurface
-from .symbols import Chart, SymbolTable
+from .symbols import TIME_SYMBOL, Chart, SymbolTable
 from .symplectic import OddSymplecticStructure, Semidensity, SuperMap
-
-TIME_SYMBOL = "t"
 
 
 class ManifestError(ValueError):

@@ -402,24 +402,18 @@ class SuperExpr:
     # -- inverses and square roots ----------------------------------------------
 
     def invert_even(self):
-        """Multiplicative inverse of an even element with nonzero body."""
+        """Multiplicative inverse of an even element with nonzero body:
+        1/b times the geometric series of u = -(self - b)/b."""
         if not self.is_even():
             raise ParityError("inverse needs a purely even argument")
         b = self.body()
         if b.is_zero:
             raise ScalarError("zero body is not invertible")
         binv = Scalar.from_int(self.table, 1) / b
-        nil = (self - SuperExpr.from_scalar(b)) * binv
-        out = SuperExpr.one(self.table)
-        power = SuperExpr.one(self.table)
-        sign = 1
-        for _ in range(self.table.total_odds // 2 + 1):
-            power = power * nil
-            if power.is_zero:
-                break
-            sign = -sign
-            out = out + power if sign > 0 else out - power
-        return out * binv
+        u = (self - SuperExpr.from_scalar(b)) * -binv
+        series = nilpotent_series(SuperExpr.one(self.table),
+                                  lambda t: t * u, lambda k: 1)
+        return series * binv
 
     def sqrt_even(self, body_root=None):
         """Square root of an even element whose body is a perfect square.
@@ -445,14 +439,8 @@ class SuperExpr:
                 raise ScalarError("supplied body root does not square back")
         u = (self - SuperExpr.from_scalar(b)) * (Scalar.from_int(self.table, 1)
                                                  / b)
-        out = SuperExpr.one(self.table)
-        power = SuperExpr.one(self.table)
-        for k in range(1, self.table.total_odds + 2):
-            power = power * u
-            if power.is_zero:
-                break
-            out = out + Scalar.from_fraction(self.table,
-                                             binomial_half(k)) * power
+        out = nilpotent_series(SuperExpr.one(self.table), lambda t: t * u,
+                               binomial_half)
         root = SuperExpr.from_scalar(d) * out
         if root * root != self:
             raise ScalarError("square-root series failed to square back")
@@ -461,6 +449,30 @@ class SuperExpr:
     def __repr__(self):
         from .grammar import render_expr
         return f"<{render_expr(self)}>"
+
+
+def nilpotent_series(term, step, coefficient):
+    """sum_k coefficient(k) term_k, with term_0 = ``term`` and term_k =
+    ``step(term_{k-1})``.
+
+    Each step of a nilpotent series adds at least one unit of odd weight,
+    so the sum stops at the first zero term and takes at most the table's
+    odd weight plus one terms; it never raises.  A coefficient of 1 adds
+    its term as it stands, and one of 0 skips it.
+    """
+    table = term.table
+    total = SuperExpr.zero(table)
+    for k in range(table.odd_weight + 1):
+        if k:
+            term = step(term)
+        if not term:
+            break
+        c = coefficient(k)
+        if c == 1:
+            total = total + term
+        elif c:
+            total = total + Scalar.from_fraction(table, Fraction(c)) * term
+    return total
 
 
 class Pullback:
@@ -477,8 +489,8 @@ class Pullback:
 
     where alpha runs over exponent vectors of the bound even symbols.
     Each n_i is even with no body, so each of its terms carries at least
-    two odd factors and n^alpha vanishes once |alpha| exceeds
-    total_odds // 2: the sum is finite.  The divided derivatives
+    two odd factors and n^alpha vanishes once |alpha| exceeds half the
+    number of odd symbols: the sum is finite.  The divided derivatives
     d^alpha p / alpha! keep integer coefficients.  A rational coefficient
     maps to the image of its numerator times the inverse of the image of
     its denominator, whose body must not vanish.

@@ -17,6 +17,10 @@ from sympy.polys.fields import FracField
 from sympy.polys.orderings import grlex
 
 
+# The even symbol a flow generator may depend on as its time.
+TIME_SYMBOL = "t"
+
+
 class Parity(enum.Enum):
     EVEN = 0
     ODD = 1
@@ -108,10 +112,6 @@ class SymbolTable:
         return len(self.coordinate_odds) + len(self.frame_odds) + \
             2 * len(self.aux_odds)
 
-    @property
-    def total_odds(self) -> int:
-        return len(self.odd_names)
-
     def is_aux_index(self, index: int) -> bool:
         return index >= len(self.coordinate_odds) + len(self.frame_odds)
 
@@ -167,6 +167,6 @@ def standard_table(n, aux=0, frame=False, extra_even=()):
     )
 
 
-def standard_chart(n, aux=0, frame=False, extra_even=(), tag=""):
+def standard_chart(n, aux=0, frame=False, extra_even=()):
     table = standard_table(n, aux=aux, frame=frame, extra_even=extra_even)
-    return Chart(table, table.even_symbols[:n], table.coordinate_odds, tag=tag)
+    return Chart(table, table.even_symbols[:n], table.coordinate_odds)

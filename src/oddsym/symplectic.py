@@ -564,16 +564,6 @@ def adjusted_map(chart: Chart, targets):
     return SuperMap(chart, chart, targets)
 
 
-def construct_map(kind, chart, data):
-    if kind == "special":
-        return special_map(chart, data)
-    if kind == "point":
-        return point_map(chart, data[0], data[1])
-    if kind == "adjusted":
-        return adjusted_map(chart, data)
-    raise ValueError(f"unknown map kind {kind!r}")
-
-
 # -- canonicity -----------------------------------------------------------------
 
 
@@ -603,11 +593,10 @@ def pushforward_matrix(fmap: SuperMap, omega=None):
             for row in bracket_matrix(fmap.targets, fmap.source, omega)]
 
 
-def is_canonical(fmap: SuperMap, omega=None, omega_target=None):
-    """Check {F^A, F^B} = Omega_target^{AB} o F entry by entry."""
+def is_canonical(fmap: SuperMap, omega=None):
+    """Check {F^A, F^B} = Omega_canonical^{AB} o F entry by entry."""
     source, target = fmap.source, fmap.target
-    if omega_target is None:
-        omega_target = OddSymplecticStructure.canonical(target)
+    omega_target = OddSymplecticStructure.canonical(target)
     pull = Pullback(source.table, fmap.bindings())
     n = target.n
     residuals = {}
@@ -759,12 +748,6 @@ class Semidensity:
 
     def parity(self):
         return self.coefficient.parity()
-
-    def __eq__(self, other):
-        if not isinstance(other, Semidensity):
-            return NotImplemented
-        return self.chart == other.chart and \
-            self.coefficient == other.coefficient
 
     def __repr__(self):
         return f"Semidensity({render_expr(self.coefficient)})"

@@ -17,8 +17,8 @@ from .bv import (VolumeForm, bracket_leibniz, c_invariant, chart_change,
                  square_formula)
 from .darboux import darboux_pipeline, solve_R
 from .flows import exp_flow, hamiltonian_from_adjusted, moser_flow
-from .forms import (DifferentialForm, MultivectorField, chart_frames,
-                    divergence, exterior_d, one_form_shift_form,
+from .forms import (DifferentialForm, MultivectorField, basis_sign,
+                    chart_frames, divergence, exterior_d, one_form_shift_form,
                     one_form_shift_series, poincare_homotopy, tau_sharp,
                     tau_sharp_inverse)
 from .grammar import parse_expr, render_expr
@@ -28,7 +28,7 @@ from .sampling import (pushforward_structure, random_canonical_map,
 from .scalars import Scalar, binomial_half
 from .superexpr import SuperExpr
 from .surfaces import AdjustedSurface, densities_P, dual_density, pullback_K
-from .symbols import Chart, SymbolTable, standard_table
+from .symbols import TIME_SYMBOL, Chart, SymbolTable, standard_chart
 from .symplectic import (CanonicityError, OddSymplecticStructure,
                          Semidensity, ber_sqrt, is_canonical,
                          jacobi_residual, pullback_semidensity)
@@ -62,16 +62,15 @@ def _sampled(label, seed, count, sample):
                                f"seed {seed}, sample {index}: {text}")
 
 
-def _equal(label, got, want, render=render_expr):
+def _equal(label, got, want):
     ok = got == want
-    detail = "" if ok else f"got {render(got)}, want {render(want)}"
+    detail = "" if ok else f"got {render_expr(got)}, want {render_expr(want)}"
     return Check(label, ok, detail)
 
 
 def _chart(n, aux=2, frame=False, extra=()):
-    table = standard_table(n, aux=aux, frame=frame,
-                           extra_even=("t",) + tuple(extra))
-    return Chart(table, table.even_symbols[:n], table.coordinate_odds)
+    return standard_chart(n, aux=aux, frame=frame,
+                          extra_even=(TIME_SYMBOL,) + extra)
 
 
 def _xs_expr(rng, chart):
@@ -235,13 +234,12 @@ def suite_covariance(seed=8):
             for name, maker in makers]
 
 
-def _random_form(rng, chart, coeff_degree=2, aux=False):
+def _random_form(rng, chart, aux=False):
     table = chart.table
     frames = chart_frames(chart)
     total = SuperExpr.zero(table)
     for _ in range(rng.randint(1, 4)):
-        c = random_scalar(rng, table, coeff_degree, names=chart.xs,
-                          allow_zero=False)
+        c = random_scalar(rng, table, 2, names=chart.xs, allow_zero=False)
         term = SuperExpr.from_scalar(c)
         for name in rng.sample(list(frames), rng.randint(0, chart.n)):
             term = term * SuperExpr.symbol(table, name)
@@ -427,11 +425,10 @@ def suite_moser(seed=14):
     return [_sampled("moser-transport[10 samples]", seed, 10, sample)]
 
 
-def _surface_chart(aux=2):
+def _surface_chart():
     names_x = ("x0", "x1", "x2")
     names_th = ("th0", "th1", "th2")
-    table = SymbolTable(names_x + ("t",), names_th, (),
-                        tuple(f"b{i}" for i in range(1, aux + 1)))
+    table = SymbolTable(names_x + (TIME_SYMBOL,), names_th, (), ("b1", "b2"))
     chart = Chart(table, names_x, names_th)
     return chart, AdjustedSurface(chart, "x0", "th0")
 
@@ -519,12 +516,11 @@ def suite_tau_table(seed=17):
             for i in slots:
                 xi_term = xi_term * SuperExpr.symbol(tbl, frames[i])
             image = tau_sharp(DifferentialForm(xi_term, chart_n)).coefficient
-            sign = (-1) ** (sum(i + 1 for i in slots) + len(slots))
             want = SuperExpr.one(tbl)
             for i in range(n):
                 if i not in slots:
                     want = want * SuperExpr.symbol(tbl, chart_n.thetas[i])
-            return image - sign * want
+            return image - basis_sign(slots) * want
 
         out.append(_sampled(f"table-grid-n{n}", seed, 1 << n, grid_residual))
     return out
@@ -538,7 +534,7 @@ def worked_example_chart():
     """
     names_x = ("x0", "x1", "x2")
     coeffs = tuple(f"c{i}{j}" for i in range(3) for j in range(4))
-    table = SymbolTable(names_x + coeffs + ("t",),
+    table = SymbolTable(names_x + coeffs + (TIME_SYMBOL,),
                         ("th0", "th1", "th2"), ("xi0", "xi1", "xi2"), ("a1",))
     chart = Chart(table, names_x, ("th0", "th1", "th2"))
     bs = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oddsym.bv import (VolumeForm, bracket_leibniz, bv_identity_residuals,
-                       c_invariant, canonical_objects, chart_change,
+                       c_invariant, chart_change,
                        classify_nu, delta0, delta_sharp, delta_vol,
                        divergence_delta, infinitesimal_action, module_rule,
                        product_leibniz, square_formula, top_coefficient)
@@ -201,22 +201,25 @@ def test_infinitesimal_action_examples():
 
 
 def test_canonical_objects_unit():
+    # sqrt(dv), delta0 sqrt(dv), their product and their ratio
     c = make_chart(2)
-    s, ds, dens, ratio = canonical_objects(unit_volume(c))
-    assert s.coefficient == SuperExpr.one(c.table)
-    assert ds.coefficient.is_zero and dens.is_zero and ratio.is_zero
+    s = unit_volume(c).root
+    ds = delta0(s, c)
+    assert s == SuperExpr.one(c.table)
+    assert ds.is_zero and (s * ds).is_zero and (s.invert_even() * ds).is_zero
 
 
 def test_canonical_objects_nontrivial():
     c = make_chart(2)
-    dv = VolumeForm(e(c, "1 + 2*x1*th1*th2"), c)
-    s, ds, dens, ratio = canonical_objects(dv)
-    assert s.coefficient == e(c, "1 + x1*th1*th2 - 1/2*x1^2*th1*th2*th1*th2")
+    s = VolumeForm(e(c, "1 + 2*x1*th1*th2"), c).root
+    ds = delta0(s, c)
+    assert s == e(c, "1 + x1*th1*th2 - 1/2*x1^2*th1*th2*th1*th2")
     # the nilpotent square kills the last piece
-    assert s.coefficient == e(c, "1 + x1*th1*th2")
-    assert ds.coefficient == e(c, "th2")
-    assert dens == e(c, "th2 + x1*th1*th2*th2") == e(c, "th2")
-    assert ratio == e(c, "(1 - x1*th1*th2)*th2") == e(c, "th2")
+    assert s == e(c, "1 + x1*th1*th2")
+    assert ds == e(c, "th2")
+    assert s * ds == e(c, "th2 + x1*th1*th2*th2") == e(c, "th2")
+    assert s.invert_even() * ds == e(c, "(1 - x1*th1*th2)*th2") == \
+        e(c, "th2")
 
 
 def test_canonical_objects_squared_semidensity():
@@ -226,8 +229,7 @@ def test_canonical_objects_squared_semidensity():
         rng, c.table, theta_degree=2, coeff_degree=2, min_theta=1,
         even_names=c.xs).even_part()
     dv = VolumeForm(base * base, c)
-    s, _, _, _ = canonical_objects(dv)
-    assert s.coefficient == base
+    assert dv.root == base
 
 
 def test_c_invariant():
@@ -280,7 +282,7 @@ def test_square_formula_connects_nu_function():
             rng, c.table, theta_degree=2, coeff_degree=1, min_theta=1,
             even_names=c.xs).even_part()
         dv = VolumeForm(base * base, c)
-        _, _, _, ratio = canonical_objects(dv)
+        ratio = dv.root.invert_even() * delta0(dv.root, c)
         f = random_expr(rng, c.table, theta_degree=2, coeff_degree=1,
                         even_names=c.xs)
         for fh in (f.even_part(), f.odd_part()):

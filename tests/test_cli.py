@@ -6,7 +6,10 @@ import sys
 import pytest
 
 import oddsym.cli as cli
+import oddsym.darboux as darboux
 import oddsym.verify as verify
+from oddsym.superexpr import SuperExpr
+from oddsym.symplectic import ResidualReport
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -28,6 +31,23 @@ def test_darboux_n1_golden(capsys):
         "composite.x1: x1\n"
         "composite.th1: 1/(x1 + 1)*th1\n"
         "residuals: all zero\n")
+
+
+def test_darboux_nonzero_residual_exits_one(monkeypatch, capsys):
+    # a composite that fails the bracket check is a failed residual: exit
+    # 1 with the residual shown, not an input error
+    def failing(fmap, omega=None):
+        th1 = SuperExpr.symbol(fmap.source.table, "th1")
+        report = ResidualReport({("x1", "x1"): th1})
+        return report.ok, report
+
+    monkeypatch.setattr(darboux, "is_canonical", failing)
+    code, out, err = run_cli(
+        ["darboux", "--manifest", os.path.join(DATA, "n1_rescale.json")],
+        capsys)
+    assert code == 1
+    assert out.endswith("residual('x1', 'x1'): th1\nresiduals: NONZERO\n")
+    assert err == ""
 
 
 def test_tau_sharp_worked_example_golden(capsys):

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from oddsym import forms
 from oddsym.bv import delta_sharp, delta_vol, VolumeForm
-from oddsym.forms import (DifferentialForm, MultivectorField, chart_frames,
-                          divergence, exterior_d, inner_product,
+from oddsym.forms import (DifferentialForm, MultivectorField, basis_sign,
+                          chart_frames, divergence, exterior_d, inner_product,
                           lagrangian_top_form, one_form_shift,
                           one_form_shift_form, one_form_shift_series,
                           poincare_homotopy, render_form, schouten, star, tau,
-                          tau_inverse, tau_sharp, tau_sharp_inverse)
+                          tau_sharp, tau_sharp_inverse)
 from oddsym.grammar import parse_expr
 from oddsym.sampling import random_expr, random_scalar
 from oddsym.scalars import Scalar
@@ -53,7 +54,7 @@ def test_tau_is_representation_identity():
     c = make_chart(2)
     field = MultivectorField(e(c, "th1"), c)
     assert tau(field) == e(c, "th1")
-    back = tau_inverse(e(c, "x1*th1*th2"), c)
+    back = MultivectorField(e(c, "x1*th1*th2"), c)
     assert back.expr == e(c, "x1*th1*th2")
     with pytest.raises(ValueError):
         MultivectorField(e(c, "xi1"), c)
@@ -74,8 +75,9 @@ def test_tau_sharp_table_n2():
 
 def test_tau_sharp_general_table_row():
     # tau_sharp(dx_{i1} ^ ... ^ dx_{ik}) =
-    #   (-1)^(i1+...+ik+k) theta_complement, indices 1-based ascending
-    for n in (1, 2, 3, 4):
+    #   (-1)^(i1+...+ik+k) theta_complement, indices 1-based ascending;
+    # basis_sign states it with 0-based slots
+    for n in (1, 2, 3, 4, 5):
         c = make_chart(n, aux=0)
         table = c.table
         frames = chart_frames(c)
@@ -91,6 +93,7 @@ def test_tau_sharp_general_table_row():
                 if i not in slots:
                     want = want * SuperExpr.symbol(table, c.thetas[i])
             assert image == sign * want
+            assert basis_sign(slots) == sign
 
 
 def test_tau_sharp_inverse_round_trip():
@@ -104,6 +107,22 @@ def test_tau_sharp_inverse_round_trip():
                             aux=True, even_names=c.xs)
         s = Semidensity(coeff, c)
         assert tau_sharp(tau_sharp_inverse(s)).coefficient == coeff
+
+
+def test_tau_sharp_inverse_transforms_once(monkeypatch):
+    # the signs come from basis_sign; the one transform is the round trip
+    c = make_chart(3)
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return tau_sharp(w)
+
+    monkeypatch.setattr(forms, "tau_sharp", counted)
+    s = Semidensity(e(c, "1 + x1*th1*th2 - 2*th1*th3*b1 + th2*th3"), c)
+    w = forms.tau_sharp_inverse(s)
+    assert len(calls) == 1
+    assert tau_sharp(w) == s
 
 
 def test_exterior_d_basic():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from oddsym.grammar import ParseError, parse_expr, render_expr
 from oddsym.scalars import Scalar, ScalarError
-from oddsym.superexpr import ParityError, Pullback, SuperExpr
+from oddsym.superexpr import (ParityError, Pullback, SuperExpr,
+                              nilpotent_series)
 from oddsym.symbols import Parity, SymbolError, standard_table
 
 from oddsym.sampling import random_expr
@@ -351,3 +352,31 @@ def test_pullback_errors(tab):
     assert pull(e(tab, "x2*x1")) == e(tab, "x2*th1*th2")
     with pytest.raises(ScalarError):
         pull(e(tab, "1/x1"))
+
+
+def test_nilpotent_series_stops_at_first_zero_term(tab):
+    # th1 -> th1*th2 -> 0: two steps, the second one gives the zero term
+    steps = []
+
+    def step(term):
+        steps.append(term)
+        return term * e(tab, "th2")
+
+    total = nilpotent_series(e(tab, "th1"), step, lambda k: Fraction(1, k + 1))
+    assert total == e(tab, "th1 + 1/2*th1*th2")
+    assert len(steps) == 2
+
+
+def test_nilpotent_series_caps_terms_at_odd_weight(tab):
+    # a step that never vanishes still ends after odd_weight + 1 terms
+    steps = []
+
+    def step(term):
+        steps.append(term)
+        return term
+
+    one = SuperExpr.one(tab)
+    total = nilpotent_series(one, step, lambda k: 0 if k % 2 else 1)
+    assert tab.odd_weight == 7
+    assert len(steps) == tab.odd_weight
+    assert total == 4 * one

@@ -12,12 +12,13 @@ from oddsym.scalars import ScalarError
 from oddsym.symbols import Chart, Parity, standard_table
 from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
                                Semidensity, SuperMap, ber_sqrt, bracket,
-                               bracket_matrix, construct_map,
+                               adjusted_map, bracket_matrix,
                                decompose_canonical_map,
                                hamiltonian_field, invert_map, is_canonical,
                                jacobi_residual, map_berezinian, mat_det,
-                               mat_inv, mat_mul, pullback_semidensity,
-                               scalar_reciprocal)
+                               mat_inv, mat_mul, point_map,
+                               pullback_semidensity, scalar_reciprocal,
+                               special_map)
 
 
 def make_chart(n, aux=2):
@@ -156,7 +157,7 @@ def test_ber_sqrt_positive_branch():
 def test_construct_special(c2):
     # gradient of b1*x1 shifts th1 only
     psis = [e(c2, "b1"), SuperExpr.zero(c2.table)]
-    fmap = construct_map("special", c2, psis)
+    fmap = special_map(c2, psis)
     assert fmap.targets[2] == e(c2, "th1 + b1")
     assert fmap.targets[3] == e(c2, "th2")
     ok, _ = is_canonical(fmap)
@@ -166,15 +167,14 @@ def test_construct_special(c2):
 def test_construct_special_rejects_nonclosed(c2):
     psis = [e(c2, "b1*x2"), SuperExpr.zero(c2.table)]
     with pytest.raises(CanonicityError):
-        construct_map("special", c2, psis)
+        special_map(c2, psis)
 
 
 def test_construct_point_scaling():
     chart = make_chart(1)
     table = chart.table
-    fmap = construct_map("point", chart,
-                         ([2 * Scalar.symbol(table, "x1")],
-                          [Scalar.symbol(table, "x1") / 2]))
+    fmap = point_map(chart, [2 * Scalar.symbol(table, "x1")],
+                     [Scalar.symbol(table, "x1") / 2])
     assert fmap.targets[1] == e(chart, "th1/2")
     ok, _ = is_canonical(fmap)
     assert ok
@@ -183,7 +183,7 @@ def test_construct_point_scaling():
 def test_construct_point_shear(c2):
     table = c2.table
     x1, x2 = Scalar.symbol(table, "x1"), Scalar.symbol(table, "x2")
-    fmap = construct_map("point", c2, ([x1 + x2, x2], [x1 - x2, x2]))
+    fmap = point_map(c2, [x1 + x2, x2], [x1 - x2, x2])
     assert fmap.targets[2] == e(c2, "th1")
     assert fmap.targets[3] == e(c2, "th2 - th1")
     ok, _ = is_canonical(fmap)
@@ -200,7 +200,7 @@ def test_is_canonical_detects_scaling():
 
 
 def test_invert_special(c2):
-    fmap = construct_map("special", c2, [e(c2, "b1"), e(c2, "b2")])
+    fmap = special_map(c2, [e(c2, "b1"), e(c2, "b2")])
     inv = invert_map(fmap)
     assert inv.targets[2] == e(c2, "th1 - b1")
 
@@ -250,7 +250,7 @@ def test_decompose_trivial_cases(c2):
 
     ident = SuperMap.identity(c2)
     f_adj = exp_flow(e(c2, "b1*x1*th1*th2"), c2, 1)
-    f_adj = construct_map("adjusted", c2, list(f_adj.targets))
+    f_adj = adjusted_map(c2, list(f_adj.targets))
     ok, _ = is_canonical(f_adj)
     assert ok
     gs, gp, gadj = decompose_canonical_map(f_adj)
@@ -269,16 +269,15 @@ def test_pullback_identity(c2):
 
 def test_pullback_point_scaling():
     chart = make_chart(1)
-    fmap = construct_map("point", chart,
-                         ([2 * Scalar.symbol(chart.table, "x1")],
-                          [Scalar.symbol(chart.table, "x1") / 2]))
+    fmap = point_map(chart, [2 * Scalar.symbol(chart.table, "x1")],
+                     [Scalar.symbol(chart.table, "x1") / 2])
     s = Semidensity(e(chart, "x1 + th1"), chart)
     pulled = pullback_semidensity(fmap, s)
     assert pulled.coefficient == e(chart, "2*(2*x1) + 2*(th1/2)")
 
 
 def test_pullback_special_unit_factor(c2):
-    fmap = construct_map("special", c2, [e(c2, "b1"), SuperExpr.zero(c2.table)])
+    fmap = special_map(c2, [e(c2, "b1"), SuperExpr.zero(c2.table)])
     s = Semidensity(e(c2, "th1*th2"), c2)
     pulled = pullback_semidensity(fmap, s)
     assert pulled.coefficient == e(c2, "(th1 + b1)*th2")
@@ -388,7 +387,7 @@ def test_mat_inv_scalar_and_even_entries(c2, size):
         assert mat_mul(body, inv) == [
             [Scalar.from_int(table, u) for u in row] for row in unit]
         even = [[SuperExpr.from_scalar(c) + random_expr(
-            rng, table, min_theta=2, aux=True, parity=Parity.EVEN)
+            rng, table, min_theta=2, aux=True).even_part()
             for c in row] for row in body]
         inv, det_inv = mat_inv(even, SuperExpr.invert_even)
         assert det_inv * mat_det(even) == SuperExpr.one(table)
@@ -517,10 +516,14 @@ def test_general_structure_brackets_match_triple_sum(n, seed, off_block):
     assert not omega.is_canonical_matrix
     assert off_block is any(omega.matrix[a][b] for a in range(2 * n)
                             for b in range(2 * n) if (a < n) == (b < n))
-    exprs = [random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
-                         aux=True, parity=rng.choice([Parity.EVEN,
-                                                      Parity.ODD]))
-             for _ in range(3)] + list(fmap.targets)
+
+    def homogeneous():
+        even = rng.choice([True, False])  # drawn before the expression
+        f = random_expr(rng, chart.table, theta_degree=2, coeff_degree=1,
+                        aux=True)
+        return f.even_part() if even else f.odd_part()
+
+    exprs = [homogeneous() for _ in range(3)] + list(fmap.targets)
     matrix = bracket_matrix(exprs, chart, omega)
     for i, f in enumerate(exprs):
         for j, g in enumerate(exprs):
