@@ -41,7 +41,7 @@ def _named(manifest, pool_name, key):
     return pool[key]
 
 
-def _structure_arg(manifest, chart, entry):
+def _structure_arg(manifest, entry):
     name = entry.get("structure", "canonical")
     if name == "canonical":
         return None
@@ -53,7 +53,7 @@ def cmd_bracket(manifest, args):
     chart = manifest.chart(entry["chart"])
     f = manifest.parse(chart, entry["f"])
     g = manifest.parse(chart, entry["g"])
-    omega = _structure_arg(manifest, chart, entry)
+    omega = _structure_arg(manifest, entry)
     out = bracket(f, g, chart, omega)
     return [("bracket", render_expr(out))], None
 
@@ -112,12 +112,12 @@ def cmd_flow(manifest, args):
     fmap = exp_flow(q, chart, t_value)
     lines = [(name, render_expr(target)) for name, target in
              zip(chart.coordinate_names, fmap.targets)]
-    ok, report = is_canonical(fmap)
+    report = is_canonical(fmap)
     bad = report.nonzero()
     for key in sorted(bad):
         lines.append((f"residual{key}", render_expr(bad[key])))
-    lines.append(("canonical", "yes" if ok else "NO"))
-    return lines, ok
+    lines.append(("canonical", "yes" if report.ok else "NO"))
+    return lines, report.ok
 
 
 def cmd_hamiltonian_from_map(manifest, args):

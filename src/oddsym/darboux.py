@@ -11,15 +11,17 @@ P = O(theta^q).  Four normalization maps walk the class lattice up to
 (n+1, n+1), after which F depends on x alone and is closed, and a final
 gradient shift of theta kills it.
 
-Three checks run, one per fact.  Each step must make its class
-transition, recomputed from the bracket in the new coordinates; the last
-structure must be the canonical matrix; and the brackets of the
-composite's targets, taken under the input structure, must equal the
-canonical ones (``is_canonical``).  The first two raise; the third is
-the pipeline's report, whose nonzero residuals the caller shows.  Step
-inverses are not re-verified: they only serve to write each intermediate
-structure in its new coordinates, and the last check reads no inverse,
-so a wrong inverse can stop the walk but cannot pass a wrong composite.
+Every structure on the walk checks its parities, graded antisymmetry
+and body when it is built.  Beyond that, three checks run, one per fact.
+Each step must make its class transition, recomputed from the bracket in
+the new coordinates; the last structure must be the canonical matrix;
+and the brackets of the composite's targets, taken under the input
+structure, must equal the canonical ones (``is_canonical``).  The first
+two raise; the third is the pipeline's report, whose nonzero residuals
+the caller shows.  Step inverses are not re-verified: they only serve to
+write each intermediate structure in its new coordinates, and the last
+check reads no inverse, so a wrong inverse can stop the walk but cannot
+pass a wrong composite.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .scalars import Scalar, binomial_half
 from .superexpr import SuperExpr
 from .symbols import Chart
 from .symplectic import (CanonicityError, OddSymplecticStructure,
-                         ResidualReport, SuperMap, is_canonical, mat_det,
-                         mat_inv, mat_mul, pushforward_matrix, theta_linear,
+                         ResidualReport, SuperMap, is_canonical, mat_inv,
+                         mat_mul, pushforward_matrix, theta_linear,
                          theta_rescale_integral, theta_shift)
 
 
@@ -54,24 +56,18 @@ def _matrix_order(entries, cap):
 
 
 def structure_matrices(omega: OddSymplecticStructure, chart: Chart):
+    """The blocks E, F, A, P of ``omega`` and its class; the symmetry of E
+    and F and the invertible body of A were checked when ``omega`` was
+    built."""
     n = chart.n
     table = chart.table
     m = omega.matrix
     E = [[m[i][j] for j in range(n)] for i in range(n)]
     F = [[m[n + i][n + j] for j in range(n)] for i in range(n)]
     A = [[m[i][n + j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if E[i][j] != E[j][i]:
-                raise ValueError("even-even brackets must be symmetric")
-            if F[i][j] != -F[j][i]:
-                raise ValueError("odd-odd brackets must be antisymmetric")
     delta = [[SuperExpr.one(table) if i == j else SuperExpr.zero(table)
               for j in range(n)] for i in range(n)]
     P = [[A[i][j] - delta[i][j] for j in range(n)] for i in range(n)]
-    body = [[A[i][j].body() for j in range(n)] for i in range(n)]
-    if mat_det(body).is_zero:
-        raise CanonicityError("structure body is degenerate")
     cap = table.n_theta + 1
     return StructureMatrices(E, F, A, P, _matrix_order(E, cap),
                              _matrix_order(P, cap))
@@ -106,7 +102,7 @@ def solve_R(E, F, table):
         if not nonzero and k > 0:
             break
         term = mat_mul(mat_mul(term, F), E)
-    residual = _solve_r_residual(R, E, F, table)
+    residual = _solve_r_residual(R, E, F)
     for i in range(n):
         for j in range(n):
             if not residual[i][j].is_zero:
@@ -116,7 +112,7 @@ def solve_R(E, F, table):
     return R
 
 
-def _solve_r_residual(R, E, F, table):
+def _solve_r_residual(R, E, F):
     n = len(E)
     RFR = mat_mul(mat_mul(R, F), R)
     return [[R[i][j] * 2 + RFR[i][j] - E[i][j] for j in range(n)]
@@ -166,9 +162,9 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
     if targets == xs + ths:
         fmap, new_omega = SuperMap.identity(chart), omega
     else:
-        fmap = SuperMap(chart, chart, targets, check=False)
-        new_omega = OddSymplecticStructure(
-            chart, pushforward_matrix(fmap, omega), check=False)
+        fmap = SuperMap(chart, chart, targets)
+        new_omega = OddSymplecticStructure(chart,
+                                           pushforward_matrix(fmap, omega))
     _check_transition(kind, sm, structure_matrices(new_omega, chart), chart)
     return fmap, new_omega
 
@@ -269,12 +265,12 @@ def darboux_pipeline(omega: OddSymplecticStructure, chart: Chart):
     if any(entry for row in fmat for entry in row):
         # not a special map: dA is the two-form being killed, not zero
         shift = theta_shift(chart, two_form_potential(fmat, chart))
-        state = OddSymplecticStructure(
-            chart, pushforward_matrix(shift, state), check=False)
+        state = OddSymplecticStructure(chart,
+                                       pushforward_matrix(shift, state))
         steps.append(("shift", shift))
         composite = shift.compose(composite)
 
     if not state.is_canonical_matrix:
         raise CanonicityError("pipeline did not reach canonical form")
-    _, report = is_canonical(composite, omega)
-    return PipelineResult(steps, composite, state, report)
+    return PipelineResult(steps, composite, state,
+                          is_canonical(composite, omega))

@@ -108,10 +108,10 @@ def _summed(series, time):
     return out
 
 
-def flow_targets(q, chart, t_value=1):
-    """The targets of ``exp_flow(q, chart, t_value)`` alone, without the
-    inverse map that ``exp_flow`` also builds."""
-    series, time, _ = _series(q, chart, t_value)
+def flow_targets(q, chart):
+    """The targets of the unit-time ``exp_flow(q, chart, 1)`` alone,
+    without the inverse map that ``exp_flow`` also builds."""
+    series, time, _ = _series(q, chart, 1)
     return _summed(series, time)
 
 
@@ -128,8 +128,7 @@ def exp_flow(q, chart: Chart, t_value=1):
     inverse = None if timed else _summed(series, -time)
     identity_body = [Scalar.symbol(chart.table, x) for x in chart.xs]
     return SuperMap(chart, chart, _summed(series, time),
-                    body_inverse=identity_body, inverse_targets=inverse,
-                    check=False)
+                    body_inverse=identity_body, inverse_targets=inverse)
 
 
 def _delta_map(chart, components):
@@ -159,8 +158,7 @@ def hamiltonian_from_adjusted(fmap: SuperMap):
     chart = fmap.source
     table = chart.table
     adjusted_map(chart, fmap.targets)  # raises unless the map is adjusted
-    ok, _ = is_canonical(fmap)
-    if not ok:
+    if not is_canonical(fmap).ok:
         raise CanonicityError("map is not canonical")
 
     pull = Pullback(table, fmap.bindings())
@@ -168,7 +166,7 @@ def hamiltonian_from_adjusted(fmap: SuperMap):
         SuperExpr.symbol(table, x), lambda f: pull(f) - f,
         lambda k: Fraction((-1) ** (k + 1), k) if k else 0) for x in chart.xs]
     q = _delta_map(chart, field)
-    if flow_targets(q, chart, 1) != list(fmap.targets):
+    if flow_targets(q, chart) != list(fmap.targets):
         raise CanonicityError("no O(theta^2) generator reproduces the map")
     return q
 

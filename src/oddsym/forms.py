@@ -4,7 +4,8 @@ Multivector fields are functions of (x, theta); differential forms are
 functions of (x, xi) where the frame odds xi transform like dx.  The two
 sides are tied together by
 
-    tau       multivector  ->  function      (a renaming of theta slots)
+    tau       multivector  ->  function      (the shared representation:
+                                              ``MultivectorField.expr``)
     tau_sharp form         ->  semidensity   (Berezin transform against
                                               exp(theta_i xi^i))
 
@@ -77,12 +78,6 @@ def chart_frames(chart: Chart):
         raise ValueError("symbol table carries no frame odds")
     return tuple(table.frame_odds[table.odd_index(th)]
                  for th in chart.thetas)
-
-
-def tau(field: MultivectorField) -> SuperExpr:
-    """Multivector -> function on the odd cotangent space (identity on
-    the shared representation)."""
-    return field.expr
 
 
 def schouten(t1: MultivectorField, t2: MultivectorField) -> MultivectorField:
@@ -191,14 +186,6 @@ def poincare_homotopy(w: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(out, chart)
 
 
-def inner_product(field: MultivectorField,
-                  w: DifferentialForm) -> DifferentialForm:
-    """Contraction defined through the transform: tau(T) tau_sharp(w)."""
-    s = tau_sharp(w)
-    product = Semidensity(tau(field) * s.coefficient, w.chart)
-    return tau_sharp_inverse(product)
-
-
 def _one_form_components(a: DifferentialForm):
     chart = a.chart
     if a.xi_degree() > 1 or a.degree_part(0).expr:
@@ -268,13 +255,6 @@ def divergence(field: MultivectorField, w: DifferentialForm) -> SuperExpr:
         component = field.expr.diff(th)
         total = total + (rho * component).diff(x)
     return rho_inv * total
-
-
-def lagrangian_top_form(s: Semidensity) -> DifferentialForm:
-    """Top-degree component of the inverse transform: the integrand over
-    the body surface theta = 0."""
-    w = tau_sharp_inverse(s)
-    return w.degree_part(s.chart.n)
 
 
 # -- rendering ------------------------------------------------------------------

@@ -230,7 +230,7 @@ def _render_poly(table, terms):
     return "".join(rendered)
 
 
-def _poly_is_atomic(table, terms):
+def _poly_is_atomic(terms):
     """True when the polynomial renders to a bare integer or symbol power."""
     if len(terms) != 1:
         return False
@@ -254,7 +254,7 @@ def render_scalar(scalar):
     if len(num_terms) > 1:
         num = f"({num})"
     den = _render_poly(table, den_terms)
-    if not _poly_is_atomic(table, den_terms):
+    if not _poly_is_atomic(den_terms):
         den = f"({den})"
     return f"{num}/{den}", True
 

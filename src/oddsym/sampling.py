@@ -171,8 +171,7 @@ def random_messy_map(rng, chart):
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
     targets = xs + [theta_linear(ths, mat, j) for j in range(n)]
     ident_body = [Scalar.symbol(table, x) for x in chart.xs]
-    atoms.append(SuperMap(chart, chart, targets, body_inverse=ident_body,
-                          check=False))
+    atoms.append(SuperMap(chart, chart, targets, body_inverse=ident_body))
     # nilpotent shear of the even coordinates
     shear = list(xs)
     for i in range(n):
@@ -183,8 +182,7 @@ def random_messy_map(rng, chart):
             shear[i] = shear[i] + SuperExpr.from_scalar(c) * \
                 SuperExpr.symbol(table, pair[0]) * \
                 SuperExpr.symbol(table, pair[1])
-    atoms.append(SuperMap(chart, chart, shear + ths, body_inverse=ident_body,
-                          check=False))
+    atoms.append(SuperMap(chart, chart, shear + ths, body_inverse=ident_body))
     if rng.random() < 0.6:
         atoms.append(random_point_map(rng, chart))
     out = atoms[0]

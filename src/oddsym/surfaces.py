@@ -33,8 +33,6 @@ class AdjustedSurface:
         if self.chart.xs.index(self.x0) != \
                 self.chart.thetas.index(self.theta0):
             raise ValueError("x0 and theta0 must be a conjugate pair")
-        if not self.chart.darboux:
-            raise ValueError("adjusted surfaces need a Darboux chart")
 
     @property
     def slot(self):
@@ -44,8 +42,7 @@ class AdjustedSurface:
         keep = [k for k in range(self.chart.n) if k != self.slot]
         return Chart(self.chart.table,
                      tuple(self.chart.xs[k] for k in keep),
-                     tuple(self.chart.thetas[k] for k in keep),
-                     tag=f"{self.chart.tag}|{self.x0}={self.theta0}=0")
+                     tuple(self.chart.thetas[k] for k in keep))
 
     def restrict(self, expr):
         table = self.chart.table

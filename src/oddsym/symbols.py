@@ -133,8 +133,6 @@ class Chart:
     table: SymbolTable
     xs: tuple
     thetas: tuple
-    tag: str = ""
-    darboux: bool = True
 
     def __post_init__(self):
         if len(self.xs) != len(self.thetas):

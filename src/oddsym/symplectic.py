@@ -11,7 +11,6 @@ conventions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,59 +41,48 @@ def _dot(row, col):
 
 
 def mat_det(a):
-    """Determinant of a square matrix of commuting (even) entries."""
-    size = len(a)
-    if size == 0:
+    """Determinant of a square matrix of commuting (even) entries, by
+    cofactor expansion along the first row; zero entries are skipped."""
+    if not a:
         raise ValueError("empty matrix")
+    if len(a) == 1:
+        return a[0][0]
     total = None
-    for perm in itertools.permutations(range(size)):
-        term = a[0][perm[0]]
-        for i in range(1, size):
-            term = term * a[i][perm[i]]
-        if _perm_sign(perm) < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
+    for j, entry in enumerate(a[0]):
+        if entry.is_zero:
             continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        term = entry * _cofactor(a, 0, j)
+        total = term if total is None else total + term
+    # a first row of zeros: its first entry is the zero determinant
+    return a[0][0] if total is None else total
+
+
+def _minor(a, i, j):
+    """``a`` without row i and column j."""
+    return [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
+
+
+def _cofactor(a, i, j):
+    minor = mat_det(_minor(a, i, j))
+    return -minor if (i + j) % 2 else minor
 
 
 def mat_inv(a, reciprocal):
     """Adjugate inverse of a square matrix of commuting entries.
 
     ``reciprocal`` inverts the determinant: ``SuperExpr.invert_even`` for
-    even SuperExpr entries, ``scalar_reciprocal`` for Scalar entries.
-    Returns the inverse and 1/det.
+    even SuperExpr entries, ``scalar_reciprocal`` for Scalar entries.  The
+    determinant is read off the first row of cofactors.  Returns the
+    inverse and 1/det.
     """
     size = len(a)
-    det_inv = reciprocal(mat_det(a))
-    if size == 1:
+    if size <= 1:
+        det_inv = reciprocal(mat_det(a))
         return [[det_inv]], det_inv
-    adj = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [[a[r][c] for c in range(size) if c != j]
-                     for r in range(size) if r != i]
-            cof = mat_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof * det_inv
-    return adj, det_inv
+    cof = [[_cofactor(a, i, j) for j in range(size)] for i in range(size)]
+    det_inv = reciprocal(_dot(a[0], cof[0]))
+    return [[cof[i][j] * det_inv for i in range(size)]
+            for j in range(size)], det_inv
 
 
 def scalar_reciprocal(det):
@@ -132,17 +120,17 @@ class OddSymplecticStructure:
     """Bracket matrix Omega^{AB} = {z^A, z^B} over a chart.
 
     Entry parities, graded antisymmetry and invertibility of the body are
-    enforced at construction.
+    checked at construction, for every matrix but the canonical one.
     """
 
-    def __init__(self, chart: Chart, matrix, check=True):
+    def __init__(self, chart: Chart, matrix):
         self.chart = chart
         self.matrix = tuple(tuple(row) for row in matrix)
         size = 2 * chart.n
         if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
             raise ValueError("bracket matrix must be 2n x 2n")
         self.is_canonical_matrix = self._matches_canonical()
-        if check and not self.is_canonical_matrix:
+        if not self.is_canonical_matrix:
             self._validate()
 
     @classmethod
@@ -155,7 +143,7 @@ class OddSymplecticStructure:
         for i in range(n):
             m[i][n + i] = one
             m[n + i][i] = -one
-        return cls(chart, m, check=False)
+        return cls(chart, m)
 
     def _matches_canonical(self):
         n = self.chart.n
@@ -185,8 +173,8 @@ class OddSymplecticStructure:
                 if entry and entry.parity() is not want:
                     raise ValueError(f"entry ({a},{b}) has wrong parity")
                 # {zA,zB} = -(-1)^((pA+1)(pB+1)) {zB,zA}
-                factor = -1 if ((pa + 1) * (pb + 1)) % 2 == 0 else 1
-                if entry != factor * self.matrix[b][a]:
+                other = self.matrix[b][a]
+                if entry != (other if (pa + 1) * (pb + 1) % 2 else -other):
                     raise ValueError(
                         f"graded antisymmetry fails at ({a},{b})")
         # the {x,x} and {th,th} entries are odd, so their body is zero and
@@ -352,18 +340,18 @@ class SuperMap:
     ``targets`` lists the images of the target chart's x's then thetas as
     functions of the source coordinates.  ``body_inverse`` optionally gives
     the inverse of the underlying even map as rational substitutions.
+    The target count and parities are checked at construction.
     """
 
     def __init__(self, source: Chart, target: Chart, targets,
-                 body_inverse=None, inverse_targets=None, check=True):
+                 body_inverse=None, inverse_targets=None):
         self.source = source
         self.target = target
         self.targets = tuple(targets)
         self.body_inverse = tuple(body_inverse) if body_inverse else None
         self.inverse_targets = tuple(inverse_targets) if inverse_targets \
             else None
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = self.target.n
@@ -383,7 +371,7 @@ class SuperMap:
     @classmethod
     def identity(cls, chart: Chart):
         exprs = _coordinate_exprs(chart)
-        return cls(chart, chart, exprs, inverse_targets=exprs, check=False)
+        return cls(chart, chart, exprs, inverse_targets=exprs)
 
     def is_identity(self):
         return list(self.targets) == _coordinate_exprs(self.source)
@@ -411,8 +399,7 @@ class SuperMap:
                       zip(self.source.xs, self.body_inverse)}
             body_inv = [t.subs_even(images) for t in other.body_inverse]
         return SuperMap(other.source, self.target, targets,
-                        body_inverse=body_inv, inverse_targets=inverse,
-                        check=False)
+                        body_inverse=body_inv, inverse_targets=inverse)
 
     def body_map(self):
         """Scalar parts of the even targets."""
@@ -509,8 +496,7 @@ def theta_shift(chart: Chart, shifts, **attrs):
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
     targets = xs + [th + a for th, a in zip(ths, shifts)]
     inverse = xs + [th - a for th, a in zip(ths, shifts)]
-    return SuperMap(chart, chart, targets, inverse_targets=inverse,
-                    check=False, **attrs)
+    return SuperMap(chart, chart, targets, inverse_targets=inverse, **attrs)
 
 
 def point_map(chart: Chart, body, body_inverse):
@@ -535,7 +521,7 @@ def point_map(chart: Chart, body, body_inverse):
     targets = lift(body)
     inverse_targets = lift(body_inverse)
     return SuperMap(chart, chart, targets, body_inverse=tuple(body_inverse),
-                    inverse_targets=inverse_targets, check=False)
+                    inverse_targets=inverse_targets)
 
 
 def _check_body_inverse(chart, body, body_inverse):
@@ -594,24 +580,21 @@ def pushforward_matrix(fmap: SuperMap, omega=None):
 
 
 def is_canonical(fmap: SuperMap, omega=None):
-    """Check {F^A, F^B} = Omega_canonical^{AB} o F entry by entry."""
-    source, target = fmap.source, fmap.target
-    omega_target = OddSymplecticStructure.canonical(target)
-    pull = Pullback(source.table, fmap.bindings())
-    n = target.n
-    residuals = {}
-    names = target.coordinate_names
-    table, pairs, left, right = _bracket_factors(fmap.targets, source,
+    """Residuals of {F^A, F^B} = Omega_canonical^{AB} entry by entry, for
+    A <= B; the canonical entries are constants, 1 for {x_i, th_i} and 0
+    otherwise, so they are compared on the source chart's table."""
+    n = fmap.target.n
+    names = fmap.target.coordinate_names
+    table, pairs, left, right = _bracket_factors(fmap.targets, fmap.source,
                                                  omega)
+    one = SuperExpr.one(table)
+    residuals = {}
     for a in range(2 * n):
         for b in range(a, 2 * n):
             lhs = _bracket_entry(left[a], right[b], pairs, table)
-            rhs = omega_target.matrix[a][b]
-            if not rhs.is_zero:
-                rhs = pull(rhs)
-            residuals[(names[a], names[b])] = lhs - rhs
-    report = ResidualReport(residuals)
-    return report.ok, report
+            residuals[(names[a], names[b])] = lhs - one if b == a + n \
+                else lhs
+    return ResidualReport(residuals)
 
 
 # -- inversion -------------------------------------------------------------------
@@ -631,11 +614,9 @@ def invert_map(fmap: SuperMap):
     and F^-1 = L^-1 o U^-1.
     """
     if fmap.inverse_targets is not None:
-        out = SuperMap(fmap.target, fmap.source, fmap.inverse_targets,
-                       check=False)
+        out = SuperMap(fmap.target, fmap.source, fmap.inverse_targets)
     else:
-        out = SuperMap(fmap.target, fmap.source, _peeled_inverse(fmap),
-                       check=False)
+        out = SuperMap(fmap.target, fmap.source, _peeled_inverse(fmap))
     coords = _coordinate_exprs(fmap.source)
     if list(fmap.compose(out).targets) != coords or \
             list(out.compose(fmap).targets) != coords:
@@ -696,8 +677,7 @@ def _linear_reciprocal(det):
 
 def decompose_canonical_map(fmap: SuperMap):
     """Split a canonical map as F = F_special o F_point o F_adjusted."""
-    ok, report = is_canonical(fmap)
-    if not ok:
+    if not is_canonical(fmap).ok:
         raise CanonicityError("map is not canonical")
     chart = fmap.source
     table = chart.table

@@ -290,17 +290,6 @@ def test_square_formula_connects_nu_function():
             assert lhs == bracket(ratio, fh, c)
 
 
-def test_delta_sharp_requires_darboux_chart():
-    from oddsym.symbols import Chart, standard_table
-
-    table = standard_table(2, aux=1, extra_even=("t",))
-    crooked = Chart(table, table.even_symbols[:2], table.coordinate_odds,
-                    darboux=False)
-    s = Semidensity(SuperExpr.one(table), crooked)
-    with pytest.raises(ValueError):
-        delta_sharp(s)
-
-
 def test_identity_functions_reject_mixed_parity():
     c = make_chart(2)
     dv = unit_volume(c)

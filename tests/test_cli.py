@@ -38,8 +38,7 @@ def test_darboux_nonzero_residual_exits_one(monkeypatch, capsys):
     # 1 with the residual shown, not an input error
     def failing(fmap, omega=None):
         th1 = SuperExpr.symbol(fmap.source.table, "th1")
-        report = ResidualReport({("x1", "x1"): th1})
-        return report.ok, report
+        return ResidualReport({("x1", "x1"): th1})
 
     monkeypatch.setattr(darboux, "is_canonical", failing)
     code, out, err = run_cli(
@@ -95,6 +94,22 @@ def test_flow_with_time_in_denominator_exit_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: denominator depends on t\n"
+
+
+def test_hamiltonian_from_map_between_two_charts(tmp_path, capsys):
+    # source and target charts have their own symbol tables; canonicity
+    # is checked on the source table alone
+    doc = {
+        "charts": {"a": {"n": 1}, "b": {"n": 1}},
+        "maps": {"f": {"source": "a", "target": "b",
+                       "targets": ["x1", "th1"]}},
+        "hamiltonian_from_map": {"map": "f"},
+    }
+    path = tmp_path / "two_charts.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["hamiltonian-from-map", "--manifest", str(path)], capsys)
+    assert (code, out, err) == (0, "generator: 0\nround_trip: exact\n", "")
 
 
 def test_reports_are_deterministic(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oddsym import darboux
 from oddsym.darboux import (darboux_pipeline, darboux_step, solve_R,
                             structure_matrices, two_form_potential)
 from oddsym.grammar import parse_expr, render_expr
@@ -111,6 +112,24 @@ def test_darboux_step_f1_n1():
     sm = structure_matrices(new_omega, chart)
     assert sm.q_class == 2  # A becomes exactly the identity here
     assert new_omega.matrix[0][1] == SuperExpr.one(chart.table)
+
+
+def test_darboux_step_rejects_broken_antisymmetry(monkeypatch):
+    # a step whose pushed-forward bracket breaks {th1,x1} = -{x1,th1} must
+    # raise when the new structure is built; that entry lies in no block
+    # that the class bookkeeping reads
+    pushforward = darboux.pushforward_matrix
+
+    def broken(fmap, omega=None):
+        rows = [list(row) for row in pushforward(fmap, omega)]
+        rows[1][0] = rows[1][0] + SuperExpr.one(fmap.source.table)
+        return rows
+
+    monkeypatch.setattr(darboux, "pushforward_matrix", broken)
+    chart, omega = n1_structure()
+    with pytest.raises(ValueError,
+                       match=r"^graded antisymmetry fails at \(0,1\)$"):
+        darboux_step("F1", omega, chart)
 
 
 def test_darboux_step_f1_identity_on_canonical():
@@ -284,7 +303,7 @@ def aux_shear(chart):
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
     xs = [SuperExpr.symbol(table, x) + b1 * th
           for x, th in zip(chart.xs, reversed(ths))]
-    return SuperMap(chart, chart, xs + ths, check=False,
+    return SuperMap(chart, chart, xs + ths,
                     body_inverse=[Scalar.symbol(table, x) for x in chart.xs])
 
 

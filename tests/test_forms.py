@@ -5,11 +5,11 @@ import pytest
 from oddsym import forms
 from oddsym.bv import delta_sharp, delta_vol, VolumeForm
 from oddsym.forms import (DifferentialForm, MultivectorField, basis_sign,
-                          chart_frames, divergence, exterior_d, inner_product,
-                          lagrangian_top_form, one_form_shift,
-                          one_form_shift_form, one_form_shift_series,
-                          poincare_homotopy, render_form, schouten, star, tau,
-                          tau_sharp, tau_sharp_inverse)
+                          chart_frames, divergence, exterior_d,
+                          one_form_shift, one_form_shift_form,
+                          one_form_shift_series, poincare_homotopy,
+                          render_form, schouten, star, tau_sharp,
+                          tau_sharp_inverse)
 from oddsym.grammar import parse_expr
 from oddsym.sampling import random_expr, random_scalar
 from oddsym.scalars import Scalar
@@ -53,7 +53,7 @@ def random_form(rng, chart, max_degree=None, coeff_degree=2, aux=False):
 def test_tau_is_representation_identity():
     c = make_chart(2)
     field = MultivectorField(e(c, "th1"), c)
-    assert tau(field) == e(c, "th1")
+    assert field.expr == e(c, "th1")
     back = MultivectorField(e(c, "x1*th1*th2"), c)
     assert back.expr == e(c, "x1*th1*th2")
     with pytest.raises(ValueError):
@@ -194,16 +194,22 @@ def test_homotopy_identity():
 
 
 def test_inner_product_examples():
+    # the contraction of T with w is tau_sharp^-1(tau(T) tau_sharp(w))
+    def contract(field, w):
+        s = tau_sharp(w)
+        return tau_sharp_inverse(
+            Semidensity(field.expr * s.coefficient, w.chart))
+
     c1 = make_chart(1)
     field = MultivectorField(e(c1, "th1"), c1)
-    assert inner_product(field, form(c1, "xi1")).expr == \
+    assert contract(field, form(c1, "xi1")).expr == \
         SuperExpr.one(c1.table)
     c2 = make_chart(2)
     field = MultivectorField(e(c2, "th1"), c2)
-    out = inner_product(field, form(c2, "xi1*xi2"))
+    out = contract(field, form(c2, "xi1*xi2"))
     assert out.expr == e(c2, "xi2")
     zero = MultivectorField(SuperExpr.zero(c2.table), c2)
-    assert inner_product(zero, form(c2, "xi1*xi2")).expr.is_zero
+    assert contract(zero, form(c2, "xi1*xi2")).expr.is_zero
 
 
 def test_schouten_vs_composition_oracle():
@@ -317,10 +323,12 @@ def test_divergence_routes():
 def test_lagrangian_top_form():
     c = make_chart(3)
     s = Semidensity(SuperExpr.one(c.table), c)
-    out = lagrangian_top_form(s)
+    # the integrand over the body surface theta = 0 is the top-degree
+    # part of the inverse transform
+    out = tau_sharp_inverse(s).degree_part(c.n)
     assert out.expr == e(c, "-xi1*xi2*xi3")
     degenerate = Semidensity(e(c, "th1"), c)
-    assert lagrangian_top_form(degenerate).expr.is_zero
+    assert tau_sharp_inverse(degenerate).degree_part(c.n).expr.is_zero
 
 
 def test_render_form():

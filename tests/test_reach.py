@@ -15,8 +15,7 @@ SRC = ROOT / "src" / "oddsym"
 
 # paper identities that pytest checks and that wait for a verify suite
 WAITING = {"decompose_canonical_map", "canonical_pairing",
-           "infinitesimal_action", "schouten", "inner_product",
-           "lagrangian_top_form"}
+           "infinitesimal_action", "schouten"}
 
 
 def _trees():

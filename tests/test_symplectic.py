@@ -140,15 +140,14 @@ def test_point_map_berezinian_squares():
     # x -> x^2 has no global rational inverse; build the map by hand
     jac_inv = [[1 / (2 * Scalar.symbol(table, "x1"))]]
     targets = [e(chart, "x1^2"), e(chart, "th1/(2*x1)")]
-    fmap = SuperMap(chart, chart, targets, check=False)
+    fmap = SuperMap(chart, chart, targets)
     assert map_berezinian(fmap) == e(chart, "4*x1^2")
     assert ber_sqrt(fmap) == e(chart, "2*x1")
 
 
 def test_ber_sqrt_positive_branch():
     chart = make_chart(1)
-    fmap = SuperMap(chart, chart, [e(chart, "2*x1"), e(chart, "th1/2")],
-                    check=False)
+    fmap = SuperMap(chart, chart, [e(chart, "2*x1"), e(chart, "th1/2")])
     assert ber_sqrt(fmap) == e(chart, "2")
     ident = SuperMap.identity(chart)
     assert ber_sqrt(ident) == SuperExpr.one(chart.table)
@@ -160,8 +159,7 @@ def test_construct_special(c2):
     fmap = special_map(c2, psis)
     assert fmap.targets[2] == e(c2, "th1 + b1")
     assert fmap.targets[3] == e(c2, "th2")
-    ok, _ = is_canonical(fmap)
-    assert ok
+    assert is_canonical(fmap).ok
 
 
 def test_construct_special_rejects_nonclosed(c2):
@@ -176,8 +174,7 @@ def test_construct_point_scaling():
     fmap = point_map(chart, [2 * Scalar.symbol(table, "x1")],
                      [Scalar.symbol(table, "x1") / 2])
     assert fmap.targets[1] == e(chart, "th1/2")
-    ok, _ = is_canonical(fmap)
-    assert ok
+    assert is_canonical(fmap).ok
 
 
 def test_construct_point_shear(c2):
@@ -186,16 +183,14 @@ def test_construct_point_shear(c2):
     fmap = point_map(c2, [x1 + x2, x2], [x1 - x2, x2])
     assert fmap.targets[2] == e(c2, "th1")
     assert fmap.targets[3] == e(c2, "th2 - th1")
-    ok, _ = is_canonical(fmap)
-    assert ok
+    assert is_canonical(fmap).ok
 
 
 def test_is_canonical_detects_scaling():
     chart = make_chart(1)
-    fmap = SuperMap(chart, chart, [e(chart, "2*x1"), e(chart, "th1")],
-                    check=False)
-    ok, report = is_canonical(fmap)
-    assert not ok
+    fmap = SuperMap(chart, chart, [e(chart, "2*x1"), e(chart, "th1")])
+    report = is_canonical(fmap)
+    assert not report.ok
     assert report.nonzero()[("x1", "th1")] == e(chart, "1")
 
 
@@ -213,7 +208,7 @@ def test_invert_identity(c2):
 def test_invert_generic_nilpotent(c2):
     targets = [e(c2, "x1 + th1*th2"), e(c2, "x2"),
                e(c2, "th1"), e(c2, "th2 + b1*th1*th2")]
-    fmap = SuperMap(c2, c2, targets, check=False)
+    fmap = SuperMap(c2, c2, targets)
     inv = invert_map(fmap)
     coords = [SuperExpr.symbol(c2.table, n) for n in c2.coordinate_names]
     assert list(fmap.compose(inv).targets) == coords
@@ -251,8 +246,7 @@ def test_decompose_trivial_cases(c2):
     ident = SuperMap.identity(c2)
     f_adj = exp_flow(e(c2, "b1*x1*th1*th2"), c2, 1)
     f_adj = adjusted_map(c2, list(f_adj.targets))
-    ok, _ = is_canonical(f_adj)
-    assert ok
+    assert is_canonical(f_adj).ok
     gs, gp, gadj = decompose_canonical_map(f_adj)
     assert gs.targets == ident.targets and gp.targets == ident.targets
     assert gadj.targets == f_adj.targets
@@ -337,8 +331,8 @@ def test_canonical_samples_pass(c2):
     rng = random.Random(31)
     for _ in range(6):
         f = random_canonical_map(rng, c2)
-        ok, report = is_canonical(f)
-        assert ok, report.nonzero()
+        report = is_canonical(f)
+        assert report.ok, report.nonzero()
 
 
 def test_pushforward_structure_oracle(c2):
@@ -363,7 +357,7 @@ def test_invert_map_body_peel_path(c2):
     flow = exp_flow(random_flow_hamiltonian(rng, c2), c2, 1)
     composite = flow.compose(point)
     stripped = SuperMap(c2, c2, composite.targets,
-                        body_inverse=composite.body_inverse, check=False)
+                        body_inverse=composite.body_inverse)
     assert stripped.inverse_targets is None
     inv = invert_map(stripped)
     coords = [SuperExpr.symbol(c2.table, n) for n in c2.coordinate_names]
@@ -395,6 +389,26 @@ def test_mat_inv_scalar_and_even_entries(c2, size):
             [SuperExpr.constant(table, u) for u in row] for row in unit]
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_mat_det_is_multiplicative(c2, size):
+    rng = random.Random(100 + size)
+    table = c2.table
+
+    def scalars():
+        return [[random_scalar(rng, table, coeff_degree=1, names=c2.xs)
+                 for _ in range(size)] for _ in range(size)]
+
+    def even(matrix):
+        return [[SuperExpr.from_scalar(c) + random_expr(
+            rng, table, min_theta=2, aux=True).even_part() for c in row]
+            for row in matrix]
+
+    a, b = scalars(), scalars()
+    assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
+    a, b = even(a), even(b)
+    assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
+
+
 def test_mat_inv_singular_scalar_matrix(c2):
     x1, x2 = (Scalar.symbol(c2.table, x) for x in c2.xs)
     with pytest.raises(ScalarError, match="singular matrix"):
@@ -410,7 +424,7 @@ def test_invert_map_peels_body_and_theta_linear_part(c2):
     point = random_point_map(rng, c2)
     composite = point.compose(messy)
     stripped = SuperMap(c2, c2, composite.targets,
-                        body_inverse=composite.body_inverse, check=False)
+                        body_inverse=composite.body_inverse)
     assert stripped.inverse_targets is None
     table = c2.table
     assert stripped.body_map() != [Scalar.symbol(table, x) for x in c2.xs]
@@ -431,7 +445,7 @@ def test_invert_map_peels_body_and_theta_linear_part(c2):
 def test_invert_map_error_paths(c2):
     def inverse_of(texts, body_inverse=None):
         fmap = SuperMap(c2, c2, [e(c2, t) for t in texts],
-                        body_inverse=body_inverse, check=False)
+                        body_inverse=body_inverse)
         return invert_map(fmap)
 
     scaled = ["2*x1", "x2", "(1 + x1)*th1", "th2"]
@@ -534,11 +548,11 @@ def test_general_structure_brackets_match_triple_sum(n, seed, off_block):
     # itself is not, and its residuals are the brackets minus the target
     names = chart.coordinate_names
     for g in (invert_map(fmap), fmap):
-        ok, report = is_canonical(g, omega)
+        report = is_canonical(g, omega)
         for a in range(2 * n):
             for b in range(a, 2 * n):
                 want = _reference_bracket(g.targets[a], g.targets[b], omega)
                 if a < n and b == n + a:
                     want = want - SuperExpr.one(chart.table)
                 assert report.residuals[(names[a], names[b])] == want
-        assert ok is (g is not fmap)
+        assert report.ok is (g is not fmap)
