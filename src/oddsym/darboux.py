@@ -26,6 +26,7 @@ pass a wrong composite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .scalars import Scalar, binomial_half
@@ -37,12 +38,12 @@ from .symplectic import (CanonicityError, OddSymplecticStructure,
                          theta_rescale_integral, theta_shift)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructureMatrices:
-    E: list
-    F: list
-    A: list
-    P: list
+    E: tuple
+    F: tuple
+    A: tuple
+    P: tuple
     p_class: int
     q_class: int
 
@@ -55,19 +56,25 @@ def _matrix_order(entries, cap):
     return int(min(order, cap))
 
 
+# One entry gives one read per structure on the walk: a step reads the
+# structure the loop test just read, and its transition check reads the
+# structure the next loop test reads.
+@functools.lru_cache(maxsize=1)
 def structure_matrices(omega: OddSymplecticStructure, chart: Chart):
     """The blocks E, F, A, P of ``omega`` and its class; the symmetry of E
     and F and the invertible body of A were checked when ``omega`` was
-    built."""
+    built.  A structure hashes by identity and never changes, so the last
+    one read is not read again."""
     n = chart.n
     table = chart.table
     m = omega.matrix
-    E = [[m[i][j] for j in range(n)] for i in range(n)]
-    F = [[m[n + i][n + j] for j in range(n)] for i in range(n)]
-    A = [[m[i][n + j] for j in range(n)] for i in range(n)]
+    E = tuple(m[i][:n] for i in range(n))
+    F = tuple(m[n + i][n:] for i in range(n))
+    A = tuple(m[i][n:] for i in range(n))
     delta = [[SuperExpr.one(table) if i == j else SuperExpr.zero(table)
               for j in range(n)] for i in range(n)]
-    P = [[A[i][j] - delta[i][j] for j in range(n)] for i in range(n)]
+    P = tuple(tuple(A[i][j] - delta[i][j] for j in range(n))
+              for i in range(n))
     cap = table.n_theta + 1
     return StructureMatrices(E, F, A, P, _matrix_order(E, cap),
                              _matrix_order(P, cap))

@@ -8,6 +8,7 @@ input-error exit code.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -71,7 +72,11 @@ class _Section(dict):
 
 
 class Manifest:
-    """Resolved named objects plus the raw document."""
+    """Resolved named objects plus the raw document.
+
+    ``load_manifest`` hands one Manifest to every request on the same
+    bytes, so nothing changes it once it is built.
+    """
 
     def __init__(self, document):
         _expect(isinstance(document, dict), "manifest must be a JSON object")
@@ -190,11 +195,26 @@ class Manifest:
 
 
 def load_manifest(path):
+    """The Manifest in the file at ``path``, which is read on every call;
+    the same bytes as on the previous call return the same Manifest."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ManifestError(f"cannot read manifest: {exc}") from None
+    return _manifest_of(data)
+
+
+# One entry: a caller's requests on one manifest come in a row.  A failed
+# load is not cached, so it raises again on the next call.
+@functools.lru_cache(maxsize=1)
+def _manifest_of(data):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest is not valid UTF-8: {exc}") from None
+    try:
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     return Manifest(document)

@@ -1,3 +1,5 @@
+import codecs
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +10,11 @@ import pytest
 import oddsym.cli as cli
 import oddsym.darboux as darboux
 import oddsym.verify as verify
+from oddsym.grammar import render_expr
+from oddsym.manifests import load_manifest
 from oddsym.superexpr import SuperExpr
-from oddsym.symplectic import ResidualReport
+from oddsym.symplectic import (OddSymplecticStructure, ResidualReport,
+                               SuperMap)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -216,6 +221,27 @@ def test_bad_manifest_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_manifest_not_utf8_exit_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"charts": {"c": {"n": 1, "even": ["x\xff"]}}}')
+    code, out, err = run_cli(["bracket", "--manifest", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifest is not valid UTF-8: ")
+    assert "0xff" in err
+
+
+def test_manifest_with_bom_exit_two(tmp_path, capsys):
+    # a byte order mark is not JSON: the manifest is decoded as plain
+    # UTF-8, never sniffed for another encoding
+    with open(os.path.join(DATA, "bracket.json"), "rb") as handle:
+        data = handle.read()
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(codecs.BOM_UTF8 + data)
+    code, out, err = run_cli(["bracket", "--manifest", str(bom)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifest is not valid JSON: ")
+
+
 def _bracket_of(tmp_path, capsys, text):
     doc = {
         "charts": {"c": {"n": 1, "even": ["x1"], "odd": ["th1"]}},
@@ -276,18 +302,21 @@ def test_unknown_reference_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+OPERATOR_OUTPUTS = {
+    "delta-vol": "delta_vol: th1*th2\n",
+    "delta-sharp": "delta_sharp: th2\n",
+    "berezinian": "berezinian: 4\n",
+    "shift": "coefficient: th1*th2 + th1*b2 - th2*b1 + b1*b2\n",
+    "star": "form: -2*dx1^dx2\n",
+    "dual-density": "coefficient: x1*th1\n",
+    "densities-p": "P0: 1\nP1: -x1*th1\n",
+}
+HAMILTONIAN_OUTPUT = "generator: x1*th1*th2*b1\nround_trip: exact\n"
+
+
 def test_operator_commands_golden(capsys):
     path = os.path.join(DATA, "operators.json")
-    expected = {
-        "delta-vol": "delta_vol: th1*th2\n",
-        "delta-sharp": "delta_sharp: th2\n",
-        "berezinian": "berezinian: 4\n",
-        "shift": "coefficient: th1*th2 + th1*b2 - th2*b1 + b1*b2\n",
-        "star": "form: -2*dx1^dx2\n",
-        "dual-density": "coefficient: x1*th1\n",
-        "densities-p": "P0: 1\nP1: -x1*th1\n",
-    }
-    for command, want in expected.items():
+    for command, want in OPERATOR_OUTPUTS.items():
         code, out, _ = run_cli([command, "--manifest", path], capsys)
         assert code == 0, command
         assert out == want, command
@@ -298,7 +327,7 @@ def test_hamiltonian_from_map_command(capsys):
     code, out, _ = run_cli(["hamiltonian-from-map", "--manifest", path],
                            capsys)
     assert code == 0
-    assert out == "generator: x1*th1*th2*b1\nround_trip: exact\n"
+    assert out == HAMILTONIAN_OUTPUT
 
 
 def test_console_entry_point():
@@ -423,3 +452,53 @@ def test_names_of_the_wrong_type_exit_two(tmp_path, capsys):
     path.write_text(json.dumps({"darboux": {"structure": []}}))
     code, _, err = run_cli(["darboux", "--manifest", str(path)], capsys)
     assert (code, err) == (2, "error: unknown structure []\n")
+
+
+def _render(value):
+    """Every field of a manifest object, rendered; memoized values that
+    are not fields (a volume form's inverse, say) are left out."""
+    if isinstance(value, SuperExpr):
+        return render_expr(value)
+    if isinstance(value, (tuple, list)):
+        return [_render(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _render(item) for key, item in value.items()}
+    if isinstance(value, (SuperMap, OddSymplecticStructure)):
+        return _render(vars(value))
+    if dataclasses.is_dataclass(value):
+        return {field.name: _render(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    return repr(value)
+
+
+def _render_manifest(manifest):
+    pools = ("charts", "structures", "maps", "volume_forms",
+             "semidensities", "forms", "surfaces")
+    rendered = {pool: _render(getattr(manifest, pool)) for pool in pools}
+    rendered["raw"] = json.dumps(manifest.raw, sort_keys=True)
+    return rendered
+
+
+def _golden(name):
+    with open(os.path.join(DATA, name), "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("manifest", ["operators.json", "rational.json"])
+def test_commands_leave_cached_manifest_unchanged(manifest, capsys):
+    # load_manifest hands the same Manifest to every request on the same
+    # bytes, so no command may change it
+    if manifest == "operators.json":
+        requests = dict(OPERATOR_OUTPUTS,
+                        **{"hamiltonian-from-map": HAMILTONIAN_OUTPUT})
+    else:
+        requests = {command: _golden(f"rational_{command}.golden")
+                    for command in RATIONAL_COMMANDS}
+    path = os.path.join(DATA, manifest)
+    cached = load_manifest(path)
+    before = _render_manifest(cached)
+    for command in list(requests) + list(reversed(requests)):
+        code, out, _ = run_cli([command, "--manifest", path], capsys)
+        assert (code, out) == (0, requests[command]), command
+    assert load_manifest(path) is cached
+    assert _render_manifest(cached) == before

@@ -189,6 +189,29 @@ def test_pipeline_step_budget():
     assert len(result.steps) <= 2 * chart.n + 4
 
 
+def test_pipeline_reads_each_structure_once(monkeypatch):
+    # each read takes the class of E and of P once; the loop test, the
+    # step and the transition check share one read per structure
+    chart = make_chart(2)
+    omega, _ = pushforward_structure(random.Random(11), chart)
+    structures, reads = [omega], []
+    order = darboux._matrix_order
+
+    def built(*args):
+        structures.append(OddSymplecticStructure(*args))
+        return structures[-1]
+
+    def counted(entries, cap):
+        reads.append(entries)
+        return order(entries, cap)
+
+    monkeypatch.setattr(darboux, "OddSymplecticStructure", built)
+    monkeypatch.setattr(darboux, "_matrix_order", counted)
+    result = darboux_pipeline(omega, chart)
+    assert result.ok and len(result.steps) > 1
+    assert len(reads) <= 2 * len({id(s) for s in structures})
+
+
 def test_pipeline_random_pushforwards():
     chart = make_chart(2)
     rng = random.Random(13)

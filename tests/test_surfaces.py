@@ -190,7 +190,7 @@ def test_densities_P_worked_example():
     want_p1 = surf.restrict(f(2) * e(chart, "th1") - f(1) * e(chart, "th2")) \
         * curl
     assert p0 == want_p0
-    assert p1 == -want_p1 or p1 == want_p1
+    assert p1 == want_p1
     # P1 is odd-valued, so it squares to zero
     assert (p1 * p1).is_zero
     assert p0.is_even() and p1.is_odd()
