@@ -85,14 +85,11 @@ def solve_R(E, F, table):
 
     R = sum_k c_k (EF)^k E with sum c_k t^k = (sqrt(1+t) - 1)/t, i.e.
     c_0 = 1/2, c_1 = -1/8, ...; the series is finite by nilpotency and
-    the residual is re-checked exactly.
+    the residual is re-checked exactly.  E and F are odd-valued: the
+    blocks of a structure, whose constructor checked their parity, or
+    odd parts.
     """
     n = len(E)
-    for mat in (E, F):
-        for row in mat:
-            for entry in row:
-                if entry and not entry.is_odd():
-                    raise ValueError("structure matrices must be odd-valued")
     R = [[SuperExpr.zero(table) for _ in range(n)] for _ in range(n)]
     term = E
     # (EF)^k E has at least 2k + 1 odd factors, so it vanishes once 2k + 1

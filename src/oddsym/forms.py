@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grammar import render_expr
-from .scalars import Scalar, ScalarError
+from .scalars import ScalarError
 from .superexpr import ParityError, SuperExpr, nilpotent_series
 from .symbols import Chart
 from .symplectic import Semidensity, bracket
@@ -37,12 +37,8 @@ class MultivectorField:
     chart: Chart
 
     def __post_init__(self):
-        table = self.chart.table
-        nt = table.n_theta
-        nf = nt + len(table.frame_odds)
-        for key in self.expr.terms:
-            if any(nt <= i < nf for i in key):
-                raise ValueError("multivector fields carry no frame odds")
+        if any(map(self.chart.table.frame_degree, self.expr.terms)):
+            raise ValueError("multivector fields carry no frame odds")
 
 
 @dataclass
@@ -51,25 +47,18 @@ class DifferentialForm:
     chart: Chart
 
     def __post_init__(self):
-        table = self.chart.table
-        for key in self.expr.terms:
-            if any(i < table.n_theta for i in key):
-                raise ValueError("forms carry no coordinate odds")
+        if any(map(self.chart.table.theta_degree, self.expr.terms)):
+            raise ValueError("forms carry no coordinate odds")
 
     def degree_part(self, k):
         table = self.chart.table
-        nt = table.n_theta
-        nf = nt + len(table.frame_odds)
         kept = {key: c for key, c in self.expr.terms.items()
-                if sum(1 for i in key if nt <= i < nf) == k}
+                if table.frame_degree(key) == k}
         return DifferentialForm(SuperExpr(table, kept), self.chart)
 
     def xi_degree(self):
-        table = self.chart.table
-        nt = table.n_theta
-        nf = nt + len(table.frame_odds)
-        return max((sum(1 for i in key if nt <= i < nf)
-                    for key in self.expr.terms), default=0)
+        return max(map(self.chart.table.frame_degree, self.expr.terms),
+                   default=0)
 
 
 def chart_frames(chart: Chart):
@@ -130,10 +119,10 @@ def tau_sharp_inverse(s: Semidensity) -> DifferentialForm:
     slot_of = {table.odd_index(th): k for k, th in enumerate(chart.thetas)}
     raw = []
     for key, c in s.coefficient.terms.items():
-        theta_part = tuple(i for i in key if i < table.n_theta)
-        aux_part = tuple(i for i in key if table.is_aux_index(i))
-        if len(theta_part) + len(aux_part) != len(key):
+        if table.frame_degree(key):
             raise ValueError("semidensity coefficient carries frame odds")
+        theta_part = key[:table.theta_degree(key)]
+        aux_part = key[len(theta_part):]
         try:
             slots = {slot_of[i] for i in theta_part}
         except KeyError:
@@ -170,25 +159,18 @@ def poincare_homotopy(w: DifferentialForm) -> DifferentialForm:
     """
     chart = w.chart
     table = chart.table
-    nt = table.n_theta
-    nf = nt + len(table.frame_odds)
-    slot_by_index = {table.odd_index(xi): k
-                     for k, xi in enumerate(chart_frames(chart))}
-    out = SuperExpr.zero(table)
+    scaled = {}
     for key, c in w.expr.terms.items():
-        frame_positions = [pos for pos, i in enumerate(key) if nt <= i < nf]
-        k = len(frame_positions)
+        k = table.frame_degree(key)
         if k == 0:
             continue
         if not c.is_polynomial():
             raise ScalarError("homotopy needs polynomial coefficients")
-        base = c.radial(chart.xs, k)
-        for pos in frame_positions:
-            slot = slot_by_index[key[pos]]
-            new_key = key[:pos] + key[pos + 1:]
-            coeff = base * Scalar.symbol(table, chart.xs[slot])
-            piece = {new_key: coeff if pos % 2 == 0 else -coeff}
-            out = out + SuperExpr(table, piece)
+        scaled[key] = c.radial(chart.xs, k)
+    scaled = SuperExpr(table, scaled)
+    out = SuperExpr.zero(table)
+    for x, xi in zip(chart.xs, chart_frames(chart)):
+        out = out + SuperExpr.symbol(table, x) * scaled.diff(xi)
     return DifferentialForm(out, chart)
 
 

@@ -8,6 +8,7 @@ canonical term order and parses back to the identical expression.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .superexpr import SuperExpr
@@ -29,6 +30,104 @@ _MAX_DEPTH = 100
 
 # ``^`` multiplies out its exponent; a larger literal is rejected, not run.
 _MAX_EXPONENT = 100
+
+# ``*`` and ``^`` are refused, before they run, when the bound below puts
+# more coefficient monomials than this in their result.
+_MAX_MONOMIALS = 10_000
+
+
+def _size(value):
+    """The coefficient monomials of a SuperExpr (numerators, and
+    denominators that are not constants) and whether any coefficient has
+    such a denominator."""
+    count, rational = 0, False
+    for c in value.terms.values():
+        count += len(c.f.numer)
+        if not c.f.denom.is_ground:
+            count += len(c.f.denom)
+            rational = True
+    return count, rational
+
+
+def _exponents(poly):
+    """The highest exponent of each generator in a nonzero polynomial."""
+    return [max(col) for col in zip(*poly.itermonoms())]
+
+
+def _shape(value):
+    """What ``_monomial_bound`` reads of a SuperExpr, written as a
+    polynomial-valued expression over D, the product of its distinct
+    non-constant denominators: the lowest and the highest degree of a
+    monomial over D together with its odd key, where an odd factor
+    counts one; the highest exponent of each generator over D; the total
+    degree and the exponents of D; and its odd indices."""
+    dens = {c.f.denom for c in value.terms.values()
+            if not c.f.denom.is_ground}
+    zeros = [0] * value.table.field.ngens
+    den = [sum(col) for col in zip(zeros, *map(_exponents, dens))]
+    den_degree = sum(max(map(sum, d.itermonoms())) for d in dens)
+    lo, hi, num, odds = math.inf, 0, zeros, set()
+    for key, c in value.terms.items():
+        odds.update(key)
+        own, own_degree = zeros, 0
+        if not c.f.denom.is_ground:
+            own = _exponents(c.f.denom)
+            own_degree = max(map(sum, c.f.denom.itermonoms()))
+        for mono in c.f.numer.itermonoms():
+            lo = min(lo, len(key) + sum(mono))
+            hi = max(hi, len(key) + sum(mono) + den_degree - own_degree)
+            num = [max(n, e + d - o)
+                   for n, e, d, o in zip(num, mono, den, own)]
+    return lo, hi, num, den_degree, den, odds
+
+
+def _monomial_bound(factors):
+    """An upper bound on the coefficient monomials of the product of
+    ``factors``, pairs (SuperExpr, how many times it is a factor).
+
+    The product of the factors' counts is one when every coefficient is
+    a polynomial, since each monomial of the result comes from one of
+    each factor, and also when one rational factor is multiplied by
+    monomials, which cancel at most a monomial from its denominators.
+    With polynomial coefficients the monomials in the generators that
+    occur whose degree lies between the sums of the factors' lowest and
+    highest degrees are another; the bound is the smaller.  A rational
+    factor is a polynomial-valued expression over the product of its
+    distinct denominators, and the result's numerators and denominators
+    divide the products of those, which bounds their total degrees and
+    each generator's exponent; each odd key carries one numerator and
+    one denominator.
+    """
+    product, rational = 1, []
+    for value, times in factors:
+        count, r = _size(value)
+        product *= count ** times
+        if r and times:
+            rational.append((count, times))
+    if not product or (product <= _MAX_MONOMIALS and
+                       rational in ([], [(product, 1)])):
+        return product
+    lo, hi, den_degree, odds = 0, 0, 0, set()
+    num = den = [0] * factors[0][0].table.field.ngens
+    for value, times in factors:
+        if not times:
+            continue
+        vlo, vhi, vnum, vdeg, vden, vodds = _shape(value)
+        lo += vlo * times
+        hi += vhi * times
+        den_degree += vdeg * times
+        num = [e + a * times for e, a in zip(num, vnum)]
+        den = [e + b * times for e, b in zip(den, vden)]
+        odds |= vodds
+    m, g = len(odds), sum(1 for a, b in zip(num, den) if a or b)
+
+    def upto(d):  # even monomials of degree at most d in g generators
+        return math.comb(d + g, g) if d >= 0 else 0
+    if den_degree:
+        return 2 ** m * (min(upto(hi), math.prod(e + 1 for e in num)) +
+                         min(upto(den_degree), math.prod(e + 1 for e in den)))
+    return min(product, sum(math.comb(m, j) * (upto(hi - j) - upto(lo - j - 1))
+                            for j in range(m + 1)))
 
 
 def _tokenize(text):
@@ -94,6 +193,11 @@ class _Parser:
             return line, col + 1
         return 1, 1
 
+    def _bounded(self, tok, factors):
+        if _monomial_bound(factors) > _MAX_MONOMIALS:
+            raise ParseError(f"result would exceed {_MAX_MONOMIALS} "
+                             f"coefficient monomials", tok[1], tok[2])
+
     def _nested(self, tok, parse):
         if self.depth >= _MAX_DEPTH:
             raise ParseError(f"nesting deeper than {_MAX_DEPTH}",
@@ -129,6 +233,7 @@ class _Parser:
                 self.pos += 1
                 rhs = self.factor()
                 if tok[0] == "*":
+                    self._bounded(tok, [(value, 1), (rhs, 1)])
                     value = value * rhs
                 else:
                     try:
@@ -158,6 +263,7 @@ class _Parser:
             if exp_tok[0] > _MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {_MAX_EXPONENT}",
                                  exp_tok[1], exp_tok[2])
+            self._bounded(tok, [(base, exp_tok[0])])
             return base ** exp_tok[0]
         return base
 

@@ -136,11 +136,8 @@ class SuperExpr:
             if sorted_ is None:
                 continue
             sign, key = sorted_
-            if sign < 0:
-                c = -c
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-        return cls(table, {k: v for k, v in acc.items() if not v.is_zero})
+            _accumulate(acc, key, c if sign > 0 else -c)
+        return cls(table, acc)
 
     def _new(self, terms):
         return SuperExpr(self.table, terms)
@@ -183,27 +180,24 @@ class SuperExpr:
         """The theta-free, aux-free part: a plain Scalar."""
         return self.terms.get((), Scalar.from_int(self.table, 0))
 
-    def theta_degree_of_key(self, key):
-        n = self.table.n_theta
-        return sum(1 for i in key if i < n)
-
     def homogeneous_part(self, p):
         """Component of theta-degree exactly p (coordinate odds only)."""
         if p < 0:
             raise ValueError("degree must be nonnegative")
+        degree = self.table.theta_degree
         return self._new({k: v for k, v in self.terms.items()
-                          if self.theta_degree_of_key(k) == p})
+                          if degree(k) == p})
 
     def max_theta_degree(self):
-        return max((self.theta_degree_of_key(k) for k in self.terms), default=0)
+        return max(map(self.table.theta_degree, self.terms), default=0)
 
     def max_odd_degree(self):
         return max((len(k) for k in self.terms), default=0)
 
     def theta_order(self):
         """Smallest theta-degree carrying a nonzero term (inf when zero)."""
-        degrees = [self.theta_degree_of_key(k) for k in self.terms]
-        return min(degrees) if degrees else float("inf")
+        return min(map(self.table.theta_degree, self.terms),
+                   default=float("inf"))
 
     def coefficient(self, names):
         """Scalar coefficient of the exact odd monomial given by names."""
@@ -243,12 +237,7 @@ class SuperExpr:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            prev = out.get(key)
-            total = c if prev is None else prev + c
-            if total.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = total
+            _accumulate(out, key, c)
         return self._new(out)
 
     __radd__ = __add__
@@ -277,14 +266,7 @@ class SuperExpr:
                     continue
                 sign, key = merged
                 c = ca * cb
-                if sign < 0:
-                    c = -c
-                prev = out.get(key)
-                total = c if prev is None else prev + c
-                if total.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = total
+                _accumulate(out, key, c if sign > 0 else -c)
         return self._new(out)
 
     def __rmul__(self, other):
@@ -345,37 +327,23 @@ class SuperExpr:
         idx = table.odd_index(name)
         out = {}
         for key, c in self.terms.items():
-            if idx not in key:
-                continue
-            pos = key.index(idx)
-            new_key = key[:pos] + key[pos + 1:]
-            value = c if pos % 2 == 0 else -c
-            prev = out.get(new_key)
-            total = value if prev is None else prev + value
-            if total.is_zero:
-                out.pop(new_key, None)
-            else:
-                out[new_key] = total
+            if idx in key:
+                pos = key.index(idx)
+                _accumulate(out, key[:pos] + key[pos + 1:],
+                            c if pos % 2 == 0 else -c)
         return self._new(out)
 
     def right_diff(self, name):
-        """Right odd derivative; used by the Berezin integral."""
-        table = self.table
-        idx = table.odd_index(name)
-        out = {}
-        for key, c in self.terms.items():
-            if idx not in key:
-                continue
-            pos = key.index(idx)
-            new_key = key[:pos] + key[pos + 1:]
-            value = c if (len(key) - 1 - pos) % 2 == 0 else -c
-            prev = out.get(new_key)
-            total = value if prev is None else prev + value
-            if total.is_zero:
-                out.pop(new_key, None)
-            else:
-                out[new_key] = total
-        return self._new(out)
+        """Right odd derivative, read off the cached left one.
+
+        Stripping position pos of a key of length len signs the term
+        (-1)^(len - 1 - pos) from the right and (-1)^pos from the left;
+        the two differ by (-1)^(len - 1), the parity of the remaining key.
+        """
+        if not self.table.is_odd(name):
+            raise SymbolError(f"{name!r} is not an odd symbol")
+        return self._new({k: -v if len(k) % 2 else v
+                          for k, v in self.diff(name).terms.items()})
 
     def berezin_integral(self, odds):
         """Coefficient of the ordered product of the listed odd symbols.
@@ -388,8 +356,6 @@ class SuperExpr:
             raise ValueError("integration symbols must be distinct")
         out = self
         for name in reversed(odds):
-            if not self.table.is_odd(name):
-                raise SymbolError(f"{name!r} is not an odd symbol")
             out = out.right_diff(name)
         return out
 

@@ -9,6 +9,7 @@ canonical monomial order used everywhere else.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
@@ -112,8 +113,21 @@ class SymbolTable:
         return len(self.coordinate_odds) + len(self.frame_odds) + \
             2 * len(self.aux_odds)
 
+    # An odd-index key is strictly increasing and the odd order is theta |
+    # frame | aux, so each kind of odd symbol is one slice of the key.
+
     def is_aux_index(self, index: int) -> bool:
         return index >= len(self.coordinate_odds) + len(self.frame_odds)
+
+    def theta_degree(self, key) -> int:
+        """How many coordinate odds the key holds."""
+        return bisect.bisect_left(key, len(self.coordinate_odds))
+
+    def frame_degree(self, key) -> int:
+        """How many frame odds the key holds."""
+        nt = len(self.coordinate_odds)
+        return bisect.bisect_left(key, nt + len(self.frame_odds)) - \
+            bisect.bisect_left(key, nt)
 
     def __repr__(self):
         return (f"SymbolTable(even={self.even_symbols}, "

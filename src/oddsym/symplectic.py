@@ -221,23 +221,6 @@ def _structure_entries(chart, omega):
     return chart, [(a, a, 1) for a in range(size)], contract
 
 
-def _derivatives(f, chart):
-    return [f.diff(name) for name in chart.coordinate_names]
-
-
-def _left_signed(derivatives, n):
-    """Apply the sign (-1)^((p(f) + 1) p(z^A)) to df/dz^A term by term.
-
-    Only odd z^A (the last n slots) carry a sign, and there the derivative
-    of the even part of f flips: its terms have odd length.  So mixed
-    parity f needs no split.
-    """
-    return derivatives[:n] + [
-        SuperExpr(d.table, {k: -v if len(k) % 2 else v
-                            for k, v in d.terms.items()})
-        for d in derivatives[n:]]
-
-
 def _bracket_entry(left, right, pairs, table):
     """sum over the pairs (A, B, sign) of sign * left[A] * right[B]."""
     total = SuperExpr.zero(table)
@@ -254,22 +237,26 @@ def bracket(f, g, chart, omega=None):
     """Odd Poisson bracket {f,g}; f may have mixed parity.
 
     {f,g} = sum_AB (-1)^((p(f) + 1) p(z^A)) df/dz^A Omega^{AB} dg/dz^B with
-    left derivatives.
+    left derivatives.  The signed left factor is the right derivative of
+    f by z^A, for each homogeneous part of f, so it is read as one.
     """
     chart, pairs, contract = _structure_entries(chart, omega)
-    left = _left_signed(_derivatives(f, chart), chart.n)
-    right = contract(_derivatives(g, chart))
+    left = [f.diff(x) for x in chart.xs] + \
+        [f.right_diff(th) for th in chart.thetas]
+    right = contract([g.diff(z) for z in chart.coordinate_names])
     return _bracket_entry(left, right, pairs, chart.table)
 
 
 def _bracket_factors(exprs, chart, omega):
-    """The table, the structure pairs and the signed left and the right
-    factors of each expression, for ``_bracket_entry``; a general Omega
-    is contracted into the right factors once per expression."""
+    """The table, the structure pairs and the left and the right factors
+    of each expression, as in ``bracket``, for ``_bracket_entry``; a
+    general Omega is contracted into the right factors once per
+    expression."""
     chart, pairs, contract = _structure_entries(chart, omega)
-    derivatives = [_derivatives(e, chart) for e in exprs]
-    left = [_left_signed(d, chart.n) for d in derivatives]
-    right = [contract(d) for d in derivatives]
+    left = [[e.diff(x) for x in chart.xs] +
+            [e.right_diff(th) for th in chart.thetas] for e in exprs]
+    right = [contract([e.diff(z) for z in chart.coordinate_names])
+             for e in exprs]
     return chart.table, pairs, left, right
 
 

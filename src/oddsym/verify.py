@@ -416,7 +416,7 @@ def suite_moser(seed=14):
         r = random_expr(rng, table, theta_degree=3, coeff_degree=1,
                         aux=True, min_theta=2, even_names=chart.xs).odd_part()
         r = SuperExpr(table, {key: v for key, v in r.terms.items()
-                              if r.theta_degree_of_key(key) >= 2})
+                              if table.theta_degree(key) >= 2})
         _, residual = moser_flow(Semidensity(SuperExpr.one(table), chart),
                                  Semidensity(r, chart))
         return residual

@@ -6,13 +6,20 @@ the identical checks.
 """
 
 import argparse
+import contextlib
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+from oddsym import sampling, verify
 from oddsym.cli import cmd_verify
+from oddsym.grammar import render_expr
+from oddsym.scalars import Scalar
+from oddsym.superexpr import SuperExpr
+from oddsym.symplectic import OddSymplecticStructure, Semidensity, SuperMap
 from oddsym.verify import SUITES, worked_example_chart, worked_example_values
 
 # sha256 of each suite's lines in the seed-0 `oddsym verify` report
@@ -20,11 +27,60 @@ EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 SUITE_SHA256 = json.loads(EXPECTED.read_text(encoding="utf-8"))[
     "verify_seed0"]["suites"]
 
+# sha256, per suite, of the rendered values that the names below return
+# inside the seed-0 run: labels alone pass when a fixture or an operator
+# changes but every residual still vanishes
+VALUES = Path(__file__).resolve().parent / "data" / "verify_values.json"
+VALUE_SHA256 = json.loads(VALUES.read_text(encoding="utf-8"))
+GENERATORS = sorted(name for name, obj in vars(sampling).items()
+                    if inspect.isfunction(obj) and name in vars(verify)
+                    and obj.__module__ == sampling.__name__)
+OPERATORS = ["ber_sqrt", "pullback_semidensity", "delta_sharp", "tau_sharp"]
+
+
+def _render(value):
+    if isinstance(value, SuperExpr):
+        return render_expr(value)
+    if isinstance(value, Scalar):
+        return render_expr(SuperExpr.from_scalar(value))
+    if isinstance(value, Semidensity):
+        return _render(value.coefficient)
+    if isinstance(value, SuperMap):
+        return _render(value.targets)
+    if isinstance(value, OddSymplecticStructure):
+        return _render(value.matrix)
+    if isinstance(value, (tuple, list)):
+        return "[" + ", ".join(_render(v) for v in value) + "]"
+    raise TypeError(f"no rendering for {type(value).__name__}")
+
+
+def _recording(name, fn, digest):
+    def recorded(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        digest.update(f"{name}: {_render(value)}\n".encode("utf-8"))
+        return value
+    return recorded
+
+
+@contextlib.contextmanager
+def _recorded_values(digest):
+    """Wrap the pinned names in ``oddsym.verify`` (whatever they are bound
+    to now) so that each call feeds its rendered result into digest."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in GENERATORS + OPERATORS:
+            mp.setattr(verify, name,
+                       _recording(name, getattr(verify, name), digest))
+        yield
+
 
 def _run(names, criterion):
     failures = []
     for name in names:
-        lines, _ = cmd_verify(None, argparse.Namespace(suite=name))
+        digest = hashlib.sha256()
+        with _recorded_values(digest):
+            lines, _ = cmd_verify(None, argparse.Namespace(suite=name))
+        if digest.hexdigest() != VALUE_SHA256[name]:
+            failures.append(f"{name}: values differ from the seed-0 run")
         lines = lines[:-1]  # the closing "verify: pass" line
         failures += [f"{label}: {value}" for label, value in lines
                      if value != "ok"]
@@ -138,3 +194,15 @@ def test_all_suites_registered():
 def test_supporting_suites():
     _run(["superalgebra", "shift-routes"],
          "supporting: ring laws, shift routes, homotopy, round trips")
+
+
+def test_value_pin_sees_a_changed_fixture(monkeypatch):
+    """Identity maps keep every ber-root residual at zero, so the report
+    lines stay the same; the values returned along the way do not."""
+    monkeypatch.setattr(verify, "random_canonical_map",
+                        lambda rng, chart: SuperMap.identity(chart))
+    with pytest.raises(AssertionError) as failed:
+        _run(["ber-root"], "mutation: identity canonical maps")
+    assert str(failed.value).splitlines()[0] == \
+        "ber-root: values differ from the seed-0 run"
+    assert "report lines differ" not in str(failed.value)

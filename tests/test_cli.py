@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -271,6 +272,42 @@ def test_exponent_cap_exit_two(tmp_path, capsys):
     code, out, err = _bracket_of(tmp_path, capsys, "x1^101")
     assert code == 2
     assert err.startswith("error:") and "exponent larger than 100" in err
+
+
+def _delta0_of(tmp_path, capsys, n, text):
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    doc = {
+        "charts": {"c": {"n": n, "even": xs,
+                         "odd": [f"th{i}" for i in range(1, n + 1)]}},
+        "delta0": {"chart": "c", "f": text},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(["delta0", "--manifest", str(path)], capsys)
+    return code, err, time.perf_counter() - start
+
+
+def test_power_of_a_power_exit_two(tmp_path, capsys):
+    # the outer power would hold about 5 * 10^7 monomials: it is refused
+    # once the inner one, 5151 monomials, is built
+    code, err, elapsed = _delta0_of(tmp_path, capsys, 3,
+                                    "((x1 + x2 + x3)^100)^100")
+    assert code == 2
+    assert err.startswith("error:") and \
+        "result would exceed 10000 coefficient monomials" in err
+    assert elapsed < 30
+
+
+def test_product_of_capped_powers_exit_two(tmp_path, capsys):
+    # each factor holds 3003 monomials, the product of two 53130
+    power = "(x1 + x2 + x3 + x4 + x5 + x6)^10"
+    code, err, elapsed = _delta0_of(tmp_path, capsys, 6,
+                                    " * ".join([power] * 4))
+    assert code == 2
+    assert "result would exceed 10000 coefficient monomials" in err
+    assert "column 34" in err  # the first '*': no later factor is built
+    assert elapsed < 30
 
 
 def test_missing_section_key_exit_two(tmp_path, capsys):

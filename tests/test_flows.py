@@ -214,7 +214,7 @@ def test_moser_flow_random_samples():
         r = random_expr(rng, c.table, theta_degree=3, coeff_degree=1,
                         aux=True, min_theta=2).odd_part()
         r = SuperExpr(c.table, {k: v for k, v in r.terms.items()
-                                if r.theta_degree_of_key(k) >= 2})
+                                if c.table.theta_degree(k) >= 2})
         fmap, residual = moser_flow(
             Semidensity(SuperExpr.one(c.table), c),
             Semidensity(r, c))

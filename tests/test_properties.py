@@ -10,11 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.rings import PolyElement
 
-from oddsym.grammar import parse_expr, render_expr
+from oddsym.grammar import _monomial_bound, parse_expr, render_expr
 from oddsym.sampling import pushforward_structure, random_scalar
 from oddsym.scalars import Scalar, ScalarError, _gcd
 from oddsym.superexpr import SuperExpr
-from oddsym.symbols import Chart, standard_table
+from oddsym.symbols import Chart, SymbolError, standard_table
 from oddsym.symplectic import OddSymplecticStructure, bracket, bracket_matrix
 
 TABLE = standard_table(2, aux=1)
@@ -74,6 +74,71 @@ def test_power_is_repeated_product(a, k):
 def test_odd_derivatives_square_to_zero(a):
     for name in ("th1", "th2", "b1"):
         assert a.diff(name).diff(name).is_zero
+
+
+# th1 th2 | xi1 xi2 | b1: every kind of odd symbol
+FRAMED = standard_table(2, aux=1, frame=True)
+
+
+def _right_diff_by_term_walk(expr, name):
+    """The right derivative term by term: the factor at position pos of a
+    key of length len moves to the right end past len - 1 - pos odd
+    factors."""
+    idx = expr.table.odd_index(name)
+    out = {}
+    for key, c in expr.terms.items():
+        if idx not in key:
+            continue
+        pos = key.index(idx)
+        new_key = key[:pos] + key[pos + 1:]
+        value = c if (len(key) - 1 - pos) % 2 == 0 else -c
+        out[new_key] = out[new_key] + value if new_key in out else value
+    return SuperExpr(expr.table,
+                     {k: v for k, v in out.items() if not v.is_zero})
+
+
+@given(exprs(FRAMED))
+@settings(max_examples=60, deadline=None)
+def test_right_diff_matches_term_walk(a):
+    for name in FRAMED.odd_names:
+        assert a.right_diff(name) == _right_diff_by_term_walk(a, name)
+
+
+def test_right_diff_of_even_name_raises():
+    f = parse_expr("x1*th1 + x2", FRAMED)
+    for name in ("x1", "x2", "y"):
+        with pytest.raises(SymbolError, match="is not an odd symbol"):
+            f.right_diff(name)
+
+
+def test_theta_and_frame_degrees_count_by_name():
+    table = standard_table(3, aux=2, frame=True)
+    n = len(table.odd_names)
+    for size in range(n + 1):
+        for key in itertools.combinations(range(n), size):
+            names = [table.odd_name(i) for i in key]
+            assert table.theta_degree(key) == \
+                sum(name in table.coordinate_odds for name in names)
+            assert table.frame_degree(key) == \
+                sum(name in table.frame_odds for name in names)
+
+
+def _monomial_count(expr):
+    return sum(len(c.f.numer) + (not c.f.denom.is_ground) * len(c.f.denom)
+               for c in expr.terms.values())
+
+
+@given(exprs(), exprs(), st.integers(min_value=0, max_value=4),
+       st.sampled_from(["1", "x1 + 2", "x2^2 + 3", "x1*x2 - 1"]),
+       st.sampled_from(["1", "x1 + 1", "x1^2 + 2*x2"]))
+@settings(max_examples=60, deadline=None)
+def test_monomial_bound_holds(a, b, k, den_a, den_b):
+    """The parser's bound never undercounts, for polynomial and rational
+    coefficients, with shared and distinct denominators."""
+    a = a / parse_expr(den_a, TABLE)
+    b = a + b / parse_expr(den_b, TABLE)
+    assert _monomial_count(a * b) <= _monomial_bound([(a, 1), (b, 1)])
+    assert _monomial_count(b ** k) <= _monomial_bound([(b, k)])
 
 
 @given(exprs())
