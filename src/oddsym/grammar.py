@@ -85,10 +85,12 @@ def _monomial_bound(factors):
     """An upper bound on the coefficient monomials of the product of
     ``factors``, pairs (SuperExpr, how many times it is a factor).
 
-    The product of the factors' counts is one when every coefficient is
-    a polynomial, since each monomial of the result comes from one of
-    each factor, and also when one rational factor is multiplied by
-    monomials, which cancel at most a monomial from its denominators.
+    When every coefficient is a polynomial, each monomial of the result
+    comes from a multiset of k monomials of each factor taken k times, so
+    the product over the factors of C(m + k - 1, k), m the factor's
+    count, is one bound.  The product of the counts themselves is one
+    when one rational factor is multiplied by monomials, which cancel at
+    most a monomial from its denominators.
     With polynomial coefficients the monomials in the generators that
     occur whose degree lies between the sums of the factors' lowest and
     highest degrees are another; the bound is the smaller.  A rational
@@ -101,9 +103,11 @@ def _monomial_bound(factors):
     product, rational = 1, []
     for value, times in factors:
         count, r = _size(value)
-        product *= count ** times
         if r and times:
+            product *= count ** times
             rational.append((count, times))
+        elif times:
+            product *= math.comb(count + times - 1, times)
     if not product or (product <= _MAX_MONOMIALS and
                        rational in ([], [(product, 1)])):
         return product

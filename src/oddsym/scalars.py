@@ -20,6 +20,12 @@ The arithmetic takes one of two paths, chosen by the operands alone:
   factors, not of the whole product, and a gcd with a constant side takes
   only integers.
 
+Most products in the identities have a constant side, and a
+polynomial-first product with one multiplies no polynomials: by 1 it
+returns the other operand's element, by any other c the other numerator
+scaled by c over the product of the two integer denominators.  Elements
+are shared between Scalars, so nothing may change one in place.
+
 A gcd of two nonconstant polynomials p and q is routed by V, the set of
 generators that occur in both.  Any common divisor lies in Z[V], and a
 polynomial in Z[V] divides p exactly when it divides every coefficient of
@@ -27,9 +33,10 @@ p read as a polynomial in the other generators (coefficients in Z[V]).
 So when V is empty the gcd is the integer gcd of all coefficients of p and
 q; when V = {x_i} it is the gcd of those coefficients in Z[x_i], one
 chain of dense univariate gcds (``dup_gcd``) that falls back to the
-integer gcd as soon as it reaches degree 0; only when V has two or more
-generators does it take sympy's multivariate ``PolyElement.cofactors``
-(heuristic gcd; Char, Geddes and Gonnet 1989).
+integer gcd as soon as it reaches degree 0, or, when p and q have one
+coefficient each, one ``dup_inner_gcd`` that also gives both cofactors;
+only when V has two or more generators does it take sympy's multivariate
+``PolyElement.cofactors`` (heuristic gcd; Char, Geddes and Gonnet 1989).
 
 Both paths give the canonical element that ``FracField`` itself would
 give; the property tests compare them.
@@ -42,7 +49,7 @@ from fractions import Fraction
 
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 
 
 class ScalarError(ArithmeticError):
@@ -89,7 +96,9 @@ class Scalar:
 
     @classmethod
     def symbol(cls, table, name):
-        return cls(table, table.field.gens[table.even_index(name)])
+        field = table.field
+        gen = field.gens[table.even_index(name)]
+        return cls(table, field.raw_new(gen.numer, field.one.denom))
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -295,16 +304,18 @@ def _reduce(field, num, den):
 
     A polynomial and an integer share only integer content, so cancelling
     gcd(den, coefficients) gives lowest terms without a polynomial gcd.
-    A polynomial takes the field's one unit denominator, ``field.one.denom``,
-    rather than a fresh ``ring.one`` per element.
+    A polynomial, den = 1 here or after cancelling, takes the field's one
+    unit denominator, ``field.one.denom``, rather than a fresh ``ring.one``
+    per element.
     """
-    if den == 1:
-        return field.raw_new(num, field.one.denom)
-    g = math.gcd(den, *num.values())
-    if g != 1:
-        num = num.quo_ground(g)
-        den //= g
-    return field.raw_new(num, field.ring.ground_new(den))
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = num.quo_ground(g)
+            den //= g
+        if den != 1:
+            return field.raw_new(num, field.ring.ground_new(den))
+    return field.raw_new(num, field.one.denom)
 
 
 def _mul(f, g):
@@ -319,7 +330,16 @@ def _mul(f, g):
         return _canonical(f.field, a * c, b * d)
     if not f or not g:
         return f.field.zero
-    return _reduce(f.field, f.numer * g.numer, da * db)
+    c = _ground(g.numer)
+    if c is None:
+        c = _ground(f.numer)
+        if c is None:
+            return _reduce(f.field, f.numer * g.numer, da * db)
+        f, g, da, db = g, f, db, da
+    # g = c/db is a constant: scale f's numerator, multiply no polynomials
+    if c == 1 and db == 1:
+        return f
+    return _reduce(f.field, f.numer.mul_ground(c), da * db)
 
 
 def _add(f, g, subtract=False):
@@ -375,9 +395,9 @@ def _gcd(p, q):
             if len(shared) > 1:
                 return p.cofactors(q)
             if shared:
-                h = _univariate_gcd(p, q, shared.pop())
-                if h is not None:
-                    return h, p.exquo(h), q.exquo(h)
+                out = _univariate_gcd(p, q, shared.pop())
+                if out is not None:
+                    return out
             h = math.gcd(*p.values(), *q.values())
         else:
             h = math.gcd(c, *p.values())
@@ -394,17 +414,28 @@ def _support(poly):
 
 
 def _univariate_gcd(p, q, i):
-    """gcd(p, q) when x_i is the only generator that occurs in both: a
-    PolyElement in x_i of positive degree, or None when the gcd is an
-    integer.
+    """(h, p/h, q/h) for h = gcd(p, q) when x_i is the only generator that
+    occurs in both and h has positive degree in x_i; None when the gcd is
+    an integer.
 
     Read p and q as polynomials in the other generators; their
     coefficients lie in Z[x_i], and h is the gcd of all of them, folded
     from the lowest degree up.  Once the running gcd is a constant, h is
     the integer gcd of all the coefficients of p and q, which the caller
-    takes.
+    takes.  When p = a M and q = b N have one coefficient each (M and N
+    monomials in the other generators), one ``dup_inner_gcd`` gives h
+    together with a/h and b/h.
     """
-    chain = sorted(_coefficients_in(p, i) + _coefficients_in(q, i), key=len)
+    cp, cq = _coefficients_in(p, i), _coefficients_in(q, i)
+    if len(cp) == len(cq) == 1:
+        (m, a), = cp.items()
+        (n, b), = cq.items()
+        h, a, b = dup_inner_gcd(a, b, ZZ)
+        if len(h) == 1:
+            return None
+        return (_from_dense(p, i, h, p.ring.zero_monom[1:]),
+                _from_dense(p, i, a, m), _from_dense(p, i, b, n))
+    chain = sorted([*cp.values(), *cq.values()], key=len)
     g = chain[0]
     for f in chain[1:]:
         if len(g) == 1:
@@ -412,20 +443,28 @@ def _univariate_gcd(p, q, i):
         g = dup_gcd(g, f, ZZ)
     if len(g) == 1:
         return None
-    zero = p.ring.zero_monom
-    top = len(g) - 1
-    return p.new({zero[:i] + (top - k,) + zero[i + 1:]: c
-                  for k, c in enumerate(g) if c})
+    h = _from_dense(p, i, g, p.ring.zero_monom[1:])
+    return h, p.exquo(h), q.exquo(h)
 
 
 def _coefficients_in(poly, i):
     """The coefficients of poly read as a polynomial in the generators
-    other than x_i: dense univariate lists in x_i, leading term first."""
+    other than x_i, by their exponents in those generators: dense
+    univariate lists in x_i, leading term first."""
     groups = {}
     for mono, coeff in poly.items():
         groups.setdefault(mono[:i] + mono[i + 1:], {})[mono[i]] = coeff
-    return [[terms.get(e, ZZ.zero) for e in range(max(terms), -1, -1)]
-            for terms in groups.values()]
+    return {rest: [terms.get(e, ZZ.zero) for e in range(max(terms), -1, -1)]
+            for rest, terms in groups.items()}
+
+
+def _from_dense(poly, i, dense, rest):
+    """The PolyElement of poly's ring with the coefficient ``dense`` (a
+    dense list in x_i, leading term first) at the monomial ``rest`` in
+    the other generators."""
+    top = len(dense) - 1
+    return poly.new({rest[:i] + (top - k,) + rest[i:]: c
+                     for k, c in enumerate(dense) if c})
 
 
 def _canonical(field, num, den):

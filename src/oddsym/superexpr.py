@@ -235,6 +235,11 @@ class SuperExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # both are immutable, so an empty side can hand back the other
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for key, c in other.terms.items():
             _accumulate(out, key, c)
@@ -258,6 +263,10 @@ class SuperExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():

@@ -299,6 +299,13 @@ def test_power_of_a_power_exit_two(tmp_path, capsys):
     assert elapsed < 30
 
 
+def test_sparse_power_under_the_cap_exit_zero(tmp_path, capsys):
+    # 496 monomials: a power holds at most C(m + k - 1, k) of them, one
+    # for each multiset of k of the base's m monomials
+    code, err, _ = _delta0_of(tmp_path, capsys, 3, "(x1*x2 + x3 + 2)^30")
+    assert code == 0 and err == ""
+
+
 def test_product_of_capped_powers_exit_two(tmp_path, capsys):
     # each factor holds 3003 monomials, the product of two 53130
     power = "(x1 + x2 + x3 + x4 + x5 + x6)^10"

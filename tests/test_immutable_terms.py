@@ -1,24 +1,39 @@
-"""No module of src/oddsym changes a SuperExpr's terms after construction.
+"""No module of src/oddsym changes a SuperExpr's terms, or a Scalar's
+coefficient, after construction.
 
 ``SuperExpr.diff`` caches each derivative on the expression, keyed by
 symbol name alone.  The cache is correct only while an expression's
-``terms`` never change once ``SuperExpr.__init__`` has set them, so this
-scan fails on any assignment to ``<x>.terms`` outside that constructor,
-any assignment through or deletion from ``<x>.terms[...]``, and any call
-of a mutating dict method on ``<x>.terms``.  It reads the syntax only, so
-a terms dict reached through another name escapes it.
+``terms`` never change once ``SuperExpr.__init__`` has set them.  The
+Scalar kernel hands one FracElement, and its numerator and denominator
+PolyElements, to many Scalars (a product by 1 returns the other side's;
+every polynomial shares its field's unit denominator), which is correct
+only while none of them changes.
+
+So this scan fails on any assignment to ``<x>.terms`` outside the
+SuperExpr constructor or to ``<x>.f`` outside the Scalar one; on any
+assignment through or deletion from ``<x>.terms[...]``, ``<x>.numer[...]``
+or ``<x>.denom[...]``; and on any call of a mutating dict method on
+``<x>.terms``, or of a mutating dict or in-place PolyElement method on
+``<x>.numer`` or ``<x>.denom``.  It reads the syntax only, so a terms dict
+or a polynomial reached through another name escapes it.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oddsym"
-ALLOWED = {("superexpr.py", "SuperExpr.__init__")}
+ALLOWED = {("superexpr.py", "SuperExpr.__init__"),
+           ("scalars.py", "Scalar.__init__")}
 MUTATORS = {"pop", "update", "setdefault", "clear", "popitem"}
+POLY_MUTATORS = MUTATORS | {"strip_zero", "imul_num", "_iadd_monom",
+                            "_iadd_poly_monom"}
+CONTAINERS = {"terms": MUTATORS, "numer": POLY_MUTATORS,
+              "denom": POLY_MUTATORS}
+FIELDS = {"terms", "f"}  # set once, by the constructor
 
 
-def _is_terms(node):
-    return isinstance(node, ast.Attribute) and node.attr == "terms"
+def _attribute(node, names):
+    return isinstance(node, ast.Attribute) and node.attr in names
 
 
 def _targets(node):
@@ -32,8 +47,9 @@ def _targets(node):
         yield node
 
 
-def _terms_writes(name, source):
-    """(file, qualified scope, line) of each write to a ``terms`` dict."""
+def _writes(name, source):
+    """(file, qualified scope, line) of each write to a ``terms`` dict, a
+    Scalar's ``f`` or a coefficient's ``numer`` or ``denom``."""
     found = []
 
     def walk(node, scope):
@@ -48,13 +64,15 @@ def _terms_writes(name, source):
                 targets = [child.target]
             else:
                 targets = []
-            hit = any(_is_terms(t) or
-                      (isinstance(t, ast.Subscript) and _is_terms(t.value))
+            hit = any(_attribute(t, FIELDS) or
+                      (isinstance(t, ast.Subscript) and
+                       _attribute(t.value, CONTAINERS))
                       for target in targets for t in _targets(target))
             if isinstance(child, ast.Call):
                 func = child.func
                 hit = isinstance(func, ast.Attribute) and \
-                    func.attr in MUTATORS and _is_terms(func.value)
+                    _attribute(func.value, CONTAINERS) and \
+                    func.attr in CONTAINERS[func.value.attr]
             if hit:
                 found.append((name, ".".join(scope), child.lineno))
             walk(child, scope)
@@ -78,13 +96,34 @@ def test_scan_sees_every_kind_of_write():
               "    e.terms.get(())\n"
               "    terms = dict(e.terms)\n"
               "    terms[()] = 1\n")
-    assert [line for _, _, line in _terms_writes("m.py", source)] == \
+    assert [line for _, _, line in _writes("m.py", source)] == \
+        list(range(2, 12))
+
+
+def test_scan_sees_every_kind_of_coefficient_write():
+    source = ("def f(s, g, m):\n"
+              "    s.f = g\n"
+              "    s.f.numer[m] = 1\n"
+              "    s.f.denom[m] += 1\n"
+              "    del s.f.numer[m]\n"
+              "    s.f.numer.strip_zero()\n"
+              "    g.denom.strip_zero()\n"
+              "    g.numer.imul_num(2)\n"
+              "    g.numer._iadd_monom((m, 1))\n"
+              "    g.denom.pop(m)\n"
+              "    g.numer.update({})\n"
+              "    s.f.numer.strip_zero\n"
+              "    h = g.numer.quo_ground(2)\n"
+              "    h[m] = 1\n"
+              "    g.numer.get(m)\n"
+              "    return s.f\n")
+    assert [line for _, _, line in _writes("m.py", source)] == \
         list(range(2, 12))
 
 
 def test_no_terms_mutation_outside_the_constructor():
     found = [hit for path in sorted(SRC.glob("*.py"))
-             for hit in _terms_writes(path.name,
+             for hit in _writes(path.name,
                                       path.read_text(encoding="utf-8"))]
     assert {hit[:2] for hit in found} >= ALLOWED  # the scan sees __init__
     assert [hit for hit in found if hit[:2] not in ALLOWED] == []

@@ -12,8 +12,9 @@ from sympy.polys.rings import PolyElement
 
 from oddsym.grammar import _monomial_bound, parse_expr, render_expr
 from oddsym.sampling import pushforward_structure, random_scalar
+from oddsym import scalars
 from oddsym.scalars import Scalar, ScalarError, _gcd
-from oddsym.superexpr import SuperExpr
+from oddsym.superexpr import SuperExpr, _merge_keys
 from oddsym.symbols import Chart, SymbolError, standard_table
 from oddsym.symplectic import OddSymplecticStructure, bracket, bracket_matrix
 
@@ -139,6 +140,18 @@ def test_monomial_bound_holds(a, b, k, den_a, den_b):
     b = a + b / parse_expr(den_b, TABLE)
     assert _monomial_count(a * b) <= _monomial_bound([(a, 1), (b, 1)])
     assert _monomial_count(b ** k) <= _monomial_bound([(b, k)])
+
+
+@given(exprs(), exprs(), st.integers(min_value=0, max_value=8),
+       st.integers(min_value=0, max_value=8))
+@example(parse_expr("x1*x2 + x1 + 2", TABLE), SuperExpr.one(TABLE), 30, 0)
+@settings(max_examples=60, deadline=None)
+def test_monomial_bound_holds_for_powers(a, b, j, k):
+    """Powers of polynomial-coefficient expressions, where a factor taken
+    k times is bounded by the multisets of k of its monomials."""
+    assert _monomial_count(a ** j * b ** k) <= \
+        _monomial_bound([(a, j), (b, k)])
+    assert _monomial_count((a + b) ** k) <= _monomial_bound([(a + b, k)])
 
 
 @given(exprs())
@@ -309,12 +322,129 @@ def test_polynomial_scalars_share_one_unit_denominator(f, g):
     polys = [x1 * x2 + 1, x1 - x2 * 3, (x1 * x1).diff("x1"),
              Scalar.from_int(TABLE, 20), Scalar.from_fraction(TABLE, 7),
              (x1 / (x2 + 1)) * (x2 + 1), (x1 * x1).subs_even({"x1": x2}),
-             ((x1 + 1) * (x1 + 1)).sqrt()]
+             ((x1 + 1) * (x1 + 1)).sqrt(), x1, x1 * 1, -x2,
+             (2 * x1) / 2, Scalar.from_fraction(TABLE, Fraction(1, 2)) * 2,
+             Scalar.from_poly(TABLE, RING.zero, 3)]
     assert all(p.f.denom is unit for p in polys)
     _scalar_ops(f, g)
     for a in polys:
         _scalar_ops(a.f, f)
     assert dict(unit) == {RING.zero_monom: 1}
+
+
+# -- the fast lanes: trivial operands against plain FracField arithmetic ------
+
+constants = st.one_of(st.sampled_from([0, 1, -1]),
+                      st.integers(min_value=-20, max_value=20),
+                      st.fractions(min_value=-20, max_value=20,
+                                   max_denominator=12))
+
+
+def field_constant(c):
+    c = Fraction(c)
+    return FIELD(c.numerator) / c.denominator
+
+
+@given(fracs(), constants)
+@example(FIELD.gens[0] / 6, Fraction(3, 4))
+@settings(max_examples=200, deadline=None)
+def test_constant_side_products_match_frac_field(f, c):
+    """A side that is 0, 1, -1, an integer or a rational constant, as a
+    number or a Scalar, on either side of a polynomial or rational one."""
+    a, k = Scalar(TABLE, f), Scalar.from_fraction(TABLE, c)
+    want = f * field_constant(c)
+    for got in (a * k, k * a, a * c, c * a):
+        same(got, want)
+    same(k * k, field_constant(c) ** 2)
+
+
+def field_terms(expr):
+    return {key: c.f for key, c in expr.terms.items()}
+
+
+def reference_sum(a, b):
+    out = field_terms(a)
+    for key, c in b.terms.items():
+        out[key] = out.get(key, FIELD.zero) + c.f
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_product(a, b):
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            merged = _merge_keys(ka, kb)
+            if merged is not None:
+                sign, key = merged
+                out[key] = out.get(key, FIELD.zero) + ca.f * cb.f * sign
+    return {key: c for key, c in out.items() if c}
+
+
+maybe_empty = st.one_of(st.just(SuperExpr.zero(TABLE)), exprs())
+
+
+@given(maybe_empty, maybe_empty)
+@settings(max_examples=100, deadline=None)
+def test_empty_side_sums_and_products_match_frac_field(a, b):
+    assert field_terms(a + b) == reference_sum(a, b)
+    assert field_terms(a * b) == reference_product(a, b)
+    assert field_terms(a - b) == reference_sum(a, -b)
+    if not b:
+        assert a + b is a and a - b is a
+        assert b + a is (a if a else b)
+        assert not a * b and not b * a
+    for zero in (0, Fraction(0), Scalar.from_int(TABLE, 0)):
+        assert a + zero is a and zero + a is a
+        assert not a * zero and not zero * a
+
+
+@st.composite
+def fracs_free_of(draw, i):
+    """A polynomial or rational FracElement in which x_(i+1) does not
+    occur."""
+    def poly(exponents):
+        return RING.from_dict({tuple(e if j != i else 0 for j in range(2)): c
+                               for e, c in exponents.items() if c})
+    numer = st.dictionaries(st.integers(min_value=0, max_value=3),
+                            st.integers(min_value=-6, max_value=6),
+                            max_size=4).map(poly)
+    den = st.one_of(nonzero_ints.map(RING.ground_new), numer.filter(bool))
+    return FIELD.new(draw(numer), draw(den))
+
+
+@given(st.sampled_from([0, 1]).flatmap(
+    lambda i: st.tuples(st.just(i), fracs_free_of(i))))
+@settings(max_examples=100, deadline=None)
+def test_variable_free_derivatives_match_frac_field(case):
+    i, f = case
+    name = ("x1", "x2")[i]
+    got = Scalar(TABLE, f).diff(name)
+    same(got, f.diff(FIELD.gens[i]))
+    assert got.is_zero
+    expr = SuperExpr.from_scalar(Scalar(TABLE, f)) * SuperExpr.symbol(TABLE,
+                                                                      "th1")
+    assert not expr.diff(name)
+
+
+def test_constant_products_multiply_no_polynomials():
+    # a polynomial times 1, -1, 7 or 2/3 scales its numerator
+    x1, x2 = Scalar.symbol(TABLE, "x1"), Scalar.symbol(TABLE, "x2")
+    poly = x1 * x1 * x2 - x2 * 3 + 5
+    cases = [(p, c) for p in (poly, poly / 6, poly / 2)
+             for c in (1, -1, 7, Fraction(2, 3))]
+    wants = [p.f * field_constant(c) for p, c in cases]
+
+    def refuse(self, other):
+        raise AssertionError("PolyElement.__mul__ called")
+
+    with mock.patch.object(PolyElement, "__mul__", refuse), \
+            mock.patch.object(PolyElement, "__rmul__", refuse):
+        gots = [(p * c, c * p, p * Scalar.from_fraction(TABLE, c),
+                 Scalar.from_fraction(TABLE, c) * p) for p, c in cases]
+    for products, want in zip(gots, wants, strict=True):
+        for got in products:
+            same(got, want)
+    assert (poly * 1).f is poly.f
 
 
 # -- the gcd routes against PolyElement.cofactors ----------------------------
@@ -386,6 +516,29 @@ def test_gcd_routes_match_cofactors(pair):
     p, q = pair
     assert _gcd(p, q) == p.cofactors(q)
     assert _gcd(q, p) == q.cofactors(p)
+
+
+def test_two_entry_chain_takes_one_gcd_call():
+    # p = a(x1) x2 and q = b(x1) t^2: one coefficient each in Z[x1], so
+    # h and both cofactors come from one dup_inner_gcd, with no division
+    pairs = [(4 * (_x1 + 1) * (_x1 - 2) * _x2, 6 * (_x1 + 1) * (2 * _x1 + 3) * _t ** 2),
+             (-(_x1 ** 2 - 1) * _x2 ** 2, (3 * _x1 + 3) * _t),
+             ((_x1 + 1) * _x2, (_x1 + 2) * _t)]
+
+    def refuse(*args):
+        raise AssertionError("dup_gcd or exquo called")
+
+    calls = []
+    for p, q in pairs:
+        for a, b in ((p, q), (q, p)):
+            want = a.cofactors(b)
+            with mock.patch.object(scalars, "dup_gcd", refuse), \
+                    mock.patch.object(PolyElement, "exquo", refuse), \
+                    mock.patch.object(scalars, "dup_inner_gcd",
+                                      wraps=scalars.dup_inner_gcd) as inner:
+                assert _gcd(a, b) == want
+            calls.append(inner.call_count)
+    assert calls == [1] * 6
 
 
 def test_radial_inverts_euler_plus_k():
