@@ -104,7 +104,9 @@ def _summed(series, time):
     power = 1
     for k, terms in enumerate(series[1:], start=1):
         power = power * time / k
-        out = [acc + power * term for acc, term in zip(out, terms)]
+        factor = power if isinstance(power, SuperExpr) \
+            else SuperExpr.constant(terms[0].table, power)
+        out = [acc + factor * term for acc, term in zip(out, terms)]
     return out
 
 

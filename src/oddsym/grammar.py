@@ -90,7 +90,9 @@ def _monomial_bound(factors):
     the product over the factors of C(m + k - 1, k), m the factor's
     count, is one bound.  The product of the counts themselves is one
     when one rational factor is multiplied by monomials, which cancel at
-    most a monomial from its denominators.
+    most a monomial from its denominators.  A rational factor of one
+    term p/q, in lowest terms, taken k times is p^k/q^k, also in lowest
+    terms, and counts C(m_p + k - 1, k) + C(m_q + k - 1, k).
     With polynomial coefficients the monomials in the generators that
     occur whose degree lies between the sums of the factors' lowest and
     highest degrees are another; the bound is the smaller.  A rational
@@ -103,13 +105,18 @@ def _monomial_bound(factors):
     product, rational = 1, []
     for value, times in factors:
         count, r = _size(value)
-        if r and times:
+        if r and times and len(value.terms) == 1:
+            (c,) = value.terms.values()
+            rational.append(math.comb(len(c.f.numer) + times - 1, times) +
+                            math.comb(len(c.f.denom) + times - 1, times))
+            product *= rational[-1]
+        elif r and times:
             product *= count ** times
-            rational.append((count, times))
+            rational.append(count if times == 1 else None)
         elif times:
             product *= math.comb(count + times - 1, times)
     if not product or (product <= _MAX_MONOMIALS and
-                       rational in ([], [(product, 1)])):
+                       rational in ([], [product])):
         return product
     lo, hi, den_degree, odds = 0, 0, 0, set()
     num = den = [0] * factors[0][0].table.field.ngens

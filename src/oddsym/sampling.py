@@ -17,17 +17,17 @@ def random_scalar(rng, table, coeff_degree=2, names=None, rational=False,
                   allow_zero=True):
     names = list(names if names is not None else table.even_symbols)
     ring = table.field.ring
-    total = ring.zero
+    terms = {}  # exponent tuple -> summed coefficient
     for _ in range(rng.randint(0 if allow_zero else 1, 3)):
         coeff = rng.randint(-4, 4)
         if coeff == 0:
             continue
-        term = ring.ground_new(coeff)
+        mono = [0] * ring.ngens
         for _ in range(rng.randint(0, coeff_degree)):
             if names:
-                term = term * ring.gens[table.even_index(rng.choice(names))]
-        total = total + term
-    out = Scalar.from_poly(table, total)
+                mono[table.even_index(rng.choice(names))] += 1
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + coeff
+    out = Scalar.from_poly(table, ring.from_dict(terms))
     if rational and names and rng.random() < 0.4:
         den = Scalar.from_int(table, rng.choice([2, 3])) + \
             Scalar.symbol(table, rng.choice(names)) ** 2
@@ -39,7 +39,7 @@ def random_expr(rng, table, theta_degree=2, coeff_degree=2, aux=False,
                 rational=False, min_theta=0, even_names=None):
     """Random SuperExpr at desk scale; deterministic under the given rng."""
     thetas = list(table.coordinate_odds)
-    total = SuperExpr.zero(table)
+    raw = []
     for _ in range(rng.randint(1, 4)):
         c = random_scalar(rng, table, coeff_degree, names=even_names,
                           rational=rational, allow_zero=False)
@@ -50,17 +50,13 @@ def random_expr(rng, table, theta_degree=2, coeff_degree=2, aux=False,
         if aux and table.aux_odds and rng.random() < 0.5:
             monomial += rng.sample(list(table.aux_odds),
                                    rng.randint(0, len(table.aux_odds)))
-        term = SuperExpr.from_scalar(c)
-        for name in monomial:
-            term = term * SuperExpr.symbol(table, name)
-        total = total + term
-    return total
+        raw.append((c, monomial))
+    return SuperExpr.from_raw_terms(table, raw)
 
 
 def random_homogeneous(rng, table, parity, **kw):
     out = random_expr(rng, table, **kw)
-    part = out.even_part() if parity == 0 else out.odd_part()
-    return part
+    return out.even_part() if parity == 0 else out.odd_part()
 
 
 # -- canonical map generators ---------------------------------------------------
@@ -71,29 +67,25 @@ def random_special_map(rng, chart):
     table = chart.table
     if not table.aux_odds:
         raise ValueError("special maps need aux odd constants")
-    phi = SuperExpr.zero(table)
+    raw = []
     for _ in range(rng.randint(1, 2)):
         c = random_scalar(rng, table, coeff_degree=2, names=chart.xs,
                           allow_zero=False)
-        phi = phi + SuperExpr.from_scalar(c) * \
-            SuperExpr.symbol(table, rng.choice(list(table.aux_odds)))
-    psis = [phi.diff(x) for x in chart.xs]
-    return special_map(chart, psis)
+        raw.append((c, [rng.choice(list(table.aux_odds))]))
+    phi = SuperExpr.from_raw_terms(table, raw)
+    return special_map(chart, [phi.diff(x) for x in chart.xs])
 
 
 def random_point_map(rng, chart):
     """Unipotent triangular polynomial base change (polynomial inverse)."""
     table = chart.table
-    n = chart.n
     body = []
-    for i in range(n):
+    for i in range(chart.n):
         expr = Scalar.symbol(table, chart.xs[i])
         later = list(chart.xs[i + 1:])
         if later and rng.random() < 0.9:
-            c = rng.choice([-2, -1, 1, 2, 3])
-            deg = rng.randint(1, 2)
-            term = Scalar.from_int(table, c)
-            for _ in range(deg):
+            term = Scalar.from_int(table, rng.choice([-2, -1, 1, 2, 3]))
+            for _ in range(rng.randint(1, 2)):
                 term = term * Scalar.symbol(table, rng.choice(later))
             expr = expr + term
         body.append(expr)
@@ -117,22 +109,20 @@ def _invert_triangular_body(chart, body):
 def random_flow_hamiltonian(rng, chart):
     """Odd generator with vanishing theta-linear part."""
     table = chart.table
-    total = SuperExpr.zero(table)
+    raw = []
     thetas = list(chart.thetas)
     for _ in range(rng.randint(1, 3)):
         c = random_scalar(rng, table, coeff_degree=2, names=chart.xs,
                           allow_zero=False)
-        term = SuperExpr.from_scalar(c)
         k = rng.choice([2, 3] if len(thetas) >= 3 else [2])
         k = min(k, len(thetas))
-        for name in rng.sample(thetas, k):
-            term = term * SuperExpr.symbol(table, name)
-        if term.is_even() and table.aux_odds:
-            term = term * SuperExpr.symbol(
-                table, rng.choice(list(table.aux_odds)))
-        if term.is_odd():
-            total = total + term
-    return total.odd_part()
+        names = rng.sample(thetas, k)
+        # a zero term is even as well as odd, so it takes an aux factor too
+        if (c.is_zero or k % 2 == 0) and table.aux_odds:
+            names.append(rng.choice(list(table.aux_odds)))
+        if len(names) % 2:
+            raw.append((c, names))
+    return SuperExpr.from_raw_terms(table, raw)
 
 
 def random_flow_map(rng, chart):
@@ -144,9 +134,10 @@ def random_flow_map(rng, chart):
 
 def random_canonical_map(rng, chart):
     """Composition of invertible canonical atoms, inverses included."""
-    out = SuperMap.identity(chart)
     atoms = (random_special_map, random_point_map, random_flow_map)
-    for make in rng.sample(atoms, rng.randint(1, len(atoms))):
+    first, *rest = rng.sample(atoms, rng.randint(1, len(atoms)))
+    out = first(rng, chart)
+    for make in rest:
         out = make(rng, chart).compose(out)
     return out
 
@@ -156,7 +147,6 @@ def random_messy_map(rng, chart):
     no inverse, ``invert_map`` finds it."""
     table = chart.table
     n = chart.n
-    atoms = []
     # theta rescale by an invertible triangular scalar matrix
     mat = [[Scalar.from_int(table, 1 if i == j else 0) for j in range(n)]
            for i in range(n)]
@@ -171,7 +161,7 @@ def random_messy_map(rng, chart):
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
     targets = xs + [theta_linear(ths, mat, j) for j in range(n)]
     ident_body = [Scalar.symbol(table, x) for x in chart.xs]
-    atoms.append(SuperMap(chart, chart, targets, body_inverse=ident_body))
+    out = SuperMap(chart, chart, targets, body_inverse=ident_body)
     # nilpotent shear of the even coordinates
     shear = list(xs)
     for i in range(n):
@@ -179,15 +169,11 @@ def random_messy_map(rng, chart):
             pair = rng.sample(list(chart.thetas), 2)
             c = random_scalar(rng, table, coeff_degree=1, names=chart.xs,
                               allow_zero=False)
-            shear[i] = shear[i] + SuperExpr.from_scalar(c) * \
-                SuperExpr.symbol(table, pair[0]) * \
-                SuperExpr.symbol(table, pair[1])
-    atoms.append(SuperMap(chart, chart, shear + ths, body_inverse=ident_body))
+            shear[i] = shear[i] + SuperExpr.from_raw_terms(table, [(c, pair)])
+    sheared = SuperMap(chart, chart, shear + ths, body_inverse=ident_body)
+    out = sheared.compose(out)
     if rng.random() < 0.6:
-        atoms.append(random_point_map(rng, chart))
-    out = atoms[0]
-    for atom in atoms[1:]:
-        out = atom.compose(out)
+        out = random_point_map(rng, chart).compose(out)
     return out
 
 

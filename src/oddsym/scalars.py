@@ -323,13 +323,13 @@ def _mul(f, g):
     db = _ground(g.denom)
     if da is None or db is None:
         if not f or not g:
-            return f.field.zero
+            return _reduce(f.field, f.field.ring.zero, 1)
         # a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)), gi the cross gcds
         _, a, d = _gcd(f.numer, g.denom)
         _, c, b = _gcd(g.numer, f.denom)
         return _canonical(f.field, a * c, b * d)
     if not f or not g:
-        return f.field.zero
+        return _reduce(f.field, f.field.ring.zero, 1)
     c = _ground(g.numer)
     if c is None:
         c = _ground(f.numer)
@@ -491,7 +491,7 @@ def _add_quotients(f, g, subtract):
     a, c = f.numer * d, g.numer * b
     t = a - c if subtract else a + c
     if not t:
-        return f.field.zero
+        return _reduce(f.field, f.field.ring.zero, 1)
     _, t, h = _gcd(t, h)
     return _canonical(f.field, t, h * b * d)
 
@@ -506,13 +506,13 @@ def _diff_quotient(f, idx):
     da, db = a.diff(idx), b.diff(idx)
     if not db:
         if not da:
-            return f.field.zero
+            return _reduce(f.field, f.field.ring.zero, 1)
         _, da, b = _gcd(da, b)
         return _canonical(f.field, da, b)
     h, u, v = _gcd(b, db)
     t = da * u - a * v
     if not t:
-        return f.field.zero
+        return _reduce(f.field, f.field.ring.zero, 1)
     _, t, h = _gcd(t, h)
     return _canonical(f.field, t, h * u * u)
 

@@ -507,7 +507,7 @@ class Pullback:
                 if not value.is_even():
                     raise ParityError(f"even symbol {name!r} bound to odd value")
                 if moved:
-                    self.bodies[name] = body or Scalar(table, field.zero)
+                    self.bodies[name] = body or Scalar.from_int(table, 0)
                 if len(terms) > (body is not None):
                     self.nils[idx] = SuperExpr(table, {k: v for k, v
                                                        in terms.items() if k})

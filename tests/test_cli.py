@@ -306,6 +306,13 @@ def test_sparse_power_under_the_cap_exit_zero(tmp_path, capsys):
     assert code == 0 and err == ""
 
 
+def test_rational_term_power_under_the_cap_exit_zero(tmp_path, capsys):
+    # 862 monomials: p^k/q^k holds at most C(m_p + k - 1, k) of them in
+    # its numerator and C(m_q + k - 1, k) in its denominator
+    code, err, _ = _delta0_of(tmp_path, capsys, 3, "(1/(x1 + x2 + x3))^40")
+    assert code == 0 and err == ""
+
+
 def test_product_of_capped_powers_exit_two(tmp_path, capsys):
     # each factor holds 3003 monomials, the product of two 53130
     power = "(x1 + x2 + x3 + x4 + x5 + x6)^10"
@@ -381,6 +388,14 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "delta0: -x1*th1 + x2*th2\n"
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddsym", "verify", "--suite", "tau-table"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("verify: pass\n")
 
 
 # rational.json has rational-function coefficients throughout, in the

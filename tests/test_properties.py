@@ -14,7 +14,7 @@ from oddsym.grammar import _monomial_bound, parse_expr, render_expr
 from oddsym.sampling import pushforward_structure, random_scalar
 from oddsym import scalars
 from oddsym.scalars import Scalar, ScalarError, _gcd
-from oddsym.superexpr import SuperExpr, _merge_keys
+from oddsym.superexpr import Pullback, SuperExpr, _merge_keys
 from oddsym.symbols import Chart, SymbolError, standard_table
 from oddsym.symplectic import OddSymplecticStructure, bracket, bracket_matrix
 
@@ -325,11 +325,30 @@ def test_polynomial_scalars_share_one_unit_denominator(f, g):
              ((x1 + 1) * (x1 + 1)).sqrt(), x1, x1 * 1, -x2,
              (2 * x1) / 2, Scalar.from_fraction(TABLE, Fraction(1, 2)) * 2,
              Scalar.from_poly(TABLE, RING.zero, 3)]
+    # a zero from each kernel site that makes one: polynomial and field
+    # products, a field sum, a field derivative and an unbound body
+    rat = x1 / (x2 + 1)
+    zeros = [x1 * 0, rat * 0, rat - rat, (1 / (x2 + 1)).diff("x1"),
+             Pullback(TABLE, {"x1": parse_expr("th1*th2", TABLE)})
+             .bodies["x1"]]
+    assert all(z.is_zero for z in zeros)
+    polys += zeros
     assert all(p.f.denom is unit for p in polys)
     _scalar_ops(f, g)
     for a in polys:
         _scalar_ops(a.f, f)
     assert dict(unit) == {RING.zero_monom: 1}
+
+
+@given(fracs().filter(lambda f: f and not f.denom.is_ground),
+       st.sampled_from([(), ("th1",), ("th1", "b1")]),
+       st.integers(min_value=0, max_value=8))
+@example(FIELD.one / (FIELD.gens[0] + FIELD.gens[1] + 1), (), 8)
+@settings(max_examples=60, deadline=None)
+def test_monomial_bound_holds_for_a_rational_term_power(f, odds, k):
+    """One rational term p/q taken k times is p^k/q^k in lowest terms."""
+    term = SuperExpr.from_raw_terms(TABLE, [(Scalar(TABLE, f), odds)])
+    assert _monomial_count(term ** k) <= _monomial_bound([(term, k)])
 
 
 # -- the fast lanes: trivial operands against plain FracField arithmetic ------
