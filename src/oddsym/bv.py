@@ -17,10 +17,11 @@ from functools import cached_property
 from fractions import Fraction
 
 from .scalars import Scalar
-from .superexpr import ParityError, Pullback, SuperExpr
+from .superexpr import (ParityError, Pullback, SuperExpr, sum_of,
+                        sum_of_products)
 from .symbols import TIME_SYMBOL, Chart, Parity
 from .symplectic import (Semidensity, SuperMap, bracket, ber_sqrt,
-                         map_berezinian)
+                         hamiltonian_field, map_berezinian)
 
 
 @dataclass
@@ -49,10 +50,8 @@ class VolumeForm:
 
 def delta0(f, chart: Chart):
     """sum_i d/dx^i of the left derivative d/dth_i of f."""
-    total = SuperExpr.zero(chart.table)
-    for x, th in zip(chart.xs, chart.thetas):
-        total = total + f.diff(th).diff(x)
-    return total
+    return sum_of(chart.table, (f.diff(th).diff(x)
+                                for x, th in zip(chart.xs, chart.thetas)))
 
 
 def _half(table):
@@ -76,22 +75,19 @@ def divergence_delta(f, dv: VolumeForm):
     """
     chart = dv.chart
     table = chart.table
-    feven, fodd = f.even_part(), f.odd_part()
-    total = SuperExpr.zero(table)
-    for part, p_odd in ((feven, False), (fodd, True)):
+    names = chart.coordinate_names
+    log_grad = [dv.inverse * dv.density.diff(name) for name in names]
+    pieces, pairs = [], []
+    for part, p_odd in ((f.even_part(), False), (f.odd_part(), True)):
         if part.is_zero:
             continue
-        names = chart.coordinate_names
-        div = SuperExpr.zero(table)
-        for a, name in enumerate(names):
-            comp = bracket(part, SuperExpr.symbol(table, name), chart)
-            piece = comp.diff(name)
-            if p_odd and a >= chart.n:
-                piece = -piece
-            div = div + piece + comp * dv.inverse * dv.density.diff(name)
-        div = _half(table) * div
-        total = total + (-div if p_odd else div)
-    return total
+        for a, comp in enumerate(hamiltonian_field(part, chart)):
+            piece = comp.diff(names[a])
+            # the odd part's terms are negated, its theta terms twice
+            pieces.append(-piece if p_odd and a < chart.n else piece)
+            pairs.append((-comp if p_odd else comp, log_grad[a]))
+    return _half(table) * (sum_of(table, pieces) +
+                           sum_of_products(table, pairs))
 
 
 def delta_sharp(s: Semidensity):

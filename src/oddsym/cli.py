@@ -34,23 +34,16 @@ _INPUT_ERRORS = (ManifestError, ParseError, ParityError, ScalarError,
                  CanonicityError, ValueError)
 
 
-def _named(manifest, pool_name, key):
-    pool = getattr(manifest, pool_name)
-    if not isinstance(key, str) or key not in pool:
-        raise ManifestError(f"unknown {pool_name[:-1]} {key!r}")
-    return pool[key]
-
-
 def _structure_arg(manifest, entry):
     name = entry.get("structure", "canonical")
     if name == "canonical":
         return None
-    return _named(manifest, "structures", name)
+    return manifest.named("structures", name)
 
 
 def cmd_bracket(manifest, args):
     entry = manifest.section("bracket")
-    chart = manifest.chart(entry["chart"])
+    chart = manifest.named("charts", entry["chart"])
     f = manifest.parse(chart, entry["f"])
     g = manifest.parse(chart, entry["g"])
     omega = _structure_arg(manifest, entry)
@@ -60,34 +53,34 @@ def cmd_bracket(manifest, args):
 
 def cmd_delta0(manifest, args):
     entry = manifest.section("delta0")
-    chart = manifest.chart(entry["chart"])
+    chart = manifest.named("charts", entry["chart"])
     f = manifest.parse(chart, entry["f"])
     return [("delta0", render_expr(delta0(f, chart)))], None
 
 
 def cmd_delta_vol(manifest, args):
     entry = manifest.section("delta_vol")
-    dv = _named(manifest, "volume_forms", entry["volume"])
+    dv = manifest.named("volume_forms", entry["volume"])
     f = manifest.parse(dv.chart, entry["f"])
     return [("delta_vol", render_expr(delta_vol(f, dv)))], None
 
 
 def cmd_delta_sharp(manifest, args):
     entry = manifest.section("delta_sharp")
-    s = _named(manifest, "semidensities", entry["semidensity"])
+    s = manifest.named("semidensities", entry["semidensity"])
     out = delta_sharp(s)
     return [("delta_sharp", render_expr(out.coefficient))], None
 
 
 def cmd_berezinian(manifest, args):
     entry = manifest.section("berezinian")
-    fmap = _named(manifest, "maps", entry["map"])
+    fmap = manifest.named("maps", entry["map"])
     return [("berezinian", render_expr(map_berezinian(fmap)))], None
 
 
 def cmd_darboux(manifest, args):
     entry = manifest.section("darboux")
-    omega = _named(manifest, "structures", entry["structure"])
+    omega = manifest.named("structures", entry["structure"])
     result = darboux_pipeline(omega, omega.chart)
     lines = []
     for index, (kind, fmap) in enumerate(result.steps):
@@ -106,7 +99,7 @@ def cmd_darboux(manifest, args):
 
 def cmd_flow(manifest, args):
     entry = manifest.section("flow")
-    chart = manifest.chart(entry["chart"])
+    chart = manifest.named("charts", entry["chart"])
     q = manifest.parse(chart, entry["Q"])
     t_value = parse_time(entry.get("t", 1))
     fmap = exp_flow(q, chart, t_value)
@@ -122,7 +115,7 @@ def cmd_flow(manifest, args):
 
 def cmd_hamiltonian_from_map(manifest, args):
     entry = manifest.section("hamiltonian_from_map")
-    fmap = _named(manifest, "maps", entry["map"])
+    fmap = manifest.named("maps", entry["map"])
     # raises CanonicityError unless the unit-time flow of q is fmap
     q = hamiltonian_from_adjusted(fmap)
     return [("generator", render_expr(q)), ("round_trip", "exact")], True
@@ -130,45 +123,45 @@ def cmd_hamiltonian_from_map(manifest, args):
 
 def cmd_tau_sharp(manifest, args):
     entry = manifest.section("tau_sharp")
-    w = _named(manifest, "forms", entry["form"])
+    w = manifest.named("forms", entry["form"])
     s = tau_sharp(w)
     return [("coefficient", render_expr(s.coefficient))], None
 
 
 def cmd_tau_sharp_inv(manifest, args):
     entry = manifest.section("tau_sharp_inv")
-    s = _named(manifest, "semidensities", entry["semidensity"])
+    s = manifest.named("semidensities", entry["semidensity"])
     w = tau_sharp_inverse(s)
     return [("form", render_form(w))], None
 
 
 def cmd_shift(manifest, args):
     entry = manifest.section("shift")
-    a = _named(manifest, "forms", entry["form"])
-    s = _named(manifest, "semidensities", entry["semidensity"])
+    a = manifest.named("forms", entry["form"])
+    s = manifest.named("semidensities", entry["semidensity"])
     out = one_form_shift(a, s)
     return [("coefficient", render_expr(out.coefficient))], None
 
 
 def cmd_star(manifest, args):
     entry = manifest.section("star")
-    w1 = _named(manifest, "forms", entry["w1"])
-    w2 = _named(manifest, "forms", entry["w2"])
+    w1 = manifest.named("forms", entry["w1"])
+    w2 = manifest.named("forms", entry["w2"])
     return [("form", render_form(star(w1, w2)))], None
 
 
 def cmd_pullback_surface(manifest, args):
     entry = manifest.section("pullback_surface")
-    s = _named(manifest, "semidensities", entry["semidensity"])
-    surface = _named(manifest, "surfaces", entry["surface"])
+    s = manifest.named("semidensities", entry["semidensity"])
+    surface = manifest.named("surfaces", entry["surface"])
     out = pullback_K(s, surface)
     return [("coefficient", render_expr(out.coefficient))], None
 
 
 def cmd_dual_density(manifest, args):
     entry = manifest.section("dual_density")
-    dv = _named(manifest, "volume_forms", entry["volume"])
-    surface = _named(manifest, "surfaces", entry["surface"])
+    dv = manifest.named("volume_forms", entry["volume"])
+    surface = manifest.named("surfaces", entry["surface"])
     f = manifest.parse(dv.chart, entry["f"])
     phi = manifest.parse(dv.chart, entry["phi"])
     out = dual_density(f, phi, dv, surface)
@@ -177,8 +170,8 @@ def cmd_dual_density(manifest, args):
 
 def cmd_densities_p(manifest, args):
     entry = manifest.section("densities_p")
-    dv = _named(manifest, "volume_forms", entry["volume"])
-    surface = _named(manifest, "surfaces", entry["surface"])
+    dv = manifest.named("volume_forms", entry["volume"])
+    surface = manifest.named("surfaces", entry["surface"])
     p0, p1 = densities_P(dv, surface)
     return [("P0", render_expr(p0)), ("P1", render_expr(p1))], None
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .scalars import Scalar, binomial_half
-from .superexpr import SuperExpr
+from .scalars import binomial_half
+from .superexpr import SuperExpr, sum_of_products
 from .symbols import Chart
 from .symplectic import (CanonicityError, OddSymplecticStructure,
                          ResidualReport, SuperMap, is_canonical, mat_inv,
@@ -90,22 +90,17 @@ def solve_R(E, F, table):
     odd parts.
     """
     n = len(E)
-    R = [[SuperExpr.zero(table) for _ in range(n)] for _ in range(n)]
+    series = []  # (c_k, (EF)^k E)
     term = E
     # (EF)^k E has at least 2k + 1 odd factors, so it vanishes once 2k + 1
     # exceeds the number of odd symbols, before k reaches the odd weight
     for k in range(table.odd_weight + 1):
-        coeff = Scalar.from_fraction(table, binomial_half(k + 1))
-        nonzero = False
-        for i in range(n):
-            for j in range(n):
-                piece = coeff * term[i][j]
-                if piece:
-                    nonzero = True
-                R[i][j] = R[i][j] + piece
-        if not nonzero and k > 0:
+        if k > 0 and not any(entry for row in term for entry in row):
             break
+        series.append((SuperExpr.constant(table, binomial_half(k + 1)), term))
         term = mat_mul(mat_mul(term, F), E)
+    R = [[sum_of_products(table, ((c, t[i][j]) for c, t in series))
+          for j in range(n)] for i in range(n)]
     residual = _solve_r_residual(R, E, F)
     for i in range(n):
         for j in range(n):
@@ -214,15 +209,11 @@ def two_form_potential(fmat, chart):
                 if not closed.is_zero:
                     raise CanonicityError("two-form is not closed")
     xs = [SuperExpr.symbol(table, x) for x in chart.xs]
-    potential = [SuperExpr.zero(table) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for key, c in fmat[i][j].terms.items():
-                if not c.is_polynomial():
-                    raise CanonicityError("pipeline needs polynomial data")
-                radial = SuperExpr(table, {key: c.radial(chart.xs, 2)})
-                potential[j] = potential[j] + radial * xs[i]
-    return potential
+    radial = [[SuperExpr(table, {key: c.radial(chart.xs, 2)
+                                 for key, c in entry.terms.items()})
+               for entry in row] for row in fmat]
+    return [sum_of_products(table, ((radial[i][j], xs[i]) for i in range(n)))
+            for j in range(n)]
 
 
 @dataclass

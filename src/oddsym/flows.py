@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .bv import delta0, delta_sharp, moser_hamiltonian
 from .scalars import Scalar, ScalarError
-from .superexpr import ParityError, Pullback, SuperExpr, nilpotent_series
+from .superexpr import (ParityError, Pullback, SuperExpr, nilpotent_series,
+                        sum_of_products)
 from .symbols import TIME_SYMBOL, Chart
 from .symplectic import (CanonicityError, Semidensity, SuperMap,
                          adjusted_map, hamiltonian_field, is_canonical,
@@ -79,10 +80,8 @@ def _series(q, chart, t_value):
     at_zero = {TIME_SYMBOL: Scalar.from_int(table, 0)}
 
     def step(f):
-        out = f.diff(TIME_SYMBOL) if timed else SuperExpr.zero(table)
-        for h, name in zip(ham, names):
-            out = out + h * f.diff(name)
-        return out
+        out = sum_of_products(table, zip(ham, map(f.diff, names)))
+        return f.diff(TIME_SYMBOL) + out if timed else out
 
     def at_start(f):
         return SuperExpr(table, {k: v for k, c in f.terms.items()
@@ -100,14 +99,15 @@ def _series(q, chart, t_value):
 
 def _summed(series, time):
     """sum_k time^k/k! series[k], for a rational or SuperExpr time."""
-    out = list(series[0])
+    table = series[0][0].table
+    factors = []
     power = 1
-    for k, terms in enumerate(series[1:], start=1):
+    for k in range(1, len(series)):
         power = power * time / k
-        factor = power if isinstance(power, SuperExpr) \
-            else SuperExpr.constant(terms[0].table, power)
-        out = [acc + factor * term for acc, term in zip(out, terms)]
-    return out
+        factors.append(power if isinstance(power, SuperExpr)
+                       else SuperExpr.constant(table, power))
+    return [start + sum_of_products(table, zip(factors, rest))
+            for start, *rest in zip(*series)]
 
 
 def flow_targets(q, chart):
@@ -141,11 +141,9 @@ def _delta_map(chart, components):
     integral is zero.
     """
     table = chart.table
-    total = SuperExpr.zero(table)
-    for th, comp in zip(chart.thetas, components):
-        total = total - SuperExpr.symbol(table, th) * \
-            theta_rescale_integral(comp, 0, table)
-    return total
+    return -sum_of_products(table, (
+        (SuperExpr.symbol(table, th), theta_rescale_integral(comp, 0, table))
+        for th, comp in zip(chart.thetas, components)))
 
 
 def hamiltonian_from_adjusted(fmap: SuperMap):

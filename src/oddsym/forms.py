@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from .grammar import render_expr
 from .scalars import ScalarError
-from .superexpr import ParityError, SuperExpr, nilpotent_series
+from .superexpr import (ParityError, SuperExpr, nilpotent_series, sum_of,
+                        sum_of_products)
 from .symbols import Chart
 from .symplectic import Semidensity, bracket
 
@@ -145,17 +146,18 @@ def exterior_d(w: DifferentialForm) -> DifferentialForm:
     """xi^i d/dx^i acting from the left."""
     chart = w.chart
     table = chart.table
-    total = SuperExpr.zero(table)
-    for x, xi in zip(chart.xs, chart_frames(chart)):
-        total = total + SuperExpr.symbol(table, xi) * w.expr.diff(x)
+    total = sum_of_products(table, (
+        (SuperExpr.symbol(table, xi), w.expr.diff(x))
+        for x, xi in zip(chart.xs, chart_frames(chart))))
     return DifferentialForm(total, chart)
 
 
 def poincare_homotopy(w: DifferentialForm) -> DifferentialForm:
     """Radial homotopy h with d h + h d = id on degrees >= 1.
 
-    Polynomial coefficients only: on a term of x-degree m and form degree
-    k the operator contracts with the Euler field and divides by m + k.
+    Polynomial coefficients only (``Scalar.radial`` raises on any other):
+    on a term of x-degree m and form degree k the operator contracts with
+    the Euler field and divides by m + k.
     """
     chart = w.chart
     table = chart.table
@@ -164,13 +166,11 @@ def poincare_homotopy(w: DifferentialForm) -> DifferentialForm:
         k = table.frame_degree(key)
         if k == 0:
             continue
-        if not c.is_polynomial():
-            raise ScalarError("homotopy needs polynomial coefficients")
         scaled[key] = c.radial(chart.xs, k)
     scaled = SuperExpr(table, scaled)
-    out = SuperExpr.zero(table)
-    for x, xi in zip(chart.xs, chart_frames(chart)):
-        out = out + SuperExpr.symbol(table, x) * scaled.diff(xi)
+    out = sum_of_products(table, (
+        (SuperExpr.symbol(table, x), scaled.diff(xi))
+        for x, xi in zip(chart.xs, chart_frames(chart))))
     return DifferentialForm(out, chart)
 
 
@@ -238,10 +238,8 @@ def divergence(field: MultivectorField, w: DifferentialForm) -> SuperExpr:
     if rho.body().is_zero:
         raise ScalarError("degenerate top form")
     rho_inv = rho.invert_even()
-    total = SuperExpr.zero(table)
-    for x, th in zip(chart.xs, chart.thetas):
-        component = field.expr.diff(th)
-        total = total + (rho * component).diff(x)
+    total = sum_of(table, ((rho * field.expr.diff(th)).diff(x)
+                           for x, th in zip(chart.xs, chart.thetas)))
     return rho_inv * total
 
 

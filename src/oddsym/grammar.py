@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .superexpr import SuperExpr
+from .superexpr import SuperExpr, sum_of
 from .symbols import SymbolError
 
 
@@ -31,8 +31,9 @@ _MAX_DEPTH = 100
 # ``^`` multiplies out its exponent; a larger literal is rejected, not run.
 _MAX_EXPONENT = 100
 
-# ``*`` and ``^`` are refused, before they run, when the bound below puts
-# more coefficient monomials than this in their result.
+# ``*``, ``/`` and ``^`` are refused, before they run, when the bound below
+# puts more coefficient monomials than this in their result (a quotient
+# is bounded as the product of its operands).
 _MAX_MONOMIALS = 10_000
 
 
@@ -226,15 +227,17 @@ class _Parser:
         return expr
 
     def expression(self):
-        value = self.term()
+        terms = [self.term()]
         while True:
             tok = self._peek()
             if tok and tok[0] in ("+", "-"):
                 self.pos += 1
                 rhs = self.term()
-                value = value + rhs if tok[0] == "+" else value - rhs
+                terms.append(rhs if tok[0] == "+" else -rhs)
+            elif len(terms) == 1:
+                return terms[0]
             else:
-                return value
+                return sum_of(self.table, terms)
 
     def term(self):
         value = self.factor()
@@ -243,8 +246,8 @@ class _Parser:
             if tok and tok[0] in ("*", "/"):
                 self.pos += 1
                 rhs = self.factor()
+                self._bounded(tok, [(value, 1), (rhs, 1)])
                 if tok[0] == "*":
-                    self._bounded(tok, [(value, 1), (rhs, 1)])
                     value = value * rhs
                 else:
                     try:

@@ -52,12 +52,14 @@ def _build_chart(entry):
     taken = set(even) | set(odd) | set(aux)
     if any(name in taken for name in frames):
         frames = []
-    try:
-        table = SymbolTable(tuple(even), tuple(odd), tuple(frames),
-                            tuple(aux))
-        return Chart(table, tuple(even[:n]), tuple(odd))
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from None
+    table = SymbolTable(tuple(even), tuple(odd), tuple(frames), tuple(aux))
+    return Chart(table, tuple(even[:n]), tuple(odd))
+
+
+# what one object of each pool is called in messages
+_KINDS = {"charts": "chart", "structures": "structure", "maps": "map",
+          "volume_forms": "volume form", "semidensities": "semidensity",
+          "forms": "form", "surfaces": "surface"}
 
 
 class _Section(dict):
@@ -91,22 +93,29 @@ class Manifest:
         self.surfaces = self._pool("surfaces", self._build_surface)
 
     def _pool(self, pool, build):
-        """The named objects of one pool, in document order."""
+        """The named objects of one pool, in document order; an entry
+        that its constructor refuses with a ValueError is a
+        ManifestError."""
         entries = self.raw.get(pool, {})
         _expect(isinstance(entries, dict), f"{pool!r} must be an object")
         built = {}
         for name, entry in entries.items():
             _expect(isinstance(entry, dict),
-                    f"{pool[:-1]} {name!r} must be an object")
-            built[name] = build(entry)
+                    f"{_KINDS[pool]} {name!r} must be an object")
+            try:
+                built[name] = build(entry)
+            except ValueError as exc:
+                raise ManifestError(str(exc)) from None
         return built
 
     # -- resolution helpers -------------------------------------------------
 
-    def chart(self, name):
-        _expect(isinstance(name, str) and name in self.charts,
-                f"unknown chart {name!r}")
-        return self.charts[name]
+    def named(self, pool, name):
+        """The object called ``name`` in a pool ("charts", "maps", ...)."""
+        objects = getattr(self, pool)
+        _expect(isinstance(name, str) and name in objects,
+                f"unknown {_KINDS[pool]} {name!r}")
+        return objects[name]
 
     def parse(self, chart, text):
         _expect(isinstance(text, str), f"expression {text!r} is not a string")
@@ -116,7 +125,7 @@ class Manifest:
             raise ManifestError(f"bad expression {text!r}: {exc}") from None
 
     def _build_structure(self, entry):
-        chart = self.chart(entry.get("chart"))
+        chart = self.named("charts", entry.get("chart"))
         rows = entry.get("bracket")
         size = 2 * chart.n
         _expect(isinstance(rows, list) and len(rows) == size,
@@ -126,14 +135,12 @@ class Manifest:
             _expect(isinstance(row, list) and len(row) == size,
                     "bracket must be a 2n x 2n array")
             matrix.append([self.parse(chart, text) for text in row])
-        try:
-            return OddSymplecticStructure(chart, matrix)
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from None
+        return OddSymplecticStructure(chart, matrix)
 
     def _build_map(self, entry):
-        source = self.chart(entry.get("source"))
-        target = self.chart(entry.get("target", entry.get("source")))
+        source = self.named("charts", entry.get("source"))
+        target = self.named("charts", entry.get("target",
+                                                   entry.get("source")))
         targets = entry.get("targets")
         _expect(isinstance(targets, list) and len(targets) == 2 * target.n,
                 "map needs 2n target expressions")
@@ -149,43 +156,31 @@ class Manifest:
                 _expect(expr.max_odd_degree() == 0,
                         "body inverse entries must be even rational maps")
                 body_inverse.append(expr.body())
-        try:
-            return SuperMap(source, target, exprs, body_inverse=body_inverse)
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from None
+        return SuperMap(source, target, exprs, body_inverse=body_inverse)
 
     def _build_volume(self, entry):
-        chart = self.chart(entry.get("chart"))
-        try:
-            return VolumeForm(self.parse(chart, entry.get("rho", "")), chart)
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from None
+        chart = self.named("charts", entry.get("chart"))
+        return VolumeForm(self.parse(chart, entry.get("rho", "")), chart)
 
     def _build_semidensity(self, entry):
-        chart = self.chart(entry.get("chart"))
+        chart = self.named("charts", entry.get("chart"))
         return Semidensity(self.parse(chart, entry.get("coefficient", "")),
                            chart)
 
     def _build_form(self, entry):
         if "chart" in entry:
-            chart = self.chart(entry["chart"])
+            chart = self.named("charts", entry["chart"])
         else:
             _expect("n" in entry, "form manifest needs 'chart' or 'n'")
             chart = _build_chart({"n": entry["n"]})
         _expect(len(chart.table.frame_odds) >= chart.n,
                 "form chart lacks frame symbols xi1..xin")
-        try:
-            return DifferentialForm(self.parse(chart, entry.get("expr", "")),
-                                    chart)
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from None
+        return DifferentialForm(self.parse(chart, entry.get("expr", "")),
+                                chart)
 
     def _build_surface(self, entry):
-        chart = self.chart(entry.get("chart"))
-        try:
-            return AdjustedSurface(chart, entry.get("x0"), entry.get("theta0"))
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from None
+        chart = self.named("charts", entry.get("chart"))
+        return AdjustedSurface(chart, entry.get("x0"), entry.get("theta0"))
 
     def section(self, name):
         _expect(name in self.raw, f"manifest has no {name!r} section")

@@ -212,9 +212,6 @@ class Scalar:
         return any(m[idx] for m, _ in self.f.numer.terms()) or \
             any(m[idx] for m, _ in self.f.denom.terms())
 
-    def is_polynomial(self):
-        return self.f.denom.is_ground
-
     # -- calculus ------------------------------------------------------------
 
     def diff(self, name):

@@ -57,6 +57,18 @@ def _accumulate(terms, key, value):
         terms[key] = total
 
 
+def _add_product(terms, left, right):
+    """Add the product of two term dicts to ``terms``."""
+    for ka, ca in left.items():
+        for kb, cb in right.items():
+            merged = _merge_keys(ka, kb)
+            if merged is None:
+                continue
+            sign, key = merged
+            c = ca * cb
+            _accumulate(terms, key, c if sign > 0 else -c)
+
+
 def _involves(poly, indices):
     """True when some monomial of a PolyElement uses one of the generators."""
     for mono in poly.itermonoms():
@@ -248,6 +260,8 @@ class SuperExpr:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.terms:
+            return self
         return self._new({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
@@ -268,14 +282,7 @@ class SuperExpr:
         if not other.terms:
             return other
         out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                merged = _merge_keys(ka, kb)
-                if merged is None:
-                    continue
-                sign, key = merged
-                c = ca * cb
-                _accumulate(out, key, c if sign > 0 else -c)
+        _add_product(out, self.terms, other.terms)
         return self._new(out)
 
     def __rmul__(self, other):
@@ -426,6 +433,31 @@ class SuperExpr:
         return f"<{render_expr(self)}>"
 
 
+def sum_of_products(table, pairs):
+    """sum of a * b over the pairs (a, b) of SuperExprs of ``table``,
+    built into one term dict: no product and no partial sum becomes an
+    expression of its own.  Every bracket, Delta, divergence and matrix
+    product is one such sum."""
+    out = {}
+    for a, b in pairs:
+        if a.table is not table or b.table is not table:
+            raise SymbolError("mixed symbol tables")
+        if a.terms and b.terms:
+            _add_product(out, a.terms, b.terms)
+    return SuperExpr(table, out)
+
+
+def sum_of(table, exprs):
+    """The sum of SuperExprs of ``table``, built into one term dict."""
+    out = {}
+    for expr in exprs:
+        if expr.table is not table:
+            raise SymbolError("mixed symbol tables")
+        for key, c in expr.terms.items():
+            _accumulate(out, key, c)
+    return SuperExpr(table, out)
+
+
 def nilpotent_series(term, step, coefficient):
     """sum_k coefficient(k) term_k, with term_0 = ``term`` and term_k =
     ``step(term_{k-1})``.
@@ -436,7 +468,7 @@ def nilpotent_series(term, step, coefficient):
     its term as it stands, and one of 0 skips it.
     """
     table = term.table
-    total = SuperExpr.zero(table)
+    plain, scaled = [], []
     for k in range(table.odd_weight + 1):
         if k:
             term = step(term)
@@ -444,10 +476,10 @@ def nilpotent_series(term, step, coefficient):
             break
         c = coefficient(k)
         if c == 1:
-            total = total + term
+            plain.append(term)
         elif c:
-            total = total + Scalar.from_fraction(table, Fraction(c)) * term
-    return total
+            scaled.append((SuperExpr.constant(table, c), term))
+    return sum_of(table, [*plain, sum_of_products(table, scaled)])
 
 
 class Pullback:

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .grammar import render_expr
 from .scalars import Scalar, ScalarError
-from .superexpr import ParityError, Pullback, SuperExpr
+from .superexpr import (ParityError, Pullback, SuperExpr, sum_of,
+                        sum_of_products)
 from .symbols import Chart, Parity
 
 
@@ -34,6 +35,9 @@ def mat_mul(a, b):
 
 
 def _dot(row, col):
+    """sum_k row[k] * col[k], for SuperExpr or Scalar entries."""
+    if isinstance(row[0], SuperExpr):
+        return sum_of_products(row[0].table, zip(row, col))
     out = row[0] * col[0]
     for x, y in zip(row[1:], col[1:]):
         out = out + x * y
@@ -47,14 +51,11 @@ def mat_det(a):
         raise ValueError("empty matrix")
     if len(a) == 1:
         return a[0][0]
-    total = None
-    for j, entry in enumerate(a[0]):
-        if entry.is_zero:
-            continue
-        term = entry * _cofactor(a, 0, j)
-        total = term if total is None else total + term
-    # a first row of zeros: its first entry is the zero determinant
-    return a[0][0] if total is None else total
+    cols = [j for j, entry in enumerate(a[0]) if not entry.is_zero]
+    if not cols:
+        # a first row of zeros: its first entry is the zero determinant
+        return a[0][0]
+    return _dot([a[0][j] for j in cols], [_cofactor(a, 0, j) for j in cols])
 
 
 def _minor(a, i, j):
@@ -94,23 +95,18 @@ def scalar_reciprocal(det):
 def theta_linear(thetas, matrix, j):
     """sum_m thetas[m] * matrix[m][j]: odd generators times column j of a
     matrix of even entries (SuperExpr or Scalar)."""
-    total = SuperExpr.zero(thetas[0].table)
-    for m, th in enumerate(thetas):
-        total = total + th * matrix[m][j]
-    return total
+    column = [row[j] for row in matrix]
+    if not isinstance(column[0], SuperExpr):
+        column = [SuperExpr.from_scalar(c) for c in column]
+    return sum_of_products(thetas[0].table, zip(thetas, column))
 
 
 def theta_rescale_integral(entry, weight, table):
     """int_0^1 tau^weight entry(x, tau theta) dtau, exact on components:
     the theta-degree p part is divided by p + weight + 1."""
-    total = SuperExpr.zero(table)
-    for p in range(table.n_theta + 1):
-        part = entry.homogeneous_part(p)
-        if part.is_zero:
-            continue
-        total = total + Scalar.from_fraction(
-            table, Fraction(1, p + weight + 1)) * part
-    return total
+    return sum_of_products(table, (
+        (SuperExpr.constant(table, Fraction(1, p + weight + 1)),
+         entry.homogeneous_part(p)) for p in range(table.n_theta + 1)))
 
 
 # -- structures ------------------------------------------------------------------
@@ -191,73 +187,59 @@ def _coordinate_exprs(chart):
     return [SuperExpr.symbol(table, name) for name in chart.coordinate_names]
 
 
-def _structure_entries(chart, omega):
-    """The chart of the structure, the pairs (A, B, +-1) that a bracket
-    sums +-left[A] * right[B] over, and the map from an expression's
-    derivatives dF/dz^B to its right factors.
+def _contraction(chart, omega):
+    """The chart of the structure and the map from an expression's
+    derivatives dF/dz^B to its right factors r_A = sum_B Omega^{AB}
+    dF/dz^B, which a bracket dots with the left factors.
 
-    The canonical structure is the sparse Omega^{x_i th_i} = 1,
-    Omega^{th_i x_i} = -1 on ``chart``, and its right factors are the
-    derivatives.  Any other one is read from its matrix on its own chart
-    and contracted into the right factors once per expression,
-    r_A = sum_B Omega^{AB} dF/dz^B, so its pairs are (A, A, 1).
+    The canonical structure is Omega^{x_i th_i} = 1, Omega^{th_i x_i} = -1
+    on ``chart``, so r = (dF/dth, -dF/dx).  Any other one is read from its
+    matrix on its own chart.
     """
     if omega is None or omega.is_canonical_matrix:
         n = chart.n
-        return chart, [(i, n + i, 1) for i in range(n)] + \
-            [(n + i, i, -1) for i in range(n)], list
+        return chart, lambda d: d[n:] + [-e for e in d[:n]]
     chart = omega.chart
-    size = 2 * chart.n
-    entries = [(a, b, omega.matrix[a][b]) for a in range(size)
-               for b in range(size) if omega.matrix[a][b]]
+    table = chart.table
+    rows = [[(b, entry) for b, entry in enumerate(row) if entry]
+            for row in omega.matrix]
 
     def contract(derivatives):
-        out = [SuperExpr.zero(chart.table)] * size
-        for a, b, entry in entries:
-            if derivatives[b]:
-                out[a] = out[a] + entry * derivatives[b]
-        return out
+        return [sum_of_products(table, ((entry, derivatives[b])
+                                        for b, entry in row))
+                for row in rows]
 
-    return chart, [(a, a, 1) for a in range(size)], contract
+    return chart, contract
 
 
-def _bracket_entry(left, right, pairs, table):
-    """sum over the pairs (A, B, sign) of sign * left[A] * right[B]."""
-    total = SuperExpr.zero(table)
-    for a, b, sign in pairs:
-        da, db = left[a], right[b]
-        if da.is_zero or db.is_zero:
-            continue
-        piece = da * db
-        total = total + piece if sign > 0 else total - piece
-    return total
+def _left_factors(f, chart):
+    """df/dx^i and the right derivatives df/dth_i: the signed left factor
+    (-1)^((p(f) + 1) p(z^A)) df/dz^A of each homogeneous part of f."""
+    return [f.diff(x) for x in chart.xs] + \
+        [f.right_diff(th) for th in chart.thetas]
 
 
 def bracket(f, g, chart, omega=None):
     """Odd Poisson bracket {f,g}; f may have mixed parity.
 
     {f,g} = sum_AB (-1)^((p(f) + 1) p(z^A)) df/dz^A Omega^{AB} dg/dz^B with
-    left derivatives.  The signed left factor is the right derivative of
-    f by z^A, for each homogeneous part of f, so it is read as one.
+    left derivatives: the dot product of the left factors of f with the
+    right factors of g.
     """
-    chart, pairs, contract = _structure_entries(chart, omega)
-    left = [f.diff(x) for x in chart.xs] + \
-        [f.right_diff(th) for th in chart.thetas]
+    chart, contract = _contraction(chart, omega)
     right = contract([g.diff(z) for z in chart.coordinate_names])
-    return _bracket_entry(left, right, pairs, chart.table)
+    return sum_of_products(chart.table, zip(_left_factors(f, chart), right))
 
 
 def _bracket_factors(exprs, chart, omega):
-    """The table, the structure pairs and the left and the right factors
-    of each expression, as in ``bracket``, for ``_bracket_entry``; a
-    general Omega is contracted into the right factors once per
-    expression."""
-    chart, pairs, contract = _structure_entries(chart, omega)
-    left = [[e.diff(x) for x in chart.xs] +
-            [e.right_diff(th) for th in chart.thetas] for e in exprs]
+    """The table and the left and the right factors of each expression,
+    as in ``bracket``: {e_A, e_B} is the dot product of left[A] and
+    right[B]."""
+    chart, contract = _contraction(chart, omega)
+    left = [_left_factors(e, chart) for e in exprs]
     right = [contract([e.diff(z) for z in chart.coordinate_names])
              for e in exprs]
-    return chart.table, pairs, left, right
+    return chart.table, left, right
 
 
 def bracket_matrix(exprs, chart, omega=None):
@@ -268,8 +250,8 @@ def bracket_matrix(exprs, chart, omega=None):
     rule of ``bracket``, none is filled in by antisymmetry, so the
     symmetry checks on a structure built from the matrix still test it.
     """
-    table, pairs, left, right = _bracket_factors(exprs, chart, omega)
-    return [[_bracket_entry(la, rb, pairs, table) for rb in right]
+    table, left, right = _bracket_factors(exprs, chart, omega)
+    return [[sum_of_products(table, zip(la, rb)) for rb in right]
             for la in left]
 
 
@@ -285,16 +267,10 @@ def canonical_pairing(xcomps, ycomps, chart, y_odd):
     Omega(D_f, D_g) = -{f, g}: the A-summand carries (-1)^(p(Y) p(z^A)).
     The lower-index canonical matrix is Omega_{x th} = -1, Omega_{th x} = 1.
     """
-    table = chart.table
     n = chart.n
-    total = SuperExpr.zero(table)
-    for i in range(n):
-        even_piece = xcomps[i] * ycomps[n + i]
-        odd_piece = xcomps[n + i] * ycomps[i]
-        if y_odd:
-            odd_piece = -odd_piece
-        total = total - even_piece + odd_piece
-    return total
+    right = [-y for y in ycomps[n:]] + \
+        [-y if y_odd else y for y in ycomps[:n]]
+    return sum_of_products(chart.table, zip(xcomps, right))
 
 
 def jacobi_residual(f, g, h, chart, omega=None):
@@ -311,11 +287,11 @@ def jacobi_residual(f, g, h, chart, omega=None):
         (g, h, f, (pg + 1) * (pf + 1)),
         (h, f, g, (ph + 1) * (pg + 1)),
     ]
-    total = SuperExpr.zero(chart.table)
+    pieces = []
     for a, b, c, exp in terms:
         piece = bracket(a, bracket(b, c, chart, omega), chart, omega)
-        total = total - piece if exp % 2 else total + piece
-    return total
+        pieces.append(-piece if exp % 2 else piece)
+    return sum_of(chart.table, pieces)
 
 
 # -- supermaps --------------------------------------------------------------------
@@ -572,13 +548,12 @@ def is_canonical(fmap: SuperMap, omega=None):
     otherwise, so they are compared on the source chart's table."""
     n = fmap.target.n
     names = fmap.target.coordinate_names
-    table, pairs, left, right = _bracket_factors(fmap.targets, fmap.source,
-                                                 omega)
+    table, left, right = _bracket_factors(fmap.targets, fmap.source, omega)
     one = SuperExpr.one(table)
     residuals = {}
     for a in range(2 * n):
         for b in range(a, 2 * n):
-            lhs = _bracket_entry(left[a], right[b], pairs, table)
+            lhs = sum_of_products(table, zip(left[a], right[b]))
             residuals[(names[a], names[b])] = lhs - one if b == a + n \
                 else lhs
     return ResidualReport(residuals)

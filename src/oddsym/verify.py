@@ -26,7 +26,7 @@ from .sampling import (pushforward_structure, random_canonical_map,
                        random_expr, random_flow_hamiltonian,
                        random_point_map, random_scalar, random_special_map)
 from .scalars import Scalar, binomial_half
-from .superexpr import SuperExpr
+from .superexpr import SuperExpr, sum_of_products
 from .surfaces import AdjustedSurface, densities_P, dual_density, pullback_K
 from .symbols import TIME_SYMBOL, Chart, SymbolTable, standard_chart
 from .symplectic import (CanonicityError, OddSymplecticStructure,
@@ -237,17 +237,14 @@ def suite_covariance(seed=8):
 def _random_form(rng, chart, aux=False):
     table = chart.table
     frames = chart_frames(chart)
-    total = SuperExpr.zero(table)
+    raw = []
     for _ in range(rng.randint(1, 4)):
         c = random_scalar(rng, table, 2, names=chart.xs, allow_zero=False)
-        term = SuperExpr.from_scalar(c)
-        for name in rng.sample(list(frames), rng.randint(0, chart.n)):
-            term = term * SuperExpr.symbol(table, name)
+        names = rng.sample(list(frames), rng.randint(0, chart.n))
         if aux and table.aux_odds and rng.random() < 0.4:
-            term = term * SuperExpr.symbol(table,
-                                           rng.choice(list(table.aux_odds)))
-        total = total + term
-    return DifferentialForm(total, chart)
+            names.append(rng.choice(list(table.aux_odds)))
+        raw.append((c, names))
+    return DifferentialForm(SuperExpr.from_raw_terms(table, raw), chart)
 
 
 def suite_intertwining(seed=9):
@@ -277,14 +274,10 @@ def suite_divergence(seed=10):
                  for _ in range(chart.n)]
         rho = Scalar.from_int(table, 1) + \
             random_scalar(rng, table, 2, names=chart.xs) ** 2
-        fexpr = SuperExpr.zero(table)
-        for comp, th in zip(comps, chart.thetas):
-            fexpr = fexpr + SuperExpr.from_scalar(comp) * \
-                SuperExpr.symbol(table, th)
-        top_expr = SuperExpr.from_scalar(rho)
-        for xi in chart_frames(chart):
-            top_expr = top_expr * SuperExpr.symbol(table, xi)
-        top = DifferentialForm(top_expr, chart)
+        fexpr = SuperExpr.from_raw_terms(
+            table, [(comp, [th]) for comp, th in zip(comps, chart.thetas)])
+        top = DifferentialForm(SuperExpr.from_raw_terms(
+            table, [(rho, chart_frames(chart))]), chart)
         div = divergence(MultivectorField(fexpr, chart), top)
         s = tau_sharp(top)
         dv = VolumeForm(s.coefficient * s.coefficient, chart)
@@ -306,15 +299,12 @@ def suite_shift_routes(seed=11):
     table = chart.table
 
     def routes():
-        comps = []
-        for _ in range(chart.n):
-            aux = SuperExpr.symbol(table, rng.choice(list(table.aux_odds)))
-            comps.append(SuperExpr.from_scalar(
-                random_scalar(rng, table, 1, names=chart.xs)) * aux)
-        a_expr = SuperExpr.zero(table)
-        for comp, xi in zip(comps, chart_frames(chart)):
-            a_expr = a_expr + comp * SuperExpr.symbol(table, xi)
-        a = DifferentialForm(a_expr, chart)
+        raw = []
+        for xi in chart_frames(chart):
+            aux = rng.choice(list(table.aux_odds))
+            raw.append((random_scalar(rng, table, 1, names=chart.xs),
+                        [aux, xi]))
+        a = DifferentialForm(SuperExpr.from_raw_terms(table, raw), chart)
         w = _random_form(rng, chart)
         return (one_form_shift_form(a, w).expr
                 - one_form_shift_series(a, w).expr)
@@ -548,10 +538,8 @@ def worked_example_values(chart, bs):
     w = -dx0^dx1^dx2 + b0 dx0 + b1 dx1 + b2 dx2."""
     table = chart.table
     xi = [SuperExpr.symbol(table, f"xi{i}") for i in range(3)]
-    w_expr = -(xi[0] * xi[1] * xi[2])
-    for b, x in zip(bs, xi):
-        w_expr = w_expr + b * x
-    w = DifferentialForm(w_expr, chart)
+    w = DifferentialForm(sum_of_products(table, zip(bs, xi)) -
+                         xi[0] * xi[1] * xi[2], chart)
     s = tau_sharp(w)
     surf = AdjustedSurface(chart, "x0", "th0")
     ks = pullback_K(s, surf)

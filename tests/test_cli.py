@@ -313,6 +313,23 @@ def test_rational_term_power_under_the_cap_exit_zero(tmp_path, capsys):
     assert code == 0 and err == ""
 
 
+def test_quotient_of_large_powers_exit_two(tmp_path, capsys):
+    # each power holds 1771 monomials; a quotient is bounded as the
+    # product of its operands, and the gcd of these two took over a second
+    code, err, elapsed = _delta0_of(
+        tmp_path, capsys, 3, "(x1 + x2 + x3 + 1)^20/(x1 + x2 + x3 + 2)^20")
+    assert code == 2
+    assert "result would exceed 10000 coefficient monomials" in err
+    assert "column 22" in err  # the '/'
+    assert elapsed < 1
+
+
+def test_small_quotients_exit_zero(tmp_path, capsys):
+    for text in ("th1/(1 + x1)", "(1/(x1 + x2 + x3))^40"):
+        code, err, _ = _delta0_of(tmp_path, capsys, 3, text)
+        assert (code, err) == (0, ""), text
+
+
 def test_product_of_capped_powers_exit_two(tmp_path, capsys):
     # each factor holds 3003 monomials, the product of two 53130
     power = "(x1 + x2 + x3 + x4 + x5 + x6)^10"
@@ -511,6 +528,49 @@ def test_names_of_the_wrong_type_exit_two(tmp_path, capsys):
     path.write_text(json.dumps({"darboux": {"structure": []}}))
     code, _, err = run_cli(["darboux", "--manifest", str(path)], capsys)
     assert (code, err) == (2, "error: unknown structure []\n")
+
+
+def test_pool_entries_are_named_in_the_singular(tmp_path, capsys):
+    plane = {"n": 1, "even": ["x1"], "odd": ["th1"]}
+    cases = [
+        ({"charts": {"c": plane},
+          "delta_sharp": {"semidensity": "nope"}}, "delta-sharp",
+         "unknown semidensity 'nope'"),
+        ({"semidensities": {"bad": 1}}, "bracket",
+         "semidensity 'bad' must be an object"),
+        ({"volume_forms": {"v": []}}, "bracket",
+         "volume form 'v' must be an object"),
+        ({"charts": {"c": plane},
+          "delta_vol": {"volume": "v", "f": "x1"}}, "delta-vol",
+         "unknown volume form 'v'"),
+        ({"charts": {"c": plane}, "berezinian": {"map": "m"}},
+         "berezinian", "unknown map 'm'"),
+        ({"charts": {"c": plane}, "shift": {"form": "w", "semidensity": "s"}},
+         "shift", "unknown form 'w'"),
+    ]
+    for doc, command, message in cases:
+        path = tmp_path / "pools.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "--manifest", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
+
+def test_rational_two_form_potential_exit_two(tmp_path, capsys):
+    # F = b1/(1 + x1) is closed but not polynomial: its radial integral
+    # refuses it
+    doc = {
+        "charts": {"c": {"n": 2, "even": ["x1", "x2"], "odd": ["th1", "th2"],
+                         "aux": ["b1"]}},
+        "structures": {"s": {"chart": "c", "bracket": [
+            ["0", "0", "1", "0"], ["0", "0", "0", "1"],
+            ["-1", "0", "0", "b1/(1 + x1)"], ["0", "-1", "-b1/(1 + x1)", "0"]]}},
+        "darboux": {"structure": "s"},
+    }
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["darboux", "--manifest", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: radial integral needs a polynomial\n"
 
 
 def _render(value):

@@ -10,7 +10,7 @@ from oddsym.darboux import (darboux_pipeline, darboux_step, solve_R,
 from oddsym.grammar import parse_expr, render_expr
 from oddsym.sampling import (pushforward_structure, random_expr,
                              random_messy_map)
-from oddsym.scalars import Scalar, binomial_half
+from oddsym.scalars import Scalar, ScalarError, binomial_half
 from oddsym.superexpr import SuperExpr
 from oddsym.symbols import Chart, standard_table
 from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
@@ -252,6 +252,15 @@ def test_two_form_potential_rejects_nonclosed():
     f[0][1] = e(chart, "b1*x3")
     f[1][0] = -f[0][1]
     with pytest.raises(CanonicityError):
+        two_form_potential(f, chart)
+
+
+def test_two_form_potential_refuses_rational_coefficients():
+    chart = make_chart(2)
+    zero = SuperExpr.zero(chart.table)
+    f = [[zero, e(chart, "b1/(1 + x1)")], [e(chart, "-b1/(1 + x1)"), zero]]
+    with pytest.raises(ScalarError, match="radial integral needs a "
+                                          "polynomial"):
         two_form_potential(f, chart)
 
 

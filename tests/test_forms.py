@@ -12,7 +12,7 @@ from oddsym.forms import (DifferentialForm, MultivectorField, basis_sign,
                           tau_sharp_inverse)
 from oddsym.grammar import parse_expr
 from oddsym.sampling import random_expr, random_scalar
-from oddsym.scalars import Scalar
+from oddsym.scalars import Scalar, ScalarError
 from oddsym.superexpr import SuperExpr
 from oddsym.symbols import Chart, standard_table
 from oddsym.symplectic import Semidensity, bracket
@@ -180,6 +180,13 @@ def test_poincare_homotopy_kills_constants():
     c = make_chart(2)
     w = form(c, "7")
     assert poincare_homotopy(w).expr.is_zero
+
+
+def test_poincare_homotopy_refuses_rational_coefficients():
+    c = make_chart(2)
+    with pytest.raises(ScalarError, match="radial integral needs a "
+                                          "polynomial"):
+        poincare_homotopy(form(c, "xi1/(1 + x2)"))
 
 
 def test_homotopy_identity():

@@ -31,7 +31,7 @@ def test_new_bytes_build_a_new_manifest(tmp_path):
     _write(path, 2)
     second = load_manifest(path)
     assert second is not first
-    assert (first.chart("c").n, second.chart("c").n) == (1, 2)
+    assert (first.charts["c"].n, second.charts["c"].n) == (1, 2)
 
 
 def test_failed_load_raises_on_every_call(tmp_path):
@@ -60,3 +60,35 @@ def test_manifest_not_utf8_is_a_manifest_error(tmp_path):
     path.write_bytes(b"\xff")
     with pytest.raises(ManifestError, match="not valid UTF-8"):
         load_manifest(path)
+
+
+PLANE = {"n": 1, "even": ["x1"], "odd": ["th1"]}
+
+
+@pytest.mark.parametrize("pools, message", [
+    ({"charts": {"c": {"n": 1, "even": ["x1"], "odd": ["x1"]}}},
+     "duplicate symbol names in table"),
+    ({"charts": {"c": PLANE},
+      "structures": {"s": {"chart": "c", "bracket": [["0", "0"],
+                                                      ["0", "0"]]}}},
+     "structure body is degenerate"),
+    ({"charts": {"c": PLANE},
+      "maps": {"m": {"source": "c", "targets": ["th1", "x1"]}}},
+     "target 0 must be even"),
+    ({"charts": {"c": PLANE}, "volume_forms": {"v": {"chart": "c",
+                                                     "rho": "0"}}},
+     "volume density has vanishing body"),
+    ({"charts": {"c": PLANE}, "forms": {"w": {"chart": "c", "expr": "th1"}}},
+     "forms carry no coordinate odds"),
+    ({"charts": {"c": PLANE},
+      "surfaces": {"s": {"chart": "c", "x0": "x2", "theta0": "th1"}}},
+     "distinguished pair must belong to the chart"),
+])
+def test_refused_entry_is_a_manifest_error(tmp_path, pools, message):
+    # each pool's constructors raise ValueError; the manifest reports it
+    # with the constructor's own message
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(pools), encoding="utf-8")
+    with pytest.raises(ManifestError) as info:
+        load_manifest(path)
+    assert str(info.value) == message

@@ -14,7 +14,8 @@ from oddsym.grammar import _monomial_bound, parse_expr, render_expr
 from oddsym.sampling import pushforward_structure, random_scalar
 from oddsym import scalars
 from oddsym.scalars import Scalar, ScalarError, _gcd
-from oddsym.superexpr import Pullback, SuperExpr, _merge_keys
+from oddsym.superexpr import (Pullback, SuperExpr, _merge_keys, sum_of,
+                              sum_of_products)
 from oddsym.symbols import Chart, SymbolError, standard_table
 from oddsym.symplectic import OddSymplecticStructure, bracket, bracket_matrix
 
@@ -75,6 +76,68 @@ def test_power_is_repeated_product(a, k):
 def test_odd_derivatives_square_to_zero(a):
     for name in ("th1", "th2", "b1"):
         assert a.diff(name).diff(name).is_zero
+
+
+@st.composite
+def kernel_operands(draw):
+    """An operand of the sum-of-products kernel: a SuperExpr that is
+    mixed, even or odd (possibly empty, its odd monomials possibly
+    repeating a symbol), one with rational-function coefficients, or
+    the constant expression of a Scalar (possibly zero, a rational
+    number or a rational function)."""
+    base = draw(exprs())
+    kind = draw(st.sampled_from(["mixed", "even", "odd", "rational",
+                                 "scalar"]))
+    if kind == "even":
+        return base.even_part()
+    if kind == "odd":
+        return base.odd_part()
+    den = Scalar.symbol(TABLE, "x1") + draw(st.integers(1, 3))
+    if kind == "rational":
+        return base * (Scalar.from_int(TABLE, 1) / den)
+    return SuperExpr.from_scalar(base.body() /
+                                 draw(st.sampled_from([1, 3, den])))
+
+
+def reference_sum_of_products(pairs):
+    """The chained arithmetic that ``sum_of_products`` fuses."""
+    total = SuperExpr.zero(TABLE)
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+@given(st.lists(st.tuples(kernel_operands(), kernel_operands()),
+                max_size=4), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sum_of_products_matches_chained_arithmetic(pairs, cancel):
+    if cancel:  # every product again with the opposite sign
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    got = sum_of_products(TABLE, pairs)
+    assert got == reference_sum_of_products(pairs)
+    assert not any(c.is_zero for c in got.terms.values())
+    if cancel:
+        assert got.terms == {}
+
+
+@given(st.lists(kernel_operands(), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_sum_of_matches_chained_addition(operands):
+    total = SuperExpr.zero(TABLE)
+    for value in operands:
+        total = total + value
+    got = sum_of(TABLE, operands)
+    assert got == total
+    assert not any(c.is_zero for c in got.terms.values())
+
+
+def test_kernel_refuses_mixed_tables():
+    other = SuperExpr.one(standard_table(2, aux=1))
+    one = SuperExpr.one(TABLE)
+    with pytest.raises(SymbolError, match="mixed symbol tables"):
+        sum_of_products(TABLE, [(one, other)])
+    with pytest.raises(SymbolError, match="mixed symbol tables"):
+        sum_of(TABLE, [one, other])
 
 
 # th1 th2 | xi1 xi2 | b1: every kind of odd symbol
