@@ -43,9 +43,9 @@ def _size(value):
     such a denominator."""
     count, rational = 0, False
     for c in value.terms.values():
-        count += len(c.f.numer)
-        if not c.f.denom.is_ground:
-            count += len(c.f.denom)
+        count += len(c.numer)
+        if c.integer_denominator() is None:
+            count += len(c.denom)
             rational = True
     return count, rational
 
@@ -62,8 +62,8 @@ def _shape(value):
     monomial over D together with its odd key, where an odd factor
     counts one; the highest exponent of each generator over D; the total
     degree and the exponents of D; and its odd indices."""
-    dens = {c.f.denom for c in value.terms.values()
-            if not c.f.denom.is_ground}
+    dens = {c.denom for c in value.terms.values()
+            if c.integer_denominator() is None}
     zeros = [0] * value.table.field.ngens
     den = [sum(col) for col in zip(zeros, *map(_exponents, dens))]
     den_degree = sum(max(map(sum, d.itermonoms())) for d in dens)
@@ -71,10 +71,10 @@ def _shape(value):
     for key, c in value.terms.items():
         odds.update(key)
         own, own_degree = zeros, 0
-        if not c.f.denom.is_ground:
-            own = _exponents(c.f.denom)
-            own_degree = max(map(sum, c.f.denom.itermonoms()))
-        for mono in c.f.numer.itermonoms():
+        if c.integer_denominator() is None:
+            own = _exponents(c.denom)
+            own_degree = max(map(sum, c.denom.itermonoms()))
+        for mono in c.numer.itermonoms():
             lo = min(lo, len(key) + sum(mono))
             hi = max(hi, len(key) + sum(mono) + den_degree - own_degree)
             num = [max(n, e + d - o)
@@ -108,8 +108,8 @@ def _monomial_bound(factors):
         count, r = _size(value)
         if r and times and len(value.terms) == 1:
             (c,) = value.terms.values()
-            rational.append(math.comb(len(c.f.numer) + times - 1, times) +
-                            math.comb(len(c.f.denom) + times - 1, times))
+            rational.append(math.comb(len(c.numer) + times - 1, times) +
+                            math.comb(len(c.denom) + times - 1, times))
             product *= rational[-1]
         elif r and times:
             product *= count ** times
@@ -365,11 +365,11 @@ def render_scalar(scalar):
     """Canonical text for a Scalar; second value: safe as product factor."""
     table = scalar.table
     num_terms = scalar.numer_terms
-    den_terms = scalar.denom_terms
-    if scalar.f.denom.is_ground:
-        q = int(scalar.f.denom.coeff(1))
+    q = scalar.integer_denominator()
+    if q is not None:
         folded = [(m, Fraction(c, q)) for m, c in num_terms]
         return _render_poly(table, folded), len(folded) <= 1
+    den_terms = scalar.denom_terms
     num = _render_poly(table, num_terms)
     if len(num_terms) > 1:
         num = f"({num})"

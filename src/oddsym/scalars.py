@@ -1,9 +1,13 @@
 """Exact rational-function coefficients over the integers.
 
-A Scalar is a quotient of multivariate integer polynomials in the even
-symbols of its table, kept in lowest terms with the denominator's leading
-coefficient positive under graded-lex order.  Every operation returns that
-canonical form, so equal Scalars have equal numerators and denominators.
+A Scalar is a quotient ``numer / denom`` of multivariate integer
+polynomials in the even symbols of its table.  ``numer`` is a
+``PolyElement`` of the table's ring; ``denom`` is either a positive int
+coprime to the content of ``numer``, or a nonconstant ``PolyElement``
+coprime to ``numer`` with leading coefficient positive under graded-lex
+order; zero is 0/1.  Every operation returns that canonical form, so equal
+Scalars have equal numerators and denominators.  ``Scalar.f`` is a view
+that builds the equal sympy ``FracElement``; the arithmetic never does.
 
 The arithmetic takes one of two paths, chosen by the operands alone:
 
@@ -12,19 +16,19 @@ The arithmetic takes one of two paths, chosen by the operands alone:
   polynomials over the common integer denominator and only the integer
   content is cancelled, with ``math.gcd``;
 * field: otherwise the operands are combined as quotients of
-  ``FracField`` elements, cancelling across before multiplying out
-  (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  Both operands are already
-  in lowest terms, so no factor can cancel except between a numerator and
-  the other operand's denominator (a product), or between the sum and the
-  gcd of the two denominators (a sum).  Those gcds are of the smaller
-  factors, not of the whole product, and a gcd with a constant side takes
-  only integers.
+  polynomials (an int denominator as a constant one), cancelling across
+  before multiplying out (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).
+  Both operands are already in lowest terms, so no factor can cancel
+  except between a numerator and the other operand's denominator (a
+  product), or between the sum and the gcd of the two denominators (a
+  sum).  Those gcds are of the smaller factors, not of the whole product,
+  and a gcd with a constant side takes only integers.
 
 Most products in the identities have a constant side, and a
 polynomial-first product with one multiplies no polynomials: by 1 it
-returns the other operand's element, by any other c the other numerator
-scaled by c over the product of the two integer denominators.  Elements
-are shared between Scalars, so nothing may change one in place.
+returns the other operand, by any other c the other numerator scaled by c
+over the product of the two integer denominators.  Polynomials are shared
+between Scalars, so nothing may change one in place.
 
 A gcd of two nonconstant polynomials p and q is routed by V, the set of
 generators that occur in both.  Any common divisor lies in Z[V], and a
@@ -38,8 +42,8 @@ coefficient each, one ``dup_inner_gcd`` that also gives both cofactors;
 only when V has two or more generators does it take sympy's multivariate
 ``PolyElement.cofactors`` (heuristic gcd; Char, Geddes and Gonnet 1989).
 
-Both paths give the canonical element that ``FracField`` itself would
-give; the property tests compare them.
+Both paths give the quotient ``FracField`` itself would give; the
+property tests compare them.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from fractions import Fraction
 import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
+from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
 
 class ScalarError(ArithmeticError):
@@ -61,11 +67,12 @@ _CACHED_INTS = range(-16, 17)
 
 
 class Scalar:
-    __slots__ = ("table", "f")
+    __slots__ = ("table", "numer", "denom")
 
-    def __init__(self, table, frac_element):
+    def __init__(self, table, numer, denom):  # canonical, as stated above
         self.table = table
-        self.f = frac_element
+        self.numer = numer
+        self.denom = denom
 
     # -- constructors -----------------------------------------------------
 
@@ -75,8 +82,7 @@ class Scalar:
         cached = table.int_scalars.get(value)
         if cached is not None:
             return cached
-        field = table.field
-        out = cls(table, _reduce(field, field.ring.ground_new(value), 1))
+        out = cls(table, table.field.ring.ground_new(value), 1)
         if value in _CACHED_INTS:
             table.int_scalars[value] = out
         return out
@@ -84,21 +90,18 @@ class Scalar:
     @classmethod
     def from_fraction(cls, table, value):
         value = Fraction(value)
-        field = table.field
-        num = field.ring.ground_new(value.numerator)
-        return cls(table, _reduce(field, num, value.denominator))
+        return cls(table, table.field.ring.ground_new(value.numerator),
+                   value.denominator)
 
     @classmethod
     def from_poly(cls, table, poly, den=1):
         """poly / den for a PolyElement of the table's ring and an int
         den > 0."""
-        return cls(table, _reduce(table.field, poly, den))
+        return _reduce(table, poly, den)
 
     @classmethod
     def symbol(cls, table, name):
-        field = table.field
-        gen = field.gens[table.even_index(name)]
-        return cls(table, field.raw_new(gen.numer, field.one.denom))
+        return cls(table, table.field.ring.gens[table.even_index(name)], 1)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -111,33 +114,30 @@ class Scalar:
             return Scalar.from_fraction(self.table, other)
         return NotImplemented
 
+    @property
+    def f(self):
+        """The equal sympy ``FracElement``, built on each read."""
+        return FracElement(self.table.field, self.numer, _denominator(self))
+
     # -- ring/field operations ---------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.table, _add(self.f, other.f))
+        return other if other is NotImplemented else _add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.table, _add(self.f, other.f, subtract=True))
+        return other if other is NotImplemented else _add(self, other, True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.table, _add(other.f, self.f, subtract=True))
+        return other if other is NotImplemented else _add(other, self, True)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.table, _mul(self.f, other.f))
+        return other if other is NotImplemented else _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -145,82 +145,82 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.f:
+        if not other.numer:
             raise ScalarError("division by zero scalar")
-        return Scalar(self.table, _div(self.f, other.f))
+        return _div(self, other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        return other if other is NotImplemented else other / self
 
     def __pow__(self, exponent):
+        # c ** 0 is 1 for every c, 0 included, as for SuperExpr and "0^0"
         if not isinstance(exponent, int):
             return NotImplemented
-        f = self.f
+        base = self
         if exponent < 0:
-            if not f:
+            if not self.numer:
                 raise ScalarError("division by zero scalar")
-            # FracElement's negative power can leave a negative denominator.
-            f, exponent = _div(f.field.one, f), -exponent
-        return Scalar(self.table, f ** exponent)
+            base, exponent = _reciprocal(self), -exponent
+        if not exponent:
+            return Scalar(self.table, self.numer.ring.one, 1)
+        return Scalar(self.table, base.numer ** exponent,
+                      base.denom ** exponent)
 
     def __neg__(self):
-        return Scalar(self.table, -self.f)
+        return Scalar(self.table, -self.numer, self.denom)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = self._coerce(other)
-        return self.table is other.table and self.f == other.f
+        return self.table is other.table and self.numer == other.numer \
+            and self.denom == other.denom
 
     def __hash__(self):
-        return hash(self.f)
+        # a constant equals its int or Fraction, so it hashes as one
+        return hash(self.as_fraction() if self.is_constant()
+                    else (self.numer, self.denom))
 
     def __bool__(self):
-        return bool(self.f)
+        return bool(self.numer)
 
     @property
     def is_zero(self):
-        return not self.f
+        return not self.numer
 
     # -- structure queries --------------------------------------------------
 
     @property
     def numer_terms(self):
         """[(exponent tuple, int coeff)] in graded-lex descending order."""
-        return [(m, int(c)) for m, c in self.f.numer.terms()]
+        return [(m, int(c)) for m, c in self.numer.terms()]
 
     @property
     def denom_terms(self):
-        return [(m, int(c)) for m, c in self.f.denom.terms()]
+        return [(m, int(c)) for m, c in _denominator(self).terms()]
 
     def is_constant(self):
-        return self.f.numer.is_ground and self.f.denom.is_ground
+        return self.numer.is_ground and not isinstance(self.denom, PolyElement)
 
     def as_fraction(self):
         if not self.is_constant():
             raise ScalarError("scalar is not a rational constant")
-        num = int(self.f.numer.coeff(1)) if self.f.numer else 0
-        den = int(self.f.denom.coeff(1))
-        return Fraction(num, den)
+        return Fraction(int(_ground(self.numer) or 0), int(self.denom))
 
     def depends_on(self, name):
         idx = self.table.even_index(name)
-        return any(m[idx] for m, _ in self.f.numer.terms()) or \
-            any(m[idx] for m, _ in self.f.denom.terms())
+        return any(m[idx] for m in self.numer.itermonoms()) or \
+            any(m[idx] for m in _denominator(self).itermonoms())
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, name):
         idx = self.table.even_index(name)
-        f = self.f
-        den = _ground(f.denom)
-        if den is None:
-            return Scalar(self.table, _diff_quotient(f, idx))
-        return Scalar(self.table, _reduce(f.field, f.numer.diff(idx), den))
+        if isinstance(self.denom, PolyElement):
+            return _diff_quotient(self, idx)
+        return _reduce(self.table, self.numer.diff(idx), self.denom)
 
     def radial(self, names, k):
         """int_0^1 s^(k-1) c(s x) ds for a polynomial c, with x the even
@@ -229,16 +229,15 @@ class Scalar:
         A monomial of degree m in those symbols is divided by m + k; the
         quotients share one integer denominator.
         """
-        den = _ground(self.f.denom)
-        if den is None:
+        if isinstance(self.denom, PolyElement):
             raise ScalarError("radial integral needs a polynomial")
         indices = [self.table.even_index(name) for name in names]
-        numer = self.f.numer
+        numer = self.numer
         weights = {mono: sum(mono[i] for i in indices) + k for mono in numer}
         lcm = math.lcm(*weights.values())
         scaled = numer.new({mono: c * (lcm // weights[mono])
                             for mono, c in numer.items()})
-        return Scalar(self.table, _reduce(self.f.field, scaled, den * lcm))
+        return _reduce(self.table, scaled, self.denom * lcm)
 
     def subs_even(self, images, powers=None):
         """Simultaneous substitution of even symbols by Scalars.
@@ -248,19 +247,22 @@ class Scalar:
         the powers of the images between calls with the same ``images``.
         """
         table = self.table
-        args = {table.even_index(name): self._coerce(value).f
+        args = {table.even_index(name): self._coerce(value)
                 for name, value in images.items()}
         if powers is None:
             powers = {}
-        num = _eval_poly(table, self.f.numer, args, powers)
-        den = _eval_poly(table, self.f.denom, args, powers)
+        num = _eval_poly(table, self.numer, args, powers)
+        if not isinstance(self.denom, PolyElement):
+            return _mul(num, Scalar(table, num.numer.ring.one, self.denom))
+        den = _eval_poly(table, self.denom, args, powers)
         if not den:
             raise ScalarError("substitution makes the denominator vanish")
-        return Scalar(table, _div(num, den))
+        return _div(num, den)
 
     def integer_denominator(self):
         """The denominator as an int when it is constant, else None."""
-        return _ground(self.f.denom)
+        denom = self.denom
+        return None if isinstance(denom, PolyElement) else denom
 
     def sqrt(self):
         """The root with positive leading numerator coefficient.
@@ -268,26 +270,24 @@ class Scalar:
         Defined only when numerator and denominator are perfect squares in
         the polynomial ring (including the integer content).
         """
-        num = _poly_sqrt(self.table, self.f.numer)
-        den = _poly_sqrt(self.table, self.f.denom)
+        num = _poly_sqrt(self.table, self.numer)
+        den = _poly_sqrt(self.table, _denominator(self))
         if num is None or den is None:
             raise ScalarError("scalar is not a perfect square")
-        root = Scalar(self.table, _canonical(self.table.field, num, den))
+        root = _canonical(self.table, num, den)
         if root.leading_sign() < 0:
             root = -root
         return root
 
     def leading_sign(self):
-        terms = self.f.numer.terms()
-        if not terms:
-            return 0
-        return 1 if terms[0][1] > 0 else -1
+        lc = self.numer.LC
+        return (lc > 0) - (lc < 0)
 
     def __repr__(self):
-        return f"Scalar({self.f})"
+        return f"Scalar(({self.numer})/({self.denom}))"
 
 
-# -- the kernel on FracElements ---------------------------------------------
+# -- the kernel ---------------------------------------------------------------
 
 def _ground(poly):
     """The integer value of a nonzero constant PolyElement, else None."""
@@ -296,81 +296,86 @@ def _ground(poly):
     return None
 
 
-def _reduce(field, num, den):
-    """The canonical element num/den for an integer den > 0.
+def _denominator(f):
+    """f's denominator as a PolyElement, as the field path reads it."""
+    d = f.denom
+    return d if isinstance(d, PolyElement) else f.numer.ring.ground_new(d)
+
+
+def _zero(table):
+    return Scalar(table, table.field.ring.zero, 1)
+
+
+def _reduce(table, num, den):
+    """The Scalar num/den for an integer den > 0.
 
     A polynomial and an integer share only integer content, so cancelling
     gcd(den, coefficients) gives lowest terms without a polynomial gcd.
-    A polynomial, den = 1 here or after cancelling, takes the field's one
-    unit denominator, ``field.one.denom``, rather than a fresh ``ring.one``
-    per element.
     """
     if den != 1:
         g = math.gcd(den, *num.values())
         if g != 1:
             num = num.quo_ground(g)
             den //= g
-        if den != 1:
-            return field.raw_new(num, field.ring.ground_new(den))
-    return field.raw_new(num, field.one.denom)
+    return Scalar(table, num, den)
 
 
 def _mul(f, g):
-    da = _ground(f.denom)
-    db = _ground(g.denom)
-    if da is None or db is None:
-        if not f or not g:
-            return _reduce(f.field, f.field.ring.zero, 1)
+    if not f.numer or not g.numer:
+        return _zero(f.table)
+    da, db = f.denom, g.denom
+    if isinstance(da, PolyElement) or isinstance(db, PolyElement):
         # a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)), gi the cross gcds
-        _, a, d = _gcd(f.numer, g.denom)
-        _, c, b = _gcd(g.numer, f.denom)
-        return _canonical(f.field, a * c, b * d)
-    if not f or not g:
-        return _reduce(f.field, f.field.ring.zero, 1)
+        _, a, d = _gcd(f.numer, _denominator(g))
+        _, c, b = _gcd(g.numer, _denominator(f))
+        return _canonical(f.table, a * c, b * d)
     c = _ground(g.numer)
     if c is None:
         c = _ground(f.numer)
         if c is None:
-            return _reduce(f.field, f.numer * g.numer, da * db)
+            return _reduce(f.table, f.numer * g.numer, da * db)
         f, g, da, db = g, f, db, da
     # g = c/db is a constant: scale f's numerator, multiply no polynomials
     if c == 1 and db == 1:
         return f
-    return _reduce(f.field, f.numer.mul_ground(c), da * db)
+    return _reduce(f.table, f.numer.mul_ground(c), da * db)
 
 
 def _add(f, g, subtract=False):
     """f + g, or f - g when ``subtract``."""
-    da = _ground(f.denom)
-    db = _ground(g.denom)
-    if da is None or db is None:
-        return _add_quotients(f, g, subtract)
-    if not g:
+    if not g.numer:
         return f
-    if not f:
+    if not f.numer:
         return -g if subtract else g
+    da, db = f.denom, g.denom
+    if isinstance(da, PolyElement) or isinstance(db, PolyElement):
+        return _add_quotients(f, g, subtract)
     a, b = f.numer, g.numer
     if da != db:
         lcm = da // math.gcd(da, db) * db
         a = a.mul_ground(lcm // da)
         b = b.mul_ground(lcm // db)
         da = lcm
-    return _reduce(f.field, a - b if subtract else a + b, da)
+    return _reduce(f.table, a - b if subtract else a + b, da)
 
 
 def _div(f, g):
     """f / g for nonzero g; polynomial-first when g is a rational constant,
     else f times the reciprocal of g."""
-    da = _ground(f.denom)
+    da, q = f.denom, g.denom
     p = _ground(g.numer)
-    q = _ground(g.denom)
-    if da is None or p is None or q is None:
-        return _mul(f, _canonical(f.field, g.denom, g.numer))
+    if p is None or isinstance(da, PolyElement) or isinstance(q, PolyElement):
+        return _mul(f, _reciprocal(g))
     num = f.numer.mul_ground(q)
     den = da * p
     if den < 0:
         num, den = -num, -den
-    return _reduce(f.field, num, den)
+    return _reduce(f.table, num, den)
+
+
+def _reciprocal(f):
+    """1/f for nonzero f."""
+    return _canonical(f.table, _denominator(f), f.numer)
 
 
 def _gcd(p, q):
@@ -464,33 +469,28 @@ def _from_dense(poly, i, dense, rest):
                      for k, c in enumerate(dense) if c})
 
 
-def _canonical(field, num, den):
-    """The element num/den for coprime num and den, with the sign moved
-    so that den.LC > 0."""
+def _canonical(table, num, den):
+    """The Scalar num/den for coprime PolyElements num and den, with the
+    sign moved so that den.LC > 0 and a constant den kept as an int."""
     if den.LC < 0:
         num, den = -num, -den
-    if _ground(den) == 1:
-        return field.raw_new(num, field.one.denom)
-    return field.raw_new(num, den)
+    c = _ground(den)
+    return Scalar(table, num, den if c is None else c)
 
 
 def _add_quotients(f, g, subtract):
-    """a/b + c/d, or a/b - c/d, for lowest-terms operands.
+    """a/b + c/d, or a/b - c/d, for nonzero lowest-terms operands.
 
     With h = gcd(b, d), t = a (d/h) + c (b/h) shares no factor with b/h
     or d/h, so the one gcd left to take is gcd(t, h).
     """
-    if not g:
-        return f
-    if not f:
-        return -g if subtract else g
-    h, b, d = _gcd(f.denom, g.denom)
+    h, b, d = _gcd(_denominator(f), _denominator(g))
     a, c = f.numer * d, g.numer * b
     t = a - c if subtract else a + c
     if not t:
-        return _reduce(f.field, f.field.ring.zero, 1)
+        return _zero(f.table)
     _, t, h = _gcd(t, h)
-    return _canonical(f.field, t, h * b * d)
+    return _canonical(f.table, t, h * b * d)
 
 
 def _diff_quotient(f, idx):
@@ -503,26 +503,25 @@ def _diff_quotient(f, idx):
     da, db = a.diff(idx), b.diff(idx)
     if not db:
         if not da:
-            return _reduce(f.field, f.field.ring.zero, 1)
+            return _zero(f.table)
         _, da, b = _gcd(da, b)
-        return _canonical(f.field, da, b)
+        return _canonical(f.table, da, b)
     h, u, v = _gcd(b, db)
     t = da * u - a * v
     if not t:
-        return _reduce(f.field, f.field.ring.zero, 1)
+        return _zero(f.table)
     _, t, h = _gcd(t, h)
-    return _canonical(f.field, t, h * u * u)
+    return _canonical(f.table, t, h * u * u)
 
 
 def _eval_poly(table, poly, images, powers):
-    """The FracElement of a PolyElement with the generators in ``images``
-    (index -> FracElement) replaced; the other generators stay.
+    """The Scalar of a PolyElement with the generators in ``images``
+    (index -> Scalar) replaced; the other generators stay.
 
     Monomials are grouped by their exponents in the replaced generators,
     so each group costs one product of image powers; ``powers`` holds
     those powers by (index, exponent) and is filled as they are needed.
     """
-    field = table.field
     bound = tuple(images)
     groups = {}
     for mono, coeff in poly.items():
@@ -533,9 +532,9 @@ def _eval_poly(table, poly, images, powers):
                 rest[idx] = 0
             mono = tuple(rest)
         groups.setdefault(exps, {})[mono] = coeff
-    total = field.zero
+    total = _zero(table)
     for exps, rest in groups.items():
-        term = _reduce(field, poly.new(rest), 1)
+        term = Scalar(table, poly.new(rest), 1)
         for idx, e in zip(bound, exps):
             if e:
                 power = powers.get((idx, e))

@@ -320,6 +320,8 @@ class SuperExpr:
         return self.table is other.table and self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {()}:  # equal to its body, a Scalar
+            return hash(self.terms.get((), 0))
         return hash((id(self.table), frozenset(self.terms.items())))
 
     # -- derivatives and the Berezin integral --------------------------------
@@ -518,7 +520,6 @@ class Pullback:
 
     def __init__(self, table, bindings):
         self.table = table
-        field = table.field
         self.bodies = {}  # even name -> image body, when it is not the symbol
         self.nils = {}  # even index -> nonzero nilpotent part of the image
         self.odd_images = {}
@@ -533,7 +534,7 @@ class Pullback:
             if table.is_even(name):
                 idx = table.even_index(name)
                 body = terms.get(())
-                moved = body is None or body.f != field.gens[idx]
+                moved = body != Scalar.symbol(table, name)
                 if not moved and len(terms) == 1:
                     continue
                 if not value.is_even():
@@ -547,7 +548,7 @@ class Pullback:
                 idx = table.odd_index(name)
                 coeff = terms.get((idx,))
                 if coeff is not None and len(terms) == 1 and \
-                        coeff.f == field.one:
+                        coeff.denom == 1 and coeff.numer == 1:
                     continue
                 if not value.is_odd():
                     raise ParityError(f"odd symbol {name!r} bound to even value")
@@ -613,22 +614,21 @@ class Pullback:
             return expr
         result = {}
         for key, c in expr.terms.items():
-            f = c.f
-            if bound and (_involves(f.numer, bound) or
-                          _involves(f.denom, bound)):
-                den = c.integer_denominator()
+            den = c.integer_denominator()
+            if bound and (_involves(c.numer, bound) or
+                          den is None and _involves(c.denom, bound)):
                 if den is not None:
-                    piece = SuperExpr(table, self._shifted(f.numer, den))
+                    piece = SuperExpr(table, self._shifted(c.numer, den))
                 else:
-                    inv = self.inverse_cache.get(f.denom)
+                    inv = self.inverse_cache.get(c.denom)
                     if inv is None:
-                        image = SuperExpr(table, self._shifted(f.denom, 1))
+                        image = SuperExpr(table, self._shifted(c.denom, 1))
                         if () not in image.terms:
                             raise ScalarError("substitution makes a "
                                               "denominator body vanish")
                         inv = image.invert_even()
-                        self.inverse_cache[f.denom] = inv
-                    piece = SuperExpr(table, self._shifted(f.numer, 1)) * inv
+                        self.inverse_cache[c.denom] = inv
+                    piece = SuperExpr(table, self._shifted(c.numer, 1)) * inv
             elif odd_images and not odd_images.keys().isdisjoint(key):
                 piece = SuperExpr(table, {(): c})
             else:

@@ -4,13 +4,14 @@ coefficient, after construction.
 ``SuperExpr.diff`` caches each derivative on the expression, keyed by
 symbol name alone.  The cache is correct only while an expression's
 ``terms`` never change once ``SuperExpr.__init__`` has set them.  The
-Scalar kernel hands one FracElement, and its numerator and denominator
-PolyElements, to many Scalars (a product by 1 returns the other side's;
-every polynomial shares its field's unit denominator), which is correct
-only while none of them changes.
+Scalar kernel hands one numerator or denominator PolyElement to many
+Scalars (a product by 1 returns the other operand itself; a negation
+keeps its operand's denominator), which is correct only while none of
+them changes.
 
 So this scan fails on any assignment to ``<x>.terms`` outside the
-SuperExpr constructor or to ``<x>.f`` outside the Scalar one; on any
+SuperExpr constructor, or to ``<x>.numer``, ``<x>.denom`` or ``<x>.f``
+outside the Scalar one; on any
 assignment through or deletion from ``<x>.terms[...]``, ``<x>.numer[...]``
 or ``<x>.denom[...]``; and on any call of a mutating dict method on
 ``<x>.terms``, or of a mutating dict or in-place PolyElement method on
@@ -29,7 +30,7 @@ POLY_MUTATORS = MUTATORS | {"strip_zero", "imul_num", "_iadd_monom",
                             "_iadd_poly_monom"}
 CONTAINERS = {"terms": MUTATORS, "numer": POLY_MUTATORS,
               "denom": POLY_MUTATORS}
-FIELDS = {"terms", "f"}  # set once, by the constructor
+FIELDS = {"terms", "numer", "denom", "f"}  # set once, by the constructor
 
 
 def _attribute(node, names):
@@ -49,7 +50,8 @@ def _targets(node):
 
 def _writes(name, source):
     """(file, qualified scope, line) of each write to a ``terms`` dict, a
-    Scalar's ``f`` or a coefficient's ``numer`` or ``denom``."""
+    Scalar's ``numer``, ``denom`` or ``f``, or a coefficient's ``numer``
+    or ``denom`` polynomial."""
     found = []
 
     def walk(node, scope):
@@ -103,6 +105,9 @@ def test_scan_sees_every_kind_of_write():
 def test_scan_sees_every_kind_of_coefficient_write():
     source = ("def f(s, g, m):\n"
               "    s.f = g\n"
+              "    s.numer = g\n"
+              "    s.denom, t = 1, 2\n"
+              "    s.numer[m] = 1\n"
               "    s.f.numer[m] = 1\n"
               "    s.f.denom[m] += 1\n"
               "    del s.f.numer[m]\n"
@@ -116,9 +121,10 @@ def test_scan_sees_every_kind_of_coefficient_write():
               "    h = g.numer.quo_ground(2)\n"
               "    h[m] = 1\n"
               "    g.numer.get(m)\n"
+              "    numer = s.numer\n"
               "    return s.f\n")
     assert [line for _, _, line in _writes("m.py", source)] == \
-        list(range(2, 12))
+        list(range(2, 15))
 
 
 def test_no_terms_mutation_outside_the_constructor():

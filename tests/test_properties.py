@@ -1,6 +1,7 @@
 """Property-based checks of the core algebra laws."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -8,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
 from sympy.polys.rings import PolyElement
 
 from oddsym.grammar import _monomial_bound, parse_expr, render_expr
@@ -265,9 +267,35 @@ def fracs(draw, field=FIELD):
     return field.new(draw(numer), draw(denominators))
 
 
+def scalar(f, table=TABLE):
+    """The Scalar of a FracField element, taken as it is: FracField's own
+    lowest terms are the Scalar form, with a constant denominator read as
+    an int."""
+    denom = f.denom
+    return Scalar(table, f.numer, int(denom.LC) if denom.is_ground else denom)
+
+
+def assert_canonical(s):
+    """The one form a Scalar is held in (see oddsym.scalars): a numerator
+    of the table's ring over either a positive integer coprime to its
+    content or a nonconstant polynomial with positive leading
+    coefficient, coprime to it; zero is 0/1."""
+    numer, denom = s.numer, s.denom
+    assert isinstance(numer, PolyElement)
+    assert numer.ring == s.table.field.ring
+    if isinstance(denom, PolyElement):
+        assert denom.ring == numer.ring
+        assert not denom.is_ground and denom.LC > 0
+        assert numer.gcd(denom) == 1
+    else:
+        assert isinstance(denom, int) or ZZ.of_type(denom)
+        assert denom > 0 and math.gcd(denom, *numer.values()) == 1
+
+
 def same(got, want):
     assert got.f == want
-    reference = Scalar(TABLE, want)
+    assert_canonical(got)
+    reference = scalar(want)
     assert got.numer_terms == reference.numer_terms
     assert got.denom_terms == reference.denom_terms
 
@@ -275,7 +303,7 @@ def same(got, want):
 @given(fracs(), fracs(), st.integers(min_value=-40, max_value=40))
 @settings(max_examples=200, deadline=None)
 def test_scalar_kernel_matches_frac_field(f, g, k):
-    a, b = Scalar(TABLE, f), Scalar(TABLE, g)
+    a, b = scalar(f), scalar(g)
     same(a * b, f * g)
     same(a + b, f + g)
     same(a - b, f - g)
@@ -322,7 +350,7 @@ def factor_sharing_fracs(draw):
 def _scalar_ops(f, g):
     """a * b, a + b, a - b, a / b, a ** -1, da/dx1 and da/dx2 for the
     Scalars a and b of f and g; None where an operand is zero."""
-    a, b = Scalar(TABLE, f), Scalar(TABLE, g)
+    a, b = scalar(f), scalar(g)
     out = [a * b, a + b, a - b, a / b if g else None, a ** -1 if f else None]
     return out + [a.diff(name) for name in ("x1", "x2")]
 
@@ -370,17 +398,19 @@ def test_field_path_takes_no_whole_product_gcd(pair):
     with mock.patch.object(PolyElement, "cancel", refuse), \
             mock.patch.object(PolyElement, "cofactors", count):
         gots = _scalar_ops(*pair)
-        root = (Scalar(TABLE, f) * Scalar(TABLE, f)).sqrt() if f else None
+        root = (scalar(f) * scalar(f)).sqrt() if f else None
     _compare(gots, _frac_ops(*pair))
     if f:
-        same(root, f if Scalar(TABLE, f).leading_sign() > 0 else -f)
+        same(root, f if scalar(f).leading_sign() > 0 else -f)
     assert all(len(generators) >= 2 for generators in shared)
 
 
 @given(fracs(), fracs())
 @settings(max_examples=40, deadline=None)
-def test_polynomial_scalars_share_one_unit_denominator(f, g):
-    unit = FIELD.one.denom
+def test_kernel_results_are_canonical(f, g):
+    """Each kernel site that makes a polynomial or a zero gives it the
+    canonical form with the integer denominator 1; the operations on them
+    give the canonical form and change no operand."""
     x1, x2 = Scalar.symbol(TABLE, "x1"), Scalar.symbol(TABLE, "x2")
     polys = [x1 * x2 + 1, x1 - x2 * 3, (x1 * x1).diff("x1"),
              Scalar.from_int(TABLE, 20), Scalar.from_fraction(TABLE, 7),
@@ -396,11 +426,15 @@ def test_polynomial_scalars_share_one_unit_denominator(f, g):
              .bodies["x1"]]
     assert all(z.is_zero for z in zeros)
     polys += zeros
-    assert all(p.f.denom is unit for p in polys)
-    _scalar_ops(f, g)
-    for a in polys:
-        _scalar_ops(a.f, f)
-    assert dict(unit) == {RING.zero_monom: 1}
+    for p in polys:
+        assert_canonical(p)
+        assert p.integer_denominator() == 1
+    before = [(p.numer_terms, p.denom_terms) for p in polys]
+    for outs in [_scalar_ops(f, g)] + [_scalar_ops(a.f, f) for a in polys]:
+        for out in outs:
+            if out is not None:
+                assert_canonical(out)
+    assert [(p.numer_terms, p.denom_terms) for p in polys] == before
 
 
 @given(fracs().filter(lambda f: f and not f.denom.is_ground),
@@ -410,8 +444,96 @@ def test_polynomial_scalars_share_one_unit_denominator(f, g):
 @settings(max_examples=60, deadline=None)
 def test_monomial_bound_holds_for_a_rational_term_power(f, odds, k):
     """One rational term p/q taken k times is p^k/q^k in lowest terms."""
-    term = SuperExpr.from_raw_terms(TABLE, [(Scalar(TABLE, f), odds)])
+    term = SuperExpr.from_raw_terms(TABLE, [(scalar(f), odds)])
     assert _monomial_count(term ** k) <= _monomial_bound([(term, k)])
+
+
+def field_power(f, k):
+    """f ** k in FracField arithmetic, with f ** 0 = 1 for every f."""
+    out = FIELD.one
+    for _ in range(abs(k)):
+        out *= f
+    return out if k >= 0 else FIELD.one / out
+
+
+@given(fracs(), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_powers_negation_and_roots_match_frac_field(f, k):
+    a = scalar(f)
+    same(-a, -f)
+    if k >= 0 or f:
+        same(a ** k, field_power(f, k))
+    same((a * a).sqrt(), f if a.leading_sign() >= 0 else -f)
+
+
+@given(fracs().filter(lambda f: f.denom.is_ground),
+       st.sampled_from([("x1",), ("x2",), ("x1", "x2")]),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_radial_matches_frac_field(f, names, k):
+    indices = [TABLE.even_index(name) for name in names]
+    want = FIELD.zero
+    for mono, coeff in f.numer.terms():
+        want += FIELD(RING.from_dict({mono: coeff})) / \
+            (sum(mono[i] for i in indices) + k)
+    same(scalar(f).radial(names, k), want / f.denom)
+
+
+def test_zeroth_power_is_one_and_negative_powers_invert():
+    zero = Scalar.from_int(TABLE, 0)
+    assert zero ** 0 == 1 and SuperExpr.zero(TABLE) ** 0 == 1
+    assert parse_expr("0^0", TABLE) == 1
+    with pytest.raises(ScalarError):
+        zero ** -1
+    for v in (-2, Fraction(-2, 3), Fraction(5, 7), 1, -1):
+        c = Scalar.from_fraction(TABLE, v)
+        for k in range(-4, 5):
+            got = c ** k
+            assert_canonical(got)
+            assert got == Fraction(v) ** k
+    x1, x2 = Scalar.symbol(TABLE, "x1"), Scalar.symbol(TABLE, "x2")
+    for c in (-3 * (x1 - 2) / (x2 + 1), (x1 * x2 - 1) / -6):
+        assert_canonical(c ** -2)
+        assert c ** -2 * c ** 2 == 1 and c ** 0 == 1
+
+
+numbers = st.one_of(st.integers(min_value=-2, max_value=2),
+                    st.fractions(min_value=-2, max_value=2,
+                                 max_denominator=3))
+
+
+@st.composite
+def values(draw):
+    """An int, a Fraction, a Scalar or a SuperExpr, often a small constant
+    and so often equal to a value of another of those types."""
+    kind = draw(st.sampled_from(["int", "fraction", "scalar", "superexpr"]))
+    if kind == "int":
+        return draw(st.integers(min_value=-2, max_value=2))
+    number = Fraction(draw(numbers))
+    if kind == "fraction":
+        return number
+    c = draw(st.one_of(st.just(Scalar.from_fraction(TABLE, number)),
+                       fracs().map(scalar)))
+    if kind == "scalar":
+        return c
+    return draw(st.one_of(st.just(SuperExpr.from_scalar(c)),
+                          st.just(SuperExpr.zero(TABLE)), exprs()))
+
+
+@given(st.lists(values(), min_size=2, max_size=6))
+@example([3, Fraction(3), Scalar.from_int(TABLE, 3),
+          SuperExpr.constant(TABLE, 3)])
+@example([0, Scalar.from_int(TABLE, 0), SuperExpr.zero(TABLE),
+          SuperExpr.from_scalar(Scalar.from_int(TABLE, 0))])
+@example([Fraction(-1, 2), Scalar.from_fraction(TABLE, Fraction(-1, 2)),
+          SuperExpr.constant(TABLE, Fraction(-1, 2))])
+@example([Scalar.symbol(TABLE, "x1") / 2,
+          SuperExpr.symbol(TABLE, "x1") / 2])
+@settings(max_examples=100, deadline=None)
+def test_equal_values_hash_equal(items):
+    for a, b in itertools.combinations(items, 2):
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 # -- the fast lanes: trivial operands against plain FracField arithmetic ------
@@ -433,7 +555,7 @@ def field_constant(c):
 def test_constant_side_products_match_frac_field(f, c):
     """A side that is 0, 1, -1, an integer or a rational constant, as a
     number or a Scalar, on either side of a polynomial or rational one."""
-    a, k = Scalar(TABLE, f), Scalar.from_fraction(TABLE, c)
+    a, k = scalar(f), Scalar.from_fraction(TABLE, c)
     want = f * field_constant(c)
     for got in (a * k, k * a, a * c, c * a):
         same(got, want)
@@ -500,10 +622,10 @@ def fracs_free_of(draw, i):
 def test_variable_free_derivatives_match_frac_field(case):
     i, f = case
     name = ("x1", "x2")[i]
-    got = Scalar(TABLE, f).diff(name)
+    got = scalar(f).diff(name)
     same(got, f.diff(FIELD.gens[i]))
     assert got.is_zero
-    expr = SuperExpr.from_scalar(Scalar(TABLE, f)) * SuperExpr.symbol(TABLE,
+    expr = SuperExpr.from_scalar(scalar(f)) * SuperExpr.symbol(TABLE,
                                                                       "th1")
     assert not expr.diff(name)
 
@@ -526,7 +648,7 @@ def test_constant_products_multiply_no_polynomials():
     for products, want in zip(gots, wants, strict=True):
         for got in products:
             same(got, want)
-    assert (poly * 1).f is poly.f
+    assert poly * 1 is poly
 
 
 # -- the gcd routes against PolyElement.cofactors ----------------------------
@@ -643,7 +765,7 @@ def test_radial_inverts_euler_plus_k():
 @given(fracs(), fracs(), fracs())
 @settings(max_examples=60, deadline=None)
 def test_subs_even_matches_frac_field(f, g, h):
-    images = {"x1": Scalar(TABLE, g), "x2": Scalar(TABLE, h)}
+    images = {"x1": scalar(g), "x2": scalar(h)}
 
     def evaluate(poly):
         total = FIELD.zero
@@ -657,7 +779,7 @@ def test_subs_even_matches_frac_field(f, g, h):
 
     den = evaluate(f.denom)
     if den:
-        same(Scalar(TABLE, f).subs_even(images), evaluate(f.numer) / den)
+        same(scalar(f).subs_even(images), evaluate(f.numer) / den)
 
 
 # -- substitution and bracket matrices against the term-by-term oracles ------
@@ -678,8 +800,8 @@ def _reference_eval_poly(table, poly, even_images, power_cache):
             if power and idx in even_images:
                 residual[idx] = 0
                 factors.append((idx, power))
-        piece = SuperExpr.from_scalar(Scalar(
-            table, table.field(ring.from_dict({tuple(residual): coeff}))))
+        piece = SuperExpr.from_scalar(scalar(
+            table.field(ring.from_dict({tuple(residual): coeff})), table))
         for idx, power in factors:
             if (idx, power) not in power_cache:
                 power_cache[(idx, power)] = even_images[idx] ** power
@@ -731,7 +853,7 @@ def nilpotents(draw):
         SUB_TABLE.odd_names, 2)))
     total = SuperExpr.zero(SUB_TABLE)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        coeff = Scalar(SUB_TABLE, SUB_FIELD(draw(ring_polys(SUB_FIELD.ring))))
+        coeff = scalar(SUB_FIELD(draw(ring_polys(SUB_FIELD.ring))), SUB_TABLE)
         total = total + SuperExpr.from_raw_terms(
             SUB_TABLE, [(coeff, draw(pairs))])
     return total
@@ -751,7 +873,7 @@ def bindings(draw):
         image = SuperExpr.symbol(SUB_TABLE, name)
         if kind.startswith("body"):
             image = SuperExpr.from_scalar(
-                Scalar(SUB_TABLE, draw(fracs(SUB_FIELD))))
+                scalar(draw(fracs(SUB_FIELD)), SUB_TABLE))
         if kind.endswith("shift"):
             image = image + draw(nilpotents())
         out[name] = image
@@ -769,7 +891,7 @@ def rational_exprs(draw):
     """An expression with rational-function coefficients, and the
     denominator it was divided by."""
     den = draw(ring_polys(SUB_FIELD.ring).filter(bool))
-    one_over = Scalar(SUB_TABLE, SUB_FIELD.one / SUB_FIELD(den))
+    one_over = scalar(SUB_FIELD.one / SUB_FIELD(den), SUB_TABLE)
     return draw(sub_exprs()) * one_over, den
 
 
@@ -821,7 +943,7 @@ def test_substitute_respects_denominators(rational, binds):
     image = substituted(expr, binds)
     if image is None:
         return
-    den_image = SuperExpr.from_scalar(Scalar(SUB_TABLE, SUB_FIELD(den)))
+    den_image = SuperExpr.from_scalar(scalar(SUB_FIELD(den), SUB_TABLE))
     assert image * den_image.substitute(binds) == \
         (expr * den_image).substitute(binds)
 
