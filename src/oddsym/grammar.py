@@ -52,7 +52,7 @@ def _size(value):
 
 def _exponents(poly):
     """The highest exponent of each generator in a nonzero polynomial."""
-    return [max(col) for col in zip(*poly.itermonoms())]
+    return [max(col) for col in zip(*poly)]
 
 
 def _shape(value):
@@ -62,19 +62,19 @@ def _shape(value):
     monomial over D together with its odd key, where an odd factor
     counts one; the highest exponent of each generator over D; the total
     degree and the exponents of D; and its odd indices."""
-    dens = {c.denom for c in value.terms.values()
-            if c.integer_denominator() is None}
+    dens = {frozenset(c.denom.items()): c.denom for c in value.terms.values()
+            if c.integer_denominator() is None}.values()
     zeros = [0] * value.table.field.ngens
     den = [sum(col) for col in zip(zeros, *map(_exponents, dens))]
-    den_degree = sum(max(map(sum, d.itermonoms())) for d in dens)
+    den_degree = sum(max(map(sum, d)) for d in dens)
     lo, hi, num, odds = math.inf, 0, zeros, set()
     for key, c in value.terms.items():
         odds.update(key)
         own, own_degree = zeros, 0
         if c.integer_denominator() is None:
             own = _exponents(c.denom)
-            own_degree = max(map(sum, c.denom.itermonoms()))
-        for mono in c.numer.itermonoms():
+            own_degree = max(map(sum, c.denom))
+        for mono in c.numer:
             lo = min(lo, len(key) + sum(mono))
             hi = max(hi, len(key) + sum(mono) + den_degree - own_degree)
             num = [max(n, e + d - o)

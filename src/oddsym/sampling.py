@@ -27,7 +27,7 @@ def random_scalar(rng, table, coeff_degree=2, names=None, rational=False,
             if names:
                 mono[table.even_index(rng.choice(names))] += 1
         terms[tuple(mono)] = terms.get(tuple(mono), 0) + coeff
-    out = Scalar.from_poly(table, ring.from_dict(terms))
+    out = Scalar.from_poly(table, {m: c for m, c in terms.items() if c})
     if rational and names and rng.random() < 0.4:
         den = Scalar.from_int(table, rng.choice([2, 3])) + \
             Scalar.symbol(table, rng.choice(names)) ** 2

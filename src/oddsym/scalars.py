@@ -1,11 +1,11 @@
 """Exact rational-function coefficients over the integers.
 
 A Scalar is a quotient ``numer / denom`` of multivariate integer
-polynomials in the even symbols of its table.  ``numer`` is a
-``PolyElement`` of the table's ring; ``denom`` is either a positive int
-coprime to the content of ``numer``, or a nonconstant ``PolyElement``
-coprime to ``numer`` with leading coefficient positive under graded-lex
-order; zero is 0/1.  Every operation returns that canonical form, so equal
+polynomials in the even symbols of its table, each a plain ``dict`` from
+exponent tuples to nonzero ints.  ``denom`` is either a positive int
+coprime to the content of ``numer``, or a nonconstant polynomial coprime
+to ``numer`` with leading coefficient positive under graded-lex order;
+zero is {}/1.  Every operation returns that canonical form, so equal
 Scalars have equal numerators and denominators.  ``Scalar.f`` is a view
 that builds the equal sympy ``FracElement``; the arithmetic never does.
 
@@ -24,11 +24,13 @@ The arithmetic takes one of two paths, chosen by the operands alone:
   sum).  Those gcds are of the smaller factors, not of the whole product,
   and a gcd with a constant side takes only integers.
 
-Most products in the identities have a constant side, and a
-polynomial-first product with one multiplies no polynomials: by 1 it
-returns the other operand, by any other c the other numerator scaled by c
-over the product of the two integer denominators.  Polynomials are shared
-between Scalars, so nothing may change one in place.
+The dicts are multiplied here, through the ring's generated
+``monomial_mul``; sympy sees them, as ``PolyElement``s, only in the gcds
+below and in ``sqrt``.  Most products in the identities have a constant
+side, and a polynomial-first product with one multiplies no polynomials:
+by 1 it returns the other operand, by any other c the other numerator
+scaled by c over the product of the two integer denominators.
+Polynomials are shared between Scalars, so nothing may change one.
 
 A gcd of two nonconstant polynomials p and q is routed by V, the set of
 generators that occur in both.  Any common divisor lies in Z[V], and a
@@ -55,7 +57,6 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.fields import FracElement
-from sympy.polys.rings import PolyElement
 
 
 class ScalarError(ArithmeticError):
@@ -82,7 +83,7 @@ class Scalar:
         cached = table.int_scalars.get(value)
         if cached is not None:
             return cached
-        out = cls(table, table.field.ring.ground_new(value), 1)
+        out = cls(table, _constant(table, value), 1)
         if value in _CACHED_INTS:
             table.int_scalars[value] = out
         return out
@@ -90,18 +91,19 @@ class Scalar:
     @classmethod
     def from_fraction(cls, table, value):
         value = Fraction(value)
-        return cls(table, table.field.ring.ground_new(value.numerator),
+        return cls(table, _constant(table, value.numerator),
                    value.denominator)
 
     @classmethod
     def from_poly(cls, table, poly, den=1):
-        """poly / den for a PolyElement of the table's ring and an int
-        den > 0."""
+        """poly / den for a polynomial dict (exponent tuple -> nonzero
+        int) of the table's generators and an int den > 0."""
         return _reduce(table, poly, den)
 
     @classmethod
     def symbol(cls, table, name):
-        return cls(table, table.field.ring.gens[table.even_index(name)], 1)
+        ring = table.field.ring
+        return cls(table, {ring.monomial_basis(table.even_index(name)): 1}, 1)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -117,7 +119,9 @@ class Scalar:
     @property
     def f(self):
         """The equal sympy ``FracElement``, built on each read."""
-        return FracElement(self.table.field, self.numer, _denominator(self))
+        field = self.table.field
+        return FracElement(field, field.ring.dtype(self.numer),
+                           field.ring.dtype(_denominator(self)))
 
     # -- ring/field operations ---------------------------------------------
 
@@ -157,18 +161,20 @@ class Scalar:
         # c ** 0 is 1 for every c, 0 included, as for SuperExpr and "0^0"
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
+        base, table = self, self.table
         if exponent < 0:
             if not self.numer:
                 raise ScalarError("division by zero scalar")
             base, exponent = _reciprocal(self), -exponent
         if not exponent:
-            return Scalar(self.table, self.numer.ring.one, 1)
-        return Scalar(self.table, base.numer ** exponent,
-                      base.denom ** exponent)
+            return Scalar(table, _constant(table, 1), 1)
+        q = base.integer_denominator()
+        return Scalar(table, _power(table, base.numer, exponent),
+                      _power(table, base.denom, exponent) if q is None
+                      else q ** exponent)
 
     def __neg__(self):
-        return Scalar(self.table, -self.numer, self.denom)
+        return Scalar(self.table, _scaled(self.numer, -1), self.denom)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -180,8 +186,9 @@ class Scalar:
 
     def __hash__(self):
         # a constant equals its int or Fraction, so it hashes as one
-        return hash(self.as_fraction() if self.is_constant()
-                    else (self.numer, self.denom))
+        return hash(self.as_fraction() if self.is_constant() else (
+            frozenset(self.numer.items()),
+            self.integer_denominator() or frozenset(self.denom.items())))
 
     def __bool__(self):
         return bool(self.numer)
@@ -190,37 +197,45 @@ class Scalar:
     def is_zero(self):
         return not self.numer
 
+    @property
+    def is_one(self):
+        return self.denom == 1 and self.numer == _constant(self.table, 1)
+
     # -- structure queries --------------------------------------------------
 
     @property
     def numer_terms(self):
         """[(exponent tuple, int coeff)] in graded-lex descending order."""
-        return [(m, int(c)) for m, c in self.numer.terms()]
+        return _terms(self.table, self.numer)
 
     @property
     def denom_terms(self):
-        return [(m, int(c)) for m, c in _denominator(self).terms()]
+        return _terms(self.table, _denominator(self))
 
     def is_constant(self):
-        return self.numer.is_ground and not isinstance(self.denom, PolyElement)
+        numer, zero = self.numer, self.table.field.ring.zero_monom
+        return not isinstance(self.denom, dict) and (
+            not numer or _ground(numer, zero) is not None)
 
     def as_fraction(self):
         if not self.is_constant():
             raise ScalarError("scalar is not a rational constant")
-        return Fraction(int(_ground(self.numer) or 0), int(self.denom))
+        return Fraction(self.numer.get(self.table.field.ring.zero_monom, 0),
+                        self.denom)
 
     def depends_on(self, name):
         idx = self.table.even_index(name)
-        return any(m[idx] for m in self.numer.itermonoms()) or \
-            any(m[idx] for m in _denominator(self).itermonoms())
+        return any(m[idx] for m in self.numer) or \
+            any(m[idx] for m in _denominator(self))
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, name):
         idx = self.table.even_index(name)
-        if isinstance(self.denom, PolyElement):
+        if isinstance(self.denom, dict):
             return _diff_quotient(self, idx)
-        return _reduce(self.table, self.numer.diff(idx), self.denom)
+        return _reduce(self.table, divided_derivative(self.numer, idx),
+                       self.denom)
 
     def radial(self, names, k):
         """int_0^1 s^(k-1) c(s x) ds for a polynomial c, with x the even
@@ -229,14 +244,14 @@ class Scalar:
         A monomial of degree m in those symbols is divided by m + k; the
         quotients share one integer denominator.
         """
-        if isinstance(self.denom, PolyElement):
+        if isinstance(self.denom, dict):
             raise ScalarError("radial integral needs a polynomial")
         indices = [self.table.even_index(name) for name in names]
         numer = self.numer
         weights = {mono: sum(mono[i] for i in indices) + k for mono in numer}
         lcm = math.lcm(*weights.values())
-        scaled = numer.new({mono: c * (lcm // weights[mono])
-                            for mono, c in numer.items()})
+        scaled = {mono: c * (lcm // weights[mono])
+                  for mono, c in numer.items()}
         return _reduce(self.table, scaled, self.denom * lcm)
 
     def subs_even(self, images, powers=None):
@@ -252,8 +267,8 @@ class Scalar:
         if powers is None:
             powers = {}
         num = _eval_poly(table, self.numer, args, powers)
-        if not isinstance(self.denom, PolyElement):
-            return _mul(num, Scalar(table, num.numer.ring.one, self.denom))
+        if not isinstance(self.denom, dict):
+            return _mul(num, Scalar(table, _constant(table, 1), self.denom))
         den = _eval_poly(table, self.denom, args, powers)
         if not den:
             raise ScalarError("substitution makes the denominator vanish")
@@ -262,7 +277,7 @@ class Scalar:
     def integer_denominator(self):
         """The denominator as an int when it is constant, else None."""
         denom = self.denom
-        return None if isinstance(denom, PolyElement) else denom
+        return None if isinstance(denom, dict) else denom
 
     def sqrt(self):
         """The root with positive leading numerator coefficient.
@@ -280,30 +295,114 @@ class Scalar:
         return root
 
     def leading_sign(self):
-        lc = self.numer.LC
+        numer = self.numer
+        lc = numer[self.table.field.ring.leading_expv(numer)] if numer else 0
         return (lc > 0) - (lc < 0)
 
     def __repr__(self):
-        return f"Scalar(({self.numer})/({self.denom}))"
+        new = self.table.field.ring.dtype
+        denom = self.integer_denominator() or new(self.denom)
+        return f"Scalar(({new(self.numer)})/({denom}))"
+
+
+# -- polynomial dicts ---------------------------------------------------------
+
+def _constant(table, value):
+    """The polynomial dict of an int."""
+    return {table.field.ring.zero_monom: value} if value else {}
+
+
+def _ground(poly, zero):
+    """The value of a nonzero constant polynomial dict, else None; zero is
+    the ring's zero monomial."""
+    return poly.get(zero) if len(poly) == 1 else None
+
+
+def _terms(table, poly):
+    """The items of a polynomial dict in graded-lex descending order."""
+    order = table.field.ring.order
+    return sorted(poly.items(), key=lambda term: order(term[0]),
+                  reverse=True)
+
+
+def _plain(poly):
+    """The polynomial dict of a sympy PolyElement."""
+    return {mono: int(c) for mono, c in poly.items()}
+
+
+def _product(ring, p, q):
+    """p * q for polynomial dicts, by the ring's generated monomial
+    product; a monomial side cannot cancel anything."""
+    mul = ring.monomial_mul
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 1:
+        (n, b), = q.items()
+        return {mul(m, n): a * b for m, a in p.items()}
+    out = {}
+    get = out.get
+    for m, a in p.items():
+        for n, b in q.items():
+            mono = mul(m, n)
+            out[mono] = get(mono, 0) + a * b
+    if 0 in out.values():
+        return {mono: c for mono, c in out.items() if c}
+    return out
+
+
+def _sum(p, q, subtract=False):
+    """p + q, or p - q when ``subtract``, for polynomial dicts."""
+    out = dict(p)
+    get = out.get
+    for mono, c in q.items():
+        c = get(mono, 0) - c if subtract else get(mono, 0) + c
+        if c:
+            out[mono] = c
+        else:
+            del out[mono]
+    return out
+
+
+def _scaled(poly, k):
+    """poly * k for a nonzero int k."""
+    return poly if k == 1 else {mono: c * k for mono, c in poly.items()}
+
+
+def _quotient(poly, k):
+    """poly / k for an int k that divides every coefficient."""
+    return {mono: c // k for mono, c in poly.items()}
+
+
+def divided_derivative(poly, idx, k=1):
+    """(d poly / dx_idx) / k for a polynomial dict, when k divides every
+    coefficient of the derivative.  No two monomials of poly map to the
+    same one, so nothing cancels."""
+    out = {}
+    for mono, c in poly.items():
+        e = mono[idx]
+        if e:
+            out[mono[:idx] + (e - 1,) + mono[idx + 1:]] = c * e // k
+    return out
+
+
+def _power(table, poly, k):
+    """poly ** k for k >= 1, as k - 1 products with poly."""
+    ring, out = table.field.ring, poly
+    for _ in range(k - 1):
+        out = _product(ring, out, poly)
+    return out
 
 
 # -- the kernel ---------------------------------------------------------------
 
-def _ground(poly):
-    """The integer value of a nonzero constant PolyElement, else None."""
-    if len(poly) == 1:
-        return poly.get(poly.ring.zero_monom)
-    return None
-
-
 def _denominator(f):
-    """f's denominator as a PolyElement, as the field path reads it."""
+    """f's denominator as a polynomial dict, as the field path reads it."""
     d = f.denom
-    return d if isinstance(d, PolyElement) else f.numer.ring.ground_new(d)
+    return d if isinstance(d, dict) else _constant(f.table, d)
 
 
 def _zero(table):
-    return Scalar(table, table.field.ring.zero, 1)
+    return Scalar(table, {}, 1)
 
 
 def _reduce(table, num, den):
@@ -315,7 +414,7 @@ def _reduce(table, num, den):
     if den != 1:
         g = math.gcd(den, *num.values())
         if g != 1:
-            num = num.quo_ground(g)
+            num = _quotient(num, g)
             den //= g
     return Scalar(table, num, den)
 
@@ -323,22 +422,24 @@ def _reduce(table, num, den):
 def _mul(f, g):
     if not f.numer or not g.numer:
         return _zero(f.table)
+    ring = f.table.field.ring
     da, db = f.denom, g.denom
-    if isinstance(da, PolyElement) or isinstance(db, PolyElement):
+    if isinstance(da, dict) or isinstance(db, dict):
         # a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)), gi the cross gcds
-        _, a, d = _gcd(f.numer, _denominator(g))
-        _, c, b = _gcd(g.numer, _denominator(f))
-        return _canonical(f.table, a * c, b * d)
-    c = _ground(g.numer)
+        _, a, d = _gcd(ring, f.numer, _denominator(g))
+        _, c, b = _gcd(ring, g.numer, _denominator(f))
+        return _canonical(f.table, _product(ring, a, c), _product(ring, b, d))
+    zero = ring.zero_monom
+    c = _ground(g.numer, zero)
     if c is None:
-        c = _ground(f.numer)
+        c = _ground(f.numer, zero)
         if c is None:
-            return _reduce(f.table, f.numer * g.numer, da * db)
+            return _reduce(f.table, _product(ring, f.numer, g.numer), da * db)
         f, g, da, db = g, f, db, da
     # g = c/db is a constant: scale f's numerator, multiply no polynomials
     if c == 1 and db == 1:
         return f
-    return _reduce(f.table, f.numer.mul_ground(c), da * db)
+    return _reduce(f.table, _scaled(f.numer, c), da * db)
 
 
 def _add(f, g, subtract=False):
@@ -348,28 +449,28 @@ def _add(f, g, subtract=False):
     if not f.numer:
         return -g if subtract else g
     da, db = f.denom, g.denom
-    if isinstance(da, PolyElement) or isinstance(db, PolyElement):
+    if isinstance(da, dict) or isinstance(db, dict):
         return _add_quotients(f, g, subtract)
     a, b = f.numer, g.numer
     if da != db:
         lcm = da // math.gcd(da, db) * db
-        a = a.mul_ground(lcm // da)
-        b = b.mul_ground(lcm // db)
+        a = _scaled(a, lcm // da)
+        b = _scaled(b, lcm // db)
         da = lcm
-    return _reduce(f.table, a - b if subtract else a + b, da)
+    return _reduce(f.table, _sum(a, b, subtract), da)
 
 
 def _div(f, g):
     """f / g for nonzero g; polynomial-first when g is a rational constant,
     else f times the reciprocal of g."""
     da, q = f.denom, g.denom
-    p = _ground(g.numer)
-    if p is None or isinstance(da, PolyElement) or isinstance(q, PolyElement):
+    p = _ground(g.numer, f.table.field.ring.zero_monom)
+    if p is None or isinstance(da, dict) or isinstance(q, dict):
         return _mul(f, _reciprocal(g))
-    num = f.numer.mul_ground(q)
+    num = _scaled(f.numer, q)
     den = da * p
     if den < 0:
-        num, den = -num, -den
+        num, den = _scaled(num, -1), -den
     return _reduce(f.table, num, den)
 
 
@@ -378,8 +479,8 @@ def _reciprocal(f):
     return _canonical(f.table, _denominator(f), f.numer)
 
 
-def _gcd(p, q):
-    """(h, p/h, q/h) for h a gcd of the nonzero PolyElements p and q.
+def _gcd(ring, p, q):
+    """(h, p/h, q/h) for h a gcd of the nonzero polynomial dicts p and q.
 
     When either side is a constant, h is the integer gcd of its value and
     the other side's coefficients; equal sides need no gcd at all.
@@ -387,17 +488,20 @@ def _gcd(p, q):
     (see the module docstring): none, an integer content; one, a dense
     univariate gcd chain; two or more, ``PolyElement.cofactors``.
     """
-    c = _ground(p)
+    zero = ring.zero_monom
+    one = {zero: 1}
+    c = _ground(p, zero)
     if c is None:
-        c = _ground(q)
+        c = _ground(q, zero)
         if c is None:
             if p == q:
-                return p, p.ring.one, p.ring.one
+                return p, one, one
             shared = _support(p) & _support(q)
             if len(shared) > 1:
-                return p.cofactors(q)
+                new = ring.dtype
+                return tuple(map(_plain, new(p).cofactors(new(q))))
             if shared:
-                out = _univariate_gcd(p, q, shared.pop())
+                out = _univariate_gcd(ring, p, q, shared.pop())
                 if out is not None:
                     return out
             h = math.gcd(*p.values(), *q.values())
@@ -406,8 +510,8 @@ def _gcd(p, q):
     else:
         h = math.gcd(c, *q.values())
     if h == 1:
-        return p.ring.one, p, q
-    return p.ring.ground_new(h), p.quo_ground(h), q.quo_ground(h)
+        return one, p, q
+    return {zero: h}, _quotient(p, h), _quotient(q, h)
 
 
 def _support(poly):
@@ -415,7 +519,7 @@ def _support(poly):
     return {i for i, exps in enumerate(zip(*poly)) if any(exps)}
 
 
-def _univariate_gcd(p, q, i):
+def _univariate_gcd(ring, p, q, i):
     """(h, p/h, q/h) for h = gcd(p, q) when x_i is the only generator that
     occurs in both and h has positive degree in x_i; None when the gcd is
     an integer.
@@ -429,14 +533,15 @@ def _univariate_gcd(p, q, i):
     together with a/h and b/h.
     """
     cp, cq = _coefficients_in(p, i), _coefficients_in(q, i)
+    rest = ring.zero_monom[1:]
     if len(cp) == len(cq) == 1:
         (m, a), = cp.items()
         (n, b), = cq.items()
         h, a, b = dup_inner_gcd(a, b, ZZ)
         if len(h) == 1:
             return None
-        return (_from_dense(p, i, h, p.ring.zero_monom[1:]),
-                _from_dense(p, i, a, m), _from_dense(p, i, b, n))
+        return (_from_dense(i, h, rest), _from_dense(i, a, m),
+                _from_dense(i, b, n))
     chain = sorted([*cp.values(), *cq.values()], key=len)
     g = chain[0]
     for f in chain[1:]:
@@ -445,8 +550,9 @@ def _univariate_gcd(p, q, i):
         g = dup_gcd(g, f, ZZ)
     if len(g) == 1:
         return None
-    h = _from_dense(p, i, g, p.ring.zero_monom[1:])
-    return h, p.exquo(h), q.exquo(h)
+    h = _from_dense(i, g, rest)
+    new = ring.dtype
+    return h, _plain(new(p).exquo(new(h))), _plain(new(q).exquo(new(h)))
 
 
 def _coefficients_in(poly, i):
@@ -460,21 +566,22 @@ def _coefficients_in(poly, i):
             for rest, terms in groups.items()}
 
 
-def _from_dense(poly, i, dense, rest):
-    """The PolyElement of poly's ring with the coefficient ``dense`` (a
-    dense list in x_i, leading term first) at the monomial ``rest`` in
-    the other generators."""
+def _from_dense(i, dense, rest):
+    """The polynomial dict with the coefficient ``dense`` (a dense list in
+    x_i, leading term first) at the monomial ``rest`` in the other
+    generators."""
     top = len(dense) - 1
-    return poly.new({rest[:i] + (top - k,) + rest[i:]: c
-                     for k, c in enumerate(dense) if c})
+    return {rest[:i] + (top - k,) + rest[i:]: int(c)
+            for k, c in enumerate(dense) if c}
 
 
 def _canonical(table, num, den):
-    """The Scalar num/den for coprime PolyElements num and den, with the
-    sign moved so that den.LC > 0 and a constant den kept as an int."""
-    if den.LC < 0:
-        num, den = -num, -den
-    c = _ground(den)
+    """The Scalar num/den for coprime polynomial dicts num and den, with
+    the sign moved so that den's leading coefficient is positive and a
+    constant den kept as an int."""
+    if den[table.field.ring.leading_expv(den)] < 0:
+        num, den = _scaled(num, -1), _scaled(den, -1)
+    c = _ground(den, table.field.ring.zero_monom)
     return Scalar(table, num, den if c is None else c)
 
 
@@ -484,13 +591,14 @@ def _add_quotients(f, g, subtract):
     With h = gcd(b, d), t = a (d/h) + c (b/h) shares no factor with b/h
     or d/h, so the one gcd left to take is gcd(t, h).
     """
-    h, b, d = _gcd(_denominator(f), _denominator(g))
-    a, c = f.numer * d, g.numer * b
-    t = a - c if subtract else a + c
+    ring = f.table.field.ring
+    h, b, d = _gcd(ring, _denominator(f), _denominator(g))
+    t = _sum(_product(ring, f.numer, d), _product(ring, g.numer, b),
+             subtract)
     if not t:
         return _zero(f.table)
-    _, t, h = _gcd(t, h)
-    return _canonical(f.table, t, h * b * d)
+    _, t, h = _gcd(ring, t, h)
+    return _canonical(f.table, t, _product(ring, _product(ring, h, b), d))
 
 
 def _diff_quotient(f, idx):
@@ -499,23 +607,24 @@ def _diff_quotient(f, idx):
     With h = gcd(b, b'), u = b/h and v = b'/h, the derivative is
     (a'u - a v) / (b u), and its numerator shares no factor with u.
     """
+    ring = f.table.field.ring
     a, b = f.numer, f.denom
-    da, db = a.diff(idx), b.diff(idx)
+    da, db = divided_derivative(a, idx), divided_derivative(b, idx)
     if not db:
         if not da:
             return _zero(f.table)
-        _, da, b = _gcd(da, b)
+        _, da, b = _gcd(ring, da, b)
         return _canonical(f.table, da, b)
-    h, u, v = _gcd(b, db)
-    t = da * u - a * v
+    h, u, v = _gcd(ring, b, db)
+    t = _sum(_product(ring, da, u), _product(ring, a, v), True)
     if not t:
         return _zero(f.table)
-    _, t, h = _gcd(t, h)
-    return _canonical(f.table, t, h * u * u)
+    _, t, h = _gcd(ring, t, h)
+    return _canonical(f.table, t, _product(ring, _product(ring, h, u), u))
 
 
 def _eval_poly(table, poly, images, powers):
-    """The Scalar of a PolyElement with the generators in ``images``
+    """The Scalar of a polynomial dict with the generators in ``images``
     (index -> Scalar) replaced; the other generators stay.
 
     Monomials are grouped by their exponents in the replaced generators,
@@ -534,7 +643,7 @@ def _eval_poly(table, poly, images, powers):
         groups.setdefault(exps, {})[mono] = coeff
     total = _zero(table)
     for exps, rest in groups.items():
-        term = Scalar(table, poly.new(rest), 1)
+        term = Scalar(table, rest, 1)
         for idx, e in zip(bound, exps):
             if e:
                 power = powers.get((idx, e))
@@ -546,31 +655,29 @@ def _eval_poly(table, poly, images, powers):
 
 
 def _poly_sqrt(table, poly):
-    """Square root of a perfect-square PolyElement, or None."""
-    if poly.is_ground:
-        value = int(poly.coeff(1)) if poly else 0
+    """Square root of a perfect-square polynomial dict, or None."""
+    zero = table.field.ring.zero_monom
+    if not poly or _ground(poly, zero) is not None:
+        value = poly.get(zero, 0)
         if value < 0:
             return None
         root = _isqrt(value)
-        if root is None:
-            return None
-        return table.field.ring.ground_new(ZZ(root))
-    expr = poly.as_expr()
-    content, factors = sympy.factor_list(expr)
+        return None if root is None else _constant(table, root)
+    ring = table.field.ring
+    content, factors = sympy.factor_list(ring.dtype(poly).as_expr())
     content = Fraction(str(content))
     if content < 0 or content.denominator != 1:
         return None
     croot = _isqrt(content.numerator)
     if croot is None:
         return None
-    ring = table.field.ring
     out = ring.ground_new(ZZ(croot))
     for base, exp in factors:
         exp = int(exp)
         if exp % 2:
             return None
         out = out * ring.from_expr(base) ** (exp // 2)
-    return out
+    return _plain(out)
 
 
 def _isqrt(value):

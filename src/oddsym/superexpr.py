@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import Scalar, ScalarError, binomial_half
+from .scalars import Scalar, ScalarError, binomial_half, divided_derivative
 from .symbols import Parity, SymbolError
 
 
@@ -70,8 +70,8 @@ def _add_product(terms, left, right):
 
 
 def _involves(poly, indices):
-    """True when some monomial of a PolyElement uses one of the generators."""
-    for mono in poly.itermonoms():
+    """True when some monomial of a polynomial uses one of the generators."""
+    for mono in poly:
         for i in indices:
             if mono[i]:
                 return True
@@ -547,8 +547,7 @@ class Pullback:
             elif table.is_odd(name):
                 idx = table.odd_index(name)
                 coeff = terms.get((idx,))
-                if coeff is not None and len(terms) == 1 and \
-                        coeff.denom == 1 and coeff.numer == 1:
+                if coeff is not None and len(terms) == 1 and coeff.is_one:
                     continue
                 if not value.is_odd():
                     raise ParityError(f"odd symbol {name!r} bound to even value")
@@ -560,7 +559,7 @@ class Pullback:
         self.active = tuple(self.nils)
         self.nil_powers = {}  # exponent prefix over ``active`` -> n^alpha
         self.odd_products = {}  # bound odd indices -> product of images
-        self.inverse_cache = {}  # denominator polynomial -> inverse image
+        self.inverse_cache = {}  # denominator's terms -> inverse image
         self.body_powers = {}  # (even index, exponent) -> body image power
 
     def _shifted(self, poly, den):
@@ -596,7 +595,7 @@ class Pullback:
                     nil_powers[key] = power
                 if power.is_zero:
                     return
-                p = p.diff(idx).quo_ground(k)
+                p = divided_derivative(p, idx, k)
                 if not p:
                     return
                 product = power
@@ -620,14 +619,15 @@ class Pullback:
                 if den is not None:
                     piece = SuperExpr(table, self._shifted(c.numer, den))
                 else:
-                    inv = self.inverse_cache.get(c.denom)
+                    denom_key = frozenset(c.denom.items())
+                    inv = self.inverse_cache.get(denom_key)
                     if inv is None:
                         image = SuperExpr(table, self._shifted(c.denom, 1))
                         if () not in image.terms:
                             raise ScalarError("substitution makes a "
                                               "denominator body vanish")
                         inv = image.invert_even()
-                        self.inverse_cache[c.denom] = inv
+                        self.inverse_cache[denom_key] = inv
                     piece = SuperExpr(table, self._shifted(c.numer, 1)) * inv
             elif odd_images and not odd_images.keys().isdisjoint(key):
                 piece = SuperExpr(table, {(): c})

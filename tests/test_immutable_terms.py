@@ -4,7 +4,7 @@ coefficient, after construction.
 ``SuperExpr.diff`` caches each derivative on the expression, keyed by
 symbol name alone.  The cache is correct only while an expression's
 ``terms`` never change once ``SuperExpr.__init__`` has set them.  The
-Scalar kernel hands one numerator or denominator PolyElement to many
+Scalar kernel hands one numerator or denominator polynomial dict to many
 Scalars (a product by 1 returns the other operand itself; a negation
 keeps its operand's denominator), which is correct only while none of
 them changes.

@@ -267,26 +267,41 @@ def fracs(draw, field=FIELD):
     return field.new(draw(numer), draw(denominators))
 
 
+def plain(poly):
+    """The polynomial dict a Scalar holds for a PolyElement."""
+    return {mono: int(c) for mono, c in poly.items()}
+
+
 def scalar(f, table=TABLE):
     """The Scalar of a FracField element, taken as it is: FracField's own
     lowest terms are the Scalar form, with a constant denominator read as
     an int."""
     denom = f.denom
-    return Scalar(table, f.numer, int(denom.LC) if denom.is_ground else denom)
+    return Scalar(table, plain(f.numer),
+                  int(denom.LC) if denom.is_ground else plain(denom))
+
+
+def assert_polynomial_dict(poly, ring):
+    """A plain dict from exponent tuples of the ring to nonzero ints."""
+    assert type(poly) is dict
+    for mono, c in poly.items():
+        assert type(mono) is tuple and len(mono) == ring.ngens
+        assert type(c) is int and c
 
 
 def assert_canonical(s):
     """The one form a Scalar is held in (see oddsym.scalars): a numerator
-    of the table's ring over either a positive integer coprime to its
-    content or a nonconstant polynomial with positive leading
+    dict of the table's ring over either a positive integer coprime to
+    its content or a nonconstant polynomial dict with positive leading
     coefficient, coprime to it; zero is 0/1."""
+    ring = s.table.field.ring
     numer, denom = s.numer, s.denom
-    assert isinstance(numer, PolyElement)
-    assert numer.ring == s.table.field.ring
-    if isinstance(denom, PolyElement):
-        assert denom.ring == numer.ring
+    assert_polynomial_dict(numer, ring)
+    if isinstance(denom, dict):
+        assert_polynomial_dict(denom, ring)
+        denom = ring.dtype(denom)
         assert not denom.is_ground and denom.LC > 0
-        assert numer.gcd(denom) == 1
+        assert ring.dtype(numer).gcd(denom) == 1
     else:
         assert isinstance(denom, int) or ZZ.of_type(denom)
         assert denom > 0 and math.gcd(denom, *numer.values()) == 1
@@ -417,7 +432,7 @@ def test_kernel_results_are_canonical(f, g):
              (x1 / (x2 + 1)) * (x2 + 1), (x1 * x1).subs_even({"x1": x2}),
              ((x1 + 1) * (x1 + 1)).sqrt(), x1, x1 * 1, -x2,
              (2 * x1) / 2, Scalar.from_fraction(TABLE, Fraction(1, 2)) * 2,
-             Scalar.from_poly(TABLE, RING.zero, 3)]
+             Scalar.from_poly(TABLE, {}, 3)]
     # a zero from each kernel site that makes one: polynomial and field
     # products, a field sum, a field derivative and an unbound body
     rat = x1 / (x2 + 1)
@@ -651,6 +666,98 @@ def test_constant_products_multiply_no_polynomials():
     assert poly * 1 is poly
 
 
+# -- the polynomial dicts against PolyElement arithmetic ----------------------
+
+_X1, _X2 = RING.gens
+
+
+@given(polys, polys, st.sampled_from([0, 1]), nonzero_ints,
+       st.integers(min_value=1, max_value=4))
+@example(_X1 + 1, _X1 - 1, 0, -1, 2)  # the cross terms of a product cancel
+@example(_X1 * _X2 - 3, 3 - _X2 * _X1, 1, 5, 1)  # a sum cancels to zero
+@example(RING.zero, _X1 ** 2 + _X2, 1, 2, 3)
+@example(_X2 ** 2 - 1, RING.zero, 0, 3, 2)  # x1 does not occur
+@settings(max_examples=200, deadline=None)
+def test_polynomial_dict_helpers_match_poly_element(p, q, i, k, n):
+    """Products, sums, differences, negation, scaling, exact quotients,
+    derivatives (plain and divided) and powers of the dicts a Scalar holds
+    equal the PolyElement results, store no zero coefficient and leave
+    their operands as they were: operands are shared between Scalars."""
+    a, b = plain(p), plain(q)
+    before = (dict(a), dict(b))
+    gen = RING.gens[i]
+    free = {m: c for m, c in a.items() if not m[i]}
+    cases = [
+        (scalars._product(RING, a, b), p * q),
+        (scalars._product(RING, b, a), p * q),
+        (scalars._sum(a, b), p + q),
+        (scalars._sum(a, b, True), p - q),
+        (scalars._sum(a, a, True), RING.zero),
+        (scalars._sum(a, scalars._scaled(a, -1)), RING.zero),
+        (scalars._scaled(a, -1), -p),
+        (scalars._scaled(a, k), p * k),
+        (scalars._quotient(scalars._scaled(a, k), k), p),
+        (scalars.divided_derivative(a, i), p.diff(gen)),
+        (scalars.divided_derivative(scalars._scaled(a, k), i, k),
+         p.diff(gen)),
+        (scalars.divided_derivative(free, i), RING.zero),
+        (scalars._power(TABLE, a, n), p ** n),
+    ]
+    for got, want in cases:
+        assert_polynomial_dict(got, RING)
+        assert got == plain(want)
+    assert (a, b) == before
+
+
+def test_integer_denominator_arithmetic_builds_no_poly_elements():
+    """The polynomial-first path works on the dicts alone: with
+    PolyElement construction refused it still multiplies, adds,
+    subtracts, differentiates, negates, raises to powers, takes radial
+    integrals, substitutes and pulls back through nilpotent even images."""
+    x1, x2 = Scalar.symbol(TABLE, "x1"), Scalar.symbol(TABLE, "x2")
+    p = (x1 * x1 * x2 - x2 * 3 + 5) / 6
+    q = (x1 + x2 * 2 - 1) / 4
+    images = {"x1": q, "x2": x1 + 1}
+    expr = SuperExpr.from_scalar(p) * SuperExpr.symbol(TABLE, "b1") + \
+        SuperExpr.from_scalar(q)
+    binding = {"x1": parse_expr("x1 + x2*th1*th2", TABLE),
+               "x2": parse_expr("x2 - 2*th1*th2 + 3", TABLE)}
+    wants = [p.f * q.f, p.f + q.f, p.f - q.f, -p.f, p.f ** 3,
+             p.f.diff(FIELD.gens[0]), p.f.diff(FIELD.gens[1])]
+
+    def refuse(self, *args):
+        raise AssertionError("PolyElement built")
+
+    with mock.patch.object(PolyElement, "__init__", refuse):
+        gots = [p * q, p + q, p - q, -p, p ** 3, p.diff("x1"), p.diff("x2")]
+        rest = [p ** 0, p.radial(("x1", "x2"), 2), p.subs_even(images),
+                Pullback(TABLE, binding)(expr)]
+    for got, want in zip(gots, wants, strict=True):
+        same(got, want)
+    assert rest[0] == 1
+    assert rest[1] == p.radial(("x1", "x2"), 2)
+    assert rest[2] == p.subs_even(images)
+    assert rest[3] == expr.substitute(binding)
+
+
+def test_repr_reads_as_a_quotient():
+    x1, x2 = Scalar.symbol(TABLE, "x1"), Scalar.symbol(TABLE, "x2")
+    assert repr(x1 / (x1 + 1)) == "Scalar((x1)/(x1 + 1))"
+    assert repr((x1 * x1 - 4) / 6) == "Scalar((x1**2 - 4)/(6))"
+    assert repr(Scalar.from_int(TABLE, 0)) == "Scalar((0)/(1))"
+    assert repr(-(x2 - 3 * x1) / (x1 * x2 + 2)) == \
+        "Scalar((3*x1 - x2)/(x1*x2 + 2))"
+
+
+@given(fracs())
+@settings(max_examples=100, deadline=None)
+def test_terms_come_in_poly_element_order(f):
+    # every golden is rendered from numer_terms and denom_terms
+    s = scalar(f)
+    assert s.numer_terms == [(m, int(c)) for m, c in f.numer.terms()]
+    assert s.denom_terms == [(m, int(c)) for m, c in f.denom.terms()]
+
+
 # -- the gcd routes against PolyElement.cofactors ----------------------------
 
 GCD_RING = standard_table(2, aux=1, extra_even=("t",)).field.ring  # x1, x2, t
@@ -718,8 +825,10 @@ _x1, _x2, _t = GCD_RING.gens
 @settings(max_examples=300, deadline=None)
 def test_gcd_routes_match_cofactors(pair):
     p, q = pair
-    assert _gcd(p, q) == p.cofactors(q)
-    assert _gcd(q, p) == q.cofactors(p)
+    assert _gcd(GCD_RING, plain(p), plain(q)) == \
+        tuple(map(plain, p.cofactors(q)))
+    assert _gcd(GCD_RING, plain(q), plain(p)) == \
+        tuple(map(plain, q.cofactors(p)))
 
 
 def test_two_entry_chain_takes_one_gcd_call():
@@ -735,12 +844,12 @@ def test_two_entry_chain_takes_one_gcd_call():
     calls = []
     for p, q in pairs:
         for a, b in ((p, q), (q, p)):
-            want = a.cofactors(b)
+            want = tuple(map(plain, a.cofactors(b)))
             with mock.patch.object(scalars, "dup_gcd", refuse), \
                     mock.patch.object(PolyElement, "exquo", refuse), \
                     mock.patch.object(scalars, "dup_inner_gcd",
                                       wraps=scalars.dup_inner_gcd) as inner:
-                assert _gcd(a, b) == want
+                assert _gcd(GCD_RING, plain(a), plain(b)) == want
             calls.append(inner.call_count)
     assert calls == [1] * 6
 

@@ -49,7 +49,7 @@ def _chain_scalar(rng, table, coeff_degree=2, names=None, rational=False,
             if names:
                 term = term * ring.gens[table.even_index(rng.choice(names))]
         total = total + term
-    out = Scalar.from_poly(table, total)
+    out = Scalar.from_poly(table, {m: int(c) for m, c in total.items()})
     if rational and names and rng.random() < 0.4:
         den = Scalar.from_int(table, rng.choice([2, 3])) + \
             Scalar.symbol(table, rng.choice(names)) ** 2
