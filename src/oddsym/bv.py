@@ -17,9 +17,9 @@ from functools import cached_property
 from fractions import Fraction
 
 from .scalars import Scalar
-from .superexpr import (ParityError, Pullback, SuperExpr, sum_of,
-                        sum_of_products)
-from .symbols import TIME_SYMBOL, Chart, Parity
+from .superexpr import (ParityError, Pullback, SuperExpr, _accumulate,
+                        sum_of, sum_of_products)
+from .symbols import TIME_SYMBOL, Chart, Parity, SymbolError
 from .symplectic import (Semidensity, SuperMap, bracket, ber_sqrt,
                          hamiltonian_field, map_berezinian)
 
@@ -49,9 +49,23 @@ class VolumeForm:
 
 
 def delta0(f, chart: Chart):
-    """sum_i d/dx^i of the left derivative d/dth_i of f."""
-    return sum_of(chart.table, (f.diff(th).diff(x)
-                                for x, th in zip(chart.xs, chart.thetas)))
+    """sum_i d/dx^i of the left derivative d/dth_i of f, in one pass over
+    the terms of f: a term c th_K with th_i at position pos of K adds
+    (-1)^pos dc/dx^i at K without th_i.  No derivative of f is built."""
+    table = chart.table
+    if f.table is not table:
+        raise SymbolError("mixed symbol tables")
+    x_of = {table.odd_index(th): x for x, th in zip(chart.xs, chart.thetas)}
+    out = {}
+    for key, c in f.terms.items():
+        for pos, idx in enumerate(key):
+            x = x_of.get(idx)
+            if x is not None:
+                d = c.diff(x)
+                if not d.is_zero:
+                    _accumulate(out, key[:pos] + key[pos + 1:], d,
+                                -1 if pos % 2 else 1)
+    return SuperExpr(table, out)
 
 
 def _half(table):

@@ -47,26 +47,37 @@ def _merge_keys(a, b):
     return (-1 if swaps % 2 else 1), tuple(merged)
 
 
-def _accumulate(terms, key, value):
-    """Add value to terms[key], dropping the key when the sum vanishes."""
+def _accumulate(terms, key, value, sign=1):
+    """Add sign * value to terms[key], dropping the key when the sum
+    vanishes; a negative sign subtracts value rather than adding -value."""
     prev = terms.get(key)
-    total = value if prev is None else prev + value
+    if prev is None:
+        total = value if sign > 0 else -value
+    else:
+        total = prev + value if sign > 0 else prev - value
     if total.is_zero:
         terms.pop(key, None)
     else:
         terms[key] = total
 
 
-def _add_product(terms, left, right):
-    """Add the product of two term dicts to ``terms``."""
+_UNSEEN = object()  # a pair of keys the table's merge memo does not hold
+
+
+def _add_product(table, terms, left, right):
+    """Add the product of two term dicts of ``table`` to ``terms``; each
+    merge of two keys is computed once per table."""
+    merges = table.key_merges
     for ka, ca in left.items():
+        row = merges.get(ka)
+        if row is None:
+            row = merges[ka] = {}
         for kb, cb in right.items():
-            merged = _merge_keys(ka, kb)
-            if merged is None:
-                continue
-            sign, key = merged
-            c = ca * cb
-            _accumulate(terms, key, c if sign > 0 else -c)
+            merged = row.get(kb, _UNSEEN)
+            if merged is _UNSEEN:
+                merged = row[kb] = _merge_keys(ka, kb)
+            if merged is not None:
+                _accumulate(terms, merged[1], ca * cb, merged[0])
 
 
 def _involves(poly, indices):
@@ -94,10 +105,10 @@ def _sort_indices(seq):
 
 
 class SuperExpr:
-    """Immutable; ``diff`` fills a cache of derivatives by symbol name on
-    demand.  Its contents depend on the terms alone, which nothing changes
-    after construction, so threads sharing an expression can only repeat
-    work."""
+    """Immutable; ``diff`` and ``signed_diff`` fill a cache of derivatives
+    by symbol name on demand.  Its contents depend on the terms alone,
+    which nothing changes after construction, so threads sharing an
+    expression can only repeat work."""
 
     __slots__ = ("table", "terms", "_derivs")
 
@@ -148,7 +159,7 @@ class SuperExpr:
             if sorted_ is None:
                 continue
             sign, key = sorted_
-            _accumulate(acc, key, c if sign > 0 else -c)
+            _accumulate(acc, key, c, sign)
         return cls(table, acc)
 
     def _new(self, terms):
@@ -282,7 +293,7 @@ class SuperExpr:
         if not other.terms:
             return other
         out = {}
-        _add_product(out, self.terms, other.terms)
+        _add_product(self.table, out, self.terms, other.terms)
         return self._new(out)
 
     def __rmul__(self, other):
@@ -316,6 +327,8 @@ class SuperExpr:
         if not isinstance(other, SuperExpr):
             if not isinstance(other, (int, Fraction, Scalar)):
                 return NotImplemented
+            if isinstance(other, Scalar) and other.table is not self.table:
+                return False
             other = self._coerce(other)
         return self.table is other.table and self.terms == other.terms
 
@@ -344,11 +357,11 @@ class SuperExpr:
             return self._new(out)
         idx = table.odd_index(name)
         out = {}
+        # removing one index from distinct keys leaves distinct keys
         for key, c in self.terms.items():
             if idx in key:
                 pos = key.index(idx)
-                _accumulate(out, key[:pos] + key[pos + 1:],
-                            c if pos % 2 == 0 else -c)
+                out[key[:pos] + key[pos + 1:]] = -c if pos % 2 else c
         return self._new(out)
 
     def right_diff(self, name):
@@ -362,6 +375,19 @@ class SuperExpr:
             raise SymbolError(f"{name!r} is not an odd symbol")
         return self._new({k: -v if len(k) % 2 else v
                           for k, v in self.diff(name).terms.items()})
+
+    def signed_diff(self, name):
+        """(-1)^p(f) df/dth for an odd symbol th, term by term: minus the
+        right derivative.  It is the bracket's left factor by th, read off
+        the cached left derivative once and cached with it."""
+        out = self._derivs.get(("signed", name))
+        if out is None:
+            if not self.table.is_odd(name):
+                raise SymbolError(f"{name!r} is not an odd symbol")
+            out = self._derivs["signed", name] = self._new(
+                {k: v if len(k) % 2 else -v
+                 for k, v in self.diff(name).terms.items()})
+        return out
 
     def berezin_integral(self, odds):
         """Coefficient of the ordered product of the listed odd symbols.
@@ -445,7 +471,7 @@ def sum_of_products(table, pairs):
         if a.table is not table or b.table is not table:
             raise SymbolError("mixed symbol tables")
         if a.terms and b.terms:
-            _add_product(out, a.terms, b.terms)
+            _add_product(table, out, a.terms, b.terms)
     return SuperExpr(table, out)
 
 
@@ -660,6 +686,5 @@ class Pullback:
             for k, v in piece.terms.items():
                 merged = _merge_keys(k, rest)
                 if merged is not None:
-                    sign, new_key = merged
-                    _accumulate(result, new_key, v if sign > 0 else -v)
+                    _accumulate(result, merged[1], v, merged[0])
         return SuperExpr(table, result)

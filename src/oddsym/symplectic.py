@@ -128,6 +128,12 @@ class OddSymplecticStructure:
         self.is_canonical_matrix = self._matches_canonical()
         if not self.is_canonical_matrix:
             self._validate()
+        # Omega with its theta rows negated: the bracket's right factors
+        # are its rows and a Hamiltonian field's components its columns,
+        # dotted with the signed left factors (see ``_contraction``)
+        self.signed_matrix = tuple(
+            row if a < chart.n else tuple(-entry for entry in row)
+            for a, row in enumerate(self.matrix))
 
     @classmethod
     def canonical(cls, chart: Chart):
@@ -189,34 +195,29 @@ def _coordinate_exprs(chart):
 
 def _contraction(chart, omega):
     """The chart of the structure and the map from an expression's
-    derivatives dF/dz^B to its right factors r_A = sum_B Omega^{AB}
+    derivatives dF/dz^B to its right factors r_A = sum_B Omega'^{AB}
     dF/dz^B, which a bracket dots with the left factors.
 
-    The canonical structure is Omega^{x_i th_i} = 1, Omega^{th_i x_i} = -1
-    on ``chart``, so r = (dF/dth, -dF/dx).  Any other one is read from its
-    matrix on its own chart.
+    The bracket's sign sits in the left factors by the thetas, so Omega'
+    is Omega with its theta rows negated (``signed_matrix``).  The
+    canonical structure is Omega^{x_i th_i} = 1, Omega^{th_i x_i} = -1 on
+    ``chart``, so r = (dF/dth, dF/dx) and no derivative is negated.  Any
+    other one is read from its matrix on its own chart.
     """
     if omega is None or omega.is_canonical_matrix:
         n = chart.n
-        return chart, lambda d: d[n:] + [-e for e in d[:n]]
-    chart = omega.chart
-    table = chart.table
-    rows = [[(b, entry) for b, entry in enumerate(row) if entry]
-            for row in omega.matrix]
-
-    def contract(derivatives):
-        return [sum_of_products(table, ((entry, derivatives[b])
-                                        for b, entry in row))
-                for row in rows]
-
-    return chart, contract
+        return chart, lambda d: d[n:] + d[:n]
+    table = omega.chart.table
+    rows = omega.signed_matrix
+    return omega.chart, lambda d: [sum_of_products(table, zip(row, d))
+                                   for row in rows]
 
 
 def _left_factors(f, chart):
-    """df/dx^i and the right derivatives df/dth_i: the signed left factor
-    (-1)^((p(f) + 1) p(z^A)) df/dz^A of each homogeneous part of f."""
+    """df/dx^i and (-1)^p(f) df/dth_i, the cached ``signed_diff``: the
+    left factor (-1)^(p(f) p(z^A)) df/dz^A of each homogeneous part."""
     return [f.diff(x) for x in chart.xs] + \
-        [f.right_diff(th) for th in chart.thetas]
+        [f.signed_diff(th) for th in chart.thetas]
 
 
 def bracket(f, g, chart, omega=None):
@@ -224,7 +225,8 @@ def bracket(f, g, chart, omega=None):
 
     {f,g} = sum_AB (-1)^((p(f) + 1) p(z^A)) df/dz^A Omega^{AB} dg/dz^B with
     left derivatives: the dot product of the left factors of f with the
-    right factors of g.
+    right factors of g, which split the sign (-1)^(p(f) p(z^A)) and
+    (-1)^p(z^A) between them.
     """
     chart, contract = _contraction(chart, omega)
     right = contract([g.diff(z) for z in chart.coordinate_names])
@@ -256,8 +258,17 @@ def bracket_matrix(exprs, chart, omega=None):
 
 
 def hamiltonian_field(f, chart, omega=None):
-    """Components {f, z^A} in coordinate order."""
-    return [bracket(f, z, chart, omega) for z in _coordinate_exprs(chart)]
+    """Components {f, z^C} in coordinate order, read off the left factors
+    of f: {f, z^C} = sum_A left_A Omega'^{AC}, with Omega' as in
+    ``_contraction``, and no coordinate is differentiated.  For the
+    canonical structure {f, x_i} is the left factor by th_i and
+    {f, th_i} = df/dx^i, so nothing is multiplied either."""
+    if omega is None or omega.is_canonical_matrix:
+        left = _left_factors(f, chart)
+        return left[chart.n:] + left[:chart.n]
+    left = _left_factors(f, omega.chart)
+    return [sum_of_products(omega.chart.table, zip(left, column))
+            for column in zip(*omega.signed_matrix)]
 
 
 def canonical_pairing(xcomps, ycomps, chart, y_odd):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import PolyElement
 
+from oddsym.bv import delta0
 from oddsym.grammar import _monomial_bound, parse_expr, render_expr
 from oddsym.sampling import pushforward_structure, random_scalar
 from oddsym import scalars
@@ -19,7 +20,8 @@ from oddsym.scalars import Scalar, ScalarError, _gcd
 from oddsym.superexpr import (Pullback, SuperExpr, _merge_keys, sum_of,
                               sum_of_products)
 from oddsym.symbols import Chart, SymbolError, standard_table
-from oddsym.symplectic import OddSymplecticStructure, bracket, bracket_matrix
+from oddsym.symplectic import (OddSymplecticStructure, bracket,
+                               bracket_matrix, hamiltonian_field)
 
 TABLE = standard_table(2, aux=1)
 CHART = Chart(TABLE, TABLE.even_symbols[:2], TABLE.coordinate_odds)
@@ -167,7 +169,9 @@ def _right_diff_by_term_walk(expr, name):
 @settings(max_examples=60, deadline=None)
 def test_right_diff_matches_term_walk(a):
     for name in FRAMED.odd_names:
-        assert a.right_diff(name) == _right_diff_by_term_walk(a, name)
+        want = _right_diff_by_term_walk(a, name)
+        assert a.right_diff(name) == want
+        assert a.signed_diff(name) == -want
 
 
 def test_right_diff_of_even_name_raises():
@@ -175,6 +179,8 @@ def test_right_diff_of_even_name_raises():
     for name in ("x1", "x2", "y"):
         with pytest.raises(SymbolError, match="is not an odd symbol"):
             f.right_diff(name)
+        with pytest.raises(SymbolError, match="is not an odd symbol"):
+            f.signed_diff(name)
 
 
 def test_theta_and_frame_degrees_count_by_name():
@@ -535,6 +541,17 @@ def values(draw):
                           st.just(SuperExpr.zero(TABLE)), exprs()))
 
 
+def test_values_of_different_tables_are_unequal():
+    other = standard_table(2, aux=1)
+    for a, b in ((SuperExpr.constant(TABLE, 1), Scalar.from_int(other, 1)),
+                 (SuperExpr.symbol(TABLE, "x1"),
+                  Scalar.symbol(other, "x1")),
+                 (SuperExpr.constant(TABLE, 1), SuperExpr.one(other)),
+                 (Scalar.from_int(TABLE, 1), Scalar.from_int(other, 1))):
+        assert a != b and b != a
+        assert not a == b and not b == a
+
+
 @given(st.lists(values(), min_size=2, max_size=6))
 @example([3, Fraction(3), Scalar.from_int(TABLE, 3),
           SuperExpr.constant(TABLE, 3)])
@@ -600,6 +617,21 @@ def reference_product(a, b):
 
 
 maybe_empty = st.one_of(st.just(SuperExpr.zero(TABLE)), exprs())
+
+
+@given(st.lists(st.tuples(kernel_operands(), kernel_operands()),
+                min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_memoized_key_merges_match_frac_field_products(pairs):
+    # every example runs on TABLE, so most merges come from the memo the
+    # earlier examples filled; the second call reads all of them from it
+    for a, b in pairs:
+        want = reference_product(a, b)
+        for _ in range(2):
+            assert field_terms(sum_of_products(TABLE, [(a, b)])) == want
+    assert all(merged == _merge_keys(ka, kb)
+               for ka, row in TABLE.key_merges.items()
+               for kb, merged in row.items())
 
 
 @given(maybe_empty, maybe_empty)
@@ -1087,6 +1119,76 @@ def _check_bracket_matrix(es, omega):
 @settings(max_examples=40, deadline=None)
 def test_bracket_matrix_canonical(es):
     _check_bracket_matrix(es, None)
+
+
+def contraction_bracket(f, g, chart, omega):
+    """sum_AB L_A Omega^{AB} dg/dz^B, with L_x = df/dx and L_th the right
+    derivative of f."""
+    names = chart.coordinate_names
+    left = [f.diff(x) for x in chart.xs] + \
+        [f.right_diff(th) for th in chart.thetas]
+    return sum_of(chart.table, (left[a] * entry * g.diff(name)
+                                for a, row in enumerate(omega.matrix)
+                                for entry, name in zip(row, names)))
+
+
+def delta0_by_derivatives(f, chart):
+    return sum_of(chart.table, (f.diff(th).diff(x)
+                                for x, th in zip(chart.xs, chart.thetas)))
+
+
+COORDS = [SuperExpr.symbol(TABLE, name) for name in CHART.coordinate_names]
+
+
+@given(kernel_operands())
+@settings(max_examples=100, deadline=None)
+def test_delta0_and_canonical_field_match_their_definitions(f):
+    assert delta0(f, CHART) == delta0_by_derivatives(f, CHART)
+    assert hamiltonian_field(f, CHART) == [bracket(f, z, CHART)
+                                           for z in COORDS]
+    assert hamiltonian_field(f, CHART) == [reference_bracket(f, z, CHART)
+                                           for z in COORDS]
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), kernel_operands(),
+       kernel_operands())
+@settings(max_examples=10, deadline=None)
+def test_general_bracket_matches_right_derivative_contraction(seed, f, g):
+    omega, _ = pushforward_structure(random.Random(seed), CHART)
+    assert bracket(f, g, CHART, omega) == \
+        contraction_bracket(f, g, CHART, omega)
+    assert hamiltonian_field(f, CHART, omega) == \
+        [contraction_bracket(f, z, CHART, omega) for z in COORDS]
+
+
+def test_bracket_field_and_delta0_build_no_intermediate_derivatives():
+    def fresh():
+        return parse_expr("x1^2*th1*th2 + x2*th2*b1 + x1*x2*th1 + 3", TABLE)
+
+    def refuse(self):
+        raise AssertionError("SuperExpr.__neg__ called")
+
+    f, g = fresh(), parse_expr("x2*th1 + x1^2*th2*b1", TABLE)
+    with mock.patch.object(SuperExpr, "__neg__", refuse):
+        got = bracket(f, g, CHART)
+    assert got == reference_bracket(fresh(), g, CHART)
+
+    diffs = []
+    real = SuperExpr._diff
+
+    def counting(self, name):
+        diffs.append(name)
+        return real(self, name)
+
+    f, h = fresh(), fresh()
+    with mock.patch.object(SuperExpr, "_diff", counting):
+        field = hamiltonian_field(f, CHART)
+        assert len(diffs) <= 2 * CHART.n
+        del diffs[:]
+        delta = delta0(h, CHART)
+        assert diffs == []
+    assert field == [reference_bracket(fresh(), z, CHART) for z in COORDS]
+    assert delta == delta0_by_derivatives(fresh(), CHART)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6),
