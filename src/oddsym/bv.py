@@ -17,8 +17,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .scalars import Scalar
-from .superexpr import (ParityError, Pullback, SuperExpr, _accumulate,
-                        sum_of, sum_of_products)
+from .superexpr import (ParityError, SuperExpr, _accumulate, sum_of,
+                        sum_of_products)
 from .symbols import TIME_SYMBOL, Chart, Parity, SymbolError
 from .symplectic import (Semidensity, SuperMap, bracket, ber_sqrt,
                          hamiltonian_field, map_berezinian)
@@ -46,6 +46,17 @@ class VolumeForm:
     def root(self):
         """sqrt(rho), taken once per volume form."""
         return self.density.sqrt_even()
+
+    @cached_property
+    def delta0_root(self):
+        """delta0 sqrt(rho), taken once per volume form."""
+        return delta0(self.root, self.chart)
+
+    @cached_property
+    def nu(self):
+        """The odd nu with delta^2 f = {nu, f}: here
+        sqrt(rho)^-1 delta0 sqrt(rho), taken once per volume form."""
+        return self.root.invert_even() * self.delta0_root
 
 
 def delta0(f, chart: Chart):
@@ -155,21 +166,17 @@ def product_leibniz(f, g, dv: VolumeForm, df=None, dg=None):
 def module_rule(f, dv: VolumeForm):
     """delta0(f s) - (delta f) s - (-1)^p(f) f delta0 s, s = sqrt(rho)."""
     odd = _is_odd("f", f)
-    chart = dv.chart
     s = dv.root
-    lhs = delta0(f * s, chart)
+    lhs = delta0(f * s, dv.chart)
     rhs = delta_vol(f, dv) * s
-    tail = f * delta0(s, chart)
+    tail = f * dv.delta0_root
     return lhs - (rhs - tail if odd else rhs + tail)
 
 
 def square_formula(f, dv: VolumeForm):
-    """delta^2 f - {s^-1 delta0 s, f}, s = sqrt(rho)."""
+    """delta^2 f - {nu, f}, nu = s^-1 delta0 s, s = sqrt(rho)."""
     _is_odd("f", f)
-    chart = dv.chart
-    s = dv.root
-    nu_fn = s.invert_even() * delta0(s, chart)
-    return delta_vol(delta_vol(f, dv), dv) - bracket(nu_fn, f, chart)
+    return delta_vol(delta_vol(f, dv), dv) - bracket(dv.nu, f, dv.chart)
 
 
 def chart_change(fmap: SuperMap, fs):
@@ -178,13 +185,13 @@ def chart_change(fmap: SuperMap, fs):
 
         delta0(F*f) - F*(delta0 f) + (1/2) Ber^-1 {Ber, F*f}.
 
-    The pull-back is set up, and the Berezinian and its inverse are
-    taken, once for all of fs.
+    The map's kept pull-back serves all of fs, and the Berezinian and its
+    inverse are taken once for all of them.
     """
     for f in fs:
         _is_odd("f", f)
     source = fmap.source
-    pull = Pullback(source.table, fmap.bindings())
+    pull = fmap.pullback
     ber = map_berezinian(fmap)
     half_ber_inv = _half(source.table) * ber.invert_even()
     out = []

@@ -110,13 +110,6 @@ def _summed(series, time):
             for start, *rest in zip(*series)]
 
 
-def flow_targets(q, chart):
-    """The targets of the unit-time ``exp_flow(q, chart, 1)`` alone,
-    without the inverse map that ``exp_flow`` also builds."""
-    series, time, _ = _series(q, chart, 1)
-    return _summed(series, time)
-
-
 def exp_flow(q, chart: Chart, t_value=1):
     """Exact flow map of an odd generator, summed as its Lie series.
 
@@ -124,13 +117,14 @@ def exp_flow(q, chart: Chart, t_value=1):
     case the map keeps the symbolic time variable ``TIME_SYMBOL``.
     Time-dependent generators are supported as polynomials in that same
     symbol; for the others the inverse map is the same series summed at
-    -t_value.
+    -t_value, on its first read.
     """
     series, time, timed = _series(q, chart, t_value)
-    inverse = None if timed else _summed(series, -time)
     identity_body = [Scalar.symbol(chart.table, x) for x in chart.xs]
     return SuperMap(chart, chart, _summed(series, time),
-                    body_inverse=identity_body, inverse_targets=inverse)
+                    body_inverse=identity_body,
+                    inverse_targets=None if timed
+                    else lambda: _summed(series, -time))
 
 
 def _delta_map(chart, components):
@@ -161,12 +155,14 @@ def hamiltonian_from_adjusted(fmap: SuperMap):
     if not is_canonical(fmap).ok:
         raise CanonicityError("map is not canonical")
 
+    # a pull-back of its own rather than the kept ``fmap.pullback``: the
+    # map may belong to a loaded manifest, which requests share unchanged
     pull = Pullback(table, fmap.bindings())
     field = [nilpotent_series(
         SuperExpr.symbol(table, x), lambda f: pull(f) - f,
         lambda k: Fraction((-1) ** (k + 1), k) if k else 0) for x in chart.xs]
     q = _delta_map(chart, field)
-    if flow_targets(q, chart) != list(fmap.targets):
+    if exp_flow(q, chart).targets != fmap.targets:
         raise CanonicityError("no O(theta^2) generator reproduces the map")
     return q
 

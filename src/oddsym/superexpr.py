@@ -61,21 +61,36 @@ def _accumulate(terms, key, value, sign=1):
         terms[key] = total
 
 
-_UNSEEN = object()  # a pair of keys the table's merge memo does not hold
+class _MergeRow(dict):
+    """The merges of one key with others: ``row[right]`` is
+    ``_merge_keys(left, right)``, computed on its first lookup."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, left):
+        super().__init__()
+        self.left = left
+
+    def __missing__(self, right):
+        merged = self[right] = _merge_keys(self.left, right)
+        return merged
+
+
+def _merge_row(table, left):
+    """The row of ``table.key_merges`` for the key ``left``: each merge of
+    two keys is computed once per table."""
+    row = table.key_merges.get(left)
+    if row is None:
+        row = table.key_merges[left] = _MergeRow(left)
+    return row
 
 
 def _add_product(table, terms, left, right):
-    """Add the product of two term dicts of ``table`` to ``terms``; each
-    merge of two keys is computed once per table."""
-    merges = table.key_merges
+    """Add the product of two term dicts of ``table`` to ``terms``."""
     for ka, ca in left.items():
-        row = merges.get(ka)
-        if row is None:
-            row = merges[ka] = {}
+        row = _merge_row(table, ka)
         for kb, cb in right.items():
-            merged = row.get(kb, _UNSEEN)
-            if merged is _UNSEEN:
-                merged = row[kb] = _merge_keys(ka, kb)
+            merged = row[kb]
             if merged is not None:
                 _accumulate(terms, merged[1], ca * cb, merged[0])
 
@@ -684,7 +699,7 @@ class Pullback:
                         piece = -piece
                     rest = tuple(kept)
             for k, v in piece.terms.items():
-                merged = _merge_keys(k, rest)
+                merged = _merge_row(table, k)[rest]
                 if merged is not None:
                     _accumulate(result, merged[1], v, merged[0])
         return SuperExpr(table, result)

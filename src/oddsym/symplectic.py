@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .grammar import render_expr
 from .scalars import Scalar, ScalarError
@@ -313,8 +314,15 @@ class SuperMap:
 
     ``targets`` lists the images of the target chart's x's then thetas as
     functions of the source coordinates.  ``body_inverse`` optionally gives
-    the inverse of the underlying even map as rational substitutions.
-    The target count and parities are checked at construction.
+    the inverse of the underlying even map as rational substitutions, and
+    ``inverse_targets`` the targets of the inverse map.  Either may be
+    given as a recipe, a function of no arguments returning the value (or
+    None): it runs on the first read, and its result is kept.  The target
+    count and parities are checked at construction.
+
+    Two values derived from the targets are built on first use and kept:
+    ``pullback``, the ``Pullback`` of the map's bindings, and ``ber_root``,
+    its ``ber_sqrt``.
     """
 
     def __init__(self, source: Chart, target: Chart, targets,
@@ -322,9 +330,8 @@ class SuperMap:
         self.source = source
         self.target = target
         self.targets = tuple(targets)
-        self.body_inverse = tuple(body_inverse) if body_inverse else None
-        self.inverse_targets = tuple(inverse_targets) if inverse_targets \
-            else None
+        self._body_inverse = _kept(body_inverse)
+        self._inverse_targets = _kept(inverse_targets)
         self._validate()
 
     def _validate(self):
@@ -339,6 +346,32 @@ class SuperMap:
                 raise ParityError(f"target {k} must be odd")
             if not want_odd and not expr.is_even():
                 raise ParityError(f"target {k} must be even")
+
+    def _read(self, slot):
+        """The value in ``slot``, running and replacing a recipe there."""
+        value = getattr(self, slot)
+        if callable(value):
+            value = _kept(value())
+            setattr(self, slot, value)
+        return value
+
+    @property
+    def body_inverse(self):
+        return self._read("_body_inverse")
+
+    @property
+    def inverse_targets(self):
+        return self._read("_inverse_targets")
+
+    @cached_property
+    def pullback(self):
+        """The pull-back along the map, set up once per map."""
+        return Pullback(self.source.table, self.bindings())
+
+    @cached_property
+    def ber_root(self):
+        """ber_sqrt of the map, taken once per map."""
+        return ber_sqrt(self)
 
     # -- basic structure ---------------------------------------------------
 
@@ -358,22 +391,27 @@ class SuperMap:
         return expr.substitute(self.bindings())
 
     def compose(self, other: "SuperMap"):
-        """self after other: z -> self(other(z))."""
-        pull = Pullback(self.source.table, other.bindings())
-        targets = [pull(t) for t in self.targets]
-        inverse = None
-        if self.inverse_targets and other.inverse_targets:
-            pull_inv = Pullback(self.source.table,
+        """self after other: z -> self(other(z)).  The composite's inverses
+        are recipes over the two maps' inverses."""
+        targets = [other.pullback(t) for t in self.targets]
+
+        def inverse_targets():
+            if self.inverse_targets and other.inverse_targets:
+                pull = Pullback(self.source.table,
                                 dict(zip(self.source.coordinate_names,
                                          self.inverse_targets)))
-            inverse = [pull_inv(t) for t in other.inverse_targets]
-        body_inv = None
-        if self.body_inverse and other.body_inverse:
-            images = {name: value for name, value in
-                      zip(self.source.xs, self.body_inverse)}
-            body_inv = [t.subs_even(images) for t in other.body_inverse]
+                return [pull(t) for t in other.inverse_targets]
+            return None
+
+        def body_inverse():
+            if self.body_inverse and other.body_inverse:
+                images = dict(zip(self.source.xs, self.body_inverse))
+                return [t.subs_even(images) for t in other.body_inverse]
+            return None
+
         return SuperMap(other.source, self.target, targets,
-                        body_inverse=body_inv, inverse_targets=inverse)
+                        body_inverse=body_inverse,
+                        inverse_targets=inverse_targets)
 
     def body_map(self):
         """Scalar parts of the even targets."""
@@ -393,6 +431,13 @@ class SuperMap:
     def __repr__(self):
         body = ", ".join(render_expr(t) for t in self.targets)
         return f"SuperMap({body})"
+
+
+def _kept(value):
+    """A recipe as it is, any other value as a tuple, or None when empty."""
+    if callable(value):
+        return value
+    return tuple(value) if value else None
 
 
 def berezinian(matrix, n):
@@ -492,10 +537,8 @@ def point_map(chart: Chart, body, body_inverse):
         return [SuperExpr.from_scalar(b) for b in b_map] + \
             [theta_linear(ths, inv_jac, i) for i in range(chart.n)]
 
-    targets = lift(body)
-    inverse_targets = lift(body_inverse)
-    return SuperMap(chart, chart, targets, body_inverse=tuple(body_inverse),
-                    inverse_targets=inverse_targets)
+    return SuperMap(chart, chart, lift(body), body_inverse=body_inverse,
+                    inverse_targets=lambda: lift(body_inverse))
 
 
 def _check_body_inverse(chart, body, body_inverse):
@@ -707,6 +750,7 @@ class Semidensity:
 
 
 def pullback_semidensity(fmap: SuperMap, s: Semidensity):
-    """Coefficient -> (coefficient o F) * Ber^(1/2)(dF/dz)."""
-    coeff = s.coefficient.substitute(fmap.bindings()) * ber_sqrt(fmap)
+    """Coefficient -> (coefficient o F) * Ber^(1/2)(dF/dz), with the
+    map's kept pull-back and Berezinian root."""
+    coeff = fmap.pullback(s.coefficient) * fmap.ber_root
     return Semidensity(coeff, fmap.source)

@@ -9,21 +9,23 @@ reference.
 """
 
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
 from sympy.polys.rings import PolyElement
 
+from oddsym import flows, symplectic
 from oddsym.flows import exp_flow
 from oddsym.sampling import (random_canonical_map, random_expr,
                              random_flow_hamiltonian, random_messy_map,
                              random_point_map, random_scalar,
                              random_special_map)
 from oddsym.scalars import Scalar
-from oddsym.superexpr import SuperExpr
+from oddsym.superexpr import Pullback, SuperExpr
 from oddsym.symbols import TIME_SYMBOL, standard_chart
-from oddsym.symplectic import (SuperMap, _check_body_inverse, special_map,
-                               theta_linear)
+from oddsym.symplectic import (SuperMap, _check_body_inverse, invert_map,
+                               point_map, special_map, theta_linear)
 
 SEEDS = range(200)
 
@@ -254,3 +256,108 @@ def test_generators_take_no_products():
             random_scalar(rng, chart.table, coeff_degree=3)
             random_expr(rng, chart.table, theta_degree=3, aux=True)
             random_flow_hamiltonian(rng, chart)
+
+
+# -- inverses are built on their first read -----------------------------------
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls, by name, of the steps that build map targets and inverses."""
+    seen = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kw):
+            seen[name] += 1
+            return original(*args, **kw)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(flows, "_summed")
+    count(symplectic, "theta_linear")
+    count(Pullback, "__call__")
+    count(SuperMap, "compose")
+    return seen
+
+
+def test_maps_build_no_inverse_until_read(calls):
+    chart = _chart(2)
+    n = chart.n
+    flow = exp_flow(random_flow_hamiltonian(random.Random(1), chart), chart)
+    assert calls["_summed"] == 1
+    for _ in range(2):
+        assert flow.inverse_targets is not None
+        assert calls["_summed"] == 2
+
+    calls.clear()
+    point = random_point_map(random.Random(0), chart)
+    assert calls["theta_linear"] == n
+    for _ in range(2):
+        assert point.inverse_targets is not None
+        assert calls["theta_linear"] == 2 * n
+
+    seen = Counter()
+    for seed in range(20):
+        calls.clear()
+        fmap = random_canonical_map(random.Random(seed), chart)
+        built = calls.copy()
+        # a composition pulls back the 2n targets alone
+        assert built["__call__"] == 2 * n * built["compose"]
+        assert fmap.inverse_targets is not None
+        for name in ("_summed", "theta_linear", "__call__"):
+            assert calls[name] == 2 * built[name], (seed, name)
+        seen.update(name for name, count in built.items() if count)
+    assert all(seen[name] for name in
+               ("_summed", "theta_linear", "__call__", "compose"))
+
+
+def _eager_special_map(rng, chart):
+    fmap = random_special_map(rng, chart)
+    # x -> x, th -> th + a inverts to z -> 2z - F(z): x -> x, th -> th - a
+    return fmap, tuple(z + z - t
+                       for z, t in zip(_coordinates(chart), fmap.targets))
+
+
+def _eager_point_map(rng, chart):
+    fmap = random_point_map(rng, chart)
+    body = fmap.body_map()
+    return fmap, point_map(chart, fmap.body_inverse, body).targets
+
+
+def _eager_flow_map(rng, chart):
+    q = random_flow_hamiltonian(rng, chart)
+    rng.choice([1])
+    return exp_flow(q, chart, 1), exp_flow(q, chart, -1).targets
+
+
+def _coordinates(chart):
+    return tuple(SuperExpr.symbol(chart.table, name)
+                 for name in chart.coordinate_names)
+
+
+def _eager_canonical_map(rng, chart):
+    """``random_canonical_map`` with the inverse of each atom built with
+    the atom, composed in reverse order: (map, inverse map)."""
+    atoms = (_eager_special_map, _eager_point_map, _eager_flow_map)
+    first, *rest = rng.sample(atoms, rng.randint(1, len(atoms)))
+    out, inverse = first(rng, chart)
+    inv = SuperMap(chart, chart, inverse)
+    for make in rest:
+        atom, inverse = make(rng, chart)
+        out = atom.compose(out)
+        inv = inv.compose(SuperMap(chart, chart, inverse))
+    return out, inv
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lazy_inverses_match_eager_construction(n):
+    chart = _chart(n)
+    for seed in range(40):
+        got = random_canonical_map(random.Random(seed), chart)
+        want, inv = _eager_canonical_map(random.Random(seed), chart)
+        assert got == want
+        assert got.inverse_targets == inv.targets
+        assert got.body_inverse == tuple(inv.body_map())
+        assert invert_map(got).targets == inv.targets

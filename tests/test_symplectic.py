@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oddsym import symplectic
 from oddsym.grammar import parse_expr
 from oddsym.sampling import (pushforward_structure, random_canonical_map,
                              random_expr, random_messy_map, random_point_map,
@@ -275,6 +276,24 @@ def test_pullback_special_unit_factor(c2):
     s = Semidensity(e(c2, "th1*th2"), c2)
     pulled = pullback_semidensity(fmap, s)
     assert pulled.coefficient == e(c2, "(th1 + b1)*th2")
+
+
+def test_pullback_semidensity_takes_one_berezinian_per_map(c2, monkeypatch):
+    calls = []
+    berezinian = symplectic.berezinian
+
+    def counted(matrix, n):
+        calls.append(n)
+        return berezinian(matrix, n)
+
+    monkeypatch.setattr(symplectic, "berezinian", counted)
+    fmap = random_canonical_map(random.Random(3), c2)
+    s = Semidensity(e(c2, "x1 + x2*th1*th2"), c2)
+    first = pullback_semidensity(fmap, s)
+    assert pullback_semidensity(fmap, s) == first
+    assert len(calls) == 1
+    assert first.coefficient == \
+        s.coefficient.substitute(fmap.bindings()) * ber_sqrt(fmap)
 
 
 def test_pullback_functorial(c2):
