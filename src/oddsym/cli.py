@@ -47,6 +47,9 @@ def cmd_bracket(manifest, args):
     f = manifest.parse(chart, entry["f"])
     g = manifest.parse(chart, entry["g"])
     omega = _structure_arg(manifest, entry)
+    if omega is not None and omega.chart != chart:
+        raise ManifestError(f"structure {entry['structure']!r} is not on "
+                            f"chart {entry['chart']!r}")
     out = bracket(f, g, chart, omega)
     return [("bracket", render_expr(out))], None
 

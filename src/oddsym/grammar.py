@@ -166,7 +166,14 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append((int(text[i:j]), line, col))
+            # str.isdigit also admits digits int() refuses, such as '²',
+            # and int() refuses literals beyond its length limit
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError("invalid integer literal", line,
+                                 col) from None
+            tokens.append((value, line, col))
             col += j - i
             i = j
             continue

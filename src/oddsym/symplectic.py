@@ -19,7 +19,7 @@ from .grammar import render_expr
 from .scalars import Scalar, ScalarError
 from .superexpr import (ParityError, Pullback, SuperExpr, sum_of,
                         sum_of_products)
-from .symbols import Chart, Parity
+from .symbols import Chart, Parity, SymbolError
 
 
 class CanonicityError(ValueError):
@@ -113,6 +113,18 @@ def theta_rescale_integral(entry, weight, table):
 # -- structures ------------------------------------------------------------------
 
 
+def _canonical_rows(table, n):
+    """The canonical structure's rows over ``table``: Omega^{x_i th_i} = 1,
+    Omega^{th_i x_i} = -1 and every other entry 0."""
+    zero = SuperExpr.zero(table)
+    one = SuperExpr.one(table)
+    rows = [[zero] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][n + i] = one
+        rows[n + i][i] = -one
+    return tuple(tuple(row) for row in rows)
+
+
 class OddSymplecticStructure:
     """Bracket matrix Omega^{AB} = {z^A, z^B} over a chart.
 
@@ -126,44 +138,19 @@ class OddSymplecticStructure:
         size = 2 * chart.n
         if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
             raise ValueError("bracket matrix must be 2n x 2n")
-        self.is_canonical_matrix = self._matches_canonical()
+        self.is_canonical_matrix = \
+            self.matrix == _canonical_rows(chart.table, chart.n)
         if not self.is_canonical_matrix:
             self._validate()
-        # Omega with its theta rows negated: the bracket's right factors
-        # are its rows and a Hamiltonian field's components its columns,
-        # dotted with the signed left factors (see ``_contraction``)
-        self.signed_matrix = tuple(
+        # the columns of Omega' = Omega with its theta rows negated, which
+        # ``hamiltonian_field`` dots with the signed left factors
+        self.signed_columns = tuple(zip(*(
             row if a < chart.n else tuple(-entry for entry in row)
-            for a, row in enumerate(self.matrix))
+            for a, row in enumerate(self.matrix))))
 
     @classmethod
     def canonical(cls, chart: Chart):
-        n = chart.n
-        table = chart.table
-        zero = SuperExpr.zero(table)
-        one = SuperExpr.one(table)
-        m = [[zero] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            m[i][n + i] = one
-            m[n + i][i] = -one
-        return cls(chart, m)
-
-    def _matches_canonical(self):
-        n = self.chart.n
-        table = self.chart.table
-        one = SuperExpr.one(table)
-        for a in range(2 * n):
-            for b in range(2 * n):
-                entry = self.matrix[a][b]
-                if a < n and b == n + a:
-                    if entry != one:
-                        return False
-                elif b < n and a == n + b:
-                    if entry != -one:
-                        return False
-                elif entry:
-                    return False
-        return True
+        return cls(chart, _canonical_rows(chart.table, chart.n))
 
     def _validate(self):
         n = self.chart.n
@@ -194,82 +181,53 @@ def _coordinate_exprs(chart):
     return [SuperExpr.symbol(table, name) for name in chart.coordinate_names]
 
 
-def _contraction(chart, omega):
-    """The chart of the structure and the map from an expression's
-    derivatives dF/dz^B to its right factors r_A = sum_B Omega'^{AB}
-    dF/dz^B, which a bracket dots with the left factors.
+def hamiltonian_field(f, chart, omega=None):
+    """Components {f, z^C} in coordinate order, the one place a bracket
+    reads the structure; ``omega`` must be on ``chart``.
 
-    The bracket's sign sits in the left factors by the thetas, so Omega'
-    is Omega with its theta rows negated (``signed_matrix``).  The
-    canonical structure is Omega^{x_i th_i} = 1, Omega^{th_i x_i} = -1 on
-    ``chart``, so r = (dF/dth, dF/dx) and no derivative is negated.  Any
-    other one is read from its matrix on its own chart.
+    {f, z^C} = sum_A left_A Omega'^{AC}, with left_A = (-1)^(p(f) p(z^A))
+    df/dz^A on each homogeneous part (df/dx^i and the cached
+    ``signed_diff`` by th_i) and Omega' = Omega with its theta rows
+    negated: the two split the sign (-1)^((p(f) + 1) p(z^A)).  For the
+    canonical structure {f, x_i} is the left factor by th_i and
+    {f, th_i} = df/dx^i, so nothing is multiplied.
     """
-    if omega is None or omega.is_canonical_matrix:
-        n = chart.n
-        return chart, lambda d: d[n:] + d[:n]
-    table = omega.chart.table
-    rows = omega.signed_matrix
-    return omega.chart, lambda d: [sum_of_products(table, zip(row, d))
-                                   for row in rows]
-
-
-def _left_factors(f, chart):
-    """df/dx^i and (-1)^p(f) df/dth_i, the cached ``signed_diff``: the
-    left factor (-1)^(p(f) p(z^A)) df/dz^A of each homogeneous part."""
-    return [f.diff(x) for x in chart.xs] + \
+    if omega is not None and omega.chart != chart:
+        raise SymbolError("the structure is on another chart")
+    left = [f.diff(x) for x in chart.xs] + \
         [f.signed_diff(th) for th in chart.thetas]
+    if omega is None or omega.is_canonical_matrix:
+        return left[chart.n:] + left[:chart.n]
+    return [sum_of_products(chart.table, zip(left, column))
+            for column in omega.signed_columns]
 
 
 def bracket(f, g, chart, omega=None):
-    """Odd Poisson bracket {f,g}; f may have mixed parity.
-
-    {f,g} = sum_AB (-1)^((p(f) + 1) p(z^A)) df/dz^A Omega^{AB} dg/dz^B with
-    left derivatives: the dot product of the left factors of f with the
-    right factors of g, which split the sign (-1)^(p(f) p(z^A)) and
-    (-1)^p(z^A) between them.
-    """
-    chart, contract = _contraction(chart, omega)
-    right = contract([g.diff(z) for z in chart.coordinate_names])
-    return sum_of_products(chart.table, zip(_left_factors(f, chart), right))
+    """Odd Poisson bracket {f,g} = sum_C {f, z^C} dg/dz^C with left
+    derivatives; f may have mixed parity."""
+    return sum_of_products(chart.table, zip(
+        hamiltonian_field(f, chart, omega),
+        [g.diff(z) for z in chart.coordinate_names]))
 
 
-def _bracket_factors(exprs, chart, omega):
-    """The table and the left and the right factors of each expression,
-    as in ``bracket``: {e_A, e_B} is the dot product of left[A] and
-    right[B]."""
-    chart, contract = _contraction(chart, omega)
-    left = [_left_factors(e, chart) for e in exprs]
-    right = [contract([e.diff(z) for z in chart.coordinate_names])
-             for e in exprs]
-    return chart.table, left, right
+def _fields_and_derivatives(exprs, chart, omega):
+    """The Hamiltonian field and the derivative row of each expression:
+    {e_A, e_B} is the dot product of fields[A] with derivatives[B]."""
+    return ([hamiltonian_field(e, chart, omega) for e in exprs],
+            [[e.diff(z) for z in chart.coordinate_names] for e in exprs])
 
 
 def bracket_matrix(exprs, chart, omega=None):
     """The matrix {e_A, e_B} over every pair of the expressions.
 
-    Each expression is differentiated once, and a general Omega is
-    contracted with its derivatives once.  Every entry is computed by the
-    rule of ``bracket``, none is filled in by antisymmetry, so the
-    symmetry checks on a structure built from the matrix still test it.
+    Each expression is differentiated once, and its field is taken once.
+    Every entry is computed by the rule of ``bracket``, none is filled in
+    by antisymmetry, so the symmetry checks on a structure built from the
+    matrix still test it.
     """
-    table, left, right = _bracket_factors(exprs, chart, omega)
-    return [[sum_of_products(table, zip(la, rb)) for rb in right]
-            for la in left]
-
-
-def hamiltonian_field(f, chart, omega=None):
-    """Components {f, z^C} in coordinate order, read off the left factors
-    of f: {f, z^C} = sum_A left_A Omega'^{AC}, with Omega' as in
-    ``_contraction``, and no coordinate is differentiated.  For the
-    canonical structure {f, x_i} is the left factor by th_i and
-    {f, th_i} = df/dx^i, so nothing is multiplied either."""
-    if omega is None or omega.is_canonical_matrix:
-        left = _left_factors(f, chart)
-        return left[chart.n:] + left[:chart.n]
-    left = _left_factors(f, omega.chart)
-    return [sum_of_products(omega.chart.table, zip(left, column))
-            for column in zip(*omega.signed_matrix)]
+    fields, rows = _fields_and_derivatives(exprs, chart, omega)
+    return [[sum_of_products(chart.table, zip(field, row)) for row in rows]
+            for field in fields]
 
 
 def canonical_pairing(xcomps, ycomps, chart, y_odd):
@@ -598,18 +556,17 @@ def pushforward_matrix(fmap: SuperMap, omega=None):
 
 def is_canonical(fmap: SuperMap, omega=None):
     """Residuals of {F^A, F^B} = Omega_canonical^{AB} entry by entry, for
-    A <= B; the canonical entries are constants, 1 for {x_i, th_i} and 0
-    otherwise, so they are compared on the source chart's table."""
-    n = fmap.target.n
+    A <= B; the canonical entries are constants, so they are compared on
+    the source chart's table."""
+    chart = fmap.source
     names = fmap.target.coordinate_names
-    table, left, right = _bracket_factors(fmap.targets, fmap.source, omega)
-    one = SuperExpr.one(table)
+    fields, rows = _fields_and_derivatives(fmap.targets, chart, omega)
+    want = _canonical_rows(chart.table, fmap.target.n)
     residuals = {}
-    for a in range(2 * n):
-        for b in range(a, 2 * n):
-            lhs = sum_of_products(table, zip(left[a], right[b]))
-            residuals[(names[a], names[b])] = lhs - one if b == a + n \
-                else lhs
+    for a, field in enumerate(fields):
+        for b in range(a, len(rows)):
+            lhs = sum_of_products(chart.table, zip(field, rows[b]))
+            residuals[(names[a], names[b])] = lhs - want[a][b]
     return ResidualReport(residuals)
 
 

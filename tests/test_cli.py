@@ -621,3 +621,28 @@ def test_commands_leave_cached_manifest_unchanged(manifest, capsys):
         assert (code, out) == (0, requests[command]), command
     assert load_manifest(path) is cached
     assert _render_manifest(cached) == before
+
+
+@pytest.mark.parametrize("other, rows", [
+    ({"n": 2, "even": ["x1", "x2"], "odd": ["th1", "th2"]},
+     [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+      ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]]),
+    ({"n": 1, "even": ["x1"], "odd": ["th1"]}, [["0", "1"], ["-1", "0"]])],
+    ids=["n2", "n1"])
+def test_structure_on_another_chart_exit_two(tmp_path, capsys, other, rows):
+    code, out, err = _bracket_manifest(
+        tmp_path, capsys,
+        charts={"c": {"n": 1, "even": ["x1"], "odd": ["th1"]}, "d": other},
+        structures={"s": {"chart": "d", "bracket": rows}},
+        bracket={"chart": "c", "f": "x1", "g": "th1", "structure": "s"})
+    assert (code, out) == (2, "")
+    assert err == "error: structure 's' is not on chart 'c'\n"
+
+
+@pytest.mark.parametrize("text", ["2³", "x1^²", "9" * 5000],
+                         ids=["superscript", "superscript-exponent",
+                              "5000-digits"])
+def test_integer_literal_int_refuses_exit_two(tmp_path, capsys, text):
+    code, out, err = _bracket_of(tmp_path, capsys, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "line 1, column" in err

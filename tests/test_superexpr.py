@@ -380,3 +380,14 @@ def test_nilpotent_series_caps_terms_at_odd_weight(tab):
     assert tab.odd_weight == 7
     assert len(steps) == tab.odd_weight
     assert total == 4 * one
+
+
+def test_integer_literals_int_refuses_are_parse_errors(tab):
+    # str.isdigit admits '²' and '³', which int() refuses, and int()
+    # refuses a literal of more than 4300 digits
+    assert e(tab, "٣*x1") == e(tab, "3*x1")
+    for text, column in (("2³", 1), ("x1^²", 4), ("9" * 5000, 1)):
+        with pytest.raises(ParseError, match="invalid integer literal") \
+                as raised:
+            parse_expr(text, tab)
+        assert (raised.value.line, raised.value.column) == (1, column)

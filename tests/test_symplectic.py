@@ -10,7 +10,7 @@ from oddsym.sampling import (pushforward_structure, random_canonical_map,
 from oddsym.scalars import Scalar
 from oddsym.superexpr import SuperExpr
 from oddsym.scalars import ScalarError
-from oddsym.symbols import Chart, Parity, standard_table
+from oddsym.symbols import Chart, Parity, SymbolError, standard_table
 from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
                                Semidensity, SuperMap, ber_sqrt, bracket,
                                adjusted_map, bracket_matrix,
@@ -575,3 +575,59 @@ def test_general_structure_brackets_match_triple_sum(n, seed, off_block):
                     want = want - SuperExpr.one(chart.table)
                 assert report.residuals[(names[a], names[b])] == want
         assert report.ok is (g is not fmap)
+
+
+def test_structure_on_another_chart_is_refused(c2):
+    # a structure on an n=2 chart with an n=1 chart, and two n=1 charts on
+    # tables of their own: every bracket entry point refuses the pair
+    chart = make_chart(1)
+    f, g = e(chart, "x1*th1"), e(chart, "th1")
+    fmap = SuperMap.identity(chart)
+    for other in (c2, make_chart(1)):
+        omega = OddSymplecticStructure.canonical(other)
+        calls = [lambda: bracket(f, g, chart, omega),
+                 lambda: bracket_matrix([f, g], chart, omega),
+                 lambda: hamiltonian_field(f, chart, omega),
+                 lambda: is_canonical(fmap, omega),
+                 lambda: jacobi_residual(f, g, g, chart, omega)]
+        for call in calls:
+            with pytest.raises(SymbolError, match="another chart"):
+                call()
+    # an equal chart is the same chart
+    same = Chart(c2.table, c2.xs, c2.thetas)
+    omega = OddSymplecticStructure.canonical(c2)
+    assert bracket(e(c2, "x1"), e(c2, "th1"), same, omega) == e(c2, "1")
+
+
+def test_structure_is_contracted_in_one_place(c2, monkeypatch):
+    calls = []
+    field = symplectic.hamiltonian_field
+
+    def counted(f, chart, omega=None):
+        calls.append(f)
+        return field(f, chart, omega)
+
+    monkeypatch.setattr(symplectic, "hamiltonian_field", counted)
+    rng = random.Random(23)
+    omega, fmap = pushforward_structure(rng, c2)
+    es = [e(c2, "x1*th1 + th2"), e(c2, "x2*th1*th2"), e(c2, "th1")]
+    for structure in (None, omega):
+        del calls[:]
+        bracket(es[0], es[1], c2, structure)
+        assert calls == [es[0]]
+        del calls[:]
+        bracket_matrix(es, c2, structure)
+        assert calls == es
+        del calls[:]
+        is_canonical(fmap, structure)
+        assert calls == list(fmap.targets)
+        assert len(calls) == 2 * c2.n
+
+
+def test_canonical_matrix_is_recognised(c2):
+    texts = [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+             ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]]
+    assert _structure(c2, texts).is_canonical_matrix
+    # {x1, x1} = b1 is odd and graded symmetric, so the structure is valid
+    texts[0][0] = "b1"
+    assert not _structure(c2, texts).is_canonical_matrix
