@@ -116,15 +116,13 @@ def exp_flow(q, chart: Chart, t_value=1):
     ``t_value`` may be a rational number or the string "formal", in which
     case the map keeps the symbolic time variable ``TIME_SYMBOL``.
     Time-dependent generators are supported as polynomials in that same
-    symbol; for the others the inverse map is the same series summed at
-    -t_value, on its first read.
+    symbol.  For the others the inverse map is the same series summed at
+    -t_value; a time-dependent flow's is peeled off its targets.  Either
+    is built on its first read.
     """
     series, time, timed = _series(q, chart, t_value)
-    identity_body = [Scalar.symbol(chart.table, x) for x in chart.xs]
     return SuperMap(chart, chart, _summed(series, time),
-                    body_inverse=identity_body,
-                    inverse_targets=None if timed
-                    else lambda: _summed(series, -time))
+                    inverse=None if timed else lambda: _summed(series, -time))
 
 
 def _delta_map(chart, components):

@@ -24,9 +24,20 @@ class ManifestError(ValueError):
     pass
 
 
+# The longest repr of a manifest value that an error quotes in full; a
+# ParseError already gives the line and column of the fault.
+_QUOTED = 60
+
+
 def _expect(cond, message):
     if not cond:
         raise ManifestError(message)
+
+
+def _quoted(value):
+    """repr of a manifest value, cut to ``_QUOTED`` characters."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED else text[:_QUOTED - 3] + "..."
 
 
 def _names(entry, key, default):
@@ -118,11 +129,13 @@ class Manifest:
         return objects[name]
 
     def parse(self, chart, text):
-        _expect(isinstance(text, str), f"expression {text!r} is not a string")
+        _expect(isinstance(text, str),
+                f"expression {_quoted(text)} is not a string")
         try:
             return parse_expr(text, chart.table)
         except ValueError as exc:
-            raise ManifestError(f"bad expression {text!r}: {exc}") from None
+            raise ManifestError(
+                f"bad expression {_quoted(text)}: {exc}") from None
 
     def _build_structure(self, entry):
         chart = self.named("charts", entry.get("chart"))

@@ -143,8 +143,8 @@ def random_canonical_map(rng, chart):
 
 
 def random_messy_map(rng, chart):
-    """Invertible but generally non-canonical coordinate change; it stores
-    no inverse, ``invert_map`` finds it."""
+    """Invertible but generally non-canonical coordinate change; its
+    factors have no inverse recipe, so each is peeled when read."""
     table = chart.table
     n = chart.n
     # theta rescale by an invertible triangular scalar matrix
@@ -160,8 +160,7 @@ def random_messy_map(rng, chart):
     xs = [SuperExpr.symbol(table, x) for x in chart.xs]
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
     targets = xs + [theta_linear(ths, mat, j) for j in range(n)]
-    ident_body = [Scalar.symbol(table, x) for x in chart.xs]
-    out = SuperMap(chart, chart, targets, body_inverse=ident_body)
+    out = SuperMap(chart, chart, targets)
     # nilpotent shear of the even coordinates
     shear = list(xs)
     for i in range(n):
@@ -170,7 +169,7 @@ def random_messy_map(rng, chart):
             c = random_scalar(rng, table, coeff_degree=1, names=chart.xs,
                               allow_zero=False)
             shear[i] = shear[i] + SuperExpr.from_raw_terms(table, [(c, pair)])
-    sheared = SuperMap(chart, chart, shear + ths, body_inverse=ident_body)
+    sheared = SuperMap(chart, chart, shear + ths)
     out = sheared.compose(out)
     if rng.random() < 0.6:
         out = random_point_map(rng, chart).compose(out)

@@ -130,6 +130,9 @@ class OddSymplecticStructure:
 
     Entry parities, graded antisymmetry and invertibility of the body are
     checked at construction, for every matrix but the canonical one.
+    ``signed_columns``, the columns of Omega' = Omega with its theta rows
+    negated that ``hamiltonian_field`` dots with the signed left factors,
+    are built then too; the canonical matrix needs none, and has None.
     """
 
     def __init__(self, chart: Chart, matrix):
@@ -140,13 +143,12 @@ class OddSymplecticStructure:
             raise ValueError("bracket matrix must be 2n x 2n")
         self.is_canonical_matrix = \
             self.matrix == _canonical_rows(chart.table, chart.n)
+        self.signed_columns = None
         if not self.is_canonical_matrix:
             self._validate()
-        # the columns of Omega' = Omega with its theta rows negated, which
-        # ``hamiltonian_field`` dots with the signed left factors
-        self.signed_columns = tuple(zip(*(
-            row if a < chart.n else tuple(-entry for entry in row)
-            for a, row in enumerate(self.matrix))))
+            self.signed_columns = tuple(zip(*(
+                row if a < chart.n else tuple(-entry for entry in row)
+                for a, row in enumerate(self.matrix))))
 
     @classmethod
     def canonical(cls, chart: Chart):
@@ -271,25 +273,26 @@ class SuperMap:
     """Coordinate transformation: target coordinates as source expressions.
 
     ``targets`` lists the images of the target chart's x's then thetas as
-    functions of the source coordinates.  ``body_inverse`` optionally gives
-    the inverse of the underlying even map as rational substitutions, and
-    ``inverse_targets`` the targets of the inverse map.  Either may be
-    given as a recipe, a function of no arguments returning the value (or
-    None): it runs on the first read, and its result is kept.  The target
-    count and parities are checked at construction.
+    functions of the source coordinates; their count and parities are
+    checked at construction.  ``inverse`` optionally gives a recipe for
+    the inverse map, a function of no arguments returning its targets;
+    ``body_inverse`` optionally gives the inverse of the underlying even
+    map as rational substitutions, which ``_peeled_inverse`` reads when
+    there is no recipe and the body is not the identity.
 
-    Two values derived from the targets are built on first use and kept:
-    ``pullback``, the ``Pullback`` of the map's bindings, and ``ber_root``,
-    its ``ber_sqrt``.
+    Three values derived from the map are built on first use and kept:
+    ``inverse_targets``, from the recipe or else peeled off the targets;
+    ``pullback``, the ``Pullback`` of the map's bindings; and
+    ``ber_root``, its ``ber_sqrt``.
     """
 
     def __init__(self, source: Chart, target: Chart, targets,
-                 body_inverse=None, inverse_targets=None):
+                 inverse=None, body_inverse=None):
         self.source = source
         self.target = target
         self.targets = tuple(targets)
-        self._body_inverse = _kept(body_inverse)
-        self._inverse_targets = _kept(inverse_targets)
+        self.body_inverse = body_inverse
+        self._inverse = inverse
         self._validate()
 
     def _validate(self):
@@ -305,21 +308,12 @@ class SuperMap:
             if not want_odd and not expr.is_even():
                 raise ParityError(f"target {k} must be even")
 
-    def _read(self, slot):
-        """The value in ``slot``, running and replacing a recipe there."""
-        value = getattr(self, slot)
-        if callable(value):
-            value = _kept(value())
-            setattr(self, slot, value)
-        return value
-
-    @property
-    def body_inverse(self):
-        return self._read("_body_inverse")
-
-    @property
+    @cached_property
     def inverse_targets(self):
-        return self._read("_inverse_targets")
+        """Targets of the inverse map, taken unchecked (``invert_map`` is
+        the checked route)."""
+        return tuple(self._inverse() if self._inverse
+                     else _peeled_inverse(self))
 
     @cached_property
     def pullback(self):
@@ -336,7 +330,7 @@ class SuperMap:
     @classmethod
     def identity(cls, chart: Chart):
         exprs = _coordinate_exprs(chart)
-        return cls(chart, chart, exprs, inverse_targets=exprs)
+        return cls(chart, chart, exprs, inverse=lambda: exprs)
 
     def is_identity(self):
         return list(self.targets) == _coordinate_exprs(self.source)
@@ -349,27 +343,18 @@ class SuperMap:
         return expr.substitute(self.bindings())
 
     def compose(self, other: "SuperMap"):
-        """self after other: z -> self(other(z)).  The composite's inverses
-        are recipes over the two maps' inverses."""
+        """self after other: z -> self(other(z)).  The composite's inverse
+        is a recipe: other's inverse after self's, each factor's built by
+        its own recipe or peeled off that factor alone."""
         targets = [other.pullback(t) for t in self.targets]
 
-        def inverse_targets():
-            if self.inverse_targets and other.inverse_targets:
-                pull = Pullback(self.source.table,
-                                dict(zip(self.source.coordinate_names,
-                                         self.inverse_targets)))
-                return [pull(t) for t in other.inverse_targets]
-            return None
+        def inverse():
+            pull = Pullback(self.source.table,
+                            dict(zip(self.source.coordinate_names,
+                                     self.inverse_targets)))
+            return [pull(t) for t in other.inverse_targets]
 
-        def body_inverse():
-            if self.body_inverse and other.body_inverse:
-                images = dict(zip(self.source.xs, self.body_inverse))
-                return [t.subs_even(images) for t in other.body_inverse]
-            return None
-
-        return SuperMap(other.source, self.target, targets,
-                        body_inverse=body_inverse,
-                        inverse_targets=inverse_targets)
+        return SuperMap(other.source, self.target, targets, inverse=inverse)
 
     def body_map(self):
         """Scalar parts of the even targets."""
@@ -389,13 +374,6 @@ class SuperMap:
     def __repr__(self):
         body = ", ".join(render_expr(t) for t in self.targets)
         return f"SuperMap({body})"
-
-
-def _kept(value):
-    """A recipe as it is, any other value as a tuple, or None when empty."""
-    if callable(value):
-        return value
-    return tuple(value) if value else None
 
 
 def berezinian(matrix, n):
@@ -461,19 +439,18 @@ def special_map(chart: Chart, psis):
             closed = psis[j].diff(chart.xs[i]) - psis[i].diff(chart.xs[j])
             if not closed.is_zero:
                 raise CanonicityError("shift one-form is not closed")
-    identity_body = [Scalar.symbol(table, x) for x in chart.xs]
-    return theta_shift(chart, psis, body_inverse=identity_body)
+    return theta_shift(chart, psis)
 
 
-def theta_shift(chart: Chart, shifts, **attrs):
+def theta_shift(chart: Chart, shifts):
     """theta_j -> theta_j + A_j, with its inverse theta_j -> theta_j - A_j;
     no closedness check (``special_map`` makes the canonical one)."""
     table = chart.table
     xs = [SuperExpr.symbol(table, x) for x in chart.xs]
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
     targets = xs + [th + a for th, a in zip(ths, shifts)]
-    inverse = xs + [th - a for th, a in zip(ths, shifts)]
-    return SuperMap(chart, chart, targets, inverse_targets=inverse, **attrs)
+    return SuperMap(chart, chart, targets, inverse=lambda: xs + [
+        th - a for th, a in zip(ths, shifts)])
 
 
 def point_map(chart: Chart, body, body_inverse):
@@ -495,8 +472,9 @@ def point_map(chart: Chart, body, body_inverse):
         return [SuperExpr.from_scalar(b) for b in b_map] + \
             [theta_linear(ths, inv_jac, i) for i in range(chart.n)]
 
-    return SuperMap(chart, chart, lift(body), body_inverse=body_inverse,
-                    inverse_targets=lambda: lift(body_inverse))
+    return SuperMap(chart, chart, lift(body),
+                    inverse=lambda: lift(body_inverse),
+                    body_inverse=body_inverse)
 
 
 def _check_body_inverse(chart, body, body_inverse):
@@ -542,14 +520,11 @@ class ResidualReport:
 
 def pushforward_matrix(fmap: SuperMap, omega=None):
     """Bracket matrix {F^A, F^B} of the new coordinates F, written in them
-    by substituting the inverse map: the stored ``inverse_targets``, else
-    the one ``_peeled_inverse`` builds, taken unchecked (``invert_map`` is
-    the checked route)."""
-    inverse = fmap.inverse_targets
-    if inverse is None:
-        inverse = _peeled_inverse(fmap)
+    by substituting the map's ``inverse_targets``, taken unchecked
+    (``invert_map`` is the checked route)."""
     pull = Pullback(fmap.source.table,
-                    dict(zip(fmap.source.coordinate_names, inverse)))
+                    dict(zip(fmap.source.coordinate_names,
+                             fmap.inverse_targets)))
     return [[pull(entry) for entry in row]
             for row in bracket_matrix(fmap.targets, fmap.source, omega)]
 
@@ -574,22 +549,9 @@ def is_canonical(fmap: SuperMap, omega=None):
 
 
 def invert_map(fmap: SuperMap):
-    """Inverse map, verified once by composing it with the map both ways.
-
-    A stored ``inverse_targets`` is taken as it stands.  Otherwise the map
-    is split as F = U o L, where L is its linear part: the body map
-    x -> b(x) and theta_j -> sum_m theta_m M[m][j](x), with M[m][j] the
-    coefficient of theta_m in the j-th theta target.  L^-1 is closed form,
-    x -> b^-1(x) from ``body_inverse`` (not needed when b is the identity)
-    and theta_j -> sum_m theta_m M^-1[m][j](b^-1(x)).  The rest
-    U = F o L^-1 is the identity plus terms of odd weight at least 2, so
-    U^-1 is the fixed point of V -> z - (U - id)(V), reached by nilpotency,
-    and F^-1 = L^-1 o U^-1.
-    """
-    if fmap.inverse_targets is not None:
-        out = SuperMap(fmap.target, fmap.source, fmap.inverse_targets)
-    else:
-        out = SuperMap(fmap.target, fmap.source, _peeled_inverse(fmap))
+    """Inverse map on the map's ``inverse_targets``, verified once by
+    composing it with the map both ways."""
+    out = SuperMap(fmap.target, fmap.source, fmap.inverse_targets)
     coords = _coordinate_exprs(fmap.source)
     if list(fmap.compose(out).targets) != coords or \
             list(out.compose(fmap).targets) != coords:
@@ -598,7 +560,17 @@ def invert_map(fmap: SuperMap):
 
 
 def _peeled_inverse(fmap):
-    """Targets of L^-1 o U^-1 for ``invert_map``."""
+    """Inverse targets of a map with no recipe for them.
+
+    The map is split as F = U o L, where L is its linear part: the body
+    map x -> b(x) and theta_j -> sum_m theta_m M[m][j](x), with M[m][j]
+    the coefficient of theta_m in the j-th theta target.  L^-1 is closed
+    form, x -> b^-1(x) from ``body_inverse`` (not needed when b is the
+    identity) and theta_j -> sum_m theta_m M^-1[m][j](b^-1(x)).  The rest
+    U = F o L^-1 is the identity plus terms of odd weight at least 2, so
+    U^-1 is the fixed point of V -> z - (U - id)(V), reached by
+    nilpotency, and F^-1 = L^-1 o U^-1.
+    """
     chart = fmap.source
     table = chart.table
     n = chart.n
@@ -670,10 +642,9 @@ def decompose_canonical_map(fmap: SuperMap):
         f_point = SuperMap.identity(chart)
         inverse_body = {x: Scalar.symbol(table, x) for x in chart.xs}
     else:
-        if not fmap.body_inverse:
-            raise CanonicityError("body inverse unavailable")
-        f_point = point_map(chart, body, list(fmap.body_inverse))
-        inverse_body = dict(zip(chart.xs, fmap.body_inverse))
+        body_inverse = [t.body() for t in fmap.inverse_targets[:n]]
+        f_point = point_map(chart, body, body_inverse)
+        inverse_body = dict(zip(chart.xs, body_inverse))
     pull = Pullback(table, inverse_body)
     psis = [pull(psi) for psi in psis_raw]
     if all(psi.is_zero for psi in psis):

@@ -479,10 +479,12 @@ def test_chart_n_not_a_positive_int_exit_two(tmp_path, capsys):
 
 
 def test_expression_not_a_string_exit_two(tmp_path, capsys):
-    code, out, err = _bracket_manifest(
-        tmp_path, capsys, bracket={"chart": "c", "f": 5, "g": "th1"})
-    assert (code, out) == (2, "")
-    assert err == "error: expression 5 is not a string\n"
+    # a long value is quoted cut to 60 characters
+    for f, quoted in ((5, "5"), ([1] * 3000, "[1" + ", 1" * 18 + ",...")):
+        code, out, err = _bracket_manifest(
+            tmp_path, capsys, bracket={"chart": "c", "f": f, "g": "th1"})
+        assert (code, out) == (2, "")
+        assert err == f"error: expression {quoted} is not a string\n"
 
 
 def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
@@ -646,3 +648,20 @@ def test_integer_literal_int_refuses_exit_two(tmp_path, capsys, text):
     code, out, err = _bracket_of(tmp_path, capsys, text)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "line 1, column" in err
+
+
+# a text of 58 characters has a 60-character repr, the longest quoted whole
+@pytest.mark.parametrize("text, quoted, fault", [
+    ("x1 +* 2", "'x1 +* 2'", "unexpected token '*' (line 1, column 5)"),
+    ("x1 +* " + "2" * 52, "'x1 +* " + "2" * 52 + "'",
+     "unexpected token '*' (line 1, column 5)"),
+    ("x1 +* " + "2" * 53, "'x1 +* " + "2" * 50 + "...",
+     "unexpected token '*' (line 1, column 5)"),
+    ("9" * 5000, "'" + "9" * 56 + "...",
+     "invalid integer literal (line 1, column 1)")],
+    ids=["short", "longest-whole", "cut", "5000-digits"])
+def test_bad_expression_quote_is_bounded(tmp_path, capsys, text, quoted,
+                                         fault):
+    code, out, err = _bracket_of(tmp_path, capsys, text)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad expression {quoted}: {fault}\n"

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from oddsym import symplectic
+from oddsym.flows import exp_flow
 from oddsym.grammar import parse_expr
 from oddsym.sampling import (pushforward_structure, random_canonical_map,
-                             random_expr, random_messy_map, random_point_map,
+                             random_expr, random_flow_hamiltonian,
+                             random_messy_map, random_point_map,
                              random_scalar, random_special_map)
 from oddsym.scalars import Scalar
 from oddsym.superexpr import SuperExpr
@@ -19,7 +21,7 @@ from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
                                jacobi_residual, map_berezinian, mat_det,
                                mat_inv, mat_mul, point_map,
                                pullback_semidensity, scalar_reciprocal,
-                               special_map)
+                               special_map, theta_shift)
 
 
 def make_chart(n, aux=2):
@@ -366,8 +368,25 @@ def test_pushforward_structure_oracle(c2):
             assert omega.matrix[a][b] == upstairs.substitute(inv.bindings())
 
 
-def test_invert_map_body_peel_path(c2):
-    # non-identity body with no stored inverse: the point part is peeled
+def _inverse_body(fmap):
+    return [t.body() for t in fmap.inverse_targets[:fmap.source.n]]
+
+
+def _count_peels(monkeypatch):
+    """The maps that ``_peeled_inverse`` runs on, from now on."""
+    peeled = []
+    peel = symplectic._peeled_inverse
+
+    def counted(fmap):
+        peeled.append(fmap)
+        return peel(fmap)
+
+    monkeypatch.setattr(symplectic, "_peeled_inverse", counted)
+    return peeled
+
+
+def test_invert_map_body_peel_path(c2, monkeypatch):
+    # non-identity body with no inverse recipe: the point part is peeled
     # off through body_inverse and the unipotent remainder is iterated
     rng = random.Random(41)
     point = random_point_map(rng, c2)
@@ -376,12 +395,66 @@ def test_invert_map_body_peel_path(c2):
     flow = exp_flow(random_flow_hamiltonian(rng, c2), c2, 1)
     composite = flow.compose(point)
     stripped = SuperMap(c2, c2, composite.targets,
-                        body_inverse=composite.body_inverse)
-    assert stripped.inverse_targets is None
+                        body_inverse=_inverse_body(composite))
+    peels = _count_peels(monkeypatch)
+    assert peels == []
     inv = invert_map(stripped)
+    # one peel, on the first of two reads
+    assert stripped.inverse_targets == inv.targets
+    assert len(peels) == 1 and peels[0] is stripped
     coords = [SuperExpr.symbol(c2.table, n) for n in c2.coordinate_names]
     assert list(stripped.compose(inv).targets) == coords
     assert list(inv.compose(stripped).targets) == coords
+
+
+def _maps_with_recipes(rng, chart):
+    table = chart.table
+    xs = [Scalar.symbol(table, x) for x in chart.xs]
+    # x1 -> x1 / (1 + x1): a body inverse that is not a polynomial, and a
+    # theta-linear part that must be taken at the inverse body
+    rational = point_map(chart, [xs[0] / (1 + xs[0])] + xs[1:],
+                         [xs[0] / (1 - xs[0])] + xs[1:])
+    shifts = [SuperExpr.from_raw_terms(table, [(
+        random_scalar(rng, table, names=chart.xs, allow_zero=False),
+        [rng.choice(list(table.aux_odds))])]) for _ in chart.thetas]
+    q = random_flow_hamiltonian(rng, chart)
+    return [random_special_map(rng, chart), random_point_map(rng, chart),
+            rational, exp_flow(q, chart, 1), exp_flow(q, chart, "formal"),
+            theta_shift(chart, shifts), SuperMap.identity(chart)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inverse_recipes_agree_with_peeling(n):
+    chart = make_chart(n)
+    for seed in range(4):
+        for fmap in _maps_with_recipes(random.Random(seed), chart):
+            peeled = SuperMap(chart, chart, fmap.targets,
+                              body_inverse=fmap.body_inverse)
+            assert peeled.inverse_targets == fmap.inverse_targets
+
+
+def test_composite_needs_body_inverse_only_when_read(c2):
+    scaled = SuperMap(c2, c2, [e(c2, t) for t in
+                               ["2*x1", "x2", "(1 + x1)*th1", "th2"]])
+    shift = special_map(c2, [e(c2, "b1"), SuperExpr.zero(c2.table)])
+    composite = shift.compose(scaled)
+    assert composite.targets[2] == e(c2, "(1 + x1)*th1 + b1")
+    with pytest.raises(CanonicityError, match="body inverse unavailable"):
+        composite.inverse_targets
+
+
+def test_decompose_point_after_flow(c2):
+    # the point factor's body inverse is read off the composite's inverse
+    rng = random.Random(19)
+    f_p = random_point_map(rng, c2)
+    assert f_p.body_map() != [Scalar.symbol(c2.table, x) for x in c2.xs]
+    f_adj = exp_flow(random_flow_hamiltonian(rng, c2), c2, 1)
+    fmap = f_p.compose(f_adj)
+    gs, gp, gadj = decompose_canonical_map(fmap)
+    assert gs.compose(gp.compose(gadj)).targets == fmap.targets
+    assert gs.targets == SuperMap.identity(c2).targets
+    assert list(gp.targets) == list(f_p.targets)
+    assert list(gadj.targets) == list(f_adj.targets)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -434,8 +507,8 @@ def test_mat_inv_singular_scalar_matrix(c2):
         mat_inv([[x1, x2], [x1 * 2, x2 * 2]], scalar_reciprocal)
 
 
-def test_invert_map_peels_body_and_theta_linear_part(c2):
-    # no stored inverse, a body that is not the identity and a theta-linear
+def test_invert_map_peels_body_and_theta_linear_part(c2, monkeypatch):
+    # no inverse recipe, a body that is not the identity and a theta-linear
     # part that is not either and depends on the moved x1: both are peeled
     # off in closed form
     rng = random.Random(76)
@@ -443,8 +516,8 @@ def test_invert_map_peels_body_and_theta_linear_part(c2):
     point = random_point_map(rng, c2)
     composite = point.compose(messy)
     stripped = SuperMap(c2, c2, composite.targets,
-                        body_inverse=composite.body_inverse)
-    assert stripped.inverse_targets is None
+                        body_inverse=_inverse_body(composite))
+    peels = _count_peels(monkeypatch)
     table = c2.table
     assert stripped.body_map() != [Scalar.symbol(table, x) for x in c2.xs]
     theta_linear_part = [[t.coefficient([th]) for t in stripped.targets[2:]]
@@ -452,7 +525,11 @@ def test_invert_map_peels_body_and_theta_linear_part(c2):
     assert theta_linear_part != [[Scalar.from_int(table, int(i == j))
                                   for j in range(2)] for i in range(2)]
     assert any(c.depends_on("x1") for row in theta_linear_part for c in row)
+    assert peels == []
     inv = invert_map(stripped)
+    # one peel, on the first of two reads
+    assert stripped.inverse_targets == inv.targets
+    assert len(peels) == 1 and peels[0] is stripped
     coords = [SuperExpr.symbol(table, n) for n in c2.coordinate_names]
     assert list(stripped.compose(inv).targets) == coords
     assert list(inv.compose(stripped).targets) == coords
@@ -631,3 +708,22 @@ def test_canonical_matrix_is_recognised(c2):
     # {x1, x1} = b1 is odd and graded symmetric, so the structure is valid
     texts[0][0] = "b1"
     assert not _structure(c2, texts).is_canonical_matrix
+
+
+def test_only_a_general_structure_builds_signed_columns(c2):
+    texts = [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+             ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]]
+    canonical = _structure(c2, texts)
+    texts[0][0] = "b1"
+    general = _structure(c2, texts)
+    assert canonical.signed_columns is None
+    assert len(general.signed_columns) == 2 * c2.n
+    rng = random.Random(29)
+    for _ in range(8):
+        f, g = (random_expr(rng, c2.table, theta_degree=2, coeff_degree=1,
+                            aux=True) for _ in range(2))
+        for f, g in ((f.odd_part(), g.even_part()),
+                     (f.even_part(), g.odd_part())):
+            for omega in (canonical, general):
+                assert bracket(f, g, c2, omega) == \
+                    _reference_bracket(f, g, omega)
