@@ -1,7 +1,10 @@
 """Command line front end.
 
-    oddsym <subcommand> --manifest <path> [--suite <name>] [--out <path>]
-                        [--json]
+    oddsym verify [--suite <name>] [--out <path>] [--json]
+    oddsym <command> --manifest <path> [--out <path>] [--json]
+
+Each other command reads the manifest section named after it, with "-"
+read as "_": ``oddsym delta-vol`` reads ``delta_vol``.
 
 Exit codes: 0 when all residuals are the zero expression (or the command
 only computes values), 1 when a residual check fails, 2 on input errors.
@@ -22,7 +25,7 @@ from .flows import exp_flow, hamiltonian_from_adjusted
 from .forms import (one_form_shift, render_form, star, tau_sharp,
                     tau_sharp_inverse)
 from .grammar import ParseError, render_expr
-from .manifests import Manifest, ManifestError, load_manifest, parse_time
+from .manifests import ManifestError, load_manifest, parse_time
 from .scalars import ScalarError
 from .superexpr import ParityError
 from .surfaces import densities_P, dual_density, pullback_K
@@ -41,8 +44,7 @@ def _structure_arg(manifest, entry):
     return manifest.named("structures", name)
 
 
-def cmd_bracket(manifest, args):
-    entry = manifest.section("bracket")
+def cmd_bracket(manifest, entry):
     chart = manifest.named("charts", entry["chart"])
     f = manifest.parse(chart, entry["f"])
     g = manifest.parse(chart, entry["g"])
@@ -54,35 +56,30 @@ def cmd_bracket(manifest, args):
     return [("bracket", render_expr(out))], None
 
 
-def cmd_delta0(manifest, args):
-    entry = manifest.section("delta0")
+def cmd_delta0(manifest, entry):
     chart = manifest.named("charts", entry["chart"])
     f = manifest.parse(chart, entry["f"])
     return [("delta0", render_expr(delta0(f, chart)))], None
 
 
-def cmd_delta_vol(manifest, args):
-    entry = manifest.section("delta_vol")
+def cmd_delta_vol(manifest, entry):
     dv = manifest.named("volume_forms", entry["volume"])
     f = manifest.parse(dv.chart, entry["f"])
     return [("delta_vol", render_expr(delta_vol(f, dv)))], None
 
 
-def cmd_delta_sharp(manifest, args):
-    entry = manifest.section("delta_sharp")
+def cmd_delta_sharp(manifest, entry):
     s = manifest.named("semidensities", entry["semidensity"])
     out = delta_sharp(s)
     return [("delta_sharp", render_expr(out.coefficient))], None
 
 
-def cmd_berezinian(manifest, args):
-    entry = manifest.section("berezinian")
+def cmd_berezinian(manifest, entry):
     fmap = manifest.named("maps", entry["map"])
     return [("berezinian", render_expr(map_berezinian(fmap)))], None
 
 
-def cmd_darboux(manifest, args):
-    entry = manifest.section("darboux")
+def cmd_darboux(manifest, entry):
     omega = manifest.named("structures", entry["structure"])
     result = darboux_pipeline(omega, omega.chart)
     lines = []
@@ -100,8 +97,7 @@ def cmd_darboux(manifest, args):
     return lines, result.ok
 
 
-def cmd_flow(manifest, args):
-    entry = manifest.section("flow")
+def cmd_flow(manifest, entry):
     chart = manifest.named("charts", entry["chart"])
     q = manifest.parse(chart, entry["Q"])
     t_value = parse_time(entry.get("t", 1))
@@ -116,53 +112,46 @@ def cmd_flow(manifest, args):
     return lines, report.ok
 
 
-def cmd_hamiltonian_from_map(manifest, args):
-    entry = manifest.section("hamiltonian_from_map")
+def cmd_hamiltonian_from_map(manifest, entry):
     fmap = manifest.named("maps", entry["map"])
     # raises CanonicityError unless the unit-time flow of q is fmap
     q = hamiltonian_from_adjusted(fmap)
     return [("generator", render_expr(q)), ("round_trip", "exact")], True
 
 
-def cmd_tau_sharp(manifest, args):
-    entry = manifest.section("tau_sharp")
+def cmd_tau_sharp(manifest, entry):
     w = manifest.named("forms", entry["form"])
     s = tau_sharp(w)
     return [("coefficient", render_expr(s.coefficient))], None
 
 
-def cmd_tau_sharp_inv(manifest, args):
-    entry = manifest.section("tau_sharp_inv")
+def cmd_tau_sharp_inv(manifest, entry):
     s = manifest.named("semidensities", entry["semidensity"])
     w = tau_sharp_inverse(s)
     return [("form", render_form(w))], None
 
 
-def cmd_shift(manifest, args):
-    entry = manifest.section("shift")
+def cmd_shift(manifest, entry):
     a = manifest.named("forms", entry["form"])
     s = manifest.named("semidensities", entry["semidensity"])
     out = one_form_shift(a, s)
     return [("coefficient", render_expr(out.coefficient))], None
 
 
-def cmd_star(manifest, args):
-    entry = manifest.section("star")
+def cmd_star(manifest, entry):
     w1 = manifest.named("forms", entry["w1"])
     w2 = manifest.named("forms", entry["w2"])
     return [("form", render_form(star(w1, w2)))], None
 
 
-def cmd_pullback_surface(manifest, args):
-    entry = manifest.section("pullback_surface")
+def cmd_pullback_surface(manifest, entry):
     s = manifest.named("semidensities", entry["semidensity"])
     surface = manifest.named("surfaces", entry["surface"])
     out = pullback_K(s, surface)
     return [("coefficient", render_expr(out.coefficient))], None
 
 
-def cmd_dual_density(manifest, args):
-    entry = manifest.section("dual_density")
+def cmd_dual_density(manifest, entry):
     dv = manifest.named("volume_forms", entry["volume"])
     surface = manifest.named("surfaces", entry["surface"])
     f = manifest.parse(dv.chart, entry["f"])
@@ -171,22 +160,22 @@ def cmd_dual_density(manifest, args):
     return [("coefficient", render_expr(out.coefficient))], None
 
 
-def cmd_densities_p(manifest, args):
-    entry = manifest.section("densities_p")
+def cmd_densities_p(manifest, entry):
     dv = manifest.named("volume_forms", entry["volume"])
     surface = manifest.named("surfaces", entry["surface"])
     p0, p1 = densities_P(dv, surface)
     return [("P0", render_expr(p0)), ("P1", render_expr(p1))], None
 
 
-def cmd_verify(manifest, args):
-    names = [args.suite] if args.suite else sorted(SUITES)
+def cmd_verify(suite):
+    """Run the suite called ``suite``, or every suite when it is None."""
+    names = [suite] if suite else sorted(SUITES)
     lines = []
     all_ok = True
     for name in names:
-        suite = SUITES[name]  # argparse restricts --suite to these names
+        run = SUITES[name]  # argparse restricts --suite to these names
         try:
-            checks = suite()
+            checks = run()
         except Exception as exc:  # a crashing suite is a failure, not input
             traceback.print_exc()
             lines.append((f"{name}.error",
@@ -203,22 +192,22 @@ def cmd_verify(manifest, args):
 
 
 COMMANDS = {
-    "bracket": (cmd_bracket, True),
-    "delta0": (cmd_delta0, True),
-    "delta-vol": (cmd_delta_vol, True),
-    "delta-sharp": (cmd_delta_sharp, True),
-    "berezinian": (cmd_berezinian, True),
-    "darboux": (cmd_darboux, True),
-    "flow": (cmd_flow, True),
-    "hamiltonian-from-map": (cmd_hamiltonian_from_map, True),
-    "tau-sharp": (cmd_tau_sharp, True),
-    "tau-sharp-inv": (cmd_tau_sharp_inv, True),
-    "shift": (cmd_shift, True),
-    "star": (cmd_star, True),
-    "pullback-surface": (cmd_pullback_surface, True),
-    "dual-density": (cmd_dual_density, True),
-    "densities-p": (cmd_densities_p, True),
-    "verify": (cmd_verify, False),
+    "bracket": cmd_bracket,
+    "delta0": cmd_delta0,
+    "delta-vol": cmd_delta_vol,
+    "delta-sharp": cmd_delta_sharp,
+    "berezinian": cmd_berezinian,
+    "darboux": cmd_darboux,
+    "flow": cmd_flow,
+    "hamiltonian-from-map": cmd_hamiltonian_from_map,
+    "tau-sharp": cmd_tau_sharp,
+    "tau-sharp-inv": cmd_tau_sharp_inv,
+    "shift": cmd_shift,
+    "star": cmd_star,
+    "pullback-surface": cmd_pullback_surface,
+    "dual-density": cmd_dual_density,
+    "densities-p": cmd_densities_p,
+    "verify": cmd_verify,
 }
 
 
@@ -233,14 +222,14 @@ def build_parser(suite_names):
         prog="oddsym",
         description="exact calculus on odd symplectic superspace")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_manifest) in COMMANDS.items():
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--manifest", required=needs_manifest,
-                         help="path to the JSON manifest")
-        cmd.add_argument("--suite", default=None,
-                         choices=suite_names if name == "verify" else None,
-                         help="verification suite name"
-                         if name == "verify" else argparse.SUPPRESS)
+        if name == "verify":
+            cmd.add_argument("--suite", default=None, choices=suite_names,
+                             help="verification suite name")
+        else:
+            cmd.add_argument("--manifest", required=True,
+                             help="path to the JSON manifest")
         cmd.add_argument("--out", default=None,
                          help="write the report to this file")
         cmd.add_argument("--json", action="store_true",
@@ -263,11 +252,13 @@ def _render_report(command, lines, ok, as_json):
 
 def main(argv=None):
     args = build_parser(tuple(sorted(SUITES))).parse_args(argv)
-    handler, needs_manifest = COMMANDS[args.command]
     try:
-        manifest = load_manifest(args.manifest) if args.manifest \
-            else Manifest({})
-        lines, ok = handler(manifest, args)
+        if args.command == "verify":
+            lines, ok = cmd_verify(args.suite)
+        else:
+            manifest = load_manifest(args.manifest)
+            entry = manifest.section(args.command.replace("-", "_"))
+            lines, ok = COMMANDS[args.command](manifest, entry)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,23 +28,6 @@ from .symplectic import (CanonicityError, Semidensity, SuperMap,
                          pullback_semidensity, theta_rescale_integral)
 
 
-class FlowHamiltonian:
-    """Odd generator with no theta-linear component.
-
-    A theta-linear part would produce genuine even-variable differential
-    equations whose solutions leave the rational function field; those
-    transformations are built directly as point maps instead.
-    """
-
-    def __init__(self, expr: SuperExpr):
-        if not expr.is_odd():
-            raise ParityError("flow generator must be odd")
-        if not expr.homogeneous_part(1).is_zero:
-            raise CanonicityError(
-                "theta-linear generators are outside the integrable class")
-        self.expr = expr
-
-
 def _time_degree(q):
     """The degree of ``q`` in the time symbol, which may not divide."""
     idx = q.table.even_index(TIME_SYMBOL)
@@ -64,9 +47,14 @@ def _series(q, chart, t_value):
     which X raises by at most that of Q, so Y^k z^A vanishes once k
     exceeds the table's odd weight times (time degree of Q + 1).
     """
-    if not isinstance(q, FlowHamiltonian):
-        q = FlowHamiltonian(q)
-    q = q.expr
+    if not q.is_odd():
+        raise ParityError("flow generator must be odd")
+    # a theta-linear part would give even-variable differential equations
+    # whose solutions leave the rational function field; point maps build
+    # those transformations instead
+    if not q.homogeneous_part(1).is_zero:
+        raise CanonicityError(
+            "theta-linear generators are outside the integrable class")
     table = chart.table
     if not table.is_even(TIME_SYMBOL):
         raise ScalarError(f"table has no even time symbol {TIME_SYMBOL!r}")

@@ -22,6 +22,17 @@ class ParseError(ValueError):
         self.column = column
 
 
+# The longest repr of an input value that an error quotes in full; a
+# ParseError also gives the line and column of the fault.
+_QUOTED = 60
+
+
+def quoted(value):
+    """repr of an input value, cut to ``_QUOTED`` characters."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED else text[:_QUOTED - 3] + "..."
+
+
 _OPERATORS = "+-*/^()"
 
 # Nested parentheses and unary minus signs recurse; deeper input would hit
@@ -230,7 +241,8 @@ class _Parser:
         expr = self.expression()
         tok = self._peek()
         if tok is not None:
-            raise ParseError(f"unexpected token {tok[0]!r}", tok[1], tok[2])
+            raise ParseError(f"unexpected token {quoted(tok[0])}",
+                             tok[1], tok[2])
         return expr
 
     def expression(self):
@@ -303,9 +315,9 @@ class _Parser:
             try:
                 return SuperExpr.symbol(self.table, value)
             except SymbolError:
-                raise ParseError(f"unknown symbol {value!r}",
+                raise ParseError(f"unknown symbol {quoted(value)}",
                                  line, col) from None
-        raise ParseError(f"unexpected token {value!r}", line, col)
+        raise ParseError(f"unexpected token {quoted(value)}", line, col)
 
 
 def parse_expr(text, table):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bv import VolumeForm
 from .forms import DifferentialForm
-from .grammar import parse_expr
+from .grammar import parse_expr, quoted
 from .surfaces import AdjustedSurface
 from .symbols import TIME_SYMBOL, Chart, SymbolTable
 from .symplectic import OddSymplecticStructure, Semidensity, SuperMap
@@ -24,20 +24,9 @@ class ManifestError(ValueError):
     pass
 
 
-# The longest repr of a manifest value that an error quotes in full; a
-# ParseError already gives the line and column of the fault.
-_QUOTED = 60
-
-
 def _expect(cond, message):
     if not cond:
         raise ManifestError(message)
-
-
-def _quoted(value):
-    """repr of a manifest value, cut to ``_QUOTED`` characters."""
-    text = repr(value)
-    return text if len(text) <= _QUOTED else text[:_QUOTED - 3] + "..."
 
 
 def _names(entry, key, default):
@@ -130,12 +119,12 @@ class Manifest:
 
     def parse(self, chart, text):
         _expect(isinstance(text, str),
-                f"expression {_quoted(text)} is not a string")
+                f"expression {quoted(text)} is not a string")
         try:
             return parse_expr(text, chart.table)
         except ValueError as exc:
             raise ManifestError(
-                f"bad expression {_quoted(text)}: {exc}") from None
+                f"bad expression {quoted(text)}: {exc}") from None
 
     def _build_structure(self, entry):
         chart = self.named("charts", entry.get("chart"))
@@ -158,18 +147,7 @@ class Manifest:
         _expect(isinstance(targets, list) and len(targets) == 2 * target.n,
                 "map needs 2n target expressions")
         exprs = [self.parse(source, text) for text in targets]
-        body_inverse = None
-        if entry.get("body_inverse"):
-            _expect(isinstance(entry["body_inverse"], list),
-                    "body_inverse must be a list of expressions")
-            parsed = [self.parse(source, text)
-                      for text in entry["body_inverse"]]
-            body_inverse = []
-            for expr in parsed:
-                _expect(expr.max_odd_degree() == 0,
-                        "body inverse entries must be even rational maps")
-                body_inverse.append(expr.body())
-        return SuperMap(source, target, exprs, body_inverse=body_inverse)
+        return SuperMap(source, target, exprs)
 
     def _build_volume(self, entry):
         chart = self.named("charts", entry.get("chart"))
@@ -221,9 +199,11 @@ def _manifest_of(data):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"manifest is not valid UTF-8: {exc}") from None
+    # json.loads raises a JSONDecodeError, or a plain ValueError for an
+    # integer past Python's limit on the digits it converts
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     return Manifest(document)
 

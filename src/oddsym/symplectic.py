@@ -340,7 +340,7 @@ class SuperMap:
 
     def apply(self, expr):
         """Pull a function on the target chart back to the source chart."""
-        return expr.substitute(self.bindings())
+        return self.pullback(expr)
 
     def compose(self, other: "SuperMap"):
         """self after other: z -> self(other(z)).  The composite's inverse

@@ -5,7 +5,6 @@ named verification suites so the command line `oddsym verify` exercises
 the identical checks.
 """
 
-import argparse
 import contextlib
 import hashlib
 import inspect
@@ -78,7 +77,7 @@ def _run(names, criterion):
     for name in names:
         digest = hashlib.sha256()
         with _recorded_values(digest):
-            lines, _ = cmd_verify(None, argparse.Namespace(suite=name))
+            lines, _ = cmd_verify(name)
         if digest.hexdigest() != VALUE_SHA256[name]:
             failures.append(f"{name}: values differ from the seed-0 run")
         lines = lines[:-1]  # the closing "verify: pass" line

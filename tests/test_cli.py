@@ -243,6 +243,16 @@ def test_manifest_with_bom_exit_two(tmp_path, capsys):
     assert err.startswith("error: manifest is not valid JSON: ")
 
 
+def test_integer_past_the_digit_limit_exit_two(tmp_path, capsys):
+    # json.loads refuses a 5,000-digit integer with a plain ValueError
+    path = tmp_path / "digits.json"
+    path.write_text('{"charts": {"c": {"n": 1}}, "bracket": {"chart": "c", '
+                    '"f": ' + "7" * 5000 + ', "g": "th1"}}')
+    code, out, err = run_cli(["bracket", "--manifest", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifest is not valid JSON: ")
+
+
 def _bracket_of(tmp_path, capsys, text):
     doc = {
         "charts": {"c": {"n": 1, "even": ["x1"], "odd": ["th1"]}},
@@ -257,6 +267,27 @@ def test_bad_expression_exit_two(tmp_path, capsys):
     code, out, err = _bracket_of(tmp_path, capsys, "x1 +* 2")
     assert code == 2
     assert "error:" in err
+
+
+def test_parse_errors_quote_tokens_cut(tmp_path, capsys):
+    # a token is quoted cut to 60 characters, as the expression is
+    name = "y" * 5000
+    cut = "'" + "y" * 56 + "..."
+    for text, message in (
+            ("x1 + " + name, f"unknown symbol {cut} (line 1, column 6)"),
+            ("x1 " + name, f"unexpected token {cut} (line 1, column 4)"),
+            ("x1 " + "9" * 4000,
+             f"unexpected token {'9' * 57}... (line 1, column 4)")):
+        code, out, err = _bracket_of(tmp_path, capsys, text)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": {message}\n") and len(err) < 200
+    code, out, err = _bracket_of(tmp_path, capsys, "x1 + y1")
+    assert (code, out) == (2, "")
+    assert err == ("error: bad expression 'x1 + y1': unknown symbol 'y1' "
+                   "(line 1, column 6)\n")
+    code, out, err = _bracket_of(tmp_path, capsys, "x1 y1")
+    assert err == ("error: bad expression 'x1 y1': unexpected token 'y1' "
+                   "(line 1, column 4)\n")
 
 
 def test_deep_nesting_exit_two(tmp_path, capsys):
@@ -396,6 +427,40 @@ def test_hamiltonian_from_map_command(capsys):
                            capsys)
     assert code == 0
     assert out == HAMILTONIAN_OUTPUT
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["bracket", "--manifest", os.path.join(DATA, "bracket.json"),
+      "--suite", "jacobi"], "--suite jacobi"),
+    (["verify", "--manifest", os.path.join(DATA, "bracket.json")],
+     "--manifest " + os.path.join(DATA, "bracket.json"))],
+    ids=["suite-on-bracket", "manifest-on-verify"])
+def test_option_the_command_does_not_take_exit_two(argv, option, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: oddsym ")
+    assert captured.err.endswith(f"error: unrecognized arguments: {option}\n")
+
+
+def test_manifest_maps_read_no_body_inverse(tmp_path, capsys):
+    # operators.json gives its stretch map a body_inverse; without one, or
+    # with one no map could have, every command prints the same
+    with open(os.path.join(DATA, "operators.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    requests = dict(OPERATOR_OUTPUTS,
+                    **{"hamiltonian-from-map": HAMILTONIAN_OUTPUT})
+    path = tmp_path / "operators.json"
+    for body_inverse in (None, ["th1", "x2"]):
+        doc["maps"]["stretch"].pop("body_inverse", None)
+        if body_inverse is not None:
+            doc["maps"]["stretch"]["body_inverse"] = body_inverse
+        path.write_text(json.dumps(doc))
+        for command, want in requests.items():
+            code, out, _ = run_cli([command, "--manifest", str(path)], capsys)
+            assert (code, out) == (0, want), command
 
 
 def test_console_entry_point():

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oddsym.bv import delta0, moser_hamiltonian
-from oddsym.flows import (FlowHamiltonian, exp_flow, hamiltonian_from_adjusted,
-                          moser_flow)
+from oddsym.flows import exp_flow, hamiltonian_from_adjusted, moser_flow
 from oddsym.grammar import parse_expr
 from oddsym.sampling import random_expr, random_flow_hamiltonian
 from oddsym.superexpr import ParityError, SuperExpr
@@ -224,13 +223,13 @@ def test_moser_flow_random_samples():
 def test_flow_hamiltonian_validation():
     c = make_chart(3)
     q = e(c, "b1*th1*th2 + x1*th1*th2*th3")
-    assert FlowHamiltonian(q).expr == q
+    assert hamiltonian_from_adjusted(exp_flow(q, c)) == q
     with pytest.raises(ParityError, match="flow generator must be odd"):
-        FlowHamiltonian(e(c, "x1*th1*th2"))
+        exp_flow(e(c, "x1*th1*th2"), c)
     with pytest.raises(ParityError, match="flow generator must be odd"):
-        FlowHamiltonian(e(c, "b1*th1*th2 + th1*th2"))
+        exp_flow(e(c, "b1*th1*th2 + th1*th2"), c)
     with pytest.raises(CanonicityError, match="theta-linear"):
-        FlowHamiltonian(e(c, "x1*th1 + b1*th1*th2"))
+        exp_flow(e(c, "x1*th1 + b1*th1*th2"), c)
 
 
 def test_time_dependent_flow_reduces_to_rescaled_time():

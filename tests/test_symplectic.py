@@ -433,6 +433,25 @@ def test_inverse_recipes_agree_with_peeling(n):
             assert peeled.inverse_targets == fmap.inverse_targets
 
 
+def test_apply_is_the_kept_pullback(c2, monkeypatch):
+    # apply pulls back through the map's kept Pullback, built once
+    fmap = SuperMap(c2, c2, random_canonical_map(random.Random(5), c2).targets)
+    rng = random.Random(6)
+    exprs = [random_expr(rng, c2.table) for _ in range(3)]
+    want = [expr.substitute(fmap.bindings()) for expr in exprs]
+    built = []
+    real = symplectic.Pullback.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(symplectic.Pullback, "__init__", counting)
+    assert [fmap.apply(expr) for expr in exprs] == want
+    assert [fmap.pullback(expr) for expr in exprs] == want
+    assert built == [fmap.pullback]
+
+
 def test_composite_needs_body_inverse_only_when_read(c2):
     scaled = SuperMap(c2, c2, [e(c2, t) for t in
                                ["2*x1", "x2", "(1 + x1)*th1", "th2"]])
