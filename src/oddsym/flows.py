@@ -110,7 +110,7 @@ def exp_flow(q, chart: Chart, t_value=1):
     """
     series, time, timed = _series(q, chart, t_value)
     return SuperMap(chart, chart, _summed(series, time),
-                    inverse=None if timed else lambda: _summed(series, -time))
+                    recipe=None if timed else lambda: _summed(series, -time))
 
 
 def _delta_map(chart, components):

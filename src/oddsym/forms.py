@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grammar import render_expr
+from .grammar import join_signed, render_expr
 from .scalars import ScalarError
 from .superexpr import (ParityError, SuperExpr, nilpotent_series, sum_of,
                         sum_of_products)
@@ -252,8 +252,6 @@ def render_form(w: DifferentialForm) -> str:
     table = chart.table
     frames = chart_frames(chart)
     slot_by_index = {table.odd_index(xi): k for k, xi in enumerate(frames)}
-    if not w.expr.terms:
-        return "0"
     pieces = []
     for key in sorted(w.expr.terms, key=lambda k: (len(k), k)):
         coeff = w.expr.terms[key]
@@ -272,10 +270,5 @@ def render_form(w: DifferentialForm) -> str:
                 if " + " in text or " - " in text:
                     text = f"({text})"
                 text = f"{text}*{wedge}"
-        if not pieces:
-            pieces.append(text)
-        elif text.startswith("-"):
-            pieces.append(" - " + text[1:])
-        else:
-            pieces.append(" + " + text)
-    return "".join(pieces)
+        pieces.append(text)
+    return join_signed(pieces)

@@ -354,19 +354,23 @@ def _render_monomial(table, mono, coeff):
     return f"{_render_number(coeff)}*{body}"
 
 
-def _render_poly(table, terms):
-    if not terms:
-        return "0"
-    rendered = []
-    for mono, coeff in terms:
-        text = _render_monomial(table, mono, coeff)
-        if not rendered:
-            rendered.append(text)
+def join_signed(texts):
+    """Rendered terms joined into a sum: a leading minus becomes " - "
+    after the first term, and no terms at all render as "0"."""
+    out = []
+    for text in texts:
+        if not out:
+            out.append(text)
         elif text.startswith("-"):
-            rendered.append(" - " + text[1:])
+            out.append(" - " + text[1:])
         else:
-            rendered.append(" + " + text)
-    return "".join(rendered)
+            out.append(" + " + text)
+    return "".join(out) or "0"
+
+
+def _render_poly(table, terms):
+    return join_signed(_render_monomial(table, mono, coeff)
+                       for mono, coeff in terms)
 
 
 def _poly_is_atomic(terms):
@@ -401,8 +405,6 @@ def render_scalar(scalar):
 def render_expr(expr):
     """Deterministic canonical-order rendering of a SuperExpr."""
     table = expr.table
-    if not expr.terms:
-        return "0"
     out = []
     for key in sorted(expr.terms, key=lambda k: (len(k), k)):
         coeff = expr.terms[key]
@@ -417,10 +419,5 @@ def render_expr(expr):
                 if not product_safe:
                     text = f"({text})"
                 text = f"{text}*{odd}"
-        if not out:
-            out.append(text)
-        elif text.startswith("-"):
-            out.append(" - " + text[1:])
-        else:
-            out.append(" + " + text)
-    return "".join(out)
+        out.append(text)
+    return join_signed(out)

@@ -199,11 +199,12 @@ def _manifest_of(data):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"manifest is not valid UTF-8: {exc}") from None
-    # json.loads raises a JSONDecodeError, or a plain ValueError for an
-    # integer past Python's limit on the digits it converts
+    # json.loads raises a JSONDecodeError, a plain ValueError for an
+    # integer past Python's limit on the digits it converts, or a
+    # RecursionError for nesting past Python's recursion limit
     try:
         document = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     return Manifest(document)
 

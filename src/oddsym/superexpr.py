@@ -229,9 +229,6 @@ class SuperExpr:
     def max_theta_degree(self):
         return max(map(self.table.theta_degree, self.terms), default=0)
 
-    def max_odd_degree(self):
-        return max((len(k) for k in self.terms), default=0)
-
     def theta_order(self):
         """Smallest theta-degree carrying a nonzero term (inf when zero)."""
         return min(map(self.table.theta_degree, self.terms),

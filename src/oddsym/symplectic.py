@@ -17,8 +17,8 @@ from functools import cached_property
 
 from .grammar import render_expr
 from .scalars import Scalar, ScalarError
-from .superexpr import (ParityError, Pullback, SuperExpr, sum_of,
-                        sum_of_products)
+from .superexpr import (ParityError, Pullback, SuperExpr, nilpotent_series,
+                        sum_of, sum_of_products)
 from .symbols import Chart, Parity, SymbolError
 
 
@@ -274,25 +274,27 @@ class SuperMap:
 
     ``targets`` lists the images of the target chart's x's then thetas as
     functions of the source coordinates; their count and parities are
-    checked at construction.  ``inverse`` optionally gives a recipe for
-    the inverse map, a function of no arguments returning its targets;
-    ``body_inverse`` optionally gives the inverse of the underlying even
-    map as rational substitutions, which ``_peeled_inverse`` reads when
-    there is no recipe and the body is not the identity.
+    checked at construction.  ``recipe`` optionally builds the inverse
+    map's targets, a function of no arguments; ``body_inverse``
+    optionally gives the inverse of the underlying even map as rational
+    substitutions, which ``_peeled_inverse`` reads when there is no
+    recipe and the body is not the identity.
 
     Three values derived from the map are built on first use and kept:
-    ``inverse_targets``, from the recipe or else peeled off the targets;
-    ``pullback``, the ``Pullback`` of the map's bindings; and
-    ``ber_root``, its ``ber_sqrt``.
+    ``inverse``, the inverse map, on the recipe's targets or else on
+    targets peeled off the map's; ``pullback``, the ``Pullback`` of the
+    map's bindings; and ``ber_root``, its ``ber_sqrt``.  Every pull-back
+    along an inverse is its ``inverse.pullback``.  The inverse keeps no
+    reference back to the map, and has no recipe of its own.
     """
 
     def __init__(self, source: Chart, target: Chart, targets,
-                 inverse=None, body_inverse=None):
+                 recipe=None, body_inverse=None):
         self.source = source
         self.target = target
         self.targets = tuple(targets)
         self.body_inverse = body_inverse
-        self._inverse = inverse
+        self._recipe = recipe
         self._validate()
 
     def _validate(self):
@@ -309,11 +311,12 @@ class SuperMap:
                 raise ParityError(f"target {k} must be even")
 
     @cached_property
-    def inverse_targets(self):
-        """Targets of the inverse map, taken unchecked (``invert_map`` is
-        the checked route)."""
-        return tuple(self._inverse() if self._inverse
-                     else _peeled_inverse(self))
+    def inverse(self):
+        """The inverse map, taken unchecked (``invert_map`` is the checked
+        route)."""
+        return SuperMap(self.target, self.source,
+                        self._recipe() if self._recipe
+                        else _peeled_inverse(self))
 
     @cached_property
     def pullback(self):
@@ -330,7 +333,7 @@ class SuperMap:
     @classmethod
     def identity(cls, chart: Chart):
         exprs = _coordinate_exprs(chart)
-        return cls(chart, chart, exprs, inverse=lambda: exprs)
+        return cls(chart, chart, exprs, recipe=lambda: exprs)
 
     def is_identity(self):
         return list(self.targets) == _coordinate_exprs(self.source)
@@ -343,18 +346,13 @@ class SuperMap:
         return self.pullback(expr)
 
     def compose(self, other: "SuperMap"):
-        """self after other: z -> self(other(z)).  The composite's inverse
-        is a recipe: other's inverse after self's, each factor's built by
-        its own recipe or peeled off that factor alone."""
+        """self after other: z -> self(other(z)).  The composite's recipe
+        is other's inverse pulled back along self's: each factor's inverse
+        is built by its own recipe or peeled off that factor alone, and
+        self's inverse keeps its one pull-back for every composite."""
         targets = [other.pullback(t) for t in self.targets]
-
-        def inverse():
-            pull = Pullback(self.source.table,
-                            dict(zip(self.source.coordinate_names,
-                                     self.inverse_targets)))
-            return [pull(t) for t in other.inverse_targets]
-
-        return SuperMap(other.source, self.target, targets, inverse=inverse)
+        return SuperMap(other.source, self.target, targets, recipe=lambda: [
+            self.inverse.pullback(t) for t in other.inverse.targets])
 
     def body_map(self):
         """Scalar parts of the even targets."""
@@ -449,7 +447,7 @@ def theta_shift(chart: Chart, shifts):
     xs = [SuperExpr.symbol(table, x) for x in chart.xs]
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
     targets = xs + [th + a for th, a in zip(ths, shifts)]
-    return SuperMap(chart, chart, targets, inverse=lambda: xs + [
+    return SuperMap(chart, chart, targets, recipe=lambda: xs + [
         th - a for th, a in zip(ths, shifts)])
 
 
@@ -473,7 +471,7 @@ def point_map(chart: Chart, body, body_inverse):
             [theta_linear(ths, inv_jac, i) for i in range(chart.n)]
 
     return SuperMap(chart, chart, lift(body),
-                    inverse=lambda: lift(body_inverse),
+                    recipe=lambda: lift(body_inverse),
                     body_inverse=body_inverse)
 
 
@@ -520,11 +518,9 @@ class ResidualReport:
 
 def pushforward_matrix(fmap: SuperMap, omega=None):
     """Bracket matrix {F^A, F^B} of the new coordinates F, written in them
-    by substituting the map's ``inverse_targets``, taken unchecked
+    by pulling back along the map's ``inverse``, taken unchecked
     (``invert_map`` is the checked route)."""
-    pull = Pullback(fmap.source.table,
-                    dict(zip(fmap.source.coordinate_names,
-                             fmap.inverse_targets)))
+    pull = fmap.inverse.pullback
     return [[pull(entry) for entry in row]
             for row in bracket_matrix(fmap.targets, fmap.source, omega)]
 
@@ -549,9 +545,9 @@ def is_canonical(fmap: SuperMap, omega=None):
 
 
 def invert_map(fmap: SuperMap):
-    """Inverse map on the map's ``inverse_targets``, verified once by
-    composing it with the map both ways."""
-    out = SuperMap(fmap.target, fmap.source, fmap.inverse_targets)
+    """The map's ``inverse``, verified by composing it with the map both
+    ways; the same object is returned on every call."""
+    out = fmap.inverse
     coords = _coordinate_exprs(fmap.source)
     if list(fmap.compose(out).targets) != coords or \
             list(out.compose(fmap).targets) != coords:
@@ -567,14 +563,21 @@ def _peeled_inverse(fmap):
     the coefficient of theta_m in the j-th theta target.  L^-1 is closed
     form, x -> b^-1(x) from ``body_inverse`` (not needed when b is the
     identity) and theta_j -> sum_m theta_m M^-1[m][j](b^-1(x)).  The rest
-    U = F o L^-1 is the identity plus terms of odd weight at least 2, so
-    U^-1 is the fixed point of V -> z - (U - id)(V), reached by
-    nilpotency, and F^-1 = L^-1 o U^-1.
+    U = F o L^-1 has exactly the identity for its body and theta-linear
+    part, so U* - id replaces a coordinate factor of each term: an x by a
+    nilpotent even term, two odd factors at least, and a theta by odd
+    terms that are not a single theta.  Each replacement raises the odd
+    weight, but one by a bare frame odd, which keeps it and fills one of
+    the term's frame slots for good.  So U* - id is nilpotent, and on a
+    table with no more frame odds than thetas and aux odds together
+    (every table oddsym builds) its powers vanish past the table's odd
+    weight.  The targets of U^-1 are the Neumann series
+    (U*)^-1 z = sum_k (-1)^k (U* - id)^k z, one ``nilpotent_series``
+    each, and F^-1 = L^-1 o U^-1.
     """
     chart = fmap.source
     table = chart.table
     n = chart.n
-    names = chart.coordinate_names
     coords = _coordinate_exprs(chart)
     linear = [[fmap.targets[n + j].coefficient([th]) for j in range(n)]
               for th in chart.thetas]
@@ -588,27 +591,14 @@ def _peeled_inverse(fmap):
         _check_body_inverse(chart, body, body_inverse)
         back = dict(zip(chart.xs, body_inverse))
         linear_inv = [[c.subs_even(back) for c in row] for row in linear_inv]
-    l_inv = [SuperExpr.from_scalar(b) for b in body_inverse] + \
-        [theta_linear(coords[n:], linear_inv, j) for j in range(n)]
-    l_pull = Pullback(table, dict(zip(names, l_inv)))
-    rest = [l_pull(t) - z for t, z in zip(fmap.targets, coords)]
-
-    # every pass settles at least one more unit of odd weight, so a
-    # converging iteration repeats itself within the table's odd weight
-    # plus a few passes; the bound allows three
-    u_inv = coords
-    for _ in range(table.odd_weight + 3):
-        pull = Pullback(table, dict(zip(names, u_inv)))
-        guess = [z - pull(r) for z, r in zip(coords, rest)]
-        if guess == u_inv:
-            break
-        u_inv = guess
-    else:
-        raise CanonicityError("graded inversion did not stabilize")
-    if l_inv == coords:
-        return u_inv
-    u_pull = Pullback(table, dict(zip(names, u_inv)))
-    return [u_pull(t) for t in l_inv]
+    l_inv = SuperMap(chart, chart, [
+        SuperExpr.from_scalar(b) for b in body_inverse] + [
+        theta_linear(coords[n:], linear_inv, j) for j in range(n)])
+    rest = fmap.compose(l_inv)
+    u_inv = SuperMap(chart, chart, [nilpotent_series(
+        z, lambda f: rest.pullback(f) - f, lambda k: -1 if k % 2 else 1)
+        for z in coords])
+    return l_inv.compose(u_inv).targets
 
 
 def _linear_reciprocal(det):
@@ -640,13 +630,9 @@ def decompose_canonical_map(fmap: SuperMap):
                      for b, x in zip(body, chart.xs))
     if body_is_id:
         f_point = SuperMap.identity(chart)
-        inverse_body = {x: Scalar.symbol(table, x) for x in chart.xs}
     else:
-        body_inverse = [t.body() for t in fmap.inverse_targets[:n]]
-        f_point = point_map(chart, body, body_inverse)
-        inverse_body = dict(zip(chart.xs, body_inverse))
-    pull = Pullback(table, inverse_body)
-    psis = [pull(psi) for psi in psis_raw]
+        f_point = point_map(chart, body, fmap.inverse.body_map())
+    psis = [f_point.inverse.pullback(psi) for psi in psis_raw]
     if all(psi.is_zero for psi in psis):
         f_special = SuperMap.identity(chart)
     else:

@@ -253,6 +253,16 @@ def test_integer_past_the_digit_limit_exit_two(tmp_path, capsys):
     assert err.startswith("error: manifest is not valid JSON: ")
 
 
+def test_nesting_past_the_recursion_limit_exit_two(tmp_path, capsys):
+    # json.loads gives up on 100,000 nested arrays with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"bracket": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(["bracket", "--manifest", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifest is not valid JSON: ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def _bracket_of(tmp_path, capsys, text):
     doc = {
         "charts": {"c": {"n": 1, "even": ["x1"], "odd": ["th1"]}},

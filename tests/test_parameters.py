@@ -1,9 +1,9 @@
 """Every parameter of a function in src/oddsym is read by its body.
 
 A parameter that nothing reads is an input the caller must supply for
-nothing.  The uniform interfaces are the exceptions: every CLI command
-handler takes ``(manifest, args)``, every verify suite takes ``seed``,
-and methods keep their receiver and special methods their signature.
+nothing.  The uniform interfaces are the exceptions: every verify suite
+takes ``seed``, and methods keep their receiver and special methods
+their signature.
 """
 
 import ast
@@ -13,12 +13,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "oddsym"
 
 
 def _exempt(function, name):
-    """A method's receiver, a special method's fixed signature, a CLI
-    handler's ``(manifest, args)`` and a suite's ``seed``."""
+    """A method's receiver, a special method's fixed signature and a
+    suite's ``seed``."""
     if name in ("self", "cls") or function.name.startswith("__"):
         return True
-    if function.name.startswith("cmd_"):
-        return name in ("manifest", "args")
     return function.name.startswith("suite_") and name == "seed"
 
 

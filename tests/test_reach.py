@@ -1,5 +1,6 @@
-"""Every top-level function and class of src/oddsym is named somewhere in
-src/ or perfbench/ besides its own definition.
+"""Every top-level function and class of src/oddsym, and every method of
+its classes but the special (dunder) ones, is named somewhere in src/ or
+perfbench/ besides its own definition.
 
 A library name that only tests reach is code that nothing calls.  Names
 count when they are used (a load, an attribute or an import) or when a
@@ -48,5 +49,10 @@ def test_every_library_name_is_reached():
     defined = {node.name for path, tree in trees if path.parent == SRC
                for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {method.name for path, tree in trees if path.parent == SRC
+                for node in tree.body if isinstance(node, ast.ClassDef)
+                for method in node.body
+                if isinstance(method, ast.FunctionDef)
+                and not method.name.startswith("__")}
     assert sorted(defined - named - WAITING) == []
     assert WAITING <= defined  # drop a name here once it is reached or gone

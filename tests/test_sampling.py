@@ -219,7 +219,7 @@ def test_random_special_map_keeps_its_stream(n):
     for got, want in _draws(random_special_map, _chain_special_map,
                             _chart(n)):
         assert got == want
-        assert got.inverse_targets == want.inverse_targets
+        assert got.inverse.targets == want.inverse.targets
         assert got.body_inverse == want.body_inverse
 
 
@@ -236,7 +236,7 @@ def test_random_canonical_map_keeps_its_stream(n):
     for got, want in _draws(random_canonical_map, _chain_canonical_map,
                             chart):
         assert got == want
-        assert got.inverse_targets == want.inverse_targets
+        assert got.inverse.targets == want.inverse.targets
         # the chain began at the identity, which has no body inverse, so
         # it dropped the composite's; the generator keeps it
         assert want.body_inverse is None
@@ -288,14 +288,14 @@ def test_maps_build_no_inverse_until_read(calls):
     flow = exp_flow(random_flow_hamiltonian(random.Random(1), chart), chart)
     assert calls["_summed"] == 1
     for _ in range(2):
-        assert flow.inverse_targets is not None
+        assert flow.inverse.targets is not None
         assert calls["_summed"] == 2
 
     calls.clear()
     point = random_point_map(random.Random(0), chart)
     assert calls["theta_linear"] == n
     for _ in range(2):
-        assert point.inverse_targets is not None
+        assert point.inverse.targets is not None
         assert calls["theta_linear"] == 2 * n
 
     seen = Counter()
@@ -305,7 +305,7 @@ def test_maps_build_no_inverse_until_read(calls):
         built = calls.copy()
         # a composition pulls back the 2n targets alone
         assert built["__call__"] == 2 * n * built["compose"]
-        assert fmap.inverse_targets is not None
+        assert fmap.inverse.targets is not None
         for name in ("_summed", "theta_linear", "__call__"):
             assert calls[name] == 2 * built[name], (seed, name)
         seen.update(name for name, count in built.items() if count)
@@ -358,6 +358,6 @@ def test_lazy_inverses_match_eager_construction(n):
         got = random_canonical_map(random.Random(seed), chart)
         want, inv = _eager_canonical_map(random.Random(seed), chart)
         assert got == want
-        assert got.inverse_targets == inv.targets
-        assert [t.body() for t in got.inverse_targets[:n]] == inv.body_map()
+        assert got.inverse.targets == inv.targets
+        assert [t.body() for t in got.inverse.targets[:n]] == inv.body_map()
         assert invert_map(got).targets == inv.targets

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -369,7 +371,7 @@ def test_pushforward_structure_oracle(c2):
 
 
 def _inverse_body(fmap):
-    return [t.body() for t in fmap.inverse_targets[:fmap.source.n]]
+    return [t.body() for t in fmap.inverse.targets[:fmap.source.n]]
 
 
 def _count_peels(monkeypatch):
@@ -400,7 +402,7 @@ def test_invert_map_body_peel_path(c2, monkeypatch):
     assert peels == []
     inv = invert_map(stripped)
     # one peel, on the first of two reads
-    assert stripped.inverse_targets == inv.targets
+    assert stripped.inverse.targets == inv.targets
     assert len(peels) == 1 and peels[0] is stripped
     coords = [SuperExpr.symbol(c2.table, n) for n in c2.coordinate_names]
     assert list(stripped.compose(inv).targets) == coords
@@ -430,7 +432,7 @@ def test_inverse_recipes_agree_with_peeling(n):
         for fmap in _maps_with_recipes(random.Random(seed), chart):
             peeled = SuperMap(chart, chart, fmap.targets,
                               body_inverse=fmap.body_inverse)
-            assert peeled.inverse_targets == fmap.inverse_targets
+            assert peeled.inverse.targets == fmap.inverse.targets
 
 
 def test_apply_is_the_kept_pullback(c2, monkeypatch):
@@ -452,6 +454,87 @@ def test_apply_is_the_kept_pullback(c2, monkeypatch):
     assert built == [fmap.pullback]
 
 
+def test_inverse_is_one_map_built_once(c2, monkeypatch):
+    # peeled: invert_map checks the map's inverse and hands back that map
+    fmap = random_canonical_map(random.Random(7), c2)
+    stripped = SuperMap(c2, c2, fmap.targets,
+                        body_inverse=_inverse_body(fmap))
+    peels = _count_peels(monkeypatch)
+    inv = invert_map(stripped)
+    assert isinstance(inv, SuperMap) and (inv.source, inv.target) == (c2, c2)
+    assert inv is stripped.inverse and invert_map(stripped) is inv
+    assert len(peels) == 1
+    # from a recipe: called once, on the first read
+    calls = []
+
+    def recipe():
+        calls.append(1)
+        return inv.targets
+
+    fmap = SuperMap(c2, c2, stripped.targets, recipe=recipe)
+    assert calls == []
+    assert invert_map(fmap) is fmap.inverse is invert_map(fmap)
+    assert calls == [1] and fmap.inverse == inv
+
+
+def test_map_with_read_inverse_is_freed_without_gc(c2):
+    # a map and its inverse form no reference cycle: reference counting
+    # alone frees the map once its inverse and their pull-backs were read
+    def composite():
+        return random_canonical_map(random.Random(7), c2)
+
+    def peeled():
+        fmap = composite()
+        return SuperMap(c2, c2, fmap.targets,
+                        body_inverse=_inverse_body(fmap))
+
+    gc.disable()
+    try:
+        for make in (composite, peeled):
+            fmap = make()
+            invert_map(fmap).pullback(fmap.pullback(e(c2, "x1*th2")))
+            ref = weakref.ref(fmap)
+            del fmap
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_composites_share_one_inverse_pullback(c2, monkeypatch):
+    # s o m_1, ..., s o m_k: every composite's inverse pulls back along
+    # s's inverse through its one kept Pullback
+    rng = random.Random(10)
+    s = random_point_map(rng, c2)
+    composites = [s.compose(random_canonical_map(rng, c2)) for _ in range(3)]
+    built = []
+    real = symplectic.Pullback.__init__
+
+    def counting(self, table, bindings):
+        built.append(bindings)
+        real(self, table, bindings)
+
+    monkeypatch.setattr(symplectic.Pullback, "__init__", counting)
+    for composite in composites:
+        assert composite.inverse.targets
+    assert built.count(s.inverse.bindings()) == 1
+
+
+def test_peel_series_runs_to_the_odd_weight():
+    # theta -> theta + x1*xi2 moves a theta by a bare frame odd, which
+    # keeps the odd weight; (U* - id)^k x1 is still nonzero at k = 4, the
+    # table's odd weight, and the peeled inverse checks out both ways
+    table = standard_table(2, frame=True)
+    chart = Chart(table, table.even_symbols[:2], table.coordinate_odds)
+    fmap = SuperMap(chart, chart, [parse_expr(t, table) for t in [
+        "x1 + 2*x1*th2*xi2 + 2*x1*th1*th2", "x2",
+        "th1 + x1*th1*xi2*th2 + x1*xi2", "th2 + xi1*th2*xi2 + 2*x1*xi1"]])
+    term = SuperExpr.symbol(table, "x1")
+    for _ in range(table.odd_weight):
+        term = fmap.pullback(term) - term
+    assert table.odd_weight == 4 and not term.is_zero
+    invert_map(fmap)
+
+
 def test_composite_needs_body_inverse_only_when_read(c2):
     scaled = SuperMap(c2, c2, [e(c2, t) for t in
                                ["2*x1", "x2", "(1 + x1)*th1", "th2"]])
@@ -459,7 +542,7 @@ def test_composite_needs_body_inverse_only_when_read(c2):
     composite = shift.compose(scaled)
     assert composite.targets[2] == e(c2, "(1 + x1)*th1 + b1")
     with pytest.raises(CanonicityError, match="body inverse unavailable"):
-        composite.inverse_targets
+        composite.inverse.targets
 
 
 def test_decompose_point_after_flow(c2):
@@ -547,7 +630,7 @@ def test_invert_map_peels_body_and_theta_linear_part(c2, monkeypatch):
     assert peels == []
     inv = invert_map(stripped)
     # one peel, on the first of two reads
-    assert stripped.inverse_targets == inv.targets
+    assert stripped.inverse.targets == inv.targets
     assert len(peels) == 1 and peels[0] is stripped
     coords = [SuperExpr.symbol(table, n) for n in c2.coordinate_names]
     assert list(stripped.compose(inv).targets) == coords
