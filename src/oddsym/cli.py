@@ -44,14 +44,21 @@ def _structure_arg(manifest, entry):
     return manifest.named("structures", name)
 
 
+def _same_chart(chart, other, what, where):
+    """Refuse the manifest object ``what``, on ``other``, unless that is
+    ``chart``, the chart that ``where`` names."""
+    if other != chart:
+        raise ManifestError(f"{what} is not on {where}")
+
+
 def cmd_bracket(manifest, entry):
     chart = manifest.named("charts", entry["chart"])
     f = manifest.parse(chart, entry["f"])
     g = manifest.parse(chart, entry["g"])
     omega = _structure_arg(manifest, entry)
-    if omega is not None and omega.chart != chart:
-        raise ManifestError(f"structure {entry['structure']!r} is not on "
-                            f"chart {entry['chart']!r}")
+    if omega is not None:
+        _same_chart(chart, omega.chart, f"structure {entry['structure']!r}",
+                    f"chart {entry['chart']!r}")
     out = bracket(f, g, chart, omega)
     return [("bracket", render_expr(out))], None
 
@@ -134,6 +141,8 @@ def cmd_tau_sharp_inv(manifest, entry):
 def cmd_shift(manifest, entry):
     a = manifest.named("forms", entry["form"])
     s = manifest.named("semidensities", entry["semidensity"])
+    _same_chart(s.chart, a.chart, f"form {entry['form']!r}",
+                f"the chart of semidensity {entry['semidensity']!r}")
     out = one_form_shift(a, s)
     return [("coefficient", render_expr(out.coefficient))], None
 
@@ -141,6 +150,8 @@ def cmd_shift(manifest, entry):
 def cmd_star(manifest, entry):
     w1 = manifest.named("forms", entry["w1"])
     w2 = manifest.named("forms", entry["w2"])
+    _same_chart(w1.chart, w2.chart, f"form {entry['w2']!r}",
+                f"the chart of form {entry['w1']!r}")
     return [("form", render_form(star(w1, w2)))], None
 
 
@@ -154,6 +165,8 @@ def cmd_pullback_surface(manifest, entry):
 def cmd_dual_density(manifest, entry):
     dv = manifest.named("volume_forms", entry["volume"])
     surface = manifest.named("surfaces", entry["surface"])
+    _same_chart(dv.chart, surface.chart, f"surface {entry['surface']!r}",
+                f"the chart of volume form {entry['volume']!r}")
     f = manifest.parse(dv.chart, entry["f"])
     phi = manifest.parse(dv.chart, entry["phi"])
     out = dual_density(f, phi, dv, surface)
@@ -163,6 +176,8 @@ def cmd_dual_density(manifest, entry):
 def cmd_densities_p(manifest, entry):
     dv = manifest.named("volume_forms", entry["volume"])
     surface = manifest.named("surfaces", entry["surface"])
+    _same_chart(dv.chart, surface.chart, f"surface {entry['surface']!r}",
+                f"the chart of volume form {entry['volume']!r}")
     p0, p1 = densities_P(dv, surface)
     return [("P0", render_expr(p0)), ("P1", render_expr(p1))], None
 

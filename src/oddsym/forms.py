@@ -9,8 +9,13 @@ sides are tied together by
     tau_sharp form         ->  semidensity   (Berezin transform against
                                               exp(theta_i xi^i))
 
-and every operation here is calibrated so the low-dimensional mapping
-table comes out exactly: for n = 2,
+The kernel exp(+-theta_i xi^i) is the product of the even factors
+1 +- theta_i xi^i, the i-th holding the only xi^i and theta_i, so both
+directions integrate one slot at a time: multiply by the slot's factor,
+then take the right derivative by its xi^i (``tau_sharp``, xi^1 first)
+or its theta_i (``tau_sharp_inverse``, theta_n first, against
+exp(-theta_i xi^i)).  Every operation here is calibrated so the
+low-dimensional mapping table comes out exactly: for n = 2,
 
     f(x)            ->  f th1*th2
     w1 dx1 + w2 dx2 ->  w1 th2 - w2 th1
@@ -19,12 +24,11 @@ table comes out exactly: for n = 2,
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grammar import join_signed, render_expr
+from .grammar import join_signed, render_expr, render_product
 from .scalars import ScalarError
 from .superexpr import (ParityError, SuperExpr, nilpotent_series, sum_of,
                         sum_of_products)
@@ -57,10 +61,6 @@ class DifferentialForm:
                 if table.frame_degree(key) == k}
         return DifferentialForm(SuperExpr(table, kept), self.chart)
 
-    def xi_degree(self):
-        return max(map(self.chart.table.frame_degree, self.expr.terms),
-                   default=0)
-
 
 def chart_frames(chart: Chart):
     """Frame odd names paired slot-by-slot with the chart coordinates."""
@@ -77,66 +77,48 @@ def schouten(t1: MultivectorField, t2: MultivectorField) -> MultivectorField:
     return MultivectorField(out, t1.chart)
 
 
-# One entry: a caller's tau_sharp calls on one chart come in a row (in
-# verify, 377 calls on 11 charts, each chart's calls together).
-@functools.lru_cache(maxsize=1)
-def _exp_kernel(chart):
-    """prod_i (1 + th_i xi_i) over the chart; SuperExpr is immutable, so
-    callers share the cached one."""
+def _slots(chart: Chart):
+    """(theta_i, xi^i, theta_i xi^i) for each slot i of the chart."""
     table = chart.table
-    out = SuperExpr.one(table)
-    for th, xi in zip(chart.thetas, chart_frames(chart)):
-        out = out * (SuperExpr.one(table)
-                     + SuperExpr.symbol(table, th)
-                     * SuperExpr.symbol(table, xi))
-    return out
+    return [(th, xi, SuperExpr.symbol(table, th) * SuperExpr.symbol(table, xi))
+            for th, xi in zip(chart.thetas, chart_frames(chart))]
 
 
 def tau_sharp(w: DifferentialForm) -> Semidensity:
     """Berezin transform of the form against exp(theta_i xi^i).
 
-    The xi integration runs in reversed coordinate order, which is the
-    one normalization making the n = 2 table exact.
+    The xi^1-first order is the one normalization making the n = 2 table
+    exact.
     """
-    chart = w.chart
-    frames = chart_frames(chart)
-    integrand = w.expr * _exp_kernel(chart)
-    coeff = integrand.berezin_integral(list(reversed(frames)))
-    return Semidensity(coeff, chart)
+    out = w.expr
+    for _, xi, pair in _slots(w.chart):
+        out = (out + out * pair).right_diff(xi)
+    return Semidensity(out, w.chart)
 
 
 def basis_sign(slots):
     """The sign s with tau_sharp(xi_T) = s theta_{T complement}, for the
     increasing frame slots T counted from 0: (-1)^(sum(i + 1) + |T|),
-    which is (-1)^(sum of the slots)."""
+    which is (-1)^(sum of the slots).  The transform never reads it: it
+    is the table grid's independent statement of the table."""
     return -1 if sum(slots) % 2 else 1
 
 
 def tau_sharp_inverse(s: Semidensity) -> DifferentialForm:
-    """Recover the form with tau_sharp(w) = s on a full Darboux chart."""
+    """Recover the form with tau_sharp(w) = s: the Berezin transform of
+    s against exp(-theta_i xi^i) over the chart's thetas, theta_n first."""
     chart = s.chart
     table = chart.table
-    frames = chart_frames(chart)
-    slot_of = {table.odd_index(th): k for k, th in enumerate(chart.thetas)}
-    raw = []
-    for key, c in s.coefficient.terms.items():
+    inside = {table.odd_index(th) for th in chart.thetas}
+    for key in s.coefficient.terms:
         if table.frame_degree(key):
             raise ValueError("semidensity coefficient carries frame odds")
-        theta_part = key[:table.theta_degree(key)]
-        aux_part = key[len(theta_part):]
-        try:
-            slots = {slot_of[i] for i in theta_part}
-        except KeyError:
-            raise ValueError("coefficient uses odds outside the chart") \
-                from None
-        xi_slots = [i for i in range(chart.n) if i not in slots]
-        sign = basis_sign(xi_slots)
-        if (len(slots) * len(aux_part)) % 2:
-            sign = -sign
-        names = [table.odd_name(i) for i in aux_part] + \
-            [frames[i] for i in xi_slots]
-        raw.append((c if sign > 0 else -c, names))
-    w = DifferentialForm(SuperExpr.from_raw_terms(table, raw), chart)
+        if not inside.issuperset(key[:table.theta_degree(key)]):
+            raise ValueError("coefficient uses odds outside the chart")
+    out = s.coefficient
+    for th, _, pair in reversed(_slots(chart)):
+        out = (out - out * pair).right_diff(th)
+    w = DifferentialForm(out, chart)
     if tau_sharp(w).coefficient != s.coefficient:
         raise AssertionError("inverse transform failed to round-trip")
     return w
@@ -175,12 +157,11 @@ def poincare_homotopy(w: DifferentialForm) -> DifferentialForm:
 
 
 def _one_form_components(a: DifferentialForm):
-    chart = a.chart
-    if a.xi_degree() > 1 or a.degree_part(0).expr:
+    table = a.chart.table
+    if any(table.frame_degree(key) != 1 for key in a.expr.terms):
         raise ValueError("shift needs a pure one-form")
-    frames = chart_frames(chart)
     comps = []
-    for xi in frames:
+    for xi in chart_frames(a.chart):
         # coefficients sit to the left of xi, so strip from the right
         comp = a.expr.right_diff(xi)
         if not comp.is_odd():
@@ -228,13 +209,10 @@ def divergence(field: MultivectorField, w: DifferentialForm) -> SuperExpr:
     """(1/rho) d_i (rho X^i) for a vector field against a top form."""
     chart = w.chart
     table = chart.table
-    top = w.degree_part(chart.n)
-    if top.expr != w.expr:
+    if any(table.frame_degree(key) != chart.n for key in w.expr.terms):
         raise ValueError("weight comes from a pure top-degree form")
-    frames = chart_frames(chart)
-    rho = w.expr
-    for xi in reversed(frames):
-        rho = rho.diff(xi)
+    # rho up to a sign, which (1/rho) d_i (rho X^i) does not see
+    rho = w.expr.berezin_integral(chart_frames(chart))
     if rho.body().is_zero:
         raise ScalarError("degenerate top form")
     rho_inv = rho.invert_even()
@@ -257,18 +235,13 @@ def render_form(w: DifferentialForm) -> str:
         coeff = w.expr.terms[key]
         frame_part = [i for i in key if i in slot_by_index]
         rest = tuple(i for i in key if i not in slot_by_index)
+        # the key holds the frame odds before the aux odds; the text
+        # puts the aux odds in the lead, in front of the wedge
+        if len(frame_part) * len(rest) % 2:
+            coeff = -coeff
         wedge = "^".join(f"d{chart.xs[slot_by_index[i]]}"
                          for i in frame_part)
-        lead = SuperExpr(table, {rest: coeff})
-        text = render_expr(lead)
-        if wedge:
-            if text == "1":
-                text = wedge
-            elif text == "-1":
-                text = "-" + wedge
-            else:
-                if " + " in text or " - " in text:
-                    text = f"({text})"
-                text = f"{text}*{wedge}"
-        pieces.append(text)
+        lead = render_expr(SuperExpr(table, {rest: coeff}))
+        pieces.append(render_product(
+            lead, " + " not in lead and " - " not in lead, wedge))
     return join_signed(pieces)

@@ -402,22 +402,26 @@ def render_scalar(scalar):
     return f"{num}/{den}", True
 
 
+def render_product(text, product_safe, factor):
+    """Rendered coefficient times a rendered monomial ``factor``: the
+    factor alone for 1, negated for -1, else ``text*factor`` with the
+    coefficient parenthesized unless ``product_safe``."""
+    if not factor:
+        return text
+    if text == "1":
+        return factor
+    if text == "-1":
+        return "-" + factor
+    if not product_safe:
+        text = f"({text})"
+    return f"{text}*{factor}"
+
+
 def render_expr(expr):
     """Deterministic canonical-order rendering of a SuperExpr."""
     table = expr.table
     out = []
     for key in sorted(expr.terms, key=lambda k: (len(k), k)):
-        coeff = expr.terms[key]
         odd = "*".join(table.odd_name(i) for i in key)
-        text, product_safe = render_scalar(coeff)
-        if odd:
-            if text == "1":
-                text = odd
-            elif text == "-1":
-                text = "-" + odd
-            else:
-                if not product_safe:
-                    text = f"({text})"
-                text = f"{text}*{odd}"
-        out.append(text)
+        out.append(render_product(*render_scalar(expr.terms[key]), odd))
     return join_signed(out)

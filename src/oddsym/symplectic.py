@@ -285,7 +285,8 @@ class SuperMap:
     targets peeled off the map's; ``pullback``, the ``Pullback`` of the
     map's bindings; and ``ber_root``, its ``ber_sqrt``.  Every pull-back
     along an inverse is its ``inverse.pullback``.  The inverse keeps no
-    reference back to the map, and has no recipe of its own.
+    reference back to the map and has no recipe of its own; its
+    ``body_inverse`` is the map's body, so it can be inverted in turn.
     """
 
     def __init__(self, source: Chart, target: Chart, targets,
@@ -316,7 +317,8 @@ class SuperMap:
         route)."""
         return SuperMap(self.target, self.source,
                         self._recipe() if self._recipe
-                        else _peeled_inverse(self))
+                        else _peeled_inverse(self),
+                        body_inverse=self.body_map())
 
     @cached_property
     def pullback(self):

@@ -716,6 +716,28 @@ def test_structure_on_another_chart_exit_two(tmp_path, capsys, other, rows):
     assert err == "error: structure 's' is not on chart 'c'\n"
 
 
+@pytest.mark.parametrize("command, pool, name, message", [
+    ("shift", "semidensities", "shiftable",
+     "form 'one_form' is not on the chart of semidensity 'shiftable'"),
+    ("star", "forms", "w1", "form 'w1' is not on the chart of form 'w4'"),
+    ("dual-density", "surfaces", "C",
+     "surface 'C' is not on the chart of volume form 'squared'"),
+    ("densities-p", "surfaces", "C",
+     "surface 'C' is not on the chart of volume form 'squared'")])
+def test_objects_on_two_charts_named_exit_two(tmp_path, capsys, command,
+                                              pool, name, message):
+    # the object moves to "twin", a second chart with the same definition
+    with open(os.path.join(DATA, "operators.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    entry = doc[pool][name]
+    doc["charts"]["twin"] = doc["charts"][entry["chart"]]
+    entry["chart"] = "twin"
+    path = tmp_path / "two_charts.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, "--manifest", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("text", ["2³", "x1^²", "9" * 5000],
                          ids=["superscript", "superscript-exponent",
                               "5000-digits"])

@@ -58,8 +58,8 @@ def test_flow_rejects_theta_linear():
     c = make_chart(2)
     with pytest.raises(CanonicityError):
         exp_flow(e(c, "x1*th1"), c, 1)
-    with pytest.raises(Exception):
-        exp_flow(e(c, "x1"), c, 1)  # even generator
+    with pytest.raises(ParityError, match="flow generator must be odd"):
+        exp_flow(e(c, "x1"), c, 1)
 
 
 def test_flow_group_law():

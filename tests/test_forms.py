@@ -13,9 +13,11 @@ from oddsym.forms import (DifferentialForm, MultivectorField, basis_sign,
 from oddsym.grammar import parse_expr
 from oddsym.sampling import random_expr, random_scalar
 from oddsym.scalars import Scalar, ScalarError
-from oddsym.superexpr import SuperExpr
+from oddsym.superexpr import ParityError, SuperExpr
+from oddsym.surfaces import AdjustedSurface
 from oddsym.symbols import Chart, standard_table
 from oddsym.symplectic import Semidensity, bracket
+from oddsym.verify import worked_example_chart
 
 
 def make_chart(n, aux=2, extra=()):
@@ -31,7 +33,8 @@ def form(chart, text):
     return DifferentialForm(e(chart, text), chart)
 
 
-def random_form(rng, chart, max_degree=None, coeff_degree=2, aux=False):
+def random_form(rng, chart, max_degree=None, coeff_degree=2, aux=False,
+                rational=False):
     table = chart.table
     frames = chart_frames(chart)
     n = chart.n
@@ -39,7 +42,7 @@ def random_form(rng, chart, max_degree=None, coeff_degree=2, aux=False):
     total = SuperExpr.zero(table)
     for _ in range(rng.randint(1, 4)):
         c = random_scalar(rng, table, coeff_degree, names=chart.xs,
-                          allow_zero=False)
+                          rational=rational, allow_zero=False)
         term = SuperExpr.from_scalar(c)
         for name in rng.sample(list(frames), rng.randint(0, max_degree)):
             term = term * SuperExpr.symbol(table, name)
@@ -109,8 +112,59 @@ def test_tau_sharp_inverse_round_trip():
         assert tau_sharp(tau_sharp_inverse(s)).coefficient == coeff
 
 
+def induced_chart():
+    """The worked example's chart with the pair (x1, th1) cut out: its
+    thetas th0, th2 are a subset of its table's."""
+    chart, _ = worked_example_chart()
+    return AdjustedSurface(chart, "x1", "th1").induced_chart()
+
+
+def kernel(chart, sign):
+    """exp(sign theta_i xi^i) as the product of its 2^n terms."""
+    table = chart.table
+    out = SuperExpr.one(table)
+    for th, xi in zip(chart.thetas, chart_frames(chart)):
+        out = out * (SuperExpr.one(table) + sign * SuperExpr.symbol(table, th)
+                     * SuperExpr.symbol(table, xi))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "induced"])
+def test_tau_sharp_both_ways_match_the_kernel_product(n):
+    # oracle: one Berezin integral against the whole kernel, forward over
+    # the reversed frames, inverse over the thetas
+    chart = induced_chart() if n == "induced" else make_chart(n)
+    table = chart.table
+    frames = list(chart_frames(chart))
+    outside = {th: SuperExpr.zero(table) for th in table.coordinate_odds
+               if th not in chart.thetas}
+    forward, backward = kernel(chart, 1), kernel(chart, -1)
+    rng = random.Random(67)
+    for _ in range(8):
+        w = random_form(rng, chart, aux=True, rational=True)
+        assert tau_sharp(w).coefficient == \
+            (w.expr * forward).berezin_integral(reversed(frames))
+        coeff = random_expr(rng, table, theta_degree=chart.n, aux=True,
+                            rational=True, even_names=chart.xs)
+        coeff = coeff.substitute(outside)
+        assert tau_sharp_inverse(Semidensity(coeff, chart)).expr == \
+            (coeff * backward).berezin_integral(chart.thetas)
+
+
+def test_tau_sharp_inverse_input_checks():
+    c = make_chart(2)
+    with pytest.raises(ValueError,
+                       match="semidensity coefficient carries frame odds"):
+        tau_sharp_inverse(Semidensity(e(c, "th1*xi1"), c))
+    ind = induced_chart()
+    with pytest.raises(ValueError,
+                       match="coefficient uses odds outside the chart"):
+        tau_sharp_inverse(Semidensity(e(ind, "th0*th1"), ind))
+
+
 def test_tau_sharp_inverse_transforms_once(monkeypatch):
-    # the signs come from basis_sign; the one transform is the round trip
+    # the inverse is its own integral; the one forward transform is the
+    # round-trip check
     c = make_chart(3)
     calls = []
 
@@ -280,6 +334,17 @@ def test_one_form_shift_routes_agree():
             one_form_shift_series(a, w).expr
 
 
+def test_one_form_shift_input_checks():
+    c = make_chart(2)
+    s = Semidensity(e(c, "th1*th2"), c)
+    for impure in ("b1*xi1*xi2", "b1 + b2*xi1"):
+        with pytest.raises(ValueError, match="shift needs a pure one-form"):
+            one_form_shift(form(c, impure), s)
+    with pytest.raises(ParityError,
+                       match="shift one-form must be odd-valued"):
+        one_form_shift(form(c, "x1*xi1"), s)
+
+
 def test_one_form_shift_group_action():
     c = make_chart(2)
     s = Semidensity(e(c, "x1*th1*th2 + th1"), c)
@@ -298,7 +363,8 @@ def test_star_examples():
     assert out.expr == e(c1, "2*xi1")
     w = form(c1, "xi1 + 3")
     assert star(w, w).expr == w.expr
-    with pytest.raises(Exception):
+    with pytest.raises(ScalarError,
+                       match="both top components must be nonzero"):
         star(form(c1, "1"), form(c1, "xi1"))
 
 
@@ -327,6 +393,16 @@ def test_divergence_routes():
         assert delta_vol(fexpr, dv) == div
 
 
+def test_divergence_input_checks():
+    c = make_chart(2)
+    field = MultivectorField(e(c, "x1*th1"), c)
+    with pytest.raises(ValueError,
+                       match="weight comes from a pure top-degree form"):
+        divergence(field, form(c, "xi1*xi2 + xi1"))
+    with pytest.raises(ScalarError, match="degenerate top form"):
+        divergence(field, form(c, "b1*b2*xi1*xi2"))
+
+
 def test_lagrangian_top_form():
     c = make_chart(3)
     s = Semidensity(SuperExpr.one(c.table), c)
@@ -342,3 +418,12 @@ def test_render_form():
     c = make_chart(2, extra=("c1",))
     w = form(c, "-xi1*xi2 + c1*xi1 + 3")
     assert render_form(w) == "3 + c1*dx1 - dx1^dx2"
+    # a lead with a sum in it is parenthesized, even one that render_expr
+    # already wrote as a product; a lead of -1 leaves a bare minus; an odd
+    # lead moves in front of an odd wedge with its sign
+    w = form(c, "(x1 + 1)*xi1 + (x1 + 1)*b1*xi2 - xi1*xi2")
+    assert render_form(w) == \
+        "(x1 + 1)*dx1 - dx1^dx2 + ((x1 + 1)*b1)*dx2"
+    assert render_form(form(c, "b1*b2*xi1 + b1*xi1*xi2")) == \
+        "b1*dx1^dx2 + b1*b2*dx1"
+    assert render_form(form(c, "-xi2")) == "-dx2"

@@ -195,7 +195,7 @@ def test_substitute_rational_composition(tab):
 
 
 def test_substitute_parity_mismatch(tab):
-    with pytest.raises(Exception):
+    with pytest.raises(ParityError, match="bound to odd value"):
         e(tab, "x1").substitute({"x1": e(tab, "th1")})
 
 
@@ -240,7 +240,8 @@ def test_invert_even_roundtrip_random(tab):
 def test_invert_even_errors(tab):
     with pytest.raises(ScalarError):
         e(tab, "th1*th2").invert_even()
-    with pytest.raises(Exception):
+    with pytest.raises(ParityError,
+                       match="inverse needs a purely even argument"):
         e(tab, "th1").invert_even()
 
 
@@ -276,7 +277,7 @@ def test_parity(tab):
 
 
 def test_unknown_symbol_rejected(tab):
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError, match="unknown symbol"):
         parse_expr("q7", tab)
     with pytest.raises(SymbolError):
         SuperExpr.symbol(tab, "nope")

@@ -500,6 +500,15 @@ def test_map_with_read_inverse_is_freed_without_gc(c2):
         gc.enable()
 
 
+@pytest.mark.parametrize("make", [random_point_map, random_canonical_map])
+def test_inverse_of_inverse_has_the_map_targets(c2, make):
+    # the inverse carries the map's body as its body inverse, so it can
+    # be inverted again by peeling
+    for seed in range(20):
+        fmap = make(random.Random(seed), c2)
+        assert fmap.inverse.inverse.targets == fmap.targets
+
+
 def test_composites_share_one_inverse_pullback(c2, monkeypatch):
     # s o m_1, ..., s o m_k: every composite's inverse pulls back along
     # s's inverse through its one kept Pullback
