@@ -89,6 +89,7 @@ class Manifest:
         self.volume_forms = self._pool("volume_forms", self._build_volume)
         self.semidensities = self._pool("semidensities",
                                         self._build_semidensity)
+        self._standard_charts = {}  # n -> the chart of forms declared by n
         self.forms = self._pool("forms", self._build_form)
         self.surfaces = self._pool("surfaces", self._build_surface)
 
@@ -163,7 +164,10 @@ class Manifest:
             chart = self.named("charts", entry["chart"])
         else:
             _expect("n" in entry, "form manifest needs 'chart' or 'n'")
-            chart = _build_chart({"n": entry["n"]})
+            n = entry["n"]
+            chart = self._standard_charts.get(n) if type(n) is int else None
+            if chart is None:
+                chart = self._standard_charts[n] = _build_chart({"n": n})
         _expect(len(chart.table.frame_odds) >= chart.n,
                 "form chart lacks frame symbols xi1..xin")
         return DifferentialForm(self.parse(chart, entry.get("expr", "")),

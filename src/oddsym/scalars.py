@@ -25,24 +25,28 @@ The arithmetic takes one of two paths, chosen by the operands alone:
   and a gcd with a constant side takes only integers.
 
 The dicts are multiplied here, through the ring's generated
-``monomial_mul``; sympy sees them, as ``PolyElement``s, only in the gcds
-below and in ``sqrt``.  Most products in the identities have a constant
-side, and a polynomial-first product with one multiplies no polynomials:
-by 1 it returns the other operand, by any other c the other numerator
-scaled by c over the product of the two integer denominators.
-Polynomials are shared between Scalars, so nothing may change one.
+``monomial_mul``; sympy sees them, as ``PolyElement``s, only in ``sqrt``.
+Most products in the identities have a constant side, and a
+polynomial-first product with one multiplies no polynomials: by 1 it
+returns the other operand, by any other c the other numerator scaled by c
+over the product of the two integer denominators.  Polynomials are shared
+between Scalars, so nothing may change one.
 
-A gcd of two nonconstant polynomials p and q is routed by V, the set of
-generators that occur in both.  Any common divisor lies in Z[V], and a
-polynomial in Z[V] divides p exactly when it divides every coefficient of
-p read as a polynomial in the other generators (coefficients in Z[V]).
-So when V is empty the gcd is the integer gcd of all coefficients of p and
-q; when V = {x_i} it is the gcd of those coefficients in Z[x_i], one
-chain of dense univariate gcds (``dup_gcd``) that falls back to the
-integer gcd as soon as it reaches degree 0, or, when p and q have one
-coefficient each, one ``dup_inner_gcd`` that also gives both cofactors;
-only when V has two or more generators does it take sympy's multivariate
-``PolyElement.cofactors`` (heuristic gcd; Char, Geddes and Gonnet 1989).
+The gcds of the field path are oddsym's own, on the dicts.  Cheap lanes
+come first: a constant side takes the integer gcd of its value and the
+other side's coefficients; equal sides need no gcd; a one-term side c x^m
+gives gcd(c, content of q) times x to the componentwise least exponents;
+and sides with no generator in common share only their integer content.
+Every other pair, its common integer content taken out, goes to the
+heuristic gcd (Char, Geddes and Gonnet 1989): one shared generator x_i
+is set to an integer xi at least 2 min(|p|, |q|) + 2 (|.| the largest
+coefficient), the gcd of the two images is taken the same way in the
+other generators (an integer gcd at the bottom), and the primitive part
+of the candidate read back from its symmetric base-xi digits is the gcd
+when it divides both sides: the bound on xi makes that so.  That exact
+division gives the two cofactors too.  When six growing points give no
+such candidate, a primitive PRS takes the gcd instead, so a gcd is never
+refused.  Every lane gives the gcd the sign sympy's ``cofactors`` gives.
 
 Both paths give the quotient ``FracField`` itself would give; the
 property tests compare them.
@@ -51,11 +55,11 @@ property tests compare them.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.fields import FracElement
 
 
@@ -65,6 +69,10 @@ class ScalarError(ArithmeticError):
 
 # Scalar.from_int keeps the constants in this range, per symbol table.
 _CACHED_INTS = range(-16, 17)
+
+# Evaluation points the heuristic gcd tries before it falls back to the
+# primitive PRS.
+_HEURISTIC_TRIES = 6
 
 
 class Scalar:
@@ -480,13 +488,11 @@ def _reciprocal(f):
 
 
 def _gcd(ring, p, q):
-    """(h, p/h, q/h) for h a gcd of the nonzero polynomial dicts p and q.
+    """(h, p/h, q/h) for h the gcd of the nonzero polynomial dicts p and q,
+    its sign fixed by ``_gcd_lead``.
 
-    When either side is a constant, h is the integer gcd of its value and
-    the other side's coefficients; equal sides need no gcd at all.
-    Otherwise the generators that occur in both sides choose the route
-    (see the module docstring): none, an integer content; one, a dense
-    univariate gcd chain; two or more, ``PolyElement.cofactors``.
+    A constant side takes only integers; equal sides need no gcd at all;
+    every other pair goes to ``_poly_gcd``.
     """
     zero = ring.zero_monom
     one = {zero: 1}
@@ -494,19 +500,11 @@ def _gcd(ring, p, q):
     if c is None:
         c = _ground(q, zero)
         if c is None:
-            if p == q:
-                return p, one, one
-            shared = _support(p) & _support(q)
-            if len(shared) > 1:
-                new = ring.dtype
-                return tuple(map(_plain, new(p).cofactors(new(q))))
-            if shared:
-                out = _univariate_gcd(ring, p, q, shared.pop())
-                if out is not None:
-                    return out
-            h = math.gcd(*p.values(), *q.values())
-        else:
-            h = math.gcd(c, *p.values())
+            h, a, b = (p, one, one) if p == q else _poly_gcd(ring, p, q)
+            if h[_gcd_lead(ring, h, p, q)] < 0:
+                return _scaled(h, -1), _scaled(a, -1), _scaled(b, -1)
+            return h, a, b
+        h = math.gcd(c, *p.values())
     else:
         h = math.gcd(c, *q.values())
     if h == 1:
@@ -514,65 +512,243 @@ def _gcd(ring, p, q):
     return {zero: h}, _quotient(p, h), _quotient(q, h)
 
 
+def _gcd_lead(ring, h, p, q):
+    """The monomial of the gcd h of p and q whose coefficient ``_gcd``
+    makes positive: h's leading one in graded-lex order once each
+    generator's exponents are divided by their gcd over p and q.
+
+    That is the sign sympy's ``PolyElement.cofactors`` gives, the oracle
+    of the property tests: it takes the gcd of p and q written in x_j^s_j,
+    s_j that exponent gcd, and makes its leading coefficient positive.
+    """
+    if len(h) == 1:
+        return next(iter(h))
+    steps = [math.gcd(*exps) or 1 for exps in zip(*p, *q)]
+    return max(h, key=lambda m: ring.order(tuple(map(operator.floordiv, m,
+                                                      steps))))
+
+
+def _poly_gcd(ring, p, q):
+    """(h, p/h, q/h) for h a gcd of the nonzero polynomial dicts p and q,
+    of either sign.
+
+    A one-term side takes a monomial gcd; sides with no generator in
+    common share only their integer content.  Otherwise the common content
+    is taken out and the heuristic gcd runs, or the primitive PRS when the
+    heuristic gives up.
+    """
+    if len(p) == 1:
+        return _monomial_gcd(p, q)
+    if len(q) == 1:
+        h, q, p = _monomial_gcd(q, p)
+        return h, p, q
+    g = math.gcd(*p.values(), *q.values())
+    if g != 1:
+        p, q = _quotient(p, g), _quotient(q, g)
+    shared = _support(p) & _support(q)
+    if not shared:
+        return {ring.zero_monom: g}, p, q
+    h, p, q = (_heuristic_gcd(ring, p, q, min(shared))
+               or _prs_gcd(ring, p, q))
+    return _scaled(h, g), p, q
+
+
+def _monomial_gcd(p, q):
+    """_poly_gcd for a one-term p = c x^m: h = gcd(c, content of q) x^e,
+    e the componentwise least exponents of m and q's monomials."""
+    (m, c), = p.items()
+    g = math.gcd(c, *q.values())
+    low = tuple(map(min, m, *q)) if any(m) else m
+    return {low: g}, {_lowered(m, low): c // g}, \
+        {_lowered(n, low): d // g for n, d in q.items()}
+
+
+def _lowered(m, low):
+    """The monomial m / low, for low dividing m."""
+    return tuple(map(operator.sub, m, low))
+
+
 def _support(poly):
     """The indices of the generators that occur in poly."""
     return {i for i, exps in enumerate(zip(*poly)) if any(exps)}
 
 
-def _univariate_gcd(ring, p, q, i):
-    """(h, p/h, q/h) for h = gcd(p, q) when x_i is the only generator that
-    occurs in both and h has positive degree in x_i; None when the gcd is
-    an integer.
+def _heuristic_gcd(ring, p, q, i):
+    """(h, p/h, q/h) for h the gcd of p and q, whose integer contents are
+    coprime and in which x_i occurs, or None when the heuristic gives up.
 
-    Read p and q as polynomials in the other generators; their
-    coefficients lie in Z[x_i], and h is the gcd of all of them, folded
-    from the lowest degree up.  Once the running gcd is a constant, h is
-    the integer gcd of all the coefficients of p and q, which the caller
-    takes.  When p = a M and q = b N have one coefficient each (M and N
-    monomials in the other generators), one ``dup_inner_gcd`` gives h
-    together with a/h and b/h.
+    Heuristic gcd (Char, Geddes and Gonnet 1989): with x_i set to an
+    integer xi, the gcd of the two images, taken by ``_poly_gcd`` in the
+    other generators, is read back as a polynomial in x_i from its
+    symmetric base-xi digits.  For xi >= 2 min(|p|, |q|) + 2 (|.| the
+    largest coefficient) its primitive part is the gcd when it divides
+    both p and q; otherwise xi grows and the next point is tried.  The
+    first xi is 27 past that bound, as in sympy's ``heugcd``, so that an
+    integer factor the images share by chance is rare.
     """
-    cp, cq = _coefficients_in(p, i), _coefficients_in(q, i)
-    rest = ring.zero_monom[1:]
-    if len(cp) == len(cq) == 1:
-        (m, a), = cp.items()
-        (n, b), = cq.items()
-        h, a, b = dup_inner_gcd(a, b, ZZ)
-        if len(h) == 1:
-            return None
-        return (_from_dense(i, h, rest), _from_dense(i, a, m),
-                _from_dense(i, b, n))
-    chain = sorted([*cp.values(), *cq.values()], key=len)
-    g = chain[0]
-    for f in chain[1:]:
-        if len(g) == 1:
-            break
-        g = dup_gcd(g, f, ZZ)
-    if len(g) == 1:
+    xi = 2 * min(max(map(abs, p.values())), max(map(abs, q.values()))) + 29
+    for _ in range(_HEURISTIC_TRIES):
+        image_p, image_q = _evaluate(p, i, xi), _evaluate(q, i, xi)
+        if image_p and image_q:
+            h = _interpolate(_poly_gcd(ring, image_p, image_q)[0], i, xi)
+            content = math.gcd(*h.values())
+            if content != 1:
+                h = _quotient(h, content)
+            a = _exact_quotient(p, h)
+            if a is not None:
+                b = _exact_quotient(q, h)
+                if b is not None:
+                    return h, a, b
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011  # as heugcd
+    return None
+
+
+def _evaluate(poly, i, xi):
+    """poly with x_i set to the integer xi."""
+    out = {}
+    get = out.get
+    for mono, c in poly.items():
+        e = mono[i]
+        if e:
+            mono = mono[:i] + (0,) + mono[i + 1:]
+            c *= xi ** e
+        out[mono] = get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _interpolate(image, i, xi):
+    """The polynomial whose coefficient of x_i^k is the k-th symmetric
+    base-xi digit of ``image``, a polynomial free of x_i."""
+    out = {}
+    half = xi // 2
+    k = 0
+    while image:
+        rest = {}
+        for mono, c in image.items():
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[mono[:i] + (k,) + mono[i + 1:]] = digit
+            c = (c - digit) // xi
+            if c:
+                rest[mono] = c
+        image = rest
+        k += 1
+    return out
+
+
+def _exact_quotient(p, h):
+    """p / h for nonzero polynomial dicts, when h divides p; else None.
+
+    Long division by leading terms in lex order: each step removes the
+    leading term of the remainder.  An exact quotient has, in each
+    generator, the degree of p less that of h, so a quotient term past
+    that, or a coefficient that does not divide, ends the division.
+    """
+    if len(h) == 1:
+        (n, d), = h.items()
+        if d == 1 and not any(n):
+            return p
+        out = {}
+        for m, c in p.items():
+            mono = _lowered(m, n)
+            if c % d or min(mono) < 0:
+                return None
+            out[mono] = c // d
+        return out
+    bound = [a - b for a, b in zip(_degrees(p), _degrees(h))]
+    if min(bound) < 0:
         return None
-    h = _from_dense(i, g, rest)
-    new = ring.dtype
-    return h, _plain(new(p).exquo(new(h))), _plain(new(q).exquo(new(h)))
+    lead = max(h)
+    lc = h[lead]
+    tail = [(n, d) for n, d in h.items() if n != lead]
+    rest = dict(p)
+    out = {}
+    while rest:
+        m = max(rest)
+        mono = _lowered(m, lead)
+        c, r = divmod(rest.pop(m), lc)
+        if r or any(map(operator.gt, mono, bound)) or min(mono) < 0:
+            return None
+        out[mono] = c
+        for n, d in tail:
+            n = tuple(map(operator.add, mono, n))
+            d = rest.get(n, 0) - c * d
+            if d:
+                rest[n] = d
+            else:
+                del rest[n]
+    return out
 
 
-def _coefficients_in(poly, i):
-    """The coefficients of poly read as a polynomial in the generators
-    other than x_i, by their exponents in those generators: dense
-    univariate lists in x_i, leading term first."""
-    groups = {}
-    for mono, coeff in poly.items():
-        groups.setdefault(mono[:i] + mono[i + 1:], {})[mono[i]] = coeff
-    return {rest: [terms.get(e, ZZ.zero) for e in range(max(terms), -1, -1)]
-            for rest, terms in groups.items()}
+def _degrees(poly):
+    """The largest exponent of each generator in poly."""
+    return [max(exps) for exps in zip(*poly)]
 
 
-def _from_dense(i, dense, rest):
-    """The polynomial dict with the coefficient ``dense`` (a dense list in
-    x_i, leading term first) at the monomial ``rest`` in the other
-    generators."""
-    top = len(dense) - 1
-    return {rest[:i] + (top - k,) + rest[i:]: int(c)
-            for k, c in enumerate(dense) if c}
+def _prs_gcd(ring, p, q):
+    """(h, p/h, q/h) for h a gcd of the nonzero polynomial dicts p and q,
+    of either sign, by the primitive PRS in x_i over Z[the other
+    generators], whose gcds ``_poly_gcd`` takes; x_i is a generator both
+    share, of the least degree in one of them, which bounds the length of
+    the sequence.
+
+    gcd(p, q) = gcd(cont p, cont q) gcd(pp p, pp q), the contents in the
+    other generators.  The second factor is the last nonzero member of the
+    sequence of primitive pseudo-remainders, or 1 when a remainder of
+    degree 0 in x_i ends it.
+    """
+    shared = _support(p) & _support(q)
+    if shared:
+        dp, dq = _degrees(p), _degrees(q)
+        i = min(shared, key=lambda j: min(dp[j], dq[j]))
+        cp, a = _content_in(ring, p, i)
+        cq, b = _content_in(ring, q, i)
+        if _degrees(a)[i] < _degrees(b)[i]:
+            a, b = b, a
+        while True:
+            r = _pseudo_remainder(ring, a, b, i)
+            if not r or not _degrees(r)[i]:
+                break
+            a, b = b, _content_in(ring, r, i)[1]
+        h = _poly_gcd(ring, cp, cq)[0]
+        if not r:
+            h = _product(ring, h, b)
+    else:
+        h = {ring.zero_monom: math.gcd(*p.values(), *q.values())}
+    return h, _exact_quotient(p, h), _exact_quotient(q, h)
+
+
+def _content_in(ring, poly, i):
+    """(c, poly / c) for c the gcd of poly's coefficients as a polynomial
+    in x_i."""
+    content, *rest = [_coefficient_in(poly, i, e)
+                      for e in {mono[i] for mono in poly}]
+    for coefficient in rest:
+        content = _poly_gcd(ring, content, coefficient)[0]
+    return content, _exact_quotient(poly, content)
+
+
+def _pseudo_remainder(ring, a, b, i):
+    """A multiple of a by a power of b's leading coefficient in x_i, less
+    a multiple of b, of degree in x_i below b's."""
+    d = _degrees(b)[i]
+    lc = _coefficient_in(b, i, d)
+    while a:
+        e = _degrees(a)[i]
+        if e < d:
+            break
+        shift = ring.zero_monom[:i] + (e - d,) + ring.zero_monom[i + 1:]
+        top = _product(ring, _coefficient_in(a, i, e), {shift: 1})
+        a = _sum(_product(ring, lc, a), _product(ring, top, b), True)
+    return a
+
+
+def _coefficient_in(poly, i, e):
+    """The coefficient of x_i^e in poly, a polynomial free of x_i."""
+    return {mono[:i] + (0,) + mono[i + 1:]: c
+            for mono, c in poly.items() if mono[i] == e}
 
 
 def _canonical(table, num, den):

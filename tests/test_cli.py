@@ -16,8 +16,11 @@ from oddsym.manifests import load_manifest
 from oddsym.superexpr import SuperExpr
 from oddsym.symplectic import (OddSymplecticStructure, ResidualReport,
                                SuperMap)
+from test_properties import refuse_sympy_gcds
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "expected.json")
 
 
 def run_cli(argv, capsys):
@@ -411,6 +414,22 @@ def test_unknown_reference_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_forms_declared_by_n_share_a_chart(tmp_path, capsys):
+    # two forms declared with the same "n" are on one standard chart, the
+    # same as when both name an explicit chart
+    forms = {"a": {"n": 1, "expr": "4*xi1"}, "b": {"n": 1, "expr": "xi1"}}
+    named = {"charts": {"c": {"n": 1}},
+             "forms": {name: {"chart": "c", "expr": form["expr"]}
+                       for name, form in forms.items()}}
+    outputs = []
+    for doc in ({"forms": forms}, named):
+        path = tmp_path / "forms.json"
+        path.write_text(json.dumps(dict(doc, star={"w1": "a", "w2": "b"})))
+        outputs.append(run_cli(["star", "--manifest", str(path)], capsys))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
 OPERATOR_OUTPUTS = {
     "delta-vol": "delta_vol: th1*th2\n",
     "delta-sharp": "delta_sharp: th2\n",
@@ -496,18 +515,42 @@ RATIONAL_COMMANDS = ("bracket", "delta0", "delta-vol", "flow", "berezinian",
                      "darboux")
 
 
-@pytest.mark.parametrize("command,manifest,golden", [
+GOLDEN_REQUESTS = [
     ("darboux", "n1_rescale.json", "n1_rescale.golden"),
     ("tau-sharp", "worked_example.json", "worked_example_tau_sharp.golden"),
     ("densities-p", "operators.json", "operators_densities_p.golden"),
 ] + [(command, "rational.json", f"rational_{command}.golden")
-     for command in RATIONAL_COMMANDS])
+     for command in RATIONAL_COMMANDS]
+
+
+def _golden(name):
+    with open(os.path.join(DATA, name), "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("command,manifest,golden", GOLDEN_REQUESTS)
 def test_golden_files(command, manifest, golden, capsys):
     code, out, _ = run_cli(
         [command, "--manifest", os.path.join(DATA, manifest)], capsys)
     assert code == 0
-    with open(os.path.join(DATA, golden), "r", encoding="utf-8") as handle:
-        assert out == handle.read()
+    assert out == _golden(golden)
+
+
+def test_committed_requests_take_no_sympy_gcd(capsys):
+    # the benchmark's committed requests (the outputs it expects, or their
+    # goldens) and every rational.json golden, with each sympy gcd routine
+    # refused: the polynomial gcds are oddsym's own
+    with open(EXPECTED, encoding="utf-8") as fh:
+        requests = [(*request.split(), want)
+                    for request, want in json.load(fh)["cli"].items()]
+    requests += [(command, manifest, _golden(golden))
+                 for command, manifest, golden in GOLDEN_REQUESTS]
+    assert len(requests) == 12 + 3 + len(RATIONAL_COMMANDS)
+    with refuse_sympy_gcds():
+        for command, manifest, want in requests:
+            code, out, _ = run_cli(
+                [command, "--manifest", os.path.join(DATA, manifest)], capsys)
+            assert (code, out) == (0, want), f"{command} {manifest}"
 
 
 def test_verify_json_deterministic(capsys):

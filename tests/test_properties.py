@@ -1,14 +1,17 @@
 """Property-based checks of the core algebra laws."""
 
+import contextlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys import euclidtools, heuristicgcd
 from sympy.polys.domains import ZZ
 from sympy.polys.rings import PolyElement
 
@@ -278,6 +281,21 @@ def plain(poly):
     return {mono: int(c) for mono, c in poly.items()}
 
 
+def refuse_sympy_gcds():
+    """A context in which sympy's polynomial gcd and exact-division
+    routines raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sympy gcd routine ran")
+    stack = contextlib.ExitStack()
+    for owner, name in [(PolyElement, "cofactors"), (PolyElement, "exquo"),
+                        (PolyElement, "gcd"), (euclidtools, "dup_gcd"),
+                        (euclidtools, "dup_inner_gcd"),
+                        (euclidtools, "dmp_inner_gcd"),
+                        (heuristicgcd, "heugcd")]:
+        stack.enter_context(mock.patch.object(owner, name, refuse))
+    return stack
+
+
 def scalar(f, table=TABLE):
     """The Scalar of a FracField element, taken as it is: FracField's own
     lowest terms are the Scalar form, with a constant denominator read as
@@ -404,26 +422,29 @@ def _support(poly):
 def test_field_path_takes_no_whole_product_gcd(pair):
     # FracField reaches lowest terms through PolyElement.cancel on the
     # whole product; the Scalar kernel cancels factor by factor instead,
-    # and only operands sharing two or more generators reach cofactors
+    # with no sympy gcd, and only operands that share a generator and
+    # have two terms or more each reach the heuristic gcd
     def refuse(self, other):
         raise AssertionError("PolyElement.cancel called")
 
-    shared = []
-    cofactors = PolyElement.cofactors
+    calls = []
+    heuristic = scalars._heuristic_gcd
 
-    def count(self, other):
-        shared.append(_support(self) & _support(other))
-        return cofactors(self, other)
+    def count(ring, p, q, i):
+        calls.append((p, q, i))
+        return heuristic(ring, p, q, i)
 
     f = pair[0]
     with mock.patch.object(PolyElement, "cancel", refuse), \
-            mock.patch.object(PolyElement, "cofactors", count):
-        gots = _scalar_ops(*pair)
+            mock.patch.object(scalars, "_heuristic_gcd", count):
+        with refuse_sympy_gcds():
+            gots = _scalar_ops(*pair)
         root = (scalar(f) * scalar(f)).sqrt() if f else None
     _compare(gots, _frac_ops(*pair))
     if f:
         same(root, f if scalar(f).leading_sign() > 0 else -f)
-    assert all(len(generators) >= 2 for generators in shared)
+    assert all(i in _support(p) & _support(q) and len(p) > 1 and len(q) > 1
+               for p, q, i in calls)
 
 
 @given(fracs(), fracs())
@@ -814,7 +835,7 @@ GCD_ROUTES = {"disjoint": 0, "factor": 1, "contents": 1, "many": 2}
 
 @st.composite
 def gcd_pairs(draw):
-    """Nonconstant, unequal (p, q), shaped to reach one route of _gcd:
+    """Nonconstant (p, q), shaped to reach one lane of _gcd:
     no shared generator with a common integer content; one shared
     generator with a forced common factor in it; one shared generator
     with only integer contents, so that a constant step may be reduced
@@ -840,7 +861,7 @@ def gcd_pairs(draw):
         full = polys_in([s, u, w]).filter(having(s, u))
         p = h * draw(full) * draw(contents)
         q = h * draw(full) * draw(contents)
-    assume(not p.is_ground and not q.is_ground and p != q)
+    assume(not p.is_ground and not q.is_ground)
     shared = len(_support(p) & _support(q))
     assert min(shared, 2) == GCD_ROUTES[shape]
     return p, q
@@ -854,6 +875,7 @@ _x1, _x2, _t = GCD_RING.gens
 @example((6 * _x1 * _t + 4, 2 * _x1 ** 2 * _x2 + 2 * _x1 + 3))
 @example((_x1 * _x2 + 1, _x1 ** 2 - _t))
 @example((4 * _x2 ** 2 + 2, 6 * _x1 * _t - 6))
+@example((3 - _x1 * _x2, 3 - _x1 * _x2))  # equal sides, negative lead
 @settings(max_examples=300, deadline=None)
 def test_gcd_routes_match_cofactors(pair):
     p, q = pair
@@ -865,25 +887,112 @@ def test_gcd_routes_match_cofactors(pair):
 
 def test_two_entry_chain_takes_one_gcd_call():
     # p = a(x1) x2 and q = b(x1) t^2: one coefficient each in Z[x1], so
-    # h and both cofactors come from one dup_inner_gcd, with no division
+    # the images at x1 = xi are one-term sides, and h and both cofactors
+    # come from one heuristic gcd, with no sympy routine
     pairs = [(4 * (_x1 + 1) * (_x1 - 2) * _x2, 6 * (_x1 + 1) * (2 * _x1 + 3) * _t ** 2),
              (-(_x1 ** 2 - 1) * _x2 ** 2, (3 * _x1 + 3) * _t),
              ((_x1 + 1) * _x2, (_x1 + 2) * _t)]
-
-    def refuse(*args):
-        raise AssertionError("dup_gcd or exquo called")
-
     calls = []
     for p, q in pairs:
         for a, b in ((p, q), (q, p)):
             want = tuple(map(plain, a.cofactors(b)))
-            with mock.patch.object(scalars, "dup_gcd", refuse), \
-                    mock.patch.object(PolyElement, "exquo", refuse), \
-                    mock.patch.object(scalars, "dup_inner_gcd",
-                                      wraps=scalars.dup_inner_gcd) as inner:
+            with refuse_sympy_gcds(), \
+                    mock.patch.object(scalars, "_heuristic_gcd",
+                                      wraps=scalars._heuristic_gcd) as heu:
                 assert _gcd(GCD_RING, plain(a), plain(b)) == want
-            calls.append(inner.call_count)
+            calls.append(heu.call_count)
     assert calls == [1] * 6
+
+
+def owned_gcd(a, b):
+    """_gcd of two PolyElements of GCD_RING."""
+    return _gcd(GCD_RING, plain(a), plain(b))
+
+
+def prs_gcd(a, b):
+    """The primitive PRS fallback alone, on two PolyElements of GCD_RING,
+    its gcd signed as _gcd signs one."""
+    p, q = plain(a), plain(b)
+    out = scalars._prs_gcd(GCD_RING, p, q)
+    if out[0][scalars._gcd_lead(GCD_RING, out[0], p, q)] < 0:
+        out = tuple(scalars._scaled(poly, -1) for poly in out)
+    return out
+
+
+def assert_gcd_matches_cofactors(p, q, gcd=owned_gcd):
+    """``gcd`` against sympy's cofactors in both argument orders, with
+    every sympy gcd routine refused while it runs, and h (p/h) == p;
+    returns the seconds ``gcd`` took."""
+    seconds = 0
+    for a, b in ((p, q), (q, p)):
+        want = tuple(map(plain, a.cofactors(b)))
+        with refuse_sympy_gcds():
+            start = time.perf_counter()
+            got = gcd(a, b)
+            seconds += time.perf_counter() - start
+        assert got == want
+        assert scalars._product(GCD_RING, got[0], got[1]) == plain(a)
+    return seconds
+
+
+big_contents = st.integers(min_value=1, max_value=10 ** 40)
+
+
+@st.composite
+def owned_gcd_pairs(draw):
+    """(p, q) in all three generators of GCD_RING, of degree up to 6 in
+    each, times contents up to 10^40: a shared factor in two generators,
+    a coprime pair, or a one-term side."""
+    shape = draw(st.sampled_from(["shared", "coprime", "one-term"]))
+    s, u, w = draw(st.permutations(range(3)))
+    factors = polys_in([0, 1, 2], max_degree=3)
+    if shape == "shared":
+        h = draw(polys_in([s, u], max_degree=3).filter(
+            lambda poly: {s, u} <= _support(poly)))
+        p, q = h * draw(factors), h * draw(factors)
+    elif shape == "coprime":
+        p = draw(polys_in([s, u], max_degree=6))
+        q = draw(polys_in([w], max_degree=6)) + draw(polys_in([s, u, w]))
+        assume(p.gcd(q) == 1)
+    else:
+        p = draw(polys_in([0, 1, 2], max_degree=6).map(
+            lambda poly: GCD_RING({poly.LM: poly.LC})))
+        q = draw(polys_in([0, 1, 2], max_degree=6))
+    return p * draw(big_contents), q * draw(big_contents)
+
+
+@given(owned_gcd_pairs())
+@settings(max_examples=200, deadline=None)
+def test_owned_gcd_matches_cofactors(pair):
+    assert_gcd_matches_cofactors(*pair)
+
+
+HOSTILE_PAIRS = {
+    "x1^600-1,x1^400-1": (_x1 ** 600 - 1, _x1 ** 400 - 1),
+    "degree-40-shared": (
+        (_x1 ** 40 - 3 * _x1 ** 17 * _x2 ** 23 + 5 * _x2 ** 40 + 7)
+        * (_x1 * _x2 - 2),
+        (_x1 ** 40 - 3 * _x1 ** 17 * _x2 ** 23 + 5 * _x2 ** 40 + 7)
+        * (_x2 ** 2 + _x1 * _t + 1)),
+    "coprime-30": (_x1 ** 30 + 4 * _x1 ** 11 * _x2 ** 19 - 9,
+                   2 * _x1 ** 29 * _x2 - _x1 + 5),
+    "coprime-30-t": (_x1 ** 30 * _t - 7 * _x2 ** 30 + 1,
+                     _x1 ** 30 + _x2 ** 30 * _t ** 2),
+}
+
+
+@pytest.mark.parametrize("gcd", [owned_gcd, prs_gcd], ids=["gcd", "prs"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_PAIRS))
+def test_owned_gcd_hostile_operands(name, gcd):
+    assert assert_gcd_matches_cofactors(*HOSTILE_PAIRS[name], gcd) < 1
+
+
+@given(st.one_of(gcd_pairs(), owned_gcd_pairs()))
+@settings(max_examples=100, deadline=None)
+def test_prs_fallback_matches_cofactors(pair):
+    # the fallback on its own, as if the heuristic gave up on this pair;
+    # its gcds of coefficients still take the heuristic first
+    assert_gcd_matches_cofactors(*pair, prs_gcd)
 
 
 def test_radial_inverts_euler_plus_k():
