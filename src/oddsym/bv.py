@@ -185,8 +185,9 @@ def chart_change(fmap: SuperMap, fs):
 
         delta0(F*f) - F*(delta0 f) + (1/2) Ber^-1 {Ber, F*f}.
 
-    The map's kept pull-back serves all of fs, and the Berezinian and its
-    inverse are taken once for all of them.
+    The map's kept pull-back takes the fs in one batch and their delta0
+    images in another, and the Berezinian and its inverse are taken once
+    for all of them.
     """
     for f in fs:
         _is_odd("f", f)
@@ -194,13 +195,11 @@ def chart_change(fmap: SuperMap, fs):
     pull = fmap.pullback
     ber = map_berezinian(fmap)
     half_ber_inv = _half(source.table) * ber.invert_even()
-    out = []
-    for f in fs:
-        pulled = pull(f)
-        out.append(delta0(pulled, source)
-                   - pull(delta0(f, fmap.target))
-                   + half_ber_inv * bracket(ber, pulled, source))
-    return out
+    return [delta0(pulled, source) - pulled_delta
+            + half_ber_inv * bracket(ber, pulled, source)
+            for pulled, pulled_delta in zip(
+                pull.many(fs),
+                pull.many([delta0(f, fmap.target) for f in fs]))]
 
 
 def bv_identity_residuals(f, g, dv: VolumeForm, fmap: SuperMap = None):

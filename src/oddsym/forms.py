@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grammar import join_signed, render_expr, render_product
+from .grammar import join_signed, render_product, render_scalar
 from .scalars import ScalarError
 from .superexpr import (ParityError, SuperExpr, nilpotent_series, sum_of,
                         sum_of_products)
@@ -241,7 +241,10 @@ def render_form(w: DifferentialForm) -> str:
             coeff = -coeff
         wedge = "^".join(f"d{chart.xs[slot_by_index[i]]}"
                          for i in frame_part)
-        lead = render_expr(SuperExpr(table, {rest: coeff}))
-        pieces.append(render_product(
-            lead, " + " not in lead and " - " not in lead, wedge))
+        # a lead with odd factors is a product; a bare coefficient is as
+        # safe a factor as render_scalar says
+        text, safe = render_scalar(coeff)
+        lead = render_product(text, safe,
+                              "*".join(table.odd_name(i) for i in rest))
+        pieces.append(render_product(lead, safe or bool(rest), wedge))
     return join_signed(pieces)

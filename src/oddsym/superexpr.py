@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import Scalar, ScalarError, binomial_half, divided_derivative
+from .scalars import (Scalar, ScalarError, _add, _mul, binomial_half,
+                      divided_derivative)
 from .symbols import Parity, SymbolError
 
 
@@ -49,16 +50,19 @@ def _merge_keys(a, b):
 
 def _accumulate(terms, key, value, sign=1):
     """Add sign * value to terms[key], dropping the key when the sum
-    vanishes; a negative sign subtracts value rather than adding -value."""
+    vanishes; a negative sign subtracts value rather than adding -value.
+    Both Scalars are of the terms' table, so the sum is the scalar kernel's
+    own, with no table check."""
     prev = terms.get(key)
     if prev is None:
-        total = value if sign > 0 else -value
-    else:
-        total = prev + value if sign > 0 else prev - value
-    if total.is_zero:
-        terms.pop(key, None)
-    else:
+        if value.numer:
+            terms[key] = value if sign > 0 else -value
+        return
+    total = _add(prev, value, sign < 0)
+    if total.numer:
         terms[key] = total
+    else:
+        del terms[key]
 
 
 class _MergeRow(dict):
@@ -92,7 +96,7 @@ def _add_product(table, terms, left, right):
         for kb, cb in right.items():
             merged = row[kb]
             if merged is not None:
-                _accumulate(terms, merged[1], ca * cb, merged[0])
+                _accumulate(terms, merged[1], _mul(ca, cb), merged[0])
 
 
 def _involves(poly, indices):
@@ -167,6 +171,8 @@ class SuperExpr:
         acc = {}
         for coeff, names in raw_terms:
             if isinstance(coeff, Scalar):
+                if coeff.table is not table:
+                    raise SymbolError("mixed symbol tables")
                 c = coeff
             else:
                 c = Scalar.from_fraction(table, Fraction(coeff))
@@ -542,6 +548,10 @@ class Pullback:
     maps to the image of its numerator times the inverse of the image of
     its denominator, whose body must not vanish.
 
+    ``many(exprs)`` pulls back a batch: the images of equal
+    integer-denominator coefficients are expanded once per batch, and
+    that memo is kept nowhere once the call returns.
+
     The bindings are read and split into bodies and nilpotent parts
     once, here; a bad parity is a ``ParityError`` at construction.  What
     the expansion builds depends on the bindings alone, so it is kept
@@ -620,7 +630,7 @@ class Pullback:
                     _accumulate(out, (), value)
                 else:
                     for key, c in product.terms.items():
-                        _accumulate(out, key, value * c)
+                        _accumulate(out, key, _mul(value, c))
                 return
             walk(pos + 1, p, prefix + (0,), product)
             idx = active[pos]
@@ -643,6 +653,18 @@ class Pullback:
         return out
 
     def __call__(self, expr):
+        return self._pull(expr, {})
+
+    def many(self, exprs):
+        """The pull-backs of a batch of expressions, as a list.  The batch
+        shares one memo of the images of its integer-denominator
+        coefficients, by value; the memo lives for this call alone."""
+        memo = {}
+        return [self._pull(expr, memo) for expr in exprs]
+
+    def _pull(self, expr, memo):
+        """The pull-back of one expression; ``memo`` maps the value of an
+        integer-denominator coefficient to its image."""
         table = self.table
         if expr.table is not table:
             raise SymbolError("mixed symbol tables")
@@ -655,7 +677,11 @@ class Pullback:
             if bound and (_involves(c.numer, bound) or
                           den is None and _involves(c.denom, bound)):
                 if den is not None:
-                    piece = SuperExpr(table, self._shifted(c.numer, den))
+                    value = frozenset(c.numer.items()), den
+                    piece = memo.get(value)
+                    if piece is None:
+                        piece = memo[value] = SuperExpr(
+                            table, self._shifted(c.numer, den))
                 else:
                     denom_key = frozenset(c.denom.items())
                     inv = self.inverse_cache.get(denom_key)

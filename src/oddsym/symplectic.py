@@ -352,9 +352,9 @@ class SuperMap:
         is other's inverse pulled back along self's: each factor's inverse
         is built by its own recipe or peeled off that factor alone, and
         self's inverse keeps its one pull-back for every composite."""
-        targets = [other.pullback(t) for t in self.targets]
-        return SuperMap(other.source, self.target, targets, recipe=lambda: [
-            self.inverse.pullback(t) for t in other.inverse.targets])
+        return SuperMap(other.source, self.target,
+                        other.pullback.many(self.targets), recipe=lambda:
+                        self.inverse.pullback.many(other.inverse.targets))
 
     def body_map(self):
         """Scalar parts of the even targets."""
@@ -520,11 +520,13 @@ class ResidualReport:
 
 def pushforward_matrix(fmap: SuperMap, omega=None):
     """Bracket matrix {F^A, F^B} of the new coordinates F, written in them
-    by pulling back along the map's ``inverse``, taken unchecked
-    (``invert_map`` is the checked route)."""
-    pull = fmap.inverse.pullback
-    return [[pull(entry) for entry in row]
-            for row in bracket_matrix(fmap.targets, fmap.source, omega)]
+    by pulling back along the map's ``inverse`` in one batch, taken
+    unchecked (``invert_map`` is the checked route)."""
+    rows = bracket_matrix(fmap.targets, fmap.source, omega)
+    size = len(rows)
+    entries = fmap.inverse.pullback.many(
+        [entry for row in rows for entry in row])
+    return [entries[i:i + size] for i in range(0, len(entries), size)]
 
 
 def is_canonical(fmap: SuperMap, omega=None):
@@ -634,7 +636,7 @@ def decompose_canonical_map(fmap: SuperMap):
         f_point = SuperMap.identity(chart)
     else:
         f_point = point_map(chart, body, fmap.inverse.body_map())
-    psis = [f_point.inverse.pullback(psi) for psi in psis_raw]
+    psis = f_point.inverse.pullback.many(psis_raw)
     if all(psi.is_zero for psi in psis):
         f_special = SuperMap.identity(chart)
     else:

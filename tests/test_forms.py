@@ -418,12 +418,14 @@ def test_render_form():
     c = make_chart(2, extra=("c1",))
     w = form(c, "-xi1*xi2 + c1*xi1 + 3")
     assert render_form(w) == "3 + c1*dx1 - dx1^dx2"
-    # a lead with a sum in it is parenthesized, even one that render_expr
-    # already wrote as a product; a lead of -1 leaves a bare minus; an odd
-    # lead moves in front of an odd wedge with its sign
+    # a bare coefficient that is a sum is parenthesized, and a lead that
+    # is already a product, or a quotient, is not; a lead of -1 leaves a
+    # bare minus; an odd lead moves in front of an odd wedge with its sign
     w = form(c, "(x1 + 1)*xi1 + (x1 + 1)*b1*xi2 - xi1*xi2")
     assert render_form(w) == \
-        "(x1 + 1)*dx1 - dx1^dx2 + ((x1 + 1)*b1)*dx2"
+        "(x1 + 1)*dx1 - dx1^dx2 + (x1 + 1)*b1*dx2"
+    w = form(c, "1/(x1 + 2)*xi1 - 3/2*b1*xi2")
+    assert render_form(w) == "1/(x1 + 2)*dx1 - 3/2*b1*dx2"
     assert render_form(form(c, "b1*b2*xi1 + b1*xi1*xi2")) == \
         "b1*dx1^dx2 + b1*b2*dx1"
     assert render_form(form(c, "-xi2")) == "-dx2"

@@ -17,13 +17,15 @@ from sympy.polys.rings import PolyElement
 
 from oddsym.bv import delta0
 from oddsym.grammar import _monomial_bound, parse_expr, render_expr
-from oddsym.sampling import pushforward_structure, random_scalar
+from oddsym.sampling import (pushforward_structure, random_canonical_map,
+                             random_expr, random_point_map, random_scalar)
 from oddsym import scalars
 from oddsym.scalars import Scalar, ScalarError, _gcd
 from oddsym.superexpr import (Pullback, SuperExpr, _merge_keys, sum_of,
                               sum_of_products)
-from oddsym.symbols import Chart, SymbolError, standard_table
-from oddsym.symplectic import (OddSymplecticStructure, bracket,
+from oddsym.symbols import (TIME_SYMBOL, Chart, SymbolError, standard_chart,
+                            standard_table)
+from oddsym.symplectic import (OddSymplecticStructure, SuperMap, bracket,
                                bracket_matrix, hamiltonian_field)
 
 TABLE = standard_table(2, aux=1)
@@ -1309,3 +1311,129 @@ def test_bracket_matrix_pushforward_structure(seed, es):
     coords = [SuperExpr.symbol(TABLE, name) for name in CHART.coordinate_names]
     assert bracket_matrix(coords, CHART, omega) == \
         [list(row) for row in omega.matrix]
+
+
+# -- the term kernels: direct coefficient calls, no zero coefficient ----------
+
+
+def _guard_operands():
+    x1 = Scalar.symbol(TABLE, "x1")
+    rational = Scalar.from_int(TABLE, 1) / (x1 * x1 + 2)
+    a = parse_expr("x1*th1 + (x2 - 1)/3*th2 + th1*th2*b1 + x1*x2", TABLE)
+    b = parse_expr("2*th2 - x1*th1*th2 + x2 + 1/2", TABLE)
+    return [(a, b), (a * rational, b), (a, b * rational - a)]
+
+
+def test_term_kernels_call_no_scalar_operator():
+    """Products and sums of SuperExprs reach the coefficient kernels
+    directly: with the Scalar operator methods refused they still give
+    the same results, on polynomial and on rational coefficients."""
+    cases = _guard_operands()
+
+    def results(a, b):
+        return [a * b, b * a, a + b, a - b,
+                sum_of_products(TABLE, [(a, b), (b, a), (-a, b)]),
+                sum_of(TABLE, [a, b, -a])]
+    wants = [results(a, b) for a, b in cases]
+
+    def refuse(*args):
+        raise AssertionError("a Scalar operator method ran")
+    with contextlib.ExitStack() as stack:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                     "__sub__"):
+            stack.enter_context(mock.patch.object(Scalar, name, refuse))
+        gots = [results(a, b) for a, b in cases]
+    assert gots == wants
+    assert any(not c.is_constant() and c.integer_denominator() is None
+               for got in gots for expr in got for c in expr.terms.values())
+
+
+raw_terms = st.lists(st.tuples(
+    st.integers(min_value=-2, max_value=2),
+    st.lists(st.sampled_from(TABLE.odd_names), max_size=3)), max_size=5)
+
+
+@given(kernel_operands(), kernel_operands(), raw_terms)
+@settings(max_examples=100, deadline=None)
+def test_kernel_results_hold_no_zero_coefficient(a, b, raw):
+    """Every term kernel drops a coefficient that is zero or cancels: sums
+    that cancel, raw terms with a zero coefficient, pull-backs."""
+    cancelling = raw + [(-c, names) for c, names in raw]
+    zero = Scalar.from_int(TABLE, 0)
+    results = {
+        "sum": a + b, "difference": a - b, "product": a * b,
+        "sum_of": sum_of(TABLE, [a, b, -a]),
+        "sum_of_products": sum_of_products(TABLE, [(a, b), (-b, a)]),
+        "raw": SuperExpr.from_raw_terms(TABLE, raw),
+        "raw zeros": SuperExpr.from_raw_terms(
+            TABLE, [(zero, names) for _, names in raw] + raw),
+        "pull-back": Pullback(TABLE, {
+            "x1": parse_expr("x1 + th1*th2", TABLE),
+            "th1": parse_expr("th1 + x2*th2", TABLE)}).many([a, b, a])[-1],
+    }
+    cancelled = {
+        "a - a": a - a, "a + -a": a + (-a),
+        "sum_of": sum_of(TABLE, [a, b, -a, -b]),
+        "sum_of_products": sum_of_products(TABLE, [(a, b), (-a, b)]),
+        "raw": SuperExpr.from_raw_terms(TABLE, cancelling),
+        "raw zeros": SuperExpr.from_raw_terms(
+            TABLE, [(0, names) for _, names in raw]),
+    }
+    for name, out in {**results, **cancelled}.items():
+        assert not any(c.is_zero for c in out.terms.values()), name
+    assert all(not out.terms for out in cancelled.values())
+
+
+# -- pull-backs in batches ------------------------------------------------------
+
+
+# canonical maps draw flows, which need the time symbol
+TIMED = standard_chart(2, aux=1, extra_even=(TIME_SYMBOL,))
+
+
+def _rescaling(scales):
+    """The canonical map x_i -> c_i x_i, th_i -> th_i / c_i."""
+    table = TIMED.table
+    return SuperMap(TIMED, TIMED, [
+        SuperExpr.symbol(table, x) * c for x, c in zip(TIMED.xs, scales)] + [
+        SuperExpr.symbol(table, th) * (1 / Fraction(c))
+        for th, c in zip(TIMED.thetas, scales)])
+
+
+nonzero_fractions = st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=3).filter(bool)
+
+
+@st.composite
+def batch_maps(draw):
+    kind = draw(st.sampled_from(["point", "rescaling", "canonical"]))
+    if kind == "rescaling":
+        return _rescaling(draw(st.tuples(nonzero_fractions,
+                                         nonzero_fractions)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    if kind == "point":
+        return random_point_map(rng, TIMED)
+    return random_canonical_map(rng, TIMED)
+
+
+@given(batch_maps(), st.integers(min_value=0, max_value=10 ** 6),
+       st.lists(st.booleans(), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_batched_pullback_matches_one_at_a_time(fmap, seed, rational):
+    """A batch that repeats its coefficients, across its expressions and
+    on other odd monomials, pulls back as each expression does alone."""
+    table = TIMED.table
+    rng = random.Random(seed)
+    es = [random_expr(rng, table, aux=True, rational=r) for r in rational]
+    b1 = SuperExpr.symbol(table, "b1")
+    batch = es + [expr * b1 for expr in es] + es[::-1] + list(fmap.targets)
+    bindings = fmap.bindings()
+    pull = Pullback(table, bindings)
+    got = pull.many(batch)
+    want = [Pullback(table, bindings)(expr) for expr in batch]
+    assert [(out.table, out.terms) for out in got] == \
+        [(out.table, out.terms) for out in want]
+    assert got == [pull(expr) for expr in batch]
+    # a composite's targets are the batch of its first factor's targets
+    assert list(_rescaling((2, 3)).compose(fmap).targets) == \
+        [fmap.pullback(t) for t in _rescaling((2, 3)).targets]

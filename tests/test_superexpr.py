@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 import threading
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddsym.grammar import ParseError, parse_expr, render_expr
+from oddsym.manifests import load_manifest
 from oddsym.scalars import Scalar, ScalarError
 from oddsym.superexpr import (ParityError, Pullback, SuperExpr,
                               nilpotent_series)
@@ -353,6 +355,52 @@ def test_pullback_errors(tab):
     assert pull(e(tab, "x2*x1")) == e(tab, "x2*th1*th2")
     with pytest.raises(ScalarError):
         pull(e(tab, "1/x1"))
+
+
+def test_from_raw_terms_refuses_a_scalar_of_another_table():
+    a, b = standard_table(2), standard_table(2)
+    with pytest.raises(SymbolError, match="mixed symbol tables"):
+        SuperExpr.from_raw_terms(a, [(Scalar.symbol(b, "x1"), ["th1"])])
+    assert SuperExpr.from_raw_terms(
+        a, [(Scalar.symbol(a, "x1"), ["th1"])]) == e(a, "x1*th1")
+
+
+def test_pullback_many(tab, monkeypatch):
+    pull = Pullback(tab, {"x1": e(tab, "x1 + th1*th2"),
+                          "th3": e(tab, "th3 + x2*th1")})
+    assert pull.many([]) == []
+    other = e(standard_table(3, aux=2), "x1")
+    for call in (pull, lambda f: pull.many([e(tab, "x1"), f])):
+        with pytest.raises(SymbolError, match="mixed symbol tables"):
+            call(other)
+    # a batch expands each coefficient value once, on any monomial and in
+    # any of its expressions; a single call shares none with the next
+    shifted = []
+    real = Pullback._shifted
+
+    def counting(self, poly, den):
+        shifted.append((frozenset(poly.items()), den))
+        return real(self, poly, den)
+    monkeypatch.setattr(Pullback, "_shifted", counting)
+    batch = [e(tab, "x1^2*th3 + x1^2/2*b1 + (x1^2 + 0)*th2"),
+             e(tab, "x1^2*b2 + x1*x2"), e(tab, "x1^2*th3")]
+    got = pull.many(batch)
+    assert len(shifted) == len(set(shifted)) == 3
+    del shifted[:]
+    assert got == [pull(f) for f in batch]
+    assert len(shifted) == 5
+
+
+def test_pullback_many_keeps_no_memo():
+    # a manifest's map, and so its Pullback, is shared by every request
+    # on the same bytes: a batch leaves no attribute behind
+    path = os.path.join(os.path.dirname(__file__), "data", "rational.json")
+    fmap = load_manifest(path).maps["m"]
+    pull = fmap.pullback
+    before = {name: id(value) for name, value in vars(pull).items()}
+    assert pull.many(list(fmap.targets) * 2) == \
+        [pull(t) for t in fmap.targets * 2]
+    assert {name: id(value) for name, value in vars(pull).items()} == before
 
 
 def test_nilpotent_series_stops_at_first_zero_term(tab):
