@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bv import delta0, delta_sharp, moser_hamiltonian
+from .polys import _degrees, _involves
 from .scalars import Scalar, ScalarError
 from .superexpr import (ParityError, Pullback, SuperExpr, nilpotent_series,
                         sum_of_products)
@@ -33,9 +34,9 @@ def _time_degree(q):
     idx = q.table.even_index(TIME_SYMBOL)
     degree = 0
     for c in q.scalars():
-        if any(m[idx] for m, _ in c.denom_terms):
+        if c.integer_denominator() is None and _involves(c.denom, (idx,)):
             raise ScalarError(f"denominator depends on {TIME_SYMBOL}")
-        degree = max([degree] + [m[idx] for m, _ in c.numer_terms])
+        degree = max(degree, _degrees(c.numer)[idx])
     return degree
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .polys import _degrees
 from .superexpr import SuperExpr, sum_of
 from .symbols import SymbolError
 
@@ -61,11 +62,6 @@ def _size(value):
     return count, rational
 
 
-def _exponents(poly):
-    """The highest exponent of each generator in a nonzero polynomial."""
-    return [max(col) for col in zip(*poly)]
-
-
 def _shape(value):
     """What ``_monomial_bound`` reads of a SuperExpr, written as a
     polynomial-valued expression over D, the product of its distinct
@@ -75,15 +71,15 @@ def _shape(value):
     degree and the exponents of D; and its odd indices."""
     dens = {frozenset(c.denom.items()): c.denom for c in value.terms.values()
             if c.integer_denominator() is None}.values()
-    zeros = [0] * value.table.field.ngens
-    den = [sum(col) for col in zip(zeros, *map(_exponents, dens))]
+    zeros = [0] * value.table.ring.ngens
+    den = [sum(col) for col in zip(zeros, *map(_degrees, dens))]
     den_degree = sum(max(map(sum, d)) for d in dens)
     lo, hi, num, odds = math.inf, 0, zeros, set()
     for key, c in value.terms.items():
         odds.update(key)
         own, own_degree = zeros, 0
         if c.integer_denominator() is None:
-            own = _exponents(c.denom)
+            own = _degrees(c.denom)
             own_degree = max(map(sum, c.denom))
         for mono in c.numer:
             lo = min(lo, len(key) + sum(mono))
@@ -131,7 +127,7 @@ def _monomial_bound(factors):
                        rational in ([], [product])):
         return product
     lo, hi, den_degree, odds = 0, 0, 0, set()
-    num = den = [0] * factors[0][0].table.field.ngens
+    num = den = [0] * factors[0][0].table.ring.ngens
     for value, times in factors:
         if not times:
             continue

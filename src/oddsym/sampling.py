@@ -16,17 +16,18 @@ from .symplectic import (OddSymplecticStructure, SuperMap, point_map,
 def random_scalar(rng, table, coeff_degree=2, names=None, rational=False,
                   allow_zero=True):
     names = list(names if names is not None else table.even_symbols)
-    ring = table.field.ring
+    ring = table.ring
     terms = {}  # exponent tuple -> summed coefficient
     for _ in range(rng.randint(0 if allow_zero else 1, 3)):
         coeff = rng.randint(-4, 4)
         if coeff == 0:
             continue
-        mono = [0] * ring.ngens
+        mono = ring.zero_monom
         for _ in range(rng.randint(0, coeff_degree)):
             if names:
-                mono[table.even_index(rng.choice(names))] += 1
-        terms[tuple(mono)] = terms.get(tuple(mono), 0) + coeff
+                mono = ring.mul(mono, ring.basis(
+                    table.even_index(rng.choice(names))))
+        terms[mono] = terms.get(mono, 0) + coeff
     out = Scalar.from_poly(table, {m: c for m, c in terms.items() if c})
     if rational and names and rng.random() < 0.4:
         den = Scalar.from_int(table, rng.choice([2, 3])) + \

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import (Scalar, ScalarError, _add, _mul, binomial_half,
-                      divided_derivative)
+from .polys import _involves, divided_derivative
+from .scalars import Scalar, ScalarError, _add, _mul, binomial_half
 from .symbols import Parity, SymbolError
 
 
@@ -97,15 +97,6 @@ def _add_product(table, terms, left, right):
             merged = row[kb]
             if merged is not None:
                 _accumulate(terms, merged[1], _mul(ca, cb), merged[0])
-
-
-def _involves(poly, indices):
-    """True when some monomial of a polynomial uses one of the generators."""
-    for mono in poly:
-        for i in indices:
-            if mono[i]:
-                return True
-    return False
 
 
 def _sort_indices(seq):

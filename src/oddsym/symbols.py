@@ -13,9 +13,7 @@ import bisect
 import enum
 from dataclasses import dataclass
 
-from sympy.polys.domains import ZZ
-from sympy.polys.fields import FracField
-from sympy.polys.orderings import grlex
+from .polys import Ring
 
 
 # The even symbol a flow generator may depend on as its time.
@@ -36,14 +34,14 @@ class SymbolTable:
     """Immutable registry of even and odd symbol names.
 
     even_symbols   ordinary commuting symbols; they generate the rational
-                   coefficient field
+                   coefficient field; ``ring`` holds their monomials
     coordinate_odds  the theta symbols graded by the theta-degree
     frame_odds     the xi symbols a differential form is written in
     aux_odds       odd constants adjoined to the ground ring
     """
 
     __slots__ = ("even_symbols", "coordinate_odds", "frame_odds", "aux_odds",
-                 "field", "_even_index", "_odd_index", "odd_names",
+                 "ring", "_even_index", "_odd_index", "odd_names",
                  "int_scalars", "key_merges")
 
     def __init__(self, even_symbols, coordinate_odds=(), frame_odds=(),
@@ -62,11 +60,7 @@ class SymbolTable:
         object.__setattr__(self, "coordinate_odds", coordinate_odds)
         object.__setattr__(self, "frame_odds", frame_odds)
         object.__setattr__(self, "aux_odds", aux_odds)
-        if even_symbols:
-            fld = FracField(list(even_symbols), ZZ, grlex)
-        else:
-            fld = FracField(["_dummy"], ZZ, grlex)
-        object.__setattr__(self, "field", fld)
+        object.__setattr__(self, "ring", Ring(len(even_symbols)))
         object.__setattr__(self, "_even_index",
                            {n: i for i, n in enumerate(even_symbols)})
         odd_names = coordinate_odds + frame_odds + aux_odds

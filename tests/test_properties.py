@@ -13,14 +13,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys import euclidtools, heuristicgcd
 from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement
 
 from oddsym.bv import delta0
 from oddsym.grammar import _monomial_bound, parse_expr, render_expr
 from oddsym.sampling import (pushforward_structure, random_canonical_map,
                              random_expr, random_point_map, random_scalar)
-from oddsym import scalars
-from oddsym.scalars import Scalar, ScalarError, _gcd
+from oddsym import polys as dict_polys
+from oddsym.polys import _gcd
+from oddsym.scalars import Scalar, ScalarError
 from oddsym.superexpr import (Pullback, SuperExpr, _merge_keys, sum_of,
                               sum_of_products)
 from oddsym.symbols import (TIME_SYMBOL, Chart, SymbolError, standard_chart,
@@ -255,7 +258,13 @@ def test_invert_even_round_trip(a):
 
 # -- the Scalar kernel against plain FracField arithmetic -------------------
 
-FIELD = TABLE.field
+def sympy_field(table):
+    """The sympy FracField of the table's even symbols in graded-lex order,
+    the oracle of the Scalar kernel: sympy fields compare by value."""
+    return FracField(table.even_symbols, ZZ, grlex)
+
+
+FIELD = sympy_field(TABLE)
 RING = FIELD.ring
 
 def ring_polys(ring):
@@ -320,7 +329,7 @@ def assert_canonical(s):
     dict of the table's ring over either a positive integer coprime to
     its content or a nonconstant polynomial dict with positive leading
     coefficient, coprime to it; zero is 0/1."""
-    ring = s.table.field.ring
+    ring = sympy_field(s.table).ring
     numer, denom = s.numer, s.denom
     assert_polynomial_dict(numer, ring)
     if isinstance(denom, dict):
@@ -430,7 +439,7 @@ def test_field_path_takes_no_whole_product_gcd(pair):
         raise AssertionError("PolyElement.cancel called")
 
     calls = []
-    heuristic = scalars._heuristic_gcd
+    heuristic = dict_polys._heuristic_gcd
 
     def count(ring, p, q, i):
         calls.append((p, q, i))
@@ -438,7 +447,7 @@ def test_field_path_takes_no_whole_product_gcd(pair):
 
     f = pair[0]
     with mock.patch.object(PolyElement, "cancel", refuse), \
-            mock.patch.object(scalars, "_heuristic_gcd", count):
+            mock.patch.object(dict_polys, "_heuristic_gcd", count):
         with refuse_sympy_gcds():
             gots = _scalar_ops(*pair)
         root = (scalar(f) * scalar(f)).sqrt() if f else None
@@ -743,20 +752,20 @@ def test_polynomial_dict_helpers_match_poly_element(p, q, i, k, n):
     gen = RING.gens[i]
     free = {m: c for m, c in a.items() if not m[i]}
     cases = [
-        (scalars._product(RING, a, b), p * q),
-        (scalars._product(RING, b, a), p * q),
-        (scalars._sum(a, b), p + q),
-        (scalars._sum(a, b, True), p - q),
-        (scalars._sum(a, a, True), RING.zero),
-        (scalars._sum(a, scalars._scaled(a, -1)), RING.zero),
-        (scalars._scaled(a, -1), -p),
-        (scalars._scaled(a, k), p * k),
-        (scalars._quotient(scalars._scaled(a, k), k), p),
-        (scalars.divided_derivative(a, i), p.diff(gen)),
-        (scalars.divided_derivative(scalars._scaled(a, k), i, k),
+        (dict_polys._product(TABLE.ring, a, b), p * q),
+        (dict_polys._product(TABLE.ring, b, a), p * q),
+        (dict_polys._sum(a, b), p + q),
+        (dict_polys._sum(a, b, True), p - q),
+        (dict_polys._sum(a, a, True), RING.zero),
+        (dict_polys._sum(a, dict_polys._scaled(a, -1)), RING.zero),
+        (dict_polys._scaled(a, -1), -p),
+        (dict_polys._scaled(a, k), p * k),
+        (dict_polys._quotient(dict_polys._scaled(a, k), k), p),
+        (dict_polys.divided_derivative(a, i), p.diff(gen)),
+        (dict_polys.divided_derivative(dict_polys._scaled(a, k), i, k),
          p.diff(gen)),
-        (scalars.divided_derivative(free, i), RING.zero),
-        (scalars._power(TABLE, a, n), p ** n),
+        (dict_polys.divided_derivative(free, i), RING.zero),
+        (dict_polys._power(TABLE.ring, a, n), p ** n),
     ]
     for got, want in cases:
         assert_polynomial_dict(got, RING)
@@ -815,7 +824,8 @@ def test_terms_come_in_poly_element_order(f):
 
 # -- the gcd routes against PolyElement.cofactors ----------------------------
 
-GCD_RING = standard_table(2, aux=1, extra_even=("t",)).field.ring  # x1, x2, t
+GCD_TABLE = standard_table(2, aux=1, extra_even=("t",))  # x1, x2, t
+GCD_RING = sympy_field(GCD_TABLE).ring
 
 
 def polys_in(gens, max_degree=2):
@@ -881,9 +891,9 @@ _x1, _x2, _t = GCD_RING.gens
 @settings(max_examples=300, deadline=None)
 def test_gcd_routes_match_cofactors(pair):
     p, q = pair
-    assert _gcd(GCD_RING, plain(p), plain(q)) == \
+    assert _gcd(GCD_TABLE.ring, plain(p), plain(q)) == \
         tuple(map(plain, p.cofactors(q)))
-    assert _gcd(GCD_RING, plain(q), plain(p)) == \
+    assert _gcd(GCD_TABLE.ring, plain(q), plain(p)) == \
         tuple(map(plain, q.cofactors(p)))
 
 
@@ -899,25 +909,25 @@ def test_two_entry_chain_takes_one_gcd_call():
         for a, b in ((p, q), (q, p)):
             want = tuple(map(plain, a.cofactors(b)))
             with refuse_sympy_gcds(), \
-                    mock.patch.object(scalars, "_heuristic_gcd",
-                                      wraps=scalars._heuristic_gcd) as heu:
-                assert _gcd(GCD_RING, plain(a), plain(b)) == want
+                    mock.patch.object(dict_polys, "_heuristic_gcd",
+                                      wraps=dict_polys._heuristic_gcd) as heu:
+                assert _gcd(GCD_TABLE.ring, plain(a), plain(b)) == want
             calls.append(heu.call_count)
     assert calls == [1] * 6
 
 
 def owned_gcd(a, b):
     """_gcd of two PolyElements of GCD_RING."""
-    return _gcd(GCD_RING, plain(a), plain(b))
+    return _gcd(GCD_TABLE.ring, plain(a), plain(b))
 
 
 def prs_gcd(a, b):
     """The primitive PRS fallback alone, on two PolyElements of GCD_RING,
     its gcd signed as _gcd signs one."""
     p, q = plain(a), plain(b)
-    out = scalars._prs_gcd(GCD_RING, p, q)
-    if out[0][scalars._gcd_lead(GCD_RING, out[0], p, q)] < 0:
-        out = tuple(scalars._scaled(poly, -1) for poly in out)
+    out = dict_polys._prs_gcd(GCD_TABLE.ring, p, q)
+    if out[0][dict_polys._gcd_lead(GCD_TABLE.ring, out[0], p, q)] < 0:
+        out = tuple(dict_polys._scaled(poly, -1) for poly in out)
     return out
 
 
@@ -933,7 +943,8 @@ def assert_gcd_matches_cofactors(p, q, gcd=owned_gcd):
             got = gcd(a, b)
             seconds += time.perf_counter() - start
         assert got == want
-        assert scalars._product(GCD_RING, got[0], got[1]) == plain(a)
+        assert dict_polys._product(GCD_TABLE.ring, got[0],
+                                   got[1]) == plain(a)
     return seconds
 
 
@@ -1039,11 +1050,12 @@ def test_subs_even_matches_frac_field(f, g, h):
 # Four odd symbols, so that squares and cross products of nilpotent even
 # images survive and the Taylor expansion reaches second order.
 SUB_TABLE = standard_table(2, aux=2)
-SUB_FIELD = SUB_TABLE.field
+SUB_FIELD = sympy_field(SUB_TABLE)
 
 
 def _reference_eval_poly(table, poly, even_images, power_cache):
-    ring = table.field.ring
+    field = sympy_field(table)
+    ring = field.ring
     total = SuperExpr.zero(table)
     for mono, coeff in poly.terms():
         residual = list(mono)
@@ -1053,7 +1065,7 @@ def _reference_eval_poly(table, poly, even_images, power_cache):
                 residual[idx] = 0
                 factors.append((idx, power))
         piece = SuperExpr.from_scalar(scalar(
-            table.field(ring.from_dict({tuple(residual): coeff})), table))
+            field(ring.from_dict({tuple(residual): coeff})), table))
         for idx, power in factors:
             if (idx, power) not in power_cache:
                 power_cache[(idx, power)] = even_images[idx] ** power

@@ -8,11 +8,15 @@ values pinned in tests/data/verify_values.json depend on both.  The
 reference.
 """
 
+import functools
 import random
 from collections import Counter
 from unittest import mock
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement
 
 from oddsym import flows, symplectic
@@ -37,10 +41,17 @@ def _chart(n, aux=2):
 # -- the product chains -----------------------------------------------------
 
 
+@functools.cache
+def _sympy_ring(names):
+    """The ring of sympy's FracField of the even symbols ``names``, in
+    graded-lex order, that the chains multiply in."""
+    return FracField(names, ZZ, grlex).ring
+
+
 def _chain_scalar(rng, table, coeff_degree=2, names=None, rational=False,
                   allow_zero=True):
     names = list(names if names is not None else table.even_symbols)
-    ring = table.field.ring
+    ring = _sympy_ring(table.even_symbols)
     total = ring.zero
     for _ in range(rng.randint(0 if allow_zero else 1, 3)):
         coeff = rng.randint(-4, 4)
