@@ -29,6 +29,7 @@ from .manifests import ManifestError, load_manifest, parse_time
 from .scalars import ScalarError
 from .superexpr import ParityError
 from .surfaces import densities_P, dual_density, pullback_K
+from .symbols import quoted
 from .symplectic import (CanonicityError, bracket, is_canonical,
                          map_berezinian)
 from .verify import SUITES
@@ -57,8 +58,9 @@ def cmd_bracket(manifest, entry):
     g = manifest.parse(chart, entry["g"])
     omega = _structure_arg(manifest, entry)
     if omega is not None:
-        _same_chart(chart, omega.chart, f"structure {entry['structure']!r}",
-                    f"chart {entry['chart']!r}")
+        _same_chart(chart, omega.chart,
+                    f"structure {quoted(entry['structure'])}",
+                    f"chart {quoted(entry['chart'])}")
     out = bracket(f, g, chart, omega)
     return [("bracket", render_expr(out))], None
 
@@ -141,8 +143,8 @@ def cmd_tau_sharp_inv(manifest, entry):
 def cmd_shift(manifest, entry):
     a = manifest.named("forms", entry["form"])
     s = manifest.named("semidensities", entry["semidensity"])
-    _same_chart(s.chart, a.chart, f"form {entry['form']!r}",
-                f"the chart of semidensity {entry['semidensity']!r}")
+    _same_chart(s.chart, a.chart, f"form {quoted(entry['form'])}",
+                f"the chart of semidensity {quoted(entry['semidensity'])}")
     out = one_form_shift(a, s)
     return [("coefficient", render_expr(out.coefficient))], None
 
@@ -150,8 +152,8 @@ def cmd_shift(manifest, entry):
 def cmd_star(manifest, entry):
     w1 = manifest.named("forms", entry["w1"])
     w2 = manifest.named("forms", entry["w2"])
-    _same_chart(w1.chart, w2.chart, f"form {entry['w2']!r}",
-                f"the chart of form {entry['w1']!r}")
+    _same_chart(w1.chart, w2.chart, f"form {quoted(entry['w2'])}",
+                f"the chart of form {quoted(entry['w1'])}")
     return [("form", render_form(star(w1, w2)))], None
 
 
@@ -165,8 +167,9 @@ def cmd_pullback_surface(manifest, entry):
 def cmd_dual_density(manifest, entry):
     dv = manifest.named("volume_forms", entry["volume"])
     surface = manifest.named("surfaces", entry["surface"])
-    _same_chart(dv.chart, surface.chart, f"surface {entry['surface']!r}",
-                f"the chart of volume form {entry['volume']!r}")
+    _same_chart(dv.chart, surface.chart,
+                f"surface {quoted(entry['surface'])}",
+                f"the chart of volume form {quoted(entry['volume'])}")
     f = manifest.parse(dv.chart, entry["f"])
     phi = manifest.parse(dv.chart, entry["phi"])
     out = dual_density(f, phi, dv, surface)
@@ -176,8 +179,9 @@ def cmd_dual_density(manifest, entry):
 def cmd_densities_p(manifest, entry):
     dv = manifest.named("volume_forms", entry["volume"])
     surface = manifest.named("surfaces", entry["surface"])
-    _same_chart(dv.chart, surface.chart, f"surface {entry['surface']!r}",
-                f"the chart of volume form {entry['volume']!r}")
+    _same_chart(dv.chart, surface.chart,
+                f"surface {quoted(entry['surface'])}",
+                f"the chart of volume form {quoted(entry['volume'])}")
     p0, p1 = densities_P(dv, surface)
     return [("P0", render_expr(p0)), ("P1", render_expr(p1))], None
 

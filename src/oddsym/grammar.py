@@ -1,9 +1,12 @@
 """Expression grammar and deterministic rendering.
 
 Grammar: identifiers from the symbol table, integer literals, and the
-operators + - * / ^ with the usual precedence ( ^ binds tightest and is
-right associative; unary minus sits between * and ^ ).  Rendering emits
-canonical term order and parses back to the identical expression.
+operators + - * / ^ with the usual precedence ( ^ binds tightest; unary
+minus sits between * and ^ ).  ``^`` takes one integer-literal exponent
+and cannot be chained: ``x1^2^2`` is a ParseError, ``(x1^2)^2`` is not.
+Each distinct literal or symbol is built once per ``parse_expr`` call.
+Rendering emits canonical term order and parses back to the identical
+expression.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import math
 from fractions import Fraction
 
 from .polys import _degrees
+from .scalars import Scalar
 from .superexpr import SuperExpr, sum_of
-from .symbols import SymbolError
+from .symbols import SymbolError, quoted
 
 
 class ParseError(ValueError):
@@ -21,17 +25,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
-
-
-# The longest repr of an input value that an error quotes in full; a
-# ParseError also gives the line and column of the fault.
-_QUOTED = 60
-
-
-def quoted(value):
-    """repr of an input value, cut to ``_QUOTED`` characters."""
-    text = repr(value)
-    return text if len(text) <= _QUOTED else text[:_QUOTED - 3] + "..."
 
 
 _OPERATORS = "+-*/^()"
@@ -202,6 +195,7 @@ class _Parser:
         self.table = table
         self.pos = 0
         self.depth = 0
+        self.atoms = {}  # literal or symbol -> its SuperExpr, built once
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -305,15 +299,21 @@ class _Parser:
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[1], closing[2])
             return inner
+        atom = self.atoms.get(value)
+        if atom is not None:
+            return atom
         if isinstance(value, int):
-            return SuperExpr.constant(self.table, value)
-        if isinstance(value, str) and value not in _OPERATORS:
+            atom = SuperExpr.from_scalar(Scalar.from_int(self.table, value))
+        elif value not in _OPERATORS:
             try:
-                return SuperExpr.symbol(self.table, value)
+                atom = SuperExpr.symbol(self.table, value)
             except SymbolError:
                 raise ParseError(f"unknown symbol {quoted(value)}",
                                  line, col) from None
-        raise ParseError(f"unexpected token {quoted(value)}", line, col)
+        else:
+            raise ParseError(f"unexpected token {quoted(value)}", line, col)
+        self.atoms[value] = atom
+        return atom
 
 
 def parse_expr(text, table):

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .bv import VolumeForm
 from .forms import DifferentialForm
-from .grammar import parse_expr, quoted
+from .grammar import parse_expr
 from .surfaces import AdjustedSurface
-from .symbols import TIME_SYMBOL, Chart, SymbolTable
+from .symbols import TIME_SYMBOL, Chart, SymbolTable, quoted
 from .symplectic import OddSymplecticStructure, Semidensity, SuperMap
 
 
@@ -102,7 +102,7 @@ class Manifest:
         built = {}
         for name, entry in entries.items():
             _expect(isinstance(entry, dict),
-                    f"{_KINDS[pool]} {name!r} must be an object")
+                    f"{_KINDS[pool]} {quoted(name)} must be an object")
             try:
                 built[name] = build(entry)
             except ValueError as exc:
@@ -115,7 +115,7 @@ class Manifest:
         """The object called ``name`` in a pool ("charts", "maps", ...)."""
         objects = getattr(self, pool)
         _expect(isinstance(name, str) and name in objects,
-                f"unknown {_KINDS[pool]} {name!r}")
+                f"unknown {_KINDS[pool]} {quoted(name)}")
         return objects[name]
 
     def parse(self, chart, text):
@@ -219,4 +219,4 @@ def parse_time(value):
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
-        raise ManifestError(f"bad time value {value!r}") from None
+        raise ManifestError(f"bad time value {quoted(value)}") from None

@@ -113,8 +113,8 @@ def _scaled(poly, k):
 
 
 def _quotient(poly, k):
-    """poly / k for an int k that divides every coefficient."""
-    return {mono: c // k for mono, c in poly.items()}
+    """poly / k for a nonzero int k that divides every coefficient."""
+    return poly if k == 1 else {mono: c // k for mono, c in poly.items()}
 
 
 def divided_derivative(poly, idx, k=1):

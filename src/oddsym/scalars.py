@@ -25,10 +25,13 @@ The arithmetic takes one of two paths, chosen by the operands alone:
   and a gcd with a constant side takes only integers.
 
 The dicts are ``polys`` polynomials, and sympy sees them only in the
-``Scalar.f`` view.  A polynomial-first product with a constant side
-multiplies no polynomials: by 1 it returns the other operand, by any
-other c the other numerator scaled by c over the two integer
-denominators.  Polynomials are shared, so nothing may change one.
+``Scalar.f`` view.  A product with a constant side c/d multiplies no
+polynomials and takes no polynomial gcd: by 1 it returns the other
+operand; a polynomial p/q becomes c p / (d q) with its integer content
+cancelled; a quotient a/b becomes (a/g2)(c/g1) / ((b/g1)(d/g2)), with
+g1 = gcd(c, content of b) and g2 = gcd(d, content of a), the only
+factors that can cancel.  Polynomials are shared, so nothing may change
+one.
 
 Both paths give the quotient ``FracField`` itself would give; the
 property tests compare them.
@@ -331,23 +334,32 @@ def _mul(f, g):
     if not f.numer or not g.numer:
         return _zero(f.table)
     ring = f.table.ring
-    da, db = f.denom, g.denom
-    if isinstance(da, dict) or isinstance(db, dict):
-        # a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)), gi the cross gcds
-        _, a, d = _gcd(ring, f.numer, _denominator(g))
-        _, c, b = _gcd(ring, g.numer, _denominator(f))
-        return _canonical(f.table, _product(ring, a, c), _product(ring, b, d))
     zero = ring.zero_monom
-    c = _ground(g.numer, zero)
-    if c is None:
+    c = None if isinstance(g.denom, dict) else _ground(g.numer, zero)
+    if c is None and not isinstance(f.denom, dict):
         c = _ground(f.numer, zero)
-        if c is None:
-            return _reduce(f.table, _product(ring, f.numer, g.numer), da * db)
-        f, g, da, db = g, f, db, da
+        if c is not None:
+            f, g = g, f
+    da, db = f.denom, g.denom
+    if c is None:
+        if isinstance(da, dict) or isinstance(db, dict):
+            # a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)), gi cross gcds
+            _, a, d = _gcd(ring, f.numer, _denominator(g))
+            _, c, b = _gcd(ring, g.numer, _denominator(f))
+            return _canonical(f.table, _product(ring, a, c),
+                              _product(ring, b, d))
+        return _reduce(f.table, _product(ring, f.numer, g.numer), da * db)
     # g = c/db is a constant: scale f's numerator, multiply no polynomials
     if c == 1 and db == 1:
         return f
-    return _reduce(f.table, _scaled(f.numer, c), da * db)
+    if not isinstance(da, dict):
+        return _reduce(f.table, _scaled(f.numer, c), da * db)
+    # f = a/b: c/db cancels only against the integer contents of b and a,
+    # and b/g1 keeps a positive leading coefficient
+    g1 = math.gcd(c, *da.values())
+    g2 = math.gcd(db, *f.numer.values())
+    return Scalar(f.table, _scaled(_quotient(f.numer, g2), c // g1),
+                  _scaled(_quotient(da, g1), db // g2))
 
 
 def _add(f, g, subtract=False):

@@ -422,13 +422,16 @@ class SuperExpr:
 
     def invert_even(self):
         """Multiplicative inverse of an even element with nonzero body:
-        1/b times the geometric series of u = -(self - b)/b."""
+        1/b times the geometric series of u = -(self - b)/b, or 1/b alone
+        when the element is its body."""
         if not self.is_even():
             raise ParityError("inverse needs a purely even argument")
         b = self.body()
         if b.is_zero:
             raise ScalarError("zero body is not invertible")
         binv = Scalar.from_int(self.table, 1) / b
+        if len(self.terms) == 1:
+            return SuperExpr.from_scalar(binv)
         u = (self - SuperExpr.from_scalar(b)) * -binv
         series = nilpotent_series(SuperExpr.one(self.table),
                                   lambda t: t * u, lambda k: 1)

@@ -30,6 +30,16 @@ class SymbolError(ValueError):
     pass
 
 
+# The longest repr of an input value that an error message quotes in full.
+_QUOTED = 60
+
+
+def quoted(value):
+    """repr of an input value, cut to ``_QUOTED`` characters."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED else text[:_QUOTED - 3] + "..."
+
+
 class SymbolTable:
     """Immutable registry of even and odd symbol names.
 
@@ -55,7 +65,7 @@ class SymbolTable:
             raise SymbolError("duplicate symbol names in table")
         for name in names:
             if not name or not name[0].isalpha() or not name.isalnum():
-                raise SymbolError(f"bad symbol name {name!r}")
+                raise SymbolError(f"bad symbol name {quoted(name)}")
         object.__setattr__(self, "even_symbols", even_symbols)
         object.__setattr__(self, "coordinate_odds", coordinate_odds)
         object.__setattr__(self, "frame_odds", frame_odds)
@@ -87,13 +97,13 @@ class SymbolTable:
         try:
             return self._even_index[name]
         except KeyError:
-            raise SymbolError(f"unknown even symbol {name!r}") from None
+            raise SymbolError(f"unknown even symbol {quoted(name)}") from None
 
     def odd_index(self, name: str) -> int:
         try:
             return self._odd_index[name]
         except KeyError:
-            raise SymbolError(f"unknown odd symbol {name!r}") from None
+            raise SymbolError(f"unknown odd symbol {quoted(name)}") from None
 
     def odd_name(self, index: int) -> str:
         return self.odd_names[index]
@@ -149,10 +159,10 @@ class Chart:
             raise SymbolError("chart needs equally many x and theta symbols")
         for name in self.xs:
             if not self.table.is_even(name):
-                raise SymbolError(f"{name!r} is not an even symbol")
+                raise SymbolError(f"{quoted(name)} is not an even symbol")
         for name in self.thetas:
             if self.table.odd_index(name) >= self.table.n_theta:
-                raise SymbolError(f"{name!r} is not a coordinate odd")
+                raise SymbolError(f"{quoted(name)} is not a coordinate odd")
         object.__setattr__(self, "xs", tuple(self.xs))
         object.__setattr__(self, "thetas", tuple(self.thetas))
 

@@ -805,3 +805,55 @@ def test_bad_expression_quote_is_bounded(tmp_path, capsys, text, quoted,
     code, out, err = _bracket_of(tmp_path, capsys, text)
     assert (code, out) == (2, "")
     assert err == f"error: bad expression {quoted}: {fault}\n"
+
+
+LONG = "z" * 5000
+LONG_CUT = "'" + "z" * 56 + "..."
+N1 = {"n": 1, "even": ["x1"], "odd": ["th1"]}
+
+
+def _bounded_error(code, out, err, message):
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n" and len(err.encode()) < 200
+
+
+def test_bad_time_value_quote_is_bounded(tmp_path, capsys):
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({
+        "charts": {"c": N1}, "flow": {"chart": "c", "Q": "th1", "t": LONG}}))
+    _bounded_error(*run_cli(["flow", "--manifest", str(path)], capsys),
+                   f"bad time value {LONG_CUT}")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"bracket": {"chart": LONG, "f": "x1", "g": "th1"}},
+     f"unknown chart {LONG_CUT}"),
+    ({"bracket": {"chart": "c", "f": "x1", "g": "th1", "structure": LONG}},
+     f"unknown structure {LONG_CUT}")],
+    ids=["chart", "structure"])
+def test_unknown_name_quote_is_bounded(tmp_path, capsys, changes, message):
+    _bounded_error(*_bracket_manifest(tmp_path, capsys, **changes), message)
+
+
+def test_pool_entry_not_an_object_quote_is_bounded(tmp_path, capsys):
+    _bounded_error(*_bracket_manifest(tmp_path, capsys,
+                                      charts={"c": N1, LONG: []}),
+                   f"chart {LONG_CUT} must be an object")
+
+
+@pytest.mark.parametrize("key", ["even", "odd", "aux"])
+def test_bad_symbol_name_quote_is_bounded(tmp_path, capsys, key):
+    chart = {**N1, key: ["!" * 5000]}
+    _bounded_error(*_bracket_manifest(tmp_path, capsys, charts={"c": chart}),
+                   f"bad symbol name '{'!' * 56}...")
+
+
+def test_objects_on_two_charts_quote_is_bounded(tmp_path, capsys):
+    # a structure and a chart whose names are 5,000 characters long
+    code, out, err = _bracket_manifest(
+        tmp_path, capsys, charts={LONG: N1, "d": N1},
+        structures={LONG: {"chart": "d",
+                           "bracket": [["0", "1"], ["-1", "0"]]}},
+        bracket={"chart": LONG, "f": "x1", "g": "th1", "structure": LONG})
+    _bounded_error(code, out, err,
+                   f"structure {LONG_CUT} is not on chart {LONG_CUT}")

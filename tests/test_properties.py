@@ -18,7 +18,8 @@ from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement
 
 from oddsym.bv import delta0
-from oddsym.grammar import _monomial_bound, parse_expr, render_expr
+from oddsym.grammar import (ParseError, _monomial_bound, parse_expr,
+                            render_expr)
 from oddsym.sampling import (pushforward_structure, random_canonical_map,
                              random_expr, random_point_map, random_scalar)
 from oddsym import polys as dict_polys
@@ -237,6 +238,32 @@ def test_monomial_bound_holds_for_powers(a, b, j, k):
 @settings(max_examples=60, deadline=None)
 def test_render_parse_round_trip(a):
     assert parse_expr(render_expr(a), TABLE) == a
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_render_parse_round_trip_rational(seed):
+    # rational-function coefficients and aux odds, as the manifests hold
+    a = random_expr(random.Random(seed), TABLE, rational=True, aux=True)
+    assert parse_expr(render_expr(a), TABLE) == a
+
+
+def test_parses_of_one_text_are_distinct_objects():
+    text = "x1*x1 + 2*x1 - 2 + th1*x1/(x2 + 2) + 2"
+    first, second = parse_expr(text, TABLE), parse_expr(text, TABLE)
+    assert first == second and first is not second
+    x1, x2, th1 = (SuperExpr.symbol(TABLE, name)
+                   for name in ("x1", "x2", "th1"))
+    assert first == x1 * x1 + 2 * x1 + th1 * x1 / (x2 + 2)
+    one, again = parse_expr("x1", TABLE), parse_expr("x1", TABLE)
+    assert one == again and one is not again
+
+
+def test_chained_power_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_expr("x1^2^2", TABLE)
+    assert str(info.value) == "unexpected token '^' (line 1, column 5)"
+    assert parse_expr("(x1^2)^2", TABLE) == SuperExpr.symbol(TABLE, "x1") ** 4
 
 
 @given(exprs())
@@ -624,6 +651,53 @@ def test_constant_side_products_match_frac_field(f, c):
     for got in (a * k, k * a, a * c, c * a):
         same(got, want)
     same(k * k, field_constant(c) ** 2)
+
+
+def refuse_polynomial_gcds():
+    """A context in which the Scalar kernel's polynomial gcd raises."""
+    def refuse(*args):
+        raise AssertionError("a polynomial gcd ran")
+    return mock.patch("oddsym.scalars._gcd", refuse)
+
+
+quotients = fracs().filter(lambda f: not f.denom.is_ground)
+
+
+@given(quotients, st.sampled_from([1, -1, 7, Fraction(2, 3)]))
+@example(FIELD.gens[0] / (7 * FIELD.gens[1] + 14), 7)
+@example(3 * FIELD.gens[0] / (2 * FIELD.gens[1] + 4), Fraction(2, 3))
+@example(-FIELD.gens[0] / (FIELD.gens[1] + 1), -1)
+@settings(max_examples=100, deadline=None)
+def test_constant_side_of_a_quotient_takes_no_gcd(f, c):
+    """A constant times a quotient, on either side, cancels only integer
+    contents; by 1 it hands back the quotient itself."""
+    a, k = scalar(f), Scalar.from_fraction(TABLE, c)
+    with refuse_polynomial_gcds():
+        products = (a * k, k * a, a * c, c * a)
+    for got in products:
+        same(got, f * field_constant(c))
+        assert got is a or c != 1
+
+
+@given(quotients | fracs().filter(bool),
+       st.lists(st.tuples(constants.filter(bool),
+                          st.lists(st.sampled_from(TABLE.odd_names),
+                                   max_size=3)), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_division_by_a_body_takes_no_series_and_no_gcd(f, raw):
+    """An expression that is its body inverts to 1/b alone, and an
+    expression with constant coefficients divided by it takes no gcd."""
+    body = SuperExpr.from_scalar(scalar(f))
+    numerator = SuperExpr.from_raw_terms(TABLE, raw)
+    with refuse_polynomial_gcds(), \
+            mock.patch("oddsym.superexpr.nilpotent_series",
+                       side_effect=AssertionError("a series ran")):
+        inverse = body.invert_even()
+        quotient = numerator / body
+    assert list(inverse.terms) == [()]
+    same(inverse.body(), 1 / f)
+    assert field_terms(quotient) == \
+        {key: c.f / f for key, c in numerator.terms.items()}
 
 
 def field_terms(expr):
