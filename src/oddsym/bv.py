@@ -24,7 +24,7 @@ from .symplectic import (Semidensity, SuperMap, bracket, ber_sqrt,
                          hamiltonian_field, map_berezinian)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VolumeForm:
     """rho(x,theta) D(x,theta) with invertible body."""
 

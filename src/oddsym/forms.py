@@ -36,7 +36,7 @@ from .symbols import Chart
 from .symplectic import Semidensity, bracket
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultivectorField:
     expr: SuperExpr
     chart: Chart
@@ -46,7 +46,7 @@ class MultivectorField:
             raise ValueError("multivector fields carry no frame odds")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DifferentialForm:
     expr: SuperExpr
     chart: Chart

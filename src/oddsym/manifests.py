@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from fractions import Fraction
 
 from .bv import VolumeForm
@@ -37,10 +38,19 @@ def _names(entry, key, default):
     return list(names)
 
 
+# The largest chart a manifest may declare.  A chart costs time and memory
+# linear in n, the generated monomial product (polys._monomial_product) with
+# a name per generator among them, so a manifest of a few bytes could ask
+# for gigabytes.  Any computation at full theta depth, with its 2^n theta
+# monomials, is out of reach long before this n.
+_MAX_CHART_N = 1000
+
+
 def _build_chart(entry):
     _expect("n" in entry, "chart manifest needs 'n'")
     n = entry["n"]
     _expect(type(n) is int and n > 0, "chart 'n' must be a positive integer")
+    _expect(n <= _MAX_CHART_N, f"chart 'n' is larger than {_MAX_CHART_N}")
     even = _names(entry, "even", [f"x{i}" for i in range(1, n + 1)])
     odd = _names(entry, "odd", [f"th{i}" for i in range(1, n + 1)])
     aux = _names(entry, "aux", [])
@@ -213,10 +223,29 @@ def _manifest_of(data):
     return Manifest(document)
 
 
+# A time's numerator and denominator may have as many digits as a grammar
+# literal: Python's default limit on int() of a string.  Fraction builds
+# 10^e for an exponent e first, so a larger e is refused before it runs.
+_MAX_TIME_DIGITS = 4300
+
+_EXPONENT = re.compile(r"\s*[-+]?([\d_]*(?:\.[\d_]*)?)[eE][-+]?([\d_]+)\s*")
+
+
 def parse_time(value):
     if value == "formal":
         return "formal"
+    text = str(value)
+    match = _EXPONENT.fullmatch(text)
+    if match:
+        # the mantissa's digits and |e| bound the digits of the numerator
+        # and of the denominator
+        mantissa, exponent = match.groups()
+        digits = sum(ch.isdigit() for ch in mantissa)
+        exponent = exponent.replace("_", "").lstrip("0") or "0"
+        if len(exponent) > len(str(_MAX_TIME_DIGITS)) or \
+                digits + int(exponent) > _MAX_TIME_DIGITS:
+            raise ManifestError(f"bad time value {quoted(value)}")
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ManifestError(f"bad time value {quoted(value)}") from None

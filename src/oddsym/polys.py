@@ -1,11 +1,14 @@
 """Integer polynomials as dicts from exponent tuples to nonzero ints, and
 the ``Ring`` of their monomials.  No routine changes a dict it is given.
 
-The gcds are oddsym's own, signed as sympy's ``cofactors`` signs them.
-Cheap lanes come first: a constant side, equal sides, a one-term side,
-and sides with no generator in common.  Every other pair goes to the
-heuristic gcd (Char, Geddes and Gonnet 1989), checked by exact division,
-or to a primitive PRS when that gives up, so a gcd is never refused.
+The gcd is oddsym's own, one routine, ``_gcd``, whose h may come out of
+either sign: its callers build quotients whose canonical form fixes the
+sign, and negating h negates both cofactors, so no quotient changes.
+Cheap lanes come first: a one-term side (a constant included), equal
+sides, and sides with no generator in common.  Every other pair goes to
+the heuristic gcd (Char, Geddes and Gonnet 1989), checked by exact
+division, or to a primitive PRS when that gives up, so a gcd is never
+refused.
 """
 
 import functools
@@ -166,60 +169,23 @@ def _degrees(poly):
 
 
 def _gcd(ring, p, q):
-    """(h, p/h, q/h) for h the gcd of the nonzero polynomial dicts p and q,
-    its sign fixed by ``_gcd_lead``.
-
-    A constant side takes only integers; equal sides need no gcd at all;
-    every other pair goes to ``_poly_gcd``.
-    """
-    zero = ring.zero_monom
-    one = {zero: 1}
-    c = _ground(p, zero)
-    if c is None:
-        c = _ground(q, zero)
-        if c is None:
-            h, a, b = (p, one, one) if p == q else _poly_gcd(ring, p, q)
-            if h[_gcd_lead(ring, h, p, q)] < 0:
-                return _scaled(h, -1), _scaled(a, -1), _scaled(b, -1)
-            return h, a, b
-        h = math.gcd(c, *p.values())
-    else:
-        h = math.gcd(c, *q.values())
-    if h == 1:
-        return one, p, q
-    return {zero: h}, _quotient(p, h), _quotient(q, h)
-
-
-def _gcd_lead(ring, h, p, q):
-    """The monomial of the gcd h of p and q whose coefficient ``_gcd``
-    makes positive: h's leading one in graded-lex order once each
-    generator's exponents are divided by their gcd over p and q.
-
-    That is the sign sympy's ``PolyElement.cofactors`` gives, the oracle
-    of the property tests: it takes the gcd of p and q written in x_j^s_j,
-    s_j that exponent gcd, and makes its leading coefficient positive.
-    """
-    if len(h) == 1:
-        return next(iter(h))
-    steps = [math.gcd(*exps) or 1 for exps in zip(*p, *q)]
-    return max(h, key=lambda m: ring.order(tuple(map(operator.floordiv, m,
-                                                      steps))))
-
-
-def _poly_gcd(ring, p, q):
     """(h, p/h, q/h) for h a gcd of the nonzero polynomial dicts p and q,
     of either sign.
 
-    A one-term side takes a monomial gcd; sides with no generator in
-    common share only their integer content.  Otherwise the common content
-    is taken out and the heuristic gcd runs, or the primitive PRS when the
-    heuristic gives up.
+    A one-term side, a constant included, takes a monomial gcd; equal
+    sides need no gcd at all; sides with no generator in common, their
+    common integer content taken out, share only that content.  Otherwise
+    the heuristic gcd runs, or the primitive PRS when the heuristic gives
+    up.
     """
     if len(p) == 1:
         return _monomial_gcd(p, q)
     if len(q) == 1:
         h, q, p = _monomial_gcd(q, p)
         return h, p, q
+    if p == q:
+        one = {ring.zero_monom: 1}
+        return p, one, one
     g = math.gcd(*p.values(), *q.values())
     if g != 1:
         p, q = _quotient(p, g), _quotient(q, g)
@@ -232,11 +198,14 @@ def _poly_gcd(ring, p, q):
 
 
 def _monomial_gcd(p, q):
-    """_poly_gcd for a one-term p = c x^m: h = gcd(c, content of q) x^e,
-    e the componentwise least exponents of m and q's monomials."""
+    """_gcd for a one-term p = c x^m: h = gcd(c, content of q) x^e, e the
+    componentwise least exponents of m and q's monomials.  When e is 0,
+    a constant side among those cases, only integers divide."""
     (m, c), = p.items()
     g = math.gcd(c, *q.values())
     low = tuple(map(min, m, *q)) if any(m) else m
+    if not any(low):
+        return {low: g}, _quotient(p, g), _quotient(q, g)
     return {low: g}, {_lowered(m, low): c // g}, \
         {_lowered(n, low): d // g for n, d in q.items()}
 
@@ -256,8 +225,8 @@ def _heuristic_gcd(ring, p, q, i):
     coprime and in which x_i occurs, or None when the heuristic gives up.
 
     Heuristic gcd (Char, Geddes and Gonnet 1989): with x_i set to an
-    integer xi, the gcd of the two images, taken by ``_poly_gcd`` in the
-    other generators, is read back as a polynomial in x_i from its
+    integer xi, the gcd of the two images, taken by ``_gcd`` in the other
+    generators, is read back as a polynomial in x_i from its
     symmetric base-xi digits.  For xi >= 2 min(|p|, |q|) + 2 (|.| the
     largest coefficient) its primitive part is the gcd when it divides
     both p and q; otherwise xi grows and the next point is tried.  The
@@ -268,7 +237,7 @@ def _heuristic_gcd(ring, p, q, i):
     for _ in range(_HEURISTIC_TRIES):
         image_p, image_q = _evaluate(p, i, xi), _evaluate(q, i, xi)
         if image_p and image_q:
-            h = _interpolate(_poly_gcd(ring, image_p, image_q)[0], i, xi)
+            h = _interpolate(_gcd(ring, image_p, image_q)[0], i, xi)
             content = math.gcd(*h.values())
             if content != 1:
                 h = _quotient(h, content)
@@ -363,9 +332,9 @@ def _exact_quotient(p, h):
 def _prs_gcd(ring, p, q):
     """(h, p/h, q/h) for h a gcd of the nonzero polynomial dicts p and q,
     of either sign, by the primitive PRS in x_i over Z[the other
-    generators], whose gcds ``_poly_gcd`` takes; x_i is a generator both
-    share, of the least degree in one of them, which bounds the length of
-    the sequence.
+    generators], whose gcds ``_gcd`` takes; x_i is a generator both share,
+    of the least degree in one of them, which bounds the length of the
+    sequence.
 
     gcd(p, q) = gcd(cont p, cont q) gcd(pp p, pp q), the contents in the
     other generators.  The second factor is the last nonzero member of the
@@ -385,7 +354,7 @@ def _prs_gcd(ring, p, q):
             if not r or not _degrees(r)[i]:
                 break
             a, b = b, _content_in(ring, r, i)[1]
-        h = _poly_gcd(ring, cp, cq)[0]
+        h = _gcd(ring, cp, cq)[0]
         if not r:
             h = _product(ring, h, b)
     else:
@@ -399,7 +368,7 @@ def _content_in(ring, poly, i):
     content, *rest = [_coefficient_in(poly, i, e)
                       for e in {mono[i] for mono in poly}]
     for coefficient in rest:
-        content = _poly_gcd(ring, content, coefficient)[0]
+        content = _gcd(ring, content, coefficient)[0]
     return content, _exact_quotient(poly, content)
 
 

@@ -653,7 +653,7 @@ def decompose_canonical_map(fmap: SuperMap):
 # -- semidensities ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Semidensity:
     """Coefficient of sqrt(D(x,theta)) on a chart."""
 

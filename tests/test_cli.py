@@ -825,6 +825,29 @@ def test_bad_time_value_quote_is_bounded(tmp_path, capsys):
                    f"bad time value {LONG_CUT}")
 
 
+@pytest.mark.parametrize("t", ["1e10000000", "1e-10000000"])
+def test_time_exponent_past_the_digit_limit_exit_two(tmp_path, capsys, t):
+    # refused before Fraction builds 10^10,000,000
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({
+        "charts": {"c": N1}, "flow": {"chart": "c", "Q": "th1", "t": t}}))
+    start = time.perf_counter()
+    result = run_cli(["flow", "--manifest", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    _bounded_error(*result, f"bad time value {t!r}")
+
+
+@pytest.mark.parametrize("pools", [
+    {"charts": {"c": N1, "big": {"n": 1_000_000}}},
+    {"forms": {"w": {"n": 1_000_000, "expr": "xi1"}}}],
+    ids=["chart", "form"])
+def test_chart_n_past_the_cap_exit_two(tmp_path, capsys, pools):
+    start = time.perf_counter()
+    result = _bracket_manifest(tmp_path, capsys, **pools)
+    assert time.perf_counter() - start < 1
+    _bounded_error(*result, "chart 'n' is larger than 1000")
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"bracket": {"chart": LONG, "f": "x1", "g": "th1"}},
      f"unknown chart {LONG_CUT}"),

@@ -17,10 +17,23 @@ or ``<x>.denom[...]``; and on any call of a mutating dict method on
 ``<x>.terms``, or of a mutating dict or in-place PolyElement method on
 ``<x>.numer`` or ``<x>.denom``.  It reads the syntax only, so a terms dict
 or a polynomial reached through another name escapes it.
+
+The value dataclasses built on them (``VolumeForm``, ``Semidensity``,
+``DifferentialForm``, ``MultivectorField``) are frozen; the last test
+assigns to their fields.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
+
+from oddsym.bv import VolumeForm
+from oddsym.forms import DifferentialForm, MultivectorField
+from oddsym.grammar import parse_expr
+from oddsym.symbols import standard_chart
+from oddsym.symplectic import Semidensity
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oddsym"
 ALLOWED = {("superexpr.py", "SuperExpr.__init__"),
@@ -133,3 +146,23 @@ def test_no_terms_mutation_outside_the_constructor():
                                       path.read_text(encoding="utf-8"))]
     assert {hit[:2] for hit in found} >= ALLOWED  # the scan sees __init__
     assert [hit for hit in found if hit[:2] not in ALLOWED] == []
+
+
+def test_value_dataclasses_are_frozen():
+    # a manifest's values are shared by every request on it; an odd
+    # density assigned to a checked VolumeForm would also leave its cached
+    # inverse and root stale
+    chart = standard_chart(2, frame=True)
+    table = chart.table
+    th1 = parse_expr("th1", table)
+    values = [(VolumeForm(parse_expr("1 + th1*th2", table), chart),
+               "density"),
+              (Semidensity(parse_expr("x1", table), chart), "coefficient"),
+              (DifferentialForm(parse_expr("x1*xi1", table), chart), "expr"),
+              (MultivectorField(parse_expr("x1*th1", table), chart), "expr")]
+    for value, field in values:
+        before = getattr(value, field)
+        for name in (field, "chart"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, th1)
+        assert getattr(value, field) is before

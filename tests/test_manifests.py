@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from oddsym.manifests import ManifestError, load_manifest
+from oddsym.manifests import (_MAX_CHART_N, _MAX_TIME_DIGITS, ManifestError,
+                              load_manifest, parse_time)
 
 
 def _write(path, n):
@@ -92,3 +93,30 @@ def test_refused_entry_is_a_manifest_error(tmp_path, pools, message):
     with pytest.raises(ManifestError) as info:
         load_manifest(path)
     assert str(info.value) == message
+
+
+def test_chart_n_cap(tmp_path):
+    path = tmp_path / "m.json"
+    _write(path, _MAX_CHART_N)
+    assert load_manifest(path).charts["c"].n == _MAX_CHART_N
+    _write(path, _MAX_CHART_N + 1)
+    with pytest.raises(ManifestError,
+                       match=f"chart 'n' is larger than {_MAX_CHART_N}"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("text", [
+    f"1e{_MAX_TIME_DIGITS - 1}", f"1E+{_MAX_TIME_DIGITS - 1}",
+    f"1e-{_MAX_TIME_DIGITS - 1}", f"0.5e-{_MAX_TIME_DIGITS - 2}"])
+def test_time_exponent_up_to_the_digit_limit(text):
+    t = parse_time(text)
+    assert len(str(max(t.numerator, t.denominator))) <= _MAX_TIME_DIGITS
+
+
+@pytest.mark.parametrize("text", [
+    f"1e{_MAX_TIME_DIGITS}", f"1e-{_MAX_TIME_DIGITS}",
+    f"1.5e{_MAX_TIME_DIGITS - 1}", f"1e0_{_MAX_TIME_DIGITS}",
+    "1e" + "9" * 5000])
+def test_time_exponent_past_the_digit_limit(text):
+    with pytest.raises(ManifestError, match="bad time value"):
+        parse_time(text)
