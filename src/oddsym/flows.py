@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bv import delta0, delta_sharp, moser_hamiltonian
 from .polys import _degrees, _involves
-from .scalars import Scalar, ScalarError
+from .scalars import EvenImages, Scalar, ScalarError
 from .superexpr import (ParityError, Pullback, SuperExpr, nilpotent_series,
                         sum_of_products)
 from .symbols import TIME_SYMBOL, Chart
@@ -66,7 +66,7 @@ def _series(q, chart, t_value):
     ham = hamiltonian_field(q, chart)
     timed = any(c.depends_on(TIME_SYMBOL) for comp in ham
                 for c in comp.scalars())
-    at_zero = {TIME_SYMBOL: Scalar.from_int(table, 0)}
+    at_zero = EvenImages(table, {TIME_SYMBOL: Scalar.from_int(table, 0)})
 
     def step(f):
         out = sum_of_products(table, zip(ham, map(f.diff, names)))
@@ -74,7 +74,7 @@ def _series(q, chart, t_value):
 
     def at_start(f):
         return SuperExpr(table, {k: v for k, c in f.terms.items()
-                                 if (v := c.subs_even(at_zero))})
+                                 if (v := at_zero(c))})
 
     current = [SuperExpr.symbol(table, name) for name in names]
     series = []

@@ -102,7 +102,18 @@ def _monomial_bound(factors):
     divide the products of those, which bounds their total degrees and
     each generator's exponent; each odd key carries one numerator and
     one denominator.
+
+    Factors of one term each, a monomial over an integer, bound their
+    product by 1 with no walk over them.
     """
+    for value, _ in factors:
+        if len(value.terms) != 1:
+            break
+        (c,) = value.terms.values()
+        if len(c.numer) != 1 or c.integer_denominator() is None:
+            break
+    else:
+        return 1
     product, rational = 1, []
     for value, times in factors:
         count, r = _size(value)

@@ -30,20 +30,23 @@ def _expect(cond, message):
         raise ManifestError(message)
 
 
+# The largest chart a manifest may declare, and the most names either
+# list of a chart may hold.  A chart costs time and memory linear in its
+# generators, the generated monomial product (polys._monomial_product)
+# with a name per generator among them, so a manifest of a few bytes could
+# ask for gigabytes.  Any computation at full theta depth, with its 2^n
+# theta monomials, is out of reach long before this n.
+_MAX_CHART_N = 1000
+
+
 def _names(entry, key, default):
     names = entry.get(key, default)
-    _expect(isinstance(names, list) and
-            all(isinstance(name, str) for name in names),
+    _expect(isinstance(names, list), f"chart {key!r} must be a list of names")
+    _expect(len(names) <= _MAX_CHART_N,
+            f"chart {key!r} lists more than {_MAX_CHART_N} names")
+    _expect(all(isinstance(name, str) for name in names),
             f"chart {key!r} must be a list of names")
     return list(names)
-
-
-# The largest chart a manifest may declare.  A chart costs time and memory
-# linear in n, the generated monomial product (polys._monomial_product) with
-# a name per generator among them, so a manifest of a few bytes could ask
-# for gigabytes.  Any computation at full theta depth, with its 2^n theta
-# monomials, is out of reach long before this n.
-_MAX_CHART_N = 1000
 
 
 def _build_chart(entry):

@@ -149,18 +149,15 @@ def _involves(poly, indices):
     return False
 
 
-def _split(poly, indices):
-    """{exponents in the generators ``indices``: what they multiply}."""
-    groups = {}
-    for mono, coeff in poly.items():
-        exps = tuple(mono[i] for i in indices)
-        if any(exps):
-            mono = list(mono)
-            for i in indices:
-                mono[i] = 0
-            mono = tuple(mono)
-        groups.setdefault(exps, {})[mono] = coeff
-    return groups
+def _primitive(poly):
+    """(c, poly / c) for a nonzero polynomial dict: c is its integer
+    content, signed so that the quotient's lex-greatest monomial has a
+    positive coefficient.  Polynomials that differ by a nonzero rational
+    factor have one quotient."""
+    c = math.gcd(*poly.values())
+    if poly[max(poly)] < 0:
+        c = -c
+    return c, _quotient(poly, c)
 
 
 def _degrees(poly):

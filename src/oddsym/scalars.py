@@ -40,6 +40,7 @@ property tests compare them.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from sympy.polys.domains import ZZ
@@ -48,7 +49,7 @@ from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement
 
 from .polys import (_constant, _gcd, _ground, _involves, _poly_sqrt, _power,
-                    _product, _quotient, _scaled, _split, _sum, _terms,
+                    _product, _quotient, _scaled, _sum, _terms,
                     divided_derivative)
 
 
@@ -252,26 +253,17 @@ class Scalar:
                   for mono, c in numer.items()}
         return _reduce(self.table, scaled, self.denom * lcm)
 
-    def subs_even(self, images, powers=None):
+    def subs_even(self, images):
         """Simultaneous substitution of even symbols by Scalars.
 
         ``images`` maps even-symbol names to Scalars of the same table;
-        unmentioned symbols stay put.  ``powers`` may be a dict that keeps
-        the powers of the images between calls with the same ``images``.
+        unmentioned symbols stay put.  ``EvenImages`` does it for many
+        Scalars with one set of images.
         """
-        table = self.table
-        args = {table.even_index(name): self._coerce(value)
-                for name, value in images.items()}
-        if powers is None:
-            powers = {}
-        num = _eval_poly(table, self.numer, args, powers)
-        if not isinstance(self.denom, dict):
-            return _mul(num, Scalar(table, _constant(table.ring, 1),
-                                    self.denom))
-        den = _eval_poly(table, self.denom, args, powers)
-        if not den:
-            raise ScalarError("substitution makes the denominator vanish")
-        return _div(num, den)
+        if not images:
+            return self
+        images = {name: self._coerce(value) for name, value in images.items()}
+        return EvenImages(self.table, images)(self)
 
     def integer_denominator(self):
         """The denominator as an int when it is constant, else None."""
@@ -448,26 +440,109 @@ def _diff_quotient(f, idx):
     return _canonical(f.table, t, _product(ring, _product(ring, h, u), u))
 
 
-def _eval_poly(table, poly, images, powers):
-    """The Scalar of a polynomial dict with the generators in ``images``
-    (index -> Scalar) replaced; the other generators stay.
+class EvenImages:
+    """Even symbols replaced by Scalars of the table, for ``images`` a
+    nonempty dict from their names to the Scalars: ``EvenImages(table,
+    images)(c)`` is ``c.subs_even(images)``, and ``evaluate(poly, den)``
+    the Scalar poly / den so replaced, for a polynomial dict and an int
+    den > 0.
 
-    Monomials are grouped by their exponents in the replaced generators,
-    so each group costs one product of image powers; ``powers`` holds
-    those powers by (index, exponent) and is filled as they are needed.
+    A monomial c x^m maps to c x^(m - e) b^e, for e the exponents of m in
+    the replaced generators and b their images.  ``monomials`` keeps, by
+    e, b^e and its integer denominator with the monomials of its
+    numerator less e, so that each term of b^e costs one monomial
+    product.  Each b^e is built once, on first need, as b^(e - e_i) b_i.
+    The terms over integer denominators are summed into one numerator
+    over their lcm and reduced once; a rational-function b^e adds its
+    term as a Scalar.
     """
-    bound = tuple(images)
-    total = _zero(table)
-    for exps, rest in _split(poly, bound).items():
-        term = Scalar(table, rest, 1)
-        for idx, e in zip(bound, exps):
-            if e:
-                power = powers.get((idx, e))
-                if power is None:
-                    power = powers[(idx, e)] = images[idx] ** e
-                term = _mul(term, power)
-        total = _add(total, term)
-    return total
+
+    __slots__ = ("table", "moved", "images", "key", "monomials")
+
+    def __init__(self, table, images):
+        self.table = table
+        self.moved = tuple(table.even_index(name) for name in images)
+        self.images = tuple(images.values())
+        # e by a C-level getter: a tuple, or an int for one generator
+        self.key = operator.itemgetter(*self.moved)
+        self.monomials = {}
+        zero = self.key(table.ring.zero_monom)
+        self.monomials[zero] = self._entry(zero, Scalar.from_int(table, 1))
+
+    def __call__(self, scalar):
+        if not isinstance(scalar.denom, dict):
+            return self.evaluate(scalar.numer, scalar.denom)
+        den = self.evaluate(scalar.denom)
+        if not den:
+            raise ScalarError("substitution makes the denominator vanish")
+        return _div(self.evaluate(scalar.numer), den)
+
+    def _entry(self, e, b):
+        """What ``monomials`` keeps for b^e: b^e, its denominator when it
+        is an int (else None), the monomial x^-e, and, for an int
+        denominator, its numerator's (monomial less e, coefficient)
+        pairs."""
+        shift = list(self.table.ring.zero_monom)
+        for i, k in zip(self.moved, e if isinstance(e, tuple) else (e,)):
+            shift[i] = -k
+        shift = tuple(shift)
+        d = b.integer_denominator()
+        if d is None:
+            return b, None, shift, ()
+        mul = self.table.ring.mul
+        return b, d, shift, tuple((mul(n, shift), k)
+                                  for n, k in b.numer.items())
+
+    def _monomial(self, e):
+        """The entry of b^e: the nearest kept b^(e - k e_i), i the last
+        generator with e_i > 0, multiplied by b_i up to e."""
+        monomials = self.monomials
+        exps = list(e) if isinstance(e, tuple) else [e]
+        chain, key = [], e
+        while key not in monomials:
+            i = max(j for j, k in enumerate(exps) if k)
+            chain.append((key, i))
+            exps[i] -= 1
+            key = tuple(exps) if isinstance(e, tuple) else exps[0]
+        b = monomials[key][0]
+        for key, i in reversed(chain):
+            b = _mul(b, self.images[i])
+            monomials[key] = self._entry(key, b)
+        return monomials[e]
+
+    def evaluate(self, poly, den=1):
+        table = self.table
+        mul, key, monomials = table.ring.mul, self.key, self.monomials
+        sums = {}  # integer denominator of b^e -> numerator over it
+        rational = _zero(table)
+        for mono, c in poly.items():
+            e = key(mono)
+            entry = monomials.get(e)
+            if entry is None:
+                entry = self._monomial(e)
+            b, d, shift, pairs = entry
+            if d is None:
+                rational = _add(rational, _mul(
+                    _reduce(table, {mul(mono, shift): c}, den), b))
+                continue
+            acc = sums.get(d)
+            if acc is None:
+                acc = sums[d] = {}
+            get = acc.get
+            for n, k in pairs:
+                m = mul(mono, n)
+                acc[m] = get(m, 0) + c * k
+        if len(sums) == 1:
+            (lcm, num), = sums.items()
+        else:
+            lcm, num = math.lcm(*sums), {}
+            get = num.get
+            for d, acc in sums.items():
+                for m, v in acc.items():
+                    num[m] = get(m, 0) + v * (lcm // d)
+        if 0 in num.values():
+            num = {m: v for m, v in num.items() if v}
+        return _add(_reduce(table, num, lcm * den), rational)
 
 
 def binomial_half(k):

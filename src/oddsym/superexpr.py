@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .polys import _involves, divided_derivative
-from .scalars import Scalar, ScalarError, _add, _mul, binomial_half
+from .polys import _involves, _primitive, divided_derivative
+from .scalars import (EvenImages, Scalar, ScalarError, _add, _mul,
+                      binomial_half)
 from .symbols import Parity, SymbolError
 
 
@@ -542,9 +543,12 @@ class Pullback:
     maps to the image of its numerator times the inverse of the image of
     its denominator, whose body must not vanish.
 
-    ``many(exprs)`` pulls back a batch: the images of equal
-    integer-denominator coefficients are expanded once per batch, and
-    that memo is kept nowhere once the call returns.
+    ``many(exprs)`` pulls back a batch with one memo, keyed by the
+    primitive part q of an integer-denominator coefficient k q / den
+    (content and sign divided out, ``polys._primitive``): the first
+    multiple of q in the batch is expanded and kept with its k and den,
+    and every other multiple of q is that image times a constant.  The
+    memo is kept nowhere once the call returns.
 
     The bindings are read and split into bodies and nilpotent parts
     once, here; a bad parity is a ``ParityError`` at construction.  What
@@ -556,8 +560,10 @@ class Pullback:
       symbols, by their indices;
     * ``inverse_cache``: the inverse of the image of a denominator
       polynomial;
-    * ``body_powers``: the powers of the body images that
-      ``Scalar.subs_even`` evaluates coefficients with.
+    * ``body_images.monomials``: the body monomials b^e, by exponent
+      vector e of the moved even symbols, each built once as
+      b^(e - e_i) b_i; the Taylor terms (d^alpha p / alpha!)(b) are
+      evaluated with them (``EvenImages``).
     """
 
     def __init__(self, table, bindings):
@@ -602,22 +608,22 @@ class Pullback:
         self.nil_powers = {}  # exponent prefix over ``active`` -> n^alpha
         self.odd_products = {}  # bound odd indices -> product of images
         self.inverse_cache = {}  # denominator's terms -> inverse image
-        self.body_powers = {}  # (even index, exponent) -> body image power
+        self.body_images = EvenImages(table, self.bodies) \
+            if self.bodies else None
 
     def _shifted(self, poly, den):
         """poly(b + n) / den for an integer den, as a term dict."""
         table = self.table
-        bodies, nils, active = self.bodies, self.nils, self.active
-        nil_powers, body_powers = self.nil_powers, self.body_powers
+        body_images, nils, active = self.body_images, self.nils, self.active
+        nil_powers = self.nil_powers
         out = {}
 
         # alpha grows one ``active`` position at a time: p is
         # d^alpha poly / alpha! so far, product is n^alpha (None for 1)
         def walk(pos, p, prefix, product):
             if pos == len(active):
-                value = Scalar.from_poly(table, p, den)
-                if bodies:
-                    value = value.subs_even(bodies, body_powers)
+                value = Scalar.from_poly(table, p, den) \
+                    if body_images is None else body_images.evaluate(p, den)
                 if value.is_zero:
                     return
                 if product is None:
@@ -652,13 +658,15 @@ class Pullback:
     def many(self, exprs):
         """The pull-backs of a batch of expressions, as a list.  The batch
         shares one memo of the images of its integer-denominator
-        coefficients, by value; the memo lives for this call alone."""
+        coefficients, by primitive part; the memo lives for this call
+        alone."""
         memo = {}
         return [self._pull(expr, memo) for expr in exprs]
 
     def _pull(self, expr, memo):
-        """The pull-back of one expression; ``memo`` maps the value of an
-        integer-denominator coefficient to its image."""
+        """The pull-back of one expression; ``memo`` maps the primitive
+        part of an integer-denominator coefficient's numerator to its
+        image."""
         table = self.table
         if expr.table is not table:
             raise SymbolError("mixed symbol tables")
@@ -671,11 +679,23 @@ class Pullback:
             if bound and (_involves(c.numer, bound) or
                           den is None and _involves(c.denom, bound)):
                 if den is not None:
-                    value = frozenset(c.numer.items()), den
-                    piece = memo.get(value)
-                    if piece is None:
-                        piece = memo[value] = SuperExpr(
-                            table, self._shifted(c.numer, den))
+                    # c is k / den times its primitive part q; the first
+                    # image of a q is kept with its k and den, and another
+                    # multiple of q rescales it
+                    k, q = _primitive(c.numer)
+                    primitive = frozenset(q.items())
+                    kept = memo.get(primitive)
+                    if kept is None:
+                        piece = SuperExpr(table, self._shifted(c.numer, den))
+                        memo[primitive] = piece, k, den
+                    else:
+                        piece, k0, den0 = kept
+                        if k != k0 or den != den0:
+                            scale = Scalar.from_fraction(
+                                table, Fraction(k * den0, den * k0))
+                            piece = SuperExpr(table, {
+                                odd: _mul(v, scale)
+                                for odd, v in piece.terms.items()})
                 else:
                     denom_key = frozenset(c.denom.items())
                     inv = self.inverse_cache.get(denom_key)

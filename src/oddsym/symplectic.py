@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .grammar import render_expr
-from .scalars import Scalar, ScalarError
+from .scalars import EvenImages, Scalar, ScalarError
 from .superexpr import (ParityError, Pullback, SuperExpr, nilpotent_series,
                         sum_of, sum_of_products)
 from .symbols import Chart, Parity, SymbolError
@@ -480,11 +480,11 @@ def point_map(chart: Chart, body, body_inverse):
 def _check_body_inverse(chart, body, body_inverse):
     """Both compositions of the body map and its inverse are the identity."""
     table = chart.table
-    forward = dict(zip(chart.xs, body))
-    backward = dict(zip(chart.xs, body_inverse))
+    forward = EvenImages(table, dict(zip(chart.xs, body)))
+    backward = EvenImages(table, dict(zip(chart.xs, body_inverse)))
     if len(body_inverse) != chart.n or any(
-            g.subs_even(forward) != Scalar.symbol(table, x) or
-            f.subs_even(backward) != Scalar.symbol(table, x)
+            forward(g) != Scalar.symbol(table, x) or
+            backward(f) != Scalar.symbol(table, x)
             for x, g, f in zip(chart.xs, body_inverse, body)):
         raise CanonicityError("body inverse does not invert the body")
 
@@ -593,8 +593,8 @@ def _peeled_inverse(fmap):
             raise CanonicityError("body inverse unavailable")
         body_inverse = list(fmap.body_inverse)
         _check_body_inverse(chart, body, body_inverse)
-        back = dict(zip(chart.xs, body_inverse))
-        linear_inv = [[c.subs_even(back) for c in row] for row in linear_inv]
+        back = EvenImages(table, dict(zip(chart.xs, body_inverse)))
+        linear_inv = [[back(c) for c in row] for row in linear_inv]
     l_inv = SuperMap(chart, chart, [
         SuperExpr.from_scalar(b) for b in body_inverse] + [
         theta_linear(coords[n:], linear_inv, j) for j in range(n)])

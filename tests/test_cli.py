@@ -266,6 +266,22 @@ def test_nesting_past_the_recursion_limit_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+@pytest.mark.parametrize("count", [1001, 100_000])
+@pytest.mark.parametrize("key", ["even", "aux"])
+def test_long_chart_name_list_exit_two(tmp_path, capsys, key, count):
+    # a name list is refused by its length, before any name is read
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({
+        "charts": {"c": {"n": 1, key: [f"y{i}" for i in range(count)]}},
+        "bracket": {"chart": "c", "f": "th1", "g": "th1"}}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["bracket", "--manifest", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.endswith(f"chart '{key}' lists more than 1000 names\n")
+    assert len(err.encode()) < 200
+
+
 def _bracket_of(tmp_path, capsys, text):
     doc = {
         "charts": {"c": {"n": 1, "even": ["x1"], "odd": ["th1"]}},

@@ -105,6 +105,24 @@ def test_chart_n_cap(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("key", ["even", "aux"])
+def test_chart_name_list_cap(tmp_path, key):
+    path = tmp_path / "m.json"
+    names = [f"y{i}" for i in range(_MAX_CHART_N)]
+    path.write_text(json.dumps({"charts": {"c": {"n": 1, key: names}}}),
+                    encoding="utf-8")
+    table = load_manifest(path).charts["c"].table
+    assert set(names) <= set(table.even_symbols if key == "even"
+                             else table.aux_odds)
+    for count in (_MAX_CHART_N + 1, 100_000):
+        names = [f"y{i}" for i in range(count)]
+        path.write_text(json.dumps({"charts": {"c": {"n": 1, key: names}}}),
+                        encoding="utf-8")
+        with pytest.raises(ManifestError, match=f"chart '{key}' lists more "
+                           f"than {_MAX_CHART_N} names"):
+            load_manifest(path)
+
+
 @pytest.mark.parametrize("text", [
     f"1e{_MAX_TIME_DIGITS - 1}", f"1E+{_MAX_TIME_DIGITS - 1}",
     f"1e-{_MAX_TIME_DIGITS - 1}", f"0.5e-{_MAX_TIME_DIGITS - 2}"])

@@ -1,11 +1,13 @@
 """Each identity can fail: a wrong formula, patched in place of the right
 one, makes a verify suite report FAIL.
 
-Every mutation below changes one term of a formula of the paper.  It is
-patched into every oddsym module that holds the routine by name (verify,
-flows and surfaces import by name), with no source edit.  Then the
-cheapest suite whose residuals catch it runs through ``cli.cmd_verify``,
-and one of its checks, not an exception, must report FAIL.
+Every mutation below changes one term of a formula of the paper, or of
+a kernel that the pull-back keeps.  It is patched into every oddsym module
+that holds the routine by name (verify, flows and surfaces import by
+name), or onto the class that owns a method, with no source edit.  Then
+the cheapest suite whose residuals catch it runs through
+``cli.cmd_verify``, and one of its checks, not an exception, must report
+FAIL.
 """
 
 import sys
@@ -14,8 +16,10 @@ import pytest
 
 import oddsym.bv as bv
 import oddsym.forms as forms
+import oddsym.polys as polys
 import oddsym.symplectic as symplectic
 from oddsym.cli import cmd_verify
+from oddsym.scalars import EvenImages, Scalar
 from oddsym.superexpr import SuperExpr, _accumulate, sum_of
 from oddsym.symplectic import Semidensity, mat_det
 
@@ -25,6 +29,7 @@ DELTA0, DELTA_VOL, DIVERGENCE_DELTA = bv.delta0, bv.delta_vol, \
 BEREZINIAN, HAMILTONIAN_FIELD, PULLBACK_SEMIDENSITY = \
     symplectic.berezinian, symplectic.hamiltonian_field, \
     symplectic.pullback_semidensity
+PRIMITIVE = polys._primitive
 
 
 def delta0_unsigned(f, chart):
@@ -85,7 +90,26 @@ def divergence_delta_theta_sign(f, dv):
     return DIVERGENCE_DELTA(f, dv) - thetas
 
 
-# (routine, its mutation, the cheapest suite whose residuals catch it)
+def primitive_unsigned(poly):
+    """The primitive part with |c| for its signed content c: a batch's
+    -p would reuse the image of p."""
+    c, q = PRIMITIVE(poly)
+    return abs(c), q
+
+
+def evaluate_without_rest(images, poly, den=1):
+    """EvenImages.evaluate with the kept b^e standing for the whole of
+    c x^m: the exponents of the generators not replaced are dropped."""
+    total = Scalar.from_int(images.table, 0)
+    for mono, c in poly.items():
+        e = images.key(mono)
+        b = (images.monomials.get(e) or images._monomial(e))[0]
+        total = total + b * c
+    return total / den
+
+
+# (routine, its mutation, the cheapest suite whose residuals catch it); a
+# method is given as (class, name)
 MUTATIONS = {
     "delta0-sign": (DELTA0, delta0_unsigned, "worked-example"),
     "delta_vol-full-rho": (DELTA_VOL, delta_vol_full, "surface"),
@@ -98,6 +122,9 @@ MUTATIONS = {
                      "moser"),
     "divergence-theta-sign": (DIVERGENCE_DELTA, divergence_delta_theta_sign,
                               "divergence"),
+    "pullback-primitive-sign": (PRIMITIVE, primitive_unsigned, "flows"),
+    "body-monomial-rest": ((EvenImages, "evaluate"), evaluate_without_rest,
+                           "surface"),
 }
 
 
@@ -115,7 +142,10 @@ def patch_everywhere(monkeypatch, routine, replacement):
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_mutation_makes_its_suite_fail(monkeypatch, mutation):
     routine, replacement, suite = MUTATIONS[mutation]
-    assert patch_everywhere(monkeypatch, routine, replacement)
+    if isinstance(routine, tuple):
+        monkeypatch.setattr(*routine, replacement)
+    else:
+        assert patch_everywhere(monkeypatch, routine, replacement)
     lines, ok = cmd_verify(suite)
     assert not ok
     # a check's residual fails: the suite runs to its end, not into an

@@ -234,6 +234,33 @@ def test_monomial_bound_holds_for_powers(a, b, j, k):
     assert _monomial_count((a + b) ** k) <= _monomial_bound([(a + b, k)])
 
 
+@st.composite
+def one_term_monomials(draw):
+    """One term: a monomial in x1, x2 over a positive integer, on an odd
+    monomial."""
+    coeff = Fraction(draw(coefficients.filter(bool)),
+                     draw(st.integers(min_value=1, max_value=6)))
+    term = SuperExpr.constant(TABLE, coeff)
+    for name, power in zip(("x1", "x2"), draw(even_powers)):
+        term = term * SuperExpr.symbol(TABLE, name) ** power
+    for odd in draw(st.lists(st.sampled_from(TABLE.odd_names), max_size=3,
+                             unique=True)):
+        term = term * SuperExpr.symbol(TABLE, odd)
+    return term
+
+
+@given(st.lists(st.tuples(one_term_monomials(),
+                          st.integers(min_value=0, max_value=6)),
+                min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_monomial_bound_of_one_term_factors(factors):
+    """The bound of one-term monomial factors, returned before any walk,
+    is the one the walk gives: a factor taken 0 times changes no bound,
+    and one of two terms turns the early return off."""
+    walked = factors + [(parse_expr("x1 + x2", TABLE), 0)]
+    assert _monomial_bound(factors) == _monomial_bound(walked) == 1
+
+
 @given(exprs())
 @settings(max_examples=60, deadline=None)
 def test_render_parse_round_trip(a):
@@ -1308,6 +1335,61 @@ def test_substitute_respects_denominators(rational, binds):
     den_image = SuperExpr.from_scalar(scalar(SUB_FIELD(den), SUB_TABLE))
     assert image * den_image.substitute(binds) == \
         (expr * den_image).substitute(binds)
+
+
+def _oracle(expr, binds):
+    """reference_substitute, or None when a denominator body vanishes."""
+    try:
+        return reference_substitute(expr, binds)
+    except ScalarError:
+        return None
+
+
+@given(st.lists(st.one_of(sub_exprs(), rational_exprs().map(lambda r: r[0])),
+                min_size=1, max_size=3),
+       bindings(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_kept_pullback_matches_oracle_on_every_call(es, binds, rnd):
+    """One Pullback, reused across single calls and batches in any order,
+    pulls back each expression, and multiples of it, as the term-by-term
+    oracle does: what it keeps from one expression never shows in the
+    image of another."""
+    es = es + [expr * c for expr in es for c in (-2, Fraction(1, 3))]
+    wants = [_oracle(expr, binds) for expr in es]
+    pull = Pullback(SUB_TABLE, binds)
+    for _ in range(3):
+        order = rnd.sample(range(len(es)), len(es))
+        for i in order:
+            if wants[i] is None:
+                with pytest.raises(ScalarError):
+                    pull(es[i])
+            else:
+                assert pull(es[i]) == wants[i]
+        batch = [i for i in order if wants[i] is not None]
+        batch += batch[::-1]
+        assert pull.many([es[i] for i in batch]) == [wants[i] for i in batch]
+
+
+def test_batch_expands_a_primitive_part_once(monkeypatch):
+    """2p, -p, p/3 and p*b1 in one batch: one expansion of the multiples
+    of p, each image right, with a moved rational body, a nilpotent part
+    and an odd image."""
+    parse = lambda text: parse_expr(text, SUB_TABLE)  # noqa: E731
+    binds = {"x1": parse("2*x2 + 1 + th1*th2"), "x2": parse("x1/(x2 + 1)"),
+             "th1": parse("th1 + x1*b1")}
+    p = "(x1^2 + x1*x2 - 3)"
+    batch = [parse(f"2*{p}*th2"), parse(f"-{p}"), parse(f"{p}/3 + th1*b2"),
+             parse(f"{p}*b1")]
+    shifted = []
+    real = Pullback._shifted
+
+    def counting(self, poly, den):
+        shifted.append((frozenset(poly.items()), den))
+        return real(self, poly, den)
+    monkeypatch.setattr(Pullback, "_shifted", counting)
+    got = Pullback(SUB_TABLE, binds).many(batch)
+    assert len(shifted) == 1
+    assert got == [reference_substitute(expr, binds) for expr in batch]
 
 
 def reference_bracket(f, g, chart, omega=None):

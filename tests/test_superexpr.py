@@ -343,7 +343,7 @@ def test_pullback_reuse_matches_fresh_substitute(tab):
         for f in exprs:
             assert pull(f) == f.substitute(binds)
     assert pull.inverse_cache and pull.odd_products and pull.nil_powers
-    assert pull.body_powers
+    assert len(pull.body_images.monomials) > 1  # b^0 is there from the start
 
 
 def test_pullback_errors(tab):
@@ -373,7 +373,7 @@ def test_pullback_many(tab, monkeypatch):
     for call in (pull, lambda f: pull.many([e(tab, "x1"), f])):
         with pytest.raises(SymbolError, match="mixed symbol tables"):
             call(other)
-    # a batch expands each coefficient value once, on any monomial and in
+    # a batch expands each primitive part once, on any monomial and in
     # any of its expressions; a single call shares none with the next
     shifted = []
     real = Pullback._shifted
@@ -385,10 +385,10 @@ def test_pullback_many(tab, monkeypatch):
     batch = [e(tab, "x1^2*th3 + x1^2/2*b1 + (x1^2 + 0)*th2"),
              e(tab, "x1^2*b2 + x1*x2"), e(tab, "x1^2*th3")]
     got = pull.many(batch)
-    assert len(shifted) == len(set(shifted)) == 3
+    assert len(shifted) == len(set(shifted)) == 2
     del shifted[:]
     assert got == [pull(f) for f in batch]
-    assert len(shifted) == 5
+    assert len(shifted) == 4
 
 
 def test_pullback_many_keeps_no_memo():
