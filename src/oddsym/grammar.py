@@ -12,7 +12,6 @@ expression.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .polys import _degrees
 from .scalars import Scalar
@@ -337,14 +336,16 @@ def parse_expr(text, table):
 # -- rendering -----------------------------------------------------------------
 
 
-def _render_number(value):
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+def _render_number(numer, denom):
+    return str(numer) if denom == 1 else f"{numer}/{denom}"
 
 
-def _render_monomial(table, mono, coeff):
-    """One even monomial with integer or fractional coefficient."""
+def _render_monomial(table, mono, coeff, denom):
+    """One even monomial with coefficient coeff / denom, for ints coeff
+    and denom > 0; the fraction is reduced here."""
+    if denom != 1:
+        g = math.gcd(coeff, denom)
+        coeff, denom = coeff // g, denom // g
     parts = []
     for idx, power in enumerate(mono):
         if not power:
@@ -352,13 +353,14 @@ def _render_monomial(table, mono, coeff):
         name = table.even_symbols[idx]
         parts.append(name if power == 1 else f"{name}^{power}")
     if not parts:
-        return _render_number(coeff)
+        return _render_number(coeff, denom)
     body = "*".join(parts)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{_render_number(coeff)}*{body}"
+    if denom == 1:
+        if coeff == 1:
+            return body
+        if coeff == -1:
+            return "-" + body
+    return f"{_render_number(coeff, denom)}*{body}"
 
 
 def join_signed(texts):
@@ -375,8 +377,9 @@ def join_signed(texts):
     return "".join(out) or "0"
 
 
-def _render_poly(table, terms):
-    return join_signed(_render_monomial(table, mono, coeff)
+def _render_poly(table, terms, denom=1):
+    """The polynomial of (monomial, int coefficient) terms over denom."""
+    return join_signed(_render_monomial(table, mono, coeff, denom)
                        for mono, coeff in terms)
 
 
@@ -392,13 +395,19 @@ def _poly_is_atomic(terms):
 
 
 def render_scalar(scalar):
-    """Canonical text for a Scalar; second value: safe as product factor."""
+    """Canonical text for a Scalar; second value: safe as product factor.
+
+    A Scalar with an integer denominator q renders as a polynomial whose
+    coefficients are the fractions c/q in lowest terms: each numerator
+    coefficient c is reduced against q by ``math.gcd``, and with q = 1
+    the integers pass as they are.  Any other Scalar renders as
+    numerator/denominator.
+    """
     table = scalar.table
     num_terms = scalar.numer_terms
     q = scalar.integer_denominator()
     if q is not None:
-        folded = [(m, Fraction(c, q)) for m, c in num_terms]
-        return _render_poly(table, folded), len(folded) <= 1
+        return _render_poly(table, num_terms, q), len(num_terms) <= 1
     den_terms = scalar.denom_terms
     num = _render_poly(table, num_terms)
     if len(num_terms) > 1:

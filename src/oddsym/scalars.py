@@ -16,13 +16,14 @@ The arithmetic takes one of two paths, chosen by the operands alone:
   polynomials over the common integer denominator and only the integer
   content is cancelled, with ``math.gcd``;
 * field: otherwise the operands are combined as quotients of
-  polynomials (an int denominator as a constant one), cancelling across
-  before multiplying out (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).
-  Both operands are already in lowest terms, so no factor can cancel
-  except between a numerator and the other operand's denominator (a
-  product), or between the sum and the gcd of the two denominators (a
-  sum).  Those gcds are of the smaller factors, not of the whole product,
-  and a gcd with a constant side takes only integers.
+  polynomials, cancelling across before multiplying out (Henrici 1956;
+  Knuth, TAOCP vol. 2, 4.5.1).  Both operands are already in lowest
+  terms, so no factor can cancel except between a numerator and the
+  other operand's denominator (a product), or between the sum and the
+  gcd of the two denominators (a sum), none when that gcd is 1.  Those
+  gcds are of the smaller factors, not of the whole product, and one
+  with an int or constant side is an int gcd of the coefficients
+  (``_cancel``): an int denominator never becomes a polynomial.
 
 The dicts are ``polys`` polynomials, and sympy sees them only in the
 ``Scalar.f`` view.  A product with a constant side c/d multiplies no
@@ -336,10 +337,10 @@ def _mul(f, g):
     if c is None:
         if isinstance(da, dict) or isinstance(db, dict):
             # a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)), gi cross gcds
-            _, a, d = _gcd(ring, f.numer, _denominator(g))
-            _, c, b = _gcd(ring, g.numer, _denominator(f))
+            _, a, d = _cancel(ring, f.numer, db)
+            _, c, b = _cancel(ring, g.numer, da)
             return _canonical(f.table, _product(ring, a, c),
-                              _product(ring, b, d))
+                              _times(ring, b, d))
         return _reduce(f.table, _product(ring, f.numer, g.numer), da * db)
     # g = c/db is a constant: scale f's numerator, multiply no polynomials
     if c == 1 and db == 1:
@@ -406,23 +407,28 @@ def _add_quotients(f, g, subtract):
     """a/b + c/d, or a/b - c/d, for nonzero lowest-terms operands.
 
     With h = gcd(b, d), t = a (d/h) + c (b/h) shares no factor with b/h
-    or d/h, so the one gcd left to take is gcd(t, h).
+    or d/h, so the one gcd left to take is gcd(t, h), none when h is 1.
     """
     ring = f.table.ring
-    h, b, d = _gcd(ring, _denominator(f), _denominator(g))
-    t = _sum(_product(ring, f.numer, d), _product(ring, g.numer, b),
-             subtract)
+    da, db = f.denom, g.denom
+    if isinstance(da, dict):
+        h, b, d = _cancel(ring, da, db)
+    else:
+        h, d, b = _cancel(ring, db, da)
+    t = _sum(_times(ring, f.numer, d), _times(ring, g.numer, b), subtract)
     if not t:
         return _zero(f.table)
-    _, t, h = _gcd(ring, t, h)
-    return _canonical(f.table, t, _product(ring, _product(ring, h, b), d))
+    if h != 1:
+        _, t, h = _cancel(ring, t, h)
+    return _canonical(f.table, t, _times(ring, h, _times(ring, b, d)))
 
 
 def _diff_quotient(f, idx):
     """d(a/b)/dx_idx for a lowest-terms a/b with b not constant.
 
     With h = gcd(b, b'), u = b/h and v = b'/h, the derivative is
-    (a'u - a v) / (b u), and its numerator shares no factor with u.
+    (a'u - a v) / (b u), and its numerator shares no factor with u, so
+    the one gcd left to take is gcd(t, h), none when h is 1.
     """
     ring = f.table.ring
     a, b = f.numer, f.denom
@@ -430,14 +436,41 @@ def _diff_quotient(f, idx):
     if not db:
         if not da:
             return _zero(f.table)
-        _, da, b = _gcd(ring, da, b)
+        _, da, b = _cancel(ring, da, b)
         return _canonical(f.table, da, b)
-    h, u, v = _gcd(ring, b, db)
+    h, v, u = _cancel(ring, db, b)
     t = _sum(_product(ring, da, u), _product(ring, a, v), True)
     if not t:
         return _zero(f.table)
-    _, t, h = _gcd(ring, t, h)
-    return _canonical(f.table, t, _product(ring, _product(ring, h, u), u))
+    if h != 1:
+        _, t, h = _cancel(ring, t, h)
+    return _canonical(f.table, t, _product(ring, _times(ring, h, u), u))
+
+
+def _cancel(ring, p, q):
+    """(h, p/h, q/h) for h a gcd of a nonzero polynomial dict p and q, an
+    int or a nonconstant polynomial dict.  Against an int q or a constant
+    p, h is the int gcd of their coefficients, and an int q stays an int;
+    otherwise ``_gcd`` takes h, kept as an int when it is constant."""
+    if isinstance(q, int):
+        g = math.gcd(q, *p.values())
+        return g, _quotient(p, g), q // g
+    zero = ring.zero_monom
+    if len(p) == 1 and zero in p:
+        g = math.gcd(*p.values(), *q.values())
+        return g, _quotient(p, g), _quotient(q, g)
+    h, p, q = _gcd(ring, p, q)
+    c = _ground(h, zero)
+    return (h if c is None else c), p, q
+
+
+def _times(ring, p, q):
+    """p * q for polynomial dicts or ints, not both ints."""
+    if isinstance(p, int):
+        return _scaled(q, p)
+    if isinstance(q, int):
+        return _scaled(p, q)
+    return _product(ring, p, q)
 
 
 class EvenImages:

@@ -613,44 +613,45 @@ class Pullback:
 
     def _shifted(self, poly, den):
         """poly(b + n) / den for an integer den, as a term dict."""
-        table = self.table
-        body_images, nils, active = self.body_images, self.nils, self.active
-        nil_powers = self.nil_powers
         out = {}
-
-        # alpha grows one ``active`` position at a time: p is
-        # d^alpha poly / alpha! so far, product is n^alpha (None for 1)
-        def walk(pos, p, prefix, product):
-            if pos == len(active):
-                value = Scalar.from_poly(table, p, den) \
-                    if body_images is None else body_images.evaluate(p, den)
-                if value.is_zero:
-                    return
-                if product is None:
-                    _accumulate(out, (), value)
-                else:
-                    for key, c in product.terms.items():
-                        _accumulate(out, key, _mul(value, c))
-                return
-            walk(pos + 1, p, prefix + (0,), product)
-            idx = active[pos]
-            for k in itertools.count(1):
-                key = prefix + (k,)
-                power = nil_powers.get(key)
-                if power is None:
-                    power = nils[idx] if product is None \
-                        else product * nils[idx]
-                    nil_powers[key] = power
-                if power.is_zero:
-                    return
-                p = divided_derivative(p, idx, k)
-                if not p:
-                    return
-                product = power
-                walk(pos + 1, p, key, product)
-
-        walk(0, poly, (), None)
+        self._walk(out, den, 0, poly, (), None)
         return out
+
+    def _walk(self, out, den, pos, p, prefix, product):
+        """Add to ``out`` the Taylor terms of every alpha that extends
+        ``prefix``.  alpha grows one ``active`` position at a time: p is
+        d^alpha poly / alpha! so far, product is n^alpha (None for 1).
+        A method, not a closure: a recursive closure refers to itself, so
+        each call's terms would wait for the cyclic collector."""
+        active = self.active
+        if pos == len(active):
+            body_images = self.body_images
+            value = Scalar.from_poly(self.table, p, den) \
+                if body_images is None else body_images.evaluate(p, den)
+            if value.is_zero:
+                return
+            if product is None:
+                _accumulate(out, (), value)
+            else:
+                for key, c in product.terms.items():
+                    _accumulate(out, key, _mul(value, c))
+            return
+        self._walk(out, den, pos + 1, p, prefix + (0,), product)
+        idx = active[pos]
+        nil, nil_powers = self.nils[idx], self.nil_powers
+        for k in itertools.count(1):
+            key = prefix + (k,)
+            power = nil_powers.get(key)
+            if power is None:
+                power = nil if product is None else product * nil
+                nil_powers[key] = power
+            if power.is_zero:
+                return
+            p = divided_derivative(p, idx, k)
+            if not p:
+                return
+            product = power
+            self._walk(out, den, pos + 1, p, key, product)
 
     def __call__(self, expr):
         return self._pull(expr, {})

@@ -77,14 +77,22 @@ def mat_inv(a, reciprocal):
     determinant is read off the first row of cofactors.  Returns the
     inverse and 1/det.
     """
+    inverse, _, det_inv = _inverse(a, reciprocal)
+    return inverse, det_inv
+
+
+def _inverse(a, reciprocal):
+    """``mat_inv``'s inverse, det and 1/det."""
     size = len(a)
     if size <= 1:
-        det_inv = reciprocal(mat_det(a))
-        return [[det_inv]], det_inv
+        det = mat_det(a)
+        det_inv = reciprocal(det)
+        return [[det_inv]], det, det_inv
     cof = [[_cofactor(a, i, j) for j in range(size)] for i in range(size)]
-    det_inv = reciprocal(_dot(a[0], cof[0]))
+    det = _dot(a[0], cof[0])
+    det_inv = reciprocal(det)
     return [[cof[i][j] * det_inv for i in range(size)]
-            for j in range(size)], det_inv
+            for j in range(size)], det, det_inv
 
 
 def scalar_reciprocal(det):
@@ -377,21 +385,51 @@ class SuperMap:
 
 
 def berezinian(matrix, n):
-    """Ber of a (n|n) block supermatrix of SuperExpr entries."""
+    """Ber of a (n|n) block supermatrix [[A, B], [C, D]] of SuperExpr
+    entries, A even-even and D odd-odd:
+
+        Ber = det(A - B D^-1 C) det(D)^-1 = det A det(D - C A^-1 B)^-1.
+
+    The second form is taken when every entry of A has a constant body,
+    det(body A) is nonzero, and some entry of D has a nonconstant body:
+    then A^-1 needs no rational-function reciprocal, and the one taken is
+    of det(D - C A^-1 B), whose body is det(body D).  Otherwise the first
+    form.  Either way a singular body of D raises the same ScalarError.
+    """
     i00 = [row[:n] for row in matrix[:n]]
     i01 = [row[n:] for row in matrix[:n]]
     i10 = [row[:n] for row in matrix[n:]]
     i11 = [row[n:] for row in matrix[n:]]
+    if _constant_invertible_body(i00) and not _constant_body(i11):
+        inv00, det00, _ = _inverse(i00, SuperExpr.invert_even)
+        return det00 * _block_reciprocal(
+            mat_det(_complement(i11, i10, inv00, i01)))
     inv11, det11_inv = mat_inv(i11, _block_reciprocal)
-    corr = mat_mul(mat_mul(i01, inv11), i10)
-    top = [[i00[i][j] - corr[i][j] for j in range(n)] for i in range(n)]
-    return mat_det(top) * det11_inv
+    return mat_det(_complement(i00, i01, inv11, i10)) * det11_inv
 
 
-def _block_reciprocal(det11):
-    if det11.body().is_zero:
+def _complement(block, left, inverse, right):
+    """block - left inverse right, the Schur complement."""
+    corr = mat_mul(mat_mul(left, inverse), right)
+    return [[x - y for x, y in zip(row, corr_row)]
+            for row, corr_row in zip(block, corr)]
+
+
+def _constant_body(block):
+    return all(entry.body().is_constant() for row in block for entry in row)
+
+
+def _constant_invertible_body(block):
+    return _constant_body(block) and not mat_det(
+        [[entry.body() for entry in row] for row in block]).is_zero
+
+
+def _block_reciprocal(det):
+    """1/det for det the determinant of the odd-odd block or of its
+    Schur complement, whose bodies agree."""
+    if det.body().is_zero:
         raise ScalarError("odd-odd block has singular body")
-    return det11.invert_even()
+    return det.invert_even()
 
 
 def map_berezinian(fmap: SuperMap):

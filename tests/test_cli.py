@@ -10,6 +10,7 @@ import pytest
 
 import oddsym.cli as cli
 import oddsym.darboux as darboux
+import oddsym.scalars as scalars
 import oddsym.verify as verify
 from oddsym.grammar import render_expr
 from oddsym.manifests import load_manifest
@@ -567,6 +568,28 @@ def test_committed_requests_take_no_sympy_gcd(capsys):
             code, out, _ = run_cli(
                 [command, "--manifest", os.path.join(DATA, manifest)], capsys)
             assert (code, out) == (0, want), f"{command} {manifest}"
+
+
+def test_rational_requests_take_no_gcd_with_a_unit_side(capsys,
+                                                        monkeypatch):
+    # a side of +-1 cancels nothing, so the kernel takes no polynomial gcd
+    # with one on any rational.json request
+    real, calls = scalars._gcd, []
+
+    def checked(ring, p, q):
+        units = ({ring.zero_monom: 1}, {ring.zero_monom: -1})
+        assert p not in units and q not in units, "a gcd with a unit side"
+        calls.append(1)
+        return real(ring, p, q)
+
+    monkeypatch.setattr(scalars, "_gcd", checked)
+    for command in RATIONAL_COMMANDS:
+        code, out, _ = run_cli(
+            [command, "--manifest", os.path.join(DATA, "rational.json")],
+            capsys)
+        assert (code, out) == (0, _golden(f"rational_{command}.golden")), \
+            command
+    assert calls
 
 
 def test_verify_json_deterministic(capsys):

@@ -18,8 +18,8 @@ from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement
 
 from oddsym.bv import delta0
-from oddsym.grammar import (ParseError, _monomial_bound, parse_expr,
-                            render_expr)
+from oddsym.grammar import (ParseError, _monomial_bound, join_signed,
+                            parse_expr, render_expr, render_scalar)
 from oddsym.sampling import (pushforward_structure, random_canonical_map,
                              random_expr, random_point_map, random_scalar)
 from oddsym import polys as dict_polys
@@ -273,6 +273,35 @@ def test_render_parse_round_trip_rational(seed):
     # rational-function coefficients and aux odds, as the manifests hold
     a = random_expr(random.Random(seed), TABLE, rational=True, aux=True)
     assert parse_expr(render_expr(a), TABLE) == a
+
+
+def _fraction_rendering(s):
+    """render_scalar's text for an integer-denominator Scalar, each
+    coefficient built as a Fraction."""
+    q = s.integer_denominator()
+    texts = []
+    for mono, c in s.numer_terms:
+        coeff = Fraction(c, q)
+        body = "*".join(name if p == 1 else f"{name}^{p}"
+                        for name, p in zip(s.table.even_symbols, mono) if p)
+        if not body:
+            texts.append(str(coeff))
+        elif coeff in (1, -1):
+            texts.append(body if coeff == 1 else "-" + body)
+        else:
+            texts.append(f"{coeff}*{body}")
+    return join_signed(texts)
+
+
+@given(st.dictionaries(even_powers, coefficients.filter(bool), max_size=5),
+       st.one_of(st.just(1), st.integers(min_value=2, max_value=60)))
+@example({(0, 0): -3, (1, 0): 4, (0, 2): -1, (1, 1): 1}, 1)
+@example({(0, 0): 3, (2, 1): -4, (0, 1): 1, (1, 0): -1}, 12)
+@settings(max_examples=200, deadline=None)
+def test_render_scalar_matches_fraction_rendering(numer, den):
+    # integer coefficients over denominators 1 and above, either sign
+    s = Scalar.from_poly(TABLE, numer, den)
+    assert render_scalar(s) == (_fraction_rendering(s), len(numer) <= 1)
 
 
 def test_parses_of_one_text_are_distinct_objects():
@@ -531,8 +560,10 @@ def test_field_path_does_not_read_the_gcd_sign(pair):
         if want is not None:
             assert (got.numer, got.denom) == (want.numer, want.denom)
     _compare(gots, _frac_ops(f, g))
-    # a + b of a nonzero a and a quotient b takes a gcd
-    assert gcd.called or not f or not isinstance(scalar(g).denom, dict)
+    # a * b of a nonconstant a and a quotient b takes a gcd; a constant
+    # side takes only integers
+    assert gcd.called or scalar(f).is_constant() or \
+        not isinstance(scalar(g).denom, dict)
 
 
 @given(fracs(), fracs())

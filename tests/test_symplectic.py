@@ -3,6 +3,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oddsym import symplectic
 from oddsym.flows import exp_flow
@@ -500,6 +502,21 @@ def test_map_with_read_inverse_is_freed_without_gc(c2):
         gc.enable()
 
 
+def test_compose_with_inverse_leaves_no_garbage(c2):
+    # a pull-back builds no reference cycle: reference counting alone
+    # frees every term dict, Scalar and polynomial of a composite
+    for seed in range(4):
+        fmap = random_canonical_map(random.Random(seed), c2)
+        inverse = fmap.inverse
+        gc.collect()
+        gc.disable()
+        try:
+            fmap.compose(inverse)
+            assert gc.collect() == 0, seed
+        finally:
+            gc.enable()
+
+
 @pytest.mark.parametrize("make", [random_point_map, random_canonical_map])
 def test_inverse_of_inverse_has_the_map_targets(c2, make):
     # the inverse carries the map's body as its body inverse, so it can
@@ -838,3 +855,91 @@ def test_only_a_general_structure_builds_signed_columns(c2):
             for omega in (canonical, general):
                 assert bracket(f, g, c2, omega) == \
                     _reference_bracket(f, g, omega)
+
+
+# -- the two Berezinian formulas ------------------------------------------------
+
+
+def _blocks(matrix, n):
+    return ([row[:n] for row in matrix[:n]], [row[n:] for row in matrix[:n]],
+            [row[:n] for row in matrix[n:]], [row[n:] for row in matrix[n:]])
+
+
+def _ber_by_odd_block(matrix, n):
+    """det(A - B D^-1 C) det(D)^-1."""
+    a, b, c, d = _blocks(matrix, n)
+    d_inv, det_d_inv = mat_inv(d, SuperExpr.invert_even)
+    bdc = mat_mul(mat_mul(b, d_inv), c)
+    return mat_det([[a[i][j] - bdc[i][j] for j in range(n)]
+                    for i in range(n)]) * det_d_inv
+
+
+def _ber_by_even_block(matrix, n):
+    """det A det(D - C A^-1 B)^-1."""
+    a, b, c, d = _blocks(matrix, n)
+    a_inv, _ = mat_inv(a, SuperExpr.invert_even)
+    cab = mat_mul(mat_mul(c, a_inv), b)
+    return mat_det(a) * mat_det([[d[i][j] - cab[i][j] for j in range(n)]
+                                 for i in range(n)]).invert_even()
+
+
+def _rational_odd_body_map(rng, chart, units=None):
+    """x_i + (even, theta-degree >= 1) and th_i u_i + (odd, theta-degree
+    >= 2), all with rational coefficients: the Jacobian's even-even block
+    has body 1 and its odd-odd block body diag(u), each u_i a polynomial
+    over 2 + x_j^2 unless ``units`` gives them."""
+    table = chart.table
+    if units is None:
+        units = [random_scalar(rng, table, names=chart.xs, allow_zero=False)
+                 / (2 + Scalar.symbol(table, rng.choice(chart.xs)) ** 2)
+                 for _ in chart.thetas]
+    targets = [SuperExpr.symbol(table, x) + random_expr(
+        rng, table, rational=True, aux=True, min_theta=1).even_part()
+        for x in chart.xs]
+    targets += [SuperExpr.symbol(table, th) * SuperExpr.from_scalar(u)
+                + random_expr(rng, table, rational=True, aux=True,
+                              min_theta=2).odd_part()
+                for th, u in zip(chart.thetas, units)]
+    return SuperMap(chart, chart, targets)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_berezinian_agrees_with_both_formulas(seed, canonical):
+    # the maps of the CLI's rational manifests take the even-block route
+    # (constant even-even body, rational odd-odd body); canonical maps
+    # take the odd-block one; either equals both formulas
+    rng = random.Random(seed)
+    chart = make_chart(2)
+    if canonical:
+        fmap = random_canonical_map(rng, chart)
+    else:
+        fmap = _rational_odd_body_map(rng, chart)
+        assume(not any(t.coefficient([th]).is_constant() for t, th in
+                       zip(fmap.targets[2:], chart.thetas)))
+    matrix = fmap.jacobian()
+    a, _, _, d = _blocks(matrix, 2)
+    even_route = symplectic._constant_invertible_body(a) \
+        and not symplectic._constant_body(d)
+    assert even_route is not canonical
+    ber = symplectic.berezinian(matrix, 2)
+    assert ber == _ber_by_odd_block(matrix, 2)
+    assert ber == _ber_by_even_block(matrix, 2)
+
+
+def test_singular_odd_block_raises_the_same_on_both_routes(c2, monkeypatch):
+    table = c2.table
+    zero = Scalar.from_int(table, 0)
+    unit = (Scalar.symbol(table, "x1") + 1) / (Scalar.symbol(table, "x2")
+                                               ** 2 + 2)
+    fmap = _rational_odd_body_map(random.Random(5), c2, [zero, unit])
+    matrix = fmap.jacobian()
+    messages = []
+    for route in (True, False):
+        if not route:
+            monkeypatch.setattr(symplectic, "_constant_invertible_body",
+                                lambda block: False)
+        with pytest.raises(ScalarError) as info:
+            symplectic.berezinian(matrix, 2)
+        messages.append(str(info.value))
+    assert messages == ["odd-odd block has singular body"] * 2
