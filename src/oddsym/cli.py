@@ -160,6 +160,8 @@ def cmd_star(manifest, entry):
 def cmd_pullback_surface(manifest, entry):
     s = manifest.named("semidensities", entry["semidensity"])
     surface = manifest.named("surfaces", entry["surface"])
+    _same_chart(s.chart, surface.chart, f"surface {quoted(entry['surface'])}",
+                f"the chart of semidensity {quoted(entry['semidensity'])}")
     out = pullback_K(s, surface)
     return [("coefficient", render_expr(out.coefficient))], None
 

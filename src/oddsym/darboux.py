@@ -26,7 +26,6 @@ pass a wrong composite.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .scalars import binomial_half
@@ -40,6 +39,7 @@ from .symplectic import (CanonicityError, OddSymplecticStructure,
 
 @dataclass(frozen=True)
 class StructureMatrices:
+    omega: OddSymplecticStructure
     E: tuple
     F: tuple
     A: tuple
@@ -56,15 +56,11 @@ def _matrix_order(entries, cap):
     return int(min(order, cap))
 
 
-# One entry gives one read per structure on the walk: a step reads the
-# structure the loop test just read, and its transition check reads the
-# structure the next loop test reads.
-@functools.lru_cache(maxsize=1)
 def structure_matrices(omega: OddSymplecticStructure, chart: Chart):
     """The blocks E, F, A, P of ``omega`` and its class; the symmetry of E
     and F and the invertible body of A were checked when ``omega`` was
-    built.  A structure hashes by identity and never changes, so the last
-    one read is not read again."""
+    built.  The walk reads each structure once and hands its blocks on
+    from step to step."""
     n = chart.n
     table = chart.table
     m = omega.matrix
@@ -76,7 +72,7 @@ def structure_matrices(omega: OddSymplecticStructure, chart: Chart):
     P = tuple(tuple(A[i][j] - delta[i][j] for j in range(n))
               for i in range(n))
     cap = table.n_theta + 1
-    return StructureMatrices(E, F, A, P, _matrix_order(E, cap),
+    return StructureMatrices(omega, E, F, A, P, _matrix_order(E, cap),
                              _matrix_order(P, cap))
 
 
@@ -118,16 +114,16 @@ def _solve_r_residual(R, E, F):
             for i in range(n)]
 
 
-def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
-    """One normalization map; returns (map, new structure).
+def darboux_step(kind, sm: StructureMatrices, chart: Chart):
+    """One normalization map of the structure whose blocks are ``sm``;
+    returns (map, blocks of the new structure).
 
     The new structure must show the class transition of ``kind``.  A step
-    that comes out as the identity returns ``omega`` itself and is held to
+    that comes out as the identity returns ``sm`` itself and is held to
     the same transition, so it fails wherever the step was needed.
     """
     table = chart.table
     n = chart.n
-    sm = structure_matrices(omega, chart)
     xs = [SuperExpr.symbol(table, x) for x in chart.xs]
     ths = [SuperExpr.symbol(table, th) for th in chart.thetas]
 
@@ -159,13 +155,13 @@ def darboux_step(kind, omega: OddSymplecticStructure, chart: Chart):
         raise ValueError(f"unknown step kind {kind!r}")
 
     if targets == xs + ths:
-        fmap, new_omega = SuperMap.identity(chart), omega
+        fmap, new_sm = SuperMap.identity(chart), sm
     else:
         fmap = SuperMap(chart, chart, targets)
-        new_omega = OddSymplecticStructure(chart,
-                                           pushforward_matrix(fmap, omega))
-    _check_transition(kind, sm, structure_matrices(new_omega, chart), chart)
-    return fmap, new_omega
+        new_sm = structure_matrices(OddSymplecticStructure(
+            chart, pushforward_matrix(fmap, sm.omega)), chart)
+    _check_transition(kind, sm, new_sm, chart)
+    return fmap, new_sm
 
 
 def _check_transition(kind, before, after, chart):
@@ -246,20 +242,19 @@ def darboux_pipeline(omega: OddSymplecticStructure, chart: Chart):
     docstring).
     """
     cap = chart.table.n_theta + 1
-    state = omega
+    sm = structure_matrices(omega, chart)
     composite = SuperMap.identity(chart)
     steps = []
     for kind, coordinate, bound in _SCHEDULE:
-        while getattr(structure_matrices(state, chart), coordinate) < \
-                (bound or cap):
-            fmap, state = darboux_step(kind, state, chart)
+        while getattr(sm, coordinate) < (bound or cap):
+            fmap, sm = darboux_step(kind, sm, chart)
             steps.append((kind, fmap))
             composite = fmap.compose(composite)
 
-    fmat = structure_matrices(state, chart).F
-    if any(entry for row in fmat for entry in row):
+    state = sm.omega
+    if any(entry for row in sm.F for entry in row):
         # not a special map: dA is the two-form being killed, not zero
-        shift = theta_shift(chart, two_form_potential(fmat, chart))
+        shift = theta_shift(chart, two_form_potential(sm.F, chart))
         state = OddSymplecticStructure(chart,
                                        pushforward_matrix(shift, state))
         steps.append(("shift", shift))

@@ -31,8 +31,9 @@ polynomials and takes no polynomial gcd: by 1 it returns the other
 operand; a polynomial p/q becomes c p / (d q) with its integer content
 cancelled; a quotient a/b becomes (a/g2)(c/g1) / ((b/g1)(d/g2)), with
 g1 = gcd(c, content of b) and g2 = gcd(d, content of a), the only
-factors that can cancel.  Polynomials are shared, so nothing may change
-one.
+factors that can cancel.  A quotient f / g is f times 1/g, so division
+by a constant takes that product too.  Polynomials are shared, so
+nothing may change one.
 
 Both paths give the quotient ``FracField`` itself would give; the
 property tests compare them.
@@ -58,9 +59,6 @@ class ScalarError(ArithmeticError):
     pass
 
 
-# Scalar.from_int keeps the constants in this range, per symbol table.
-_CACHED_INTS = range(-16, 17)
-
 _FIELDS = {}  # Scalar.f's FracFields by even-symbol names, built once
 
 
@@ -76,14 +74,7 @@ class Scalar:
 
     @classmethod
     def from_int(cls, table, value):
-        value = int(value)
-        cached = table.int_scalars.get(value)
-        if cached is not None:
-            return cached
-        out = cls(table, _constant(table.ring, value), 1)
-        if value in _CACHED_INTS:
-            table.int_scalars[value] = out
-        return out
+        return cls(table, _constant(table.ring, int(value)), 1)
 
     @classmethod
     def from_fraction(cls, table, value):
@@ -151,7 +142,7 @@ class Scalar:
             return NotImplemented
         if not other.numer:
             raise ScalarError("division by zero scalar")
-        return _div(self, other)
+        return _mul(self, _reciprocal(other))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -373,20 +364,6 @@ def _add(f, g, subtract=False):
     return _reduce(f.table, _sum(a, b, subtract), da)
 
 
-def _div(f, g):
-    """f / g for nonzero g; polynomial-first when g is a rational constant,
-    else f times the reciprocal of g."""
-    da, q = f.denom, g.denom
-    p = _ground(g.numer, f.table.ring.zero_monom)
-    if p is None or isinstance(da, dict) or isinstance(q, dict):
-        return _mul(f, _reciprocal(g))
-    num = _scaled(f.numer, q)
-    den = da * p
-    if den < 0:
-        num, den = _scaled(num, -1), -den
-    return _reduce(f.table, num, den)
-
-
 def _reciprocal(f):
     """1/f for nonzero f."""
     return _canonical(f.table, _denominator(f), f.numer)
@@ -508,7 +485,7 @@ class EvenImages:
         den = self.evaluate(scalar.denom)
         if not den:
             raise ScalarError("substitution makes the denominator vanish")
-        return _div(self.evaluate(scalar.numer), den)
+        return _mul(self.evaluate(scalar.numer), _reciprocal(den))
 
     def _entry(self, e, b):
         """What ``monomials`` keeps for b^e: b^e, its denominator when it

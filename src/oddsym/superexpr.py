@@ -558,8 +558,6 @@ class Pullback:
     * ``nil_powers``: the products n^alpha, by exponent prefix;
     * ``odd_products``: the product of the images of a run of bound odd
       symbols, by their indices;
-    * ``inverse_cache``: the inverse of the image of a denominator
-      polynomial;
     * ``body_images.monomials``: the body monomials b^e, by exponent
       vector e of the moved even symbols, each built once as
       b^(e - e_i) b_i; the Taylor terms (d^alpha p / alpha!)(b) are
@@ -607,7 +605,6 @@ class Pullback:
         self.active = tuple(self.nils)
         self.nil_powers = {}  # exponent prefix over ``active`` -> n^alpha
         self.odd_products = {}  # bound odd indices -> product of images
-        self.inverse_cache = {}  # denominator's terms -> inverse image
         self.body_images = EvenImages(table, self.bodies) \
             if self.bodies else None
 
@@ -698,16 +695,12 @@ class Pullback:
                                 odd: _mul(v, scale)
                                 for odd, v in piece.terms.items()})
                 else:
-                    denom_key = frozenset(c.denom.items())
-                    inv = self.inverse_cache.get(denom_key)
-                    if inv is None:
-                        image = SuperExpr(table, self._shifted(c.denom, 1))
-                        if () not in image.terms:
-                            raise ScalarError("substitution makes a "
-                                              "denominator body vanish")
-                        inv = image.invert_even()
-                        self.inverse_cache[denom_key] = inv
-                    piece = SuperExpr(table, self._shifted(c.numer, 1)) * inv
+                    image = SuperExpr(table, self._shifted(c.denom, 1))
+                    if () not in image.terms:
+                        raise ScalarError("substitution makes a "
+                                          "denominator body vanish")
+                    piece = SuperExpr(table, self._shifted(c.numer, 1)) \
+                        * image.invert_even()
             elif odd_images and not odd_images.keys().isdisjoint(key):
                 piece = SuperExpr(table, {(): c})
             else:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bv import VolumeForm, delta_sharp, delta_vol
 from .scalars import Scalar
-from .superexpr import ParityError, SuperExpr
+from .superexpr import ParityError, Pullback, SuperExpr
 from .symbols import Chart
 from .symplectic import Semidensity, bracket
 
@@ -44,9 +45,13 @@ class AdjustedSurface:
                      tuple(self.chart.xs[k] for k in keep),
                      tuple(self.chart.thetas[k] for k in keep))
 
-    def restrict(self, expr):
+    @cached_property
+    def restrict(self):
+        """``restrict(expr)`` sets x0 = th0 = 0: one ``Pullback`` per
+        surface, built on first use; not a field, so equality and hashing
+        read the fields alone."""
         table = self.chart.table
-        return expr.substitute({self.x0: SuperExpr.zero(table),
+        return Pullback(table, {self.x0: SuperExpr.zero(table),
                                 self.theta0: SuperExpr.zero(table)})
 
 

@@ -52,7 +52,7 @@ class SymbolTable:
 
     __slots__ = ("even_symbols", "coordinate_odds", "frame_odds", "aux_odds",
                  "ring", "_even_index", "_odd_index", "odd_names",
-                 "int_scalars", "key_merges")
+                 "key_merges")
 
     def __init__(self, even_symbols, coordinate_odds=(), frame_odds=(),
                  aux_odds=()):
@@ -77,9 +77,8 @@ class SymbolTable:
         object.__setattr__(self, "odd_names", odd_names)
         object.__setattr__(self, "_odd_index",
                            {n: i for i, n in enumerate(odd_names)})
-        # Scalar.from_int's cache of small constants and the superexpr
-        # kernel's merges of two odd-index keys, freed with the table.
-        object.__setattr__(self, "int_scalars", {})
+        # The superexpr kernel's merges of two odd-index keys, freed with
+        # the table: they hold keys and signs, nothing that refers back.
         object.__setattr__(self, "key_merges", {})
 
     def __setattr__(self, *a):

@@ -553,6 +553,7 @@ def suite_worked_example(seed=18):
     out = []
     chart, bs = worked_example_chart()
     table = chart.table
+    surf = AdjustedSurface(chart, "x0", "th0")
 
     def run(tag, bs_inst):
         w, s, ks, kd, p0, p1 = worked_example_values(chart, bs_inst)
@@ -561,11 +562,9 @@ def suite_worked_example(seed=18):
         want_s = SuperExpr.one(table) + b0 * th[1] * th[2] \
             + b1 * th[2] * th[0] + b2 * th[0] * th[1]
         out.append(_equal(f"{tag}-transform", s.coefficient, want_s))
-        surf_restrict = {"x0": SuperExpr.zero(table),
-                         "th0": SuperExpr.zero(table)}
-        want_ks = (b2 * th[1] - b1 * th[2]).substitute(surf_restrict)
+        want_ks = surf.restrict(b2 * th[1] - b1 * th[2])
         out.append(_equal(f"{tag}-pullback", ks.coefficient, want_ks))
-        curl = (b1.diff("x2") - b2.diff("x1")).substitute(surf_restrict)
+        curl = surf.restrict(b1.diff("x2") - b2.diff("x1"))
         out.append(_equal(f"{tag}-pullback-delta", kd.coefficient, curl))
         out.append(_equal(f"{tag}-P0", p0, curl * curl))
         out.append(_equal(f"{tag}-P1", p1, want_ks * curl))

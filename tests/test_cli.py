@@ -798,18 +798,25 @@ def test_structure_on_another_chart_exit_two(tmp_path, capsys, other, rows):
     assert err == "error: structure 's' is not on chart 'c'\n"
 
 
-@pytest.mark.parametrize("command, pool, name, message", [
+@pytest.mark.parametrize("command, pool, name, message, manifest", [
     ("shift", "semidensities", "shiftable",
-     "form 'one_form' is not on the chart of semidensity 'shiftable'"),
-    ("star", "forms", "w1", "form 'w1' is not on the chart of form 'w4'"),
+     "form 'one_form' is not on the chart of semidensity 'shiftable'",
+     "operators.json"),
+    ("star", "forms", "w1", "form 'w1' is not on the chart of form 'w4'",
+     "operators.json"),
     ("dual-density", "surfaces", "C",
-     "surface 'C' is not on the chart of volume form 'squared'"),
+     "surface 'C' is not on the chart of volume form 'squared'",
+     "operators.json"),
     ("densities-p", "surfaces", "C",
-     "surface 'C' is not on the chart of volume form 'squared'")])
+     "surface 'C' is not on the chart of volume form 'squared'",
+     "operators.json"),
+    ("pullback-surface", "surfaces", "C",
+     "surface 'C' is not on the chart of semidensity 's'",
+     "worked_example.json")])
 def test_objects_on_two_charts_named_exit_two(tmp_path, capsys, command,
-                                              pool, name, message):
+                                              pool, name, message, manifest):
     # the object moves to "twin", a second chart with the same definition
-    with open(os.path.join(DATA, "operators.json"), encoding="utf-8") as fh:
+    with open(os.path.join(DATA, manifest), encoding="utf-8") as fh:
         doc = json.load(fh)
     entry = doc[pool][name]
     doc["charts"]["twin"] = doc["charts"][entry["chart"]]

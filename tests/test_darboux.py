@@ -107,11 +107,10 @@ def test_solve_r_random_residual():
 
 def test_darboux_step_f1_n1():
     chart, omega = n1_structure()
-    fmap, new_omega = darboux_step("F1", omega, chart)
+    fmap, sm = darboux_step("F1", structure_matrices(omega, chart), chart)
     assert fmap.targets[1] == e(chart, "th1/(1 + x1)")
-    sm = structure_matrices(new_omega, chart)
     assert sm.q_class == 2  # A becomes exactly the identity here
-    assert new_omega.matrix[0][1] == SuperExpr.one(chart.table)
+    assert sm.omega.matrix[0][1] == SuperExpr.one(chart.table)
 
 
 def test_darboux_step_rejects_broken_antisymmetry(monkeypatch):
@@ -129,15 +128,16 @@ def test_darboux_step_rejects_broken_antisymmetry(monkeypatch):
     chart, omega = n1_structure()
     with pytest.raises(ValueError,
                        match=r"^graded antisymmetry fails at \(0,1\)$"):
-        darboux_step("F1", omega, chart)
+        darboux_step("F1", structure_matrices(omega, chart), chart)
 
 
 def test_darboux_step_f1_identity_on_canonical():
     chart = make_chart(2)
     omega = OddSymplecticStructure.canonical(chart)
-    fmap, new_omega = darboux_step("F1", omega, chart)
+    sm = structure_matrices(omega, chart)
+    fmap, new_sm = darboux_step("F1", sm, chart)
     assert fmap.is_identity()
-    assert new_omega is omega
+    assert new_sm is sm and new_sm.omega is omega
 
 
 def test_darboux_step_f2():
@@ -154,12 +154,12 @@ def test_darboux_step_f2():
     omega = OddSymplecticStructure(chart, rows)
     sm = structure_matrices(omega, chart)
     assert sm.p_class == 0 and sm.q_class == 3
-    fmap, new_omega = darboux_step("F2", omega, chart)
+    fmap, new_sm = darboux_step("F2", sm, chart)
     # x_i shifted by theta_m R^{mi} with R = E/2
     assert fmap.targets[0] == e(chart, "x1 - 1/2*th2*b1")
     assert fmap.targets[1] == e(chart, "x2 - 1/2*th1*b1")
-    new_sm = structure_matrices(new_omega, chart)
     assert new_sm.p_class >= 1
+    assert new_sm == structure_matrices(new_sm.omega, chart)
 
 
 def test_pipeline_identity_on_darboux_input():
@@ -210,6 +210,32 @@ def test_pipeline_reads_each_structure_once(monkeypatch):
     result = darboux_pipeline(omega, chart)
     assert result.ok and len(result.steps) > 1
     assert len(reads) <= 2 * len({id(s) for s in structures})
+
+
+def test_pipeline_reads_blocks_once_per_structure(monkeypatch):
+    # the walk hands each structure's blocks on to the next step, so the
+    # blocks are read for the input and once per step, with no memo; the
+    # final shift's structure is compared with the canonical matrix whole
+    chart = make_chart(2)
+    rng = random.Random(11)
+    read = darboux.structure_matrices
+    calls = []
+
+    def counted(omega, chart):
+        calls.append(omega)
+        return read(omega, chart)
+
+    monkeypatch.setattr(darboux, "structure_matrices", counted)
+    for _ in range(2):
+        omega, _ = pushforward_structure(rng, chart)
+        calls.clear()
+        result = darboux_pipeline(omega, chart)
+        assert result.ok
+        walk = [kind for kind, _ in result.steps if kind != "shift"]
+        assert len(walk) > 1
+        assert len(calls) == 1 + len(walk)
+        assert calls[0] is omega
+        assert len({id(s) for s in calls}) == len(calls)
 
 
 def test_pipeline_random_pushforwards():
@@ -269,14 +295,12 @@ def test_jacobi_class_identity_on_intermediates():
     chart = make_chart(2)
     rng = random.Random(17)
     omega, _ = pushforward_structure(rng, chart)
-    state = omega
+    sm = structure_matrices(omega, chart)
     for kind in ("F1", "F2", "F1"):
-        sm = structure_matrices(state, chart)
         if (kind == "F2" and sm.p_class > 0) or \
                 (kind == "F1" and sm.q_class > 0):
             continue
-        fmap, state = darboux_step(kind, state, chart)
-    sm = structure_matrices(state, chart)
+        fmap, sm = darboux_step(kind, sm, chart)
     r = sm.p_class
     cap = chart.table.n_theta + 1
     if 1 <= r <= chart.n:
@@ -309,7 +333,7 @@ def test_pipeline_n3_pushforward():
 def test_darboux_step_f1_inverse_n1():
     from oddsym.symplectic import invert_map
     chart, omega = n1_structure()
-    fmap, _ = darboux_step("F1", omega, chart)
+    fmap, _ = darboux_step("F1", structure_matrices(omega, chart), chart)
     inv = invert_map(fmap)
     assert inv.targets[0] == e(chart, "x1")
     assert inv.targets[1] == e(chart, "th1*(1 + x1)")

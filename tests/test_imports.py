@@ -1,5 +1,6 @@
-"""No import statement inside a function body of src/oddsym, and sympy
-imported by one module only.
+"""No import statement inside a function body of src/oddsym, sympy
+imported by one module only, and ``functools`` memos on listed functions
+only.
 
 A function-local import repeats the module lookup on every call and hides
 a dependency from the top of the file.  The one exception is
@@ -71,3 +72,50 @@ def test_symbol_table_holds_no_sympy_field():
         assert not hasattr(table, "field")
         assert isinstance(table.ring, Ring)
         assert table.ring.ngens == len(table.even_symbols)
+
+
+# The functions that ``functools.cache`` or ``lru_cache`` may decorate,
+# each for the reuse it is kept for.  A memo that no workload reads again
+# is state with no return, so a new one is added here with its count.
+CACHED = {
+    # one generated monomial product per number of generators, read by
+    # every Ring of that size
+    ("polys.py", "_monomial_product"),
+    # one parser per process: all 159 requests of a warm cli-rational
+    # pass hit it
+    ("cli.py", "build_parser"),
+    # a caller's requests on one manifest come in a row: 131 of the 159
+    # requests of a warm cli-rational pass hit it
+    ("manifests.py", "_manifest_of"),
+}
+
+
+def _memoized(path):
+    """(file, function) of each function decorated with functools.cache
+    or lru_cache, by attribute or by name imported from functools."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {"cache", "lru_cache"}
+    aliases = {alias.asname or alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "functools"
+               for alias in node.names if alias.name in names}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            if isinstance(decorator, ast.Call):
+                decorator = decorator.func
+            if isinstance(decorator, ast.Attribute) and \
+                    decorator.attr in names or \
+                    isinstance(decorator, ast.Name) and \
+                    decorator.id in aliases:
+                found.append((path.name, node.name))
+    return found
+
+
+def test_memoized_functions_are_the_listed_ones():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _memoized(path)]
+    assert sorted(found) == sorted(CACHED)

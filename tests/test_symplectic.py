@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oddsym import symplectic
+from oddsym.bv import delta0
 from oddsym.flows import exp_flow
 from oddsym.grammar import parse_expr
 from oddsym.sampling import (pushforward_structure, random_canonical_map,
@@ -16,7 +17,8 @@ from oddsym.sampling import (pushforward_structure, random_canonical_map,
 from oddsym.scalars import Scalar
 from oddsym.superexpr import SuperExpr
 from oddsym.scalars import ScalarError
-from oddsym.symbols import Chart, Parity, SymbolError, standard_table
+from oddsym.symbols import (Chart, Parity, SymbolError, standard_chart,
+                            standard_table)
 from oddsym.symplectic import (CanonicityError, OddSymplecticStructure,
                                Semidensity, SuperMap, ber_sqrt, bracket,
                                adjusted_map, bracket_matrix,
@@ -515,6 +517,22 @@ def test_compose_with_inverse_leaves_no_garbage(c2):
             assert gc.collect() == 0, seed
         finally:
             gc.enable()
+
+
+def test_symbol_table_leaves_no_garbage():
+    # a table holds no Scalar of its own, so a chart, its expressions and
+    # their bracket and delta0 are freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        chart = standard_chart(2, aux=1)
+        f = parse_expr("x1*th1 + 3*x2*th1*th2 + b1", chart.table)
+        g = parse_expr("x2^2*th2 - 1/(1 + x1)", chart.table)
+        results = bracket(f, g, chart), delta0(f * g, chart)
+        del chart, f, g, results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("make", [random_point_map, random_canonical_map])
